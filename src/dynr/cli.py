@@ -30,12 +30,7 @@ from .lie_core import (
     build_simple_lie_algebra,
     fundamental_weights,
 )
-from .rmatrix import (
-    FAMILIES,
-    SPECTRAL_FAMILIES,
-    RMatrixSpec,
-    spec_from_json,
-)
+from .rmatrix import RMatrixSpec, spec_from_json
 from .verifier import (
     LimitSchedule,
     SamplePlan,
@@ -103,16 +98,6 @@ class _ConfigError(Exception):
     pass
 
 
-def _simple_positions(rs):
-    """Map simple-root position (0-based) -> root index."""
-    out = {}
-    for idx in rs.positive_roots:
-        c = rs.coeffs[idx]
-        if sum(abs(v) for v in c) == 1:
-            out[max(range(rs.rank), key=lambda k: c[k])] = idx
-    return out
-
-
 def _parse_root_set(tok: str, rs):
     """Root-set tokens: 'full', 'empty', or a comma list of aK (simple root
     K, 1-based) and raw 0-based root indices."""
@@ -121,7 +106,6 @@ def _parse_root_set(tok: str, rs):
         return tuple(range(rs.n_roots))
     if t in ("empty", "none"):
         return ()
-    simples = _simple_positions(rs)
     out = []
     for part in t.split(","):
         part = part.strip()
@@ -132,9 +116,9 @@ def _parse_root_set(tok: str, rs):
                 pos = int(part[1:]) - 1
             except ValueError:
                 raise _ConfigError(f"bad simple-root token {part!r}")
-            if pos not in simples:
+            if not 0 <= pos < rs.rank:
                 raise _ConfigError(f"no simple root {part!r} at this rank")
-            out.append(simples[pos])
+            out.append(rs.simple_roots[pos])
         else:
             try:
                 idx = int(part)
@@ -155,11 +139,14 @@ def _build_spec(args, algebra) -> RMatrixSpec:
     sources = [s for s in (args.family, args.spec_file, args.spec_json) if s]
     if len(sources) != 1:
         raise _ConfigError("give exactly one spec source: --family, --spec-file, or --spec-json")
-    if args.spec_file:
-        with open(args.spec_file) as fh:
-            return spec_from_json(json.load(fh), algebra)
-    if args.spec_json:
-        return spec_from_json(json.loads(args.spec_json), algebra)
+    try:
+        if args.spec_file:
+            with open(args.spec_file) as fh:
+                return spec_from_json(json.load(fh), algebra)
+        if args.spec_json:
+            return spec_from_json(json.loads(args.spec_json), algebra)
+    except json.JSONDecodeError as exc:
+        raise _ConfigError(f"spec document is not valid JSON: {exc}")
     name = _FAMILY_NAMES.get(args.family)
     if name is None:
         raise _ConfigError(
@@ -184,8 +171,8 @@ def _plan(args) -> SamplePlan:
     return SamplePlan(seed=args.seed, count=args.samples)
 
 
-def _emit_report(report: VerificationReport, args) -> int:
-    doc = report.to_json(include_timing=not args.no_timing)
+def _emit(doc: dict, args, text_lines) -> None:
+    """Write doc to --output when given; print it as JSON or as text_lines."""
     if args.output:
         with open(args.output, "w") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
@@ -193,13 +180,19 @@ def _emit_report(report: VerificationReport, args) -> int:
     if args.format == "json":
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
-        print(f"spec {report.spec_id} on {report.algebra_id} "
-              f"(seed {report.seed}, {report.samples_used} samples)")
-        for c in report.checks:
-            flag = "PASS" if c.passed else "FAIL"
-            print(f"  {flag} {c.name}: max {c.max_residual:.3e} "
-                  f"(tol {c.tolerance:.1e}, n={c.n_samples})")
-        print("PASS" if report.passed else "FAIL")
+        for line in text_lines:
+            print(line)
+
+
+def _emit_report(report: VerificationReport, args) -> int:
+    lines = [f"spec {report.spec_id} on {report.algebra_id} "
+             f"(seed {report.seed}, {report.samples_used} samples)"]
+    for c in report.checks:
+        flag = "PASS" if c.passed else "FAIL"
+        lines.append(f"  {flag} {c.name}: max {c.max_residual:.3e} "
+                     f"(tol {c.tolerance:.1e}, n={c.n_samples})")
+    lines.append("PASS" if report.passed else "FAIL")
+    _emit(report.to_json(include_timing=not args.no_timing), args, lines)
     return 0 if report.passed else 1
 
 
@@ -238,17 +231,9 @@ def cmd_subsets(args) -> int:
             for s in subsets
         ],
     }
-    if args.format == "json" or args.output:
-        text = json.dumps(listing, indent=2, sort_keys=True)
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(text + "\n")
-        if args.format == "json":
-            print(text)
-    if args.format != "json":
-        print(f"{listing['algebra']}: {listing['count']} closed subsets")
-        for entry in listing["subsets"]:
-            print(f"  size {entry['size']}: {entry['coeffs']}")
+    lines = [f"{listing['algebra']}: {listing['count']} closed subsets"]
+    lines += [f"  size {entry['size']}: {entry['coeffs']}" for entry in listing["subsets"]]
+    _emit(listing, args, lines)
     return 0
 
 
@@ -268,14 +253,7 @@ def cmd_polarize(args) -> int:
         "positive": list(result.positive),
         "margin": result.margin if math.isfinite(result.margin) else "inf",
     }
-    if args.format == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print(f"PASS margin {result.margin:.6g}; positives {sorted(result.positive)}")
-    if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    _emit(doc, args, [f"PASS margin {result.margin:.6g}; positives {sorted(result.positive)}"])
     return 0
 
 
@@ -317,8 +295,7 @@ def cmd_limits(args) -> int:
     else:
         eps = args.eps if args.eps is not None else 2.0
         x_set = _parse_root_set(args.X, rs) if args.X is not None else ()
-        simples = _simple_positions(rs)
-        if any(i not in simples.values() for i in x_set):
+        if any(i not in rs.simple_roots for i in x_set):
             raise _ConfigError("nu-ray schedule X must consist of simple roots")
         mu = (
             CartanVector.of(args.nu)
@@ -326,7 +303,7 @@ def cmd_limits(args) -> int:
             else CartanVector.of([0.37 + 0.11j] * rs.rank)
         )
         fw = fundamental_weights(rs)
-        outside = [pos for pos, idx in sorted(simples.items()) if idx not in x_set]
+        outside = [pos for pos, idx in enumerate(rs.simple_roots) if idx not in x_set]
         ray = CartanVector.of(-sum(fw[pos] for pos in outside)) if outside else None
         if ray is None:
             raise _ConfigError("X covers every simple root; the schedule has no direction")
@@ -340,15 +317,7 @@ def cmd_limits(args) -> int:
         passed = cmp_res.cauchy[-1] < 1e-5 and cmp_res.final_deviation <= 1e-5
         doc.update(cauchy=list(cmp_res.cauchy), final_deviation=cmp_res.final_deviation)
     doc["passed"] = passed
-    if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    if args.format == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        for k, v in doc.items():
-            print(f"{k}: {v}")
+    _emit(doc, args, [f"{k}: {v}" for k, v in doc.items()])
     return 0 if passed else 1
 
 
@@ -398,15 +367,7 @@ def cmd_series(args) -> int:
         "closed_form_cdybe_max": max_res,
         "passed": passed,
     }
-    if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    if args.format == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        for k, v in doc.items():
-            print(f"{k}: {v}")
+    _emit(doc, args, [f"{k}: {v}" for k, v in doc.items()])
     return 0 if passed else 1
 
 
@@ -429,7 +390,7 @@ def cmd_catalog(args) -> int:
     return 0
 
 
-def _add_common(p, spectral_defaults=False):
+def _add_common(p):
     p.add_argument("--algebra", required=True, help="series+rank, e.g. A2")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--samples", type=int, default=10)

@@ -10,7 +10,7 @@ additively-closed, asymmetric set Y.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -45,18 +45,28 @@ class RootSubset:
         return frozenset(self.members)
 
 
+def additive_closure(rs: RootSystemData, members: Iterable[int]) -> frozenset:
+    """Smallest superset of the index set that is closed under root addition.
+
+    Every newly added root is paired with every member once, so each sum of
+    two members of the result has been looked up.
+    """
+    out = set(int(i) for i in members)
+    pending = list(out)
+    while pending:
+        i = pending.pop()
+        for j in list(out):
+            s = rs.add(i, j)
+            if s is not None and s not in out:
+                out.add(s)
+                pending.append(s)
+    return frozenset(out)
+
+
 def is_closed_subset(rs: RootSystemData, members: Iterable[int]) -> bool:
     """True iff the index set is stable under negation and root addition."""
-    xs = set(int(i) for i in members)
-    for i in xs:
-        if rs.neg(i) not in xs:
-            return False
-    for i in xs:
-        for j in xs:
-            s = rs.add(i, j)
-            if s is not None and s not in xs:
-                return False
-    return True
+    xs = frozenset(int(i) for i in members)
+    return all(rs.neg(i) in xs for i in xs) and additive_closure(rs, xs) == xs
 
 
 def enumerate_closed_subsets(rs: RootSystemData) -> list:
@@ -155,13 +165,11 @@ def _check_properties(rs: RootSystemData, y: Sequence[int]):
     for i in ys:
         if rs.neg(i) in ys:
             raise PropertyViolated(f"property B fails: both {i} and its negative are in Y")
-    for i in ys:
-        for j in ys:
-            s = rs.add(i, j)
-            if s is not None and s not in ys:
-                raise PropertyViolated(
-                    f"property A fails: sum of {i} and {j} is a root outside Y"
-                )
+    outside = additive_closure(rs, ys) - ys
+    if outside:
+        raise PropertyViolated(
+            f"property A fails: root sums {sorted(outside)} fall outside Y"
+        )
 
 
 def _weyl_chamber_vectors(rs: RootSystemData) -> list:

@@ -224,15 +224,6 @@ class RootSystemData:
     def length_sq(self, idx: int) -> Fraction:
         return self._len_sq[idx]
 
-    def pair_exact(self, i: int, j: int) -> Fraction:
-        """(root_i, root_j) from the exact Gram matrix."""
-        v = Fraction(0)
-        ci, cj = self.coeffs[i], self.coeffs[j]
-        for a in range(self.rank):
-            for b in range(self.rank):
-                v += Fraction(int(ci[a])) * self.gram[a][b] * Fraction(int(cj[b]))
-        return v
-
 
 def build_root_system(series: str, rank: int) -> RootSystemData:
     """Construct the root system of a finite-type series.

@@ -15,15 +15,14 @@ cross-check.
 from __future__ import annotations
 
 import cmath
-import json
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Sequence, Union
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .combinatorics import RootSubset, is_closed_subset
-from .errors import PoleProximity, SpecInvalid, UnsupportedType
+from .combinatorics import RootSubset, additive_closure, is_closed_subset
+from .errors import PoleProximity, SpecInvalid
 from .lie_core import CartanVector, SimpleLieAlgebra
 from .special_fn import ThetaParams, coth_scaled, rho_fn, sigma_w, sigma_w_dw
 from .tensor_alg import Tensor2, Tensor3
@@ -116,7 +115,6 @@ class RMatrixSpec:
     X: Optional[Sequence[int]] = None
     polarization: Optional[Sequence[int]] = None
     C: Optional[np.ndarray] = None
-    psi_quad: Optional[tuple] = None
     tau: Optional[complex] = None
     gauge_stack: tuple = ()
     debug_flip_root: Optional[int] = None
@@ -153,11 +151,6 @@ class RMatrixSpec:
             raise SpecInvalid(f"{self.family} requires an explicit coupling eps")
         object.__setattr__(self, "eps", complex(eps))
 
-        if self.psi_quad is not None:
-            q = np.asarray(self.psi_quad[0], dtype=complex)
-            v = np.asarray(self.psi_quad[1], dtype=complex)
-            object.__setattr__(self, "psi_quad", (q, v))
-
         object.__setattr__(self, "tau", complex(self.tau) if self.tau is not None else None)
         object.__setattr__(self, "gauge_stack", tuple(self.gauge_stack))
         if self.validate:
@@ -165,17 +158,7 @@ class RMatrixSpec:
         # membership in the X-span, as a root subsystem (simple-subset families)
         span = frozenset()
         if self.family in ("TrigDegenerate", "TrigSpectral"):
-            span = set(x) | {rs.neg(i) for i in x}
-            grew = True
-            while grew:
-                grew = False
-                for i in list(span):
-                    for j in list(span):
-                        s = rs.add(i, j)
-                        if s is not None and s not in span:
-                            span.add(s)
-                            grew = True
-            span = frozenset(span)
+            span = additive_closure(rs, set(x) | {rs.neg(i) for i in x})
         object.__setattr__(self, "_span_set", span)
         object.__setattr__(self, "_pol_set", frozenset(pol))
 
@@ -190,11 +173,8 @@ class RMatrixSpec:
         for i in pol:
             if rs.neg(i) in pol:
                 raise SpecInvalid("polarization contains a root and its negative")
-        for i in pol:
-            for j in pol:
-                s = rs.add(i, j)
-                if s is not None and s not in pol:
-                    raise SpecInvalid("polarization not closed under root addition")
+        if additive_closure(rs, pol) != pol:
+            raise SpecInvalid("polarization not closed under root addition")
         if self.family in ("RationalConstant", "RationalSpectral"):
             if not is_closed_subset(rs, self.X):
                 raise SpecInvalid(f"{self.family} requires X closed under negation and addition")
@@ -474,12 +454,6 @@ def family_phi(spec: RMatrixSpec, lam: CartanVector, alpha: int, z: Optional[com
     return complex(val)
 
 
-def cartan_block(spec: RMatrixSpec, lam: CartanVector, z: Optional[complex] = None) -> np.ndarray:
-    """The Cartan coefficient matrix M(lam[, z])."""
-    m, _, _ = _evaluate(spec, lam.as_array(), z, len(spec.gauge_stack) - 1, False)
-    return m
-
-
 def _lattice_distance(w: complex, periods) -> float:
     """Distance from w to the lattice spanned by the given periods."""
     if len(periods) == 1:
@@ -612,9 +586,6 @@ def spec_to_json(spec: RMatrixSpec) -> dict:
         "X": list(spec.X),
         "polarization": list(spec.polarization),
         "C": _mat2j(spec.C),
-        "psi_quad": None
-        if spec.psi_quad is None
-        else {"Q": _mat2j(spec.psi_quad[0]), "v": [_c2j(x) for x in spec.psi_quad[1]]},
         "tau": None if spec.tau is None else _c2j(spec.tau),
         "gauge_stack": [_gauge_to_json(g) for g in spec.gauge_stack],
         "debug_flip_root": spec.debug_flip_root,
@@ -623,27 +594,38 @@ def spec_to_json(spec: RMatrixSpec) -> dict:
 
 
 def spec_from_json(doc: dict, algebra: SimpleLieAlgebra) -> RMatrixSpec:
-    """Rebuild a spec from spec_to_json output over a compatible algebra."""
+    """Rebuild a spec from spec_to_json output over a compatible algebra.
+
+    Raises
+    ------
+    SpecInvalid for a document that is not a JSON object, is for another
+    algebra, misses a required key, or holds a value of the wrong type.
+    """
+    if not isinstance(doc, dict):
+        raise SpecInvalid(f"spec document must be a JSON object, got {type(doc).__name__}")
     rs = algebra.root_system
-    want = doc.get("algebra", {})
-    if (want.get("series"), want.get("rank")) != (rs.series, rs.rank):
-        raise SpecInvalid(
-            f"document is for {want.get('series')}{want.get('rank')}, got {rs.series}{rs.rank}"
+    try:
+        want = doc.get("algebra", {})
+        if (want.get("series"), want.get("rank")) != (rs.series, rs.rank):
+            raise SpecInvalid(
+                f"document is for {want.get('series')}{want.get('rank')}, got {rs.series}{rs.rank}"
+            )
+        flip = doc.get("debug_flip_root")
+        return RMatrixSpec(
+            algebra=algebra,
+            family=doc["family"],
+            eps=_j2c(doc["eps"]),
+            nu=CartanVector(tuple(_j2c(x) for x in doc["nu"])),
+            X=tuple(int(i) for i in doc["X"]),
+            polarization=tuple(int(i) for i in doc["polarization"]),
+            C=_j2mat(doc["C"]),
+            tau=None if doc.get("tau") is None else _j2c(doc["tau"]),
+            gauge_stack=tuple(_gauge_from_json(g) for g in doc.get("gauge_stack", ())),
+            debug_flip_root=None if flip is None else int(flip),
+            debug_scale_omega=_j2c(doc.get("debug_scale_omega", [1.0, 0.0])),
+            validate=False,
         )
-    return RMatrixSpec(
-        algebra=algebra,
-        family=doc["family"],
-        eps=_j2c(doc["eps"]),
-        nu=CartanVector(tuple(_j2c(x) for x in doc["nu"])),
-        X=tuple(int(i) for i in doc["X"]),
-        polarization=tuple(int(i) for i in doc["polarization"]),
-        C=_j2mat(doc["C"]),
-        psi_quad=None
-        if doc.get("psi_quad") is None
-        else (_j2mat(doc["psi_quad"]["Q"]), np.array([_j2c(x) for x in doc["psi_quad"]["v"]])),
-        tau=None if doc.get("tau") is None else _j2c(doc["tau"]),
-        gauge_stack=tuple(_gauge_from_json(g) for g in doc.get("gauge_stack", ())),
-        debug_flip_root=doc.get("debug_flip_root"),
-        debug_scale_omega=_j2c(doc.get("debug_scale_omega", [1.0, 0.0])),
-        validate=False,
-    )
+    except KeyError as exc:
+        raise SpecInvalid(f"spec document is missing key {exc}") from None
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        raise SpecInvalid(f"malformed spec document: {exc}") from None

@@ -13,18 +13,13 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    PoleProximity,
-    RootSumNonzero,
-    SamplingExhausted,
-    SpecInvalid,
-    SubalgebraInvalid,
-)
+from .combinatorics import is_closed_subset
+from .errors import RootSumNonzero, SamplingExhausted, SpecInvalid, SubalgebraInvalid
 from .lie_core import CartanVector, SimpleLieAlgebra, casimir, pairing
 from .rmatrix import (
     SPECTRAL_FAMILIES,
@@ -70,7 +65,6 @@ _ZERO_WEIGHT_TOL = 1e-12
 _UNITARITY_TOL = 1e-11
 _RESIDUE_TOL = 1e-8
 _RESIDUAL_TOL_ANALYTIC = 1e-8
-_RESIDUAL_TOL_FD = 1e-6
 _SKEW_TOL = 1e-10
 _RESIDUAL_WEIGHT_TOL = 1e-11
 _CONTROL_THRESHOLD = 1e-3
@@ -186,39 +180,39 @@ def _lambda_im_box(spec: RMatrixSpec, plan: SamplePlan):
     return (0.5 * lo, 0.5 * hi)
 
 
-def sample_lambda(spec: RMatrixSpec, plan: SamplePlan, rng) -> CartanVector:
-    """One lambda from the plan box with pole margin at least the floor."""
-    rank = spec.algebra.root_system.rank
-    im_box = _lambda_im_box(spec, plan)
+def _draw_point(specs: Sequence[RMatrixSpec], plan: SamplePlan, rng, n_z: int, im_box=None):
+    """Seeded (lambda, zs) with n_z in {0, 1, 3} spectral points, redrawn
+    until every spec clears the plan's pole margin.
+
+    The margin is taken with no z for n_z = 0, at z for n_z = 1, and at
+    +-z12, +-z13, +-z23 for n_z = 3, so unitarity checks can evaluate the
+    reflected arguments too.  im_box bounds Im(lambda) (default: plan.box).
+    """
+    rank = specs[0].algebra.root_system.rank
     for _ in range(plan.max_resamples):
         lam = CartanVector.of(_draw_vector(rng, rank, plan.box, im_box))
-        if pole_margin(spec, lam) >= plan.pole_margin:
-            return lam
+        zs = tuple(complex(w) for w in _draw_vector(rng, n_z, plan.z_box)) if n_z else ()
+        if n_z == 3:
+            diffs = (zs[0] - zs[1], zs[0] - zs[2], zs[1] - zs[2])
+            args = diffs + tuple(-d for d in diffs)
+        else:
+            args = zs or (None,)
+        if all(pole_margin(s, lam, w) >= plan.pole_margin for s in specs for w in args):
+            return lam, zs
     raise SamplingExhausted(
-        f"no lambda with pole margin {plan.pole_margin} in {plan.max_resamples} draws"
+        f"no sample point with pole margin {plan.pole_margin} "
+        f"in {plan.max_resamples} draws"
     )
+
+
+def sample_lambda(spec: RMatrixSpec, plan: SamplePlan, rng) -> CartanVector:
+    """One lambda from the plan box with pole margin at least the floor."""
+    return _draw_point((spec,), plan, rng, 0, _lambda_im_box(spec, plan))[0]
 
 
 def sample_spectral_point(spec: RMatrixSpec, plan: SamplePlan, rng):
-    """(lambda, (z1, z2, z3)) with every pairwise difference pole-free.
-
-    Margins are enforced for +-z_ij so unitarity checks can evaluate the
-    reflected arguments too.
-    """
-    rank = spec.algebra.root_system.rank
-    im_box = _lambda_im_box(spec, plan)
-    for _ in range(plan.max_resamples):
-        lam = CartanVector.of(_draw_vector(rng, rank, plan.box, im_box))
-        zs = [complex(w) for w in _draw_vector(rng, 3, plan.z_box)]
-        diffs = (zs[0] - zs[1], zs[0] - zs[2], zs[1] - zs[2])
-        margins = [pole_margin(spec, lam, d) for d in diffs]
-        margins += [pole_margin(spec, lam, -d) for d in diffs]
-        if min(margins) >= plan.pole_margin:
-            return lam, tuple(zs)
-    raise SamplingExhausted(
-        f"no spectral point with pole margin {plan.pole_margin} "
-        f"in {plan.max_resamples} draws"
-    )
+    """(lambda, (z1, z2, z3)) with every pairwise difference +-z_ij pole-free."""
+    return _draw_point((spec,), plan, rng, 3, _lambda_im_box(spec, plan))
 
 
 def cdybe_residual_constant(
@@ -399,23 +393,6 @@ def addition_identity_residual(
     )
 
 
-def _residual_norms(spec, plan, rng, mode="analytic"):
-    """Per-sample CDYBE residual norms plus the sampled points."""
-    spectral = spec.family in SPECTRAL_FAMILIES
-    norms, points = [], []
-    for _ in range(plan.count):
-        if spectral:
-            lam, zs = sample_spectral_point(spec, plan, rng)
-            res = cdybe_residual_spectral(spec, lam, *zs, mode=mode)
-            points.append((lam, zs))
-        else:
-            lam = sample_lambda(spec, plan, rng)
-            res = cdybe_residual_constant(spec, lam, mode=mode)
-            points.append((lam, None))
-        norms.append(res.norm())
-    return norms, points
-
-
 def _has_live_root_coefficient(spec, lam) -> bool:
     rs = spec.algebra.root_system
     z = 0.17 - 0.23j if spec.family in SPECTRAL_FAMILIES else None
@@ -565,18 +542,10 @@ def limit_compare(
         raise SpecInvalid("cannot mix constant and spectral specs in a limit")
     spectral = spectral.pop()
     rng = np.random.default_rng(plan.seed)
-    rank = spec_a.algebra.root_system.rank
-
     points = []
     for _ in range(plan.count):
-        for _ in range(plan.max_resamples):
-            lam = CartanVector.of(_draw_vector(rng, rank, plan.box))
-            z = complex(_draw_vector(rng, 1, plan.z_box)[0]) if spectral else None
-            if all(pole_margin(s, lam, z) >= plan.pole_margin for s in probes):
-                points.append((lam, z))
-                break
-        else:
-            raise SamplingExhausted("no sample point clears every scheduled spec")
+        lam, zs = _draw_point(probes, plan, rng, 1 if spectral else 0)
+        points.append((lam, zs[0] if zs else None))
 
     def sup_dev(sa, sb) -> float:
         out = 0.0
@@ -593,18 +562,15 @@ def limit_compare(
 
 
 def _closure_of_pair_roots(rs, l_positive: Sequence[int]) -> tuple:
-    pos = tuple(sorted(int(i) for i in set(l_positive)))
+    pos = sorted({int(i) for i in l_positive})
     for i in pos:
         if not rs.is_positive(i):
             raise SubalgebraInvalid(f"root index {i} is not positive")
     members = set(pos) | {rs.neg(i) for i in pos}
-    for a in members:
-        for b in members:
-            s = rs.add(a, b)
-            if s is not None and s not in members:
-                raise SubalgebraInvalid(
-                    "root set is not closed under addition; not a reductive subalgebra"
-                )
+    if not is_closed_subset(rs, members):
+        raise SubalgebraInvalid(
+            "root set is not closed under addition; not a reductive subalgebra"
+        )
     return tuple(sorted(members))
 
 
@@ -630,18 +596,7 @@ def reduce_pair_check(
     rng = np.random.default_rng(plan.seed)
     sum_norms, rho_norms = [], []
     for _ in range(plan.count):
-        for _ in range(plan.max_resamples):
-            lam = CartanVector.of(
-                _draw_vector(rng, g.root_system.rank, plan.box)
-            )
-            if (
-                pole_margin(spec_tilde, lam) >= plan.pole_margin
-                and pole_margin(rho_spec, lam) >= plan.pole_margin
-            ):
-                break
-        else:
-            raise SamplingExhausted("no lambda clears both the input and projector")
-
+        lam, _ = _draw_point((spec_tilde, rho_spec), plan, rng, 0)
         rho_norms.append(cdybe_residual_constant(rho_spec, lam).norm())
 
         r_tilde = eval_constant(spec_tilde, lam)

@@ -105,6 +105,18 @@ def test_verify_rejects_ambiguous_sources(capsys):
     assert "exactly one spec source" in err
 
 
+@pytest.mark.parametrize("doc", [
+    '{"family": "TrigCotanh",',
+    '{"algebra": {"series": "A", "rank": 2}}',
+    "[1]",
+])
+def test_verify_rejects_malformed_spec_json(capsys, doc):
+    code, _, err = _run(capsys, "verify", "--algebra", "A2", "--spec-json", doc)
+    assert code == 2
+    assert "error" in err
+    assert "Traceback" not in err
+
+
 def test_verify_rejects_unknown_family(capsys):
     code, _, err = _run(
         capsys, "verify", "--algebra", "A1", "--family", "septic-spectral",

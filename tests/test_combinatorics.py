@@ -16,6 +16,7 @@ from dynr import (
     is_closed_subset,
     span_closure,
 )
+from dynr.combinatorics import additive_closure
 
 A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)
@@ -69,6 +70,27 @@ def test_is_closed_matches_oracle_exhaustively():
     for mask in itertools.product([0, 1], repeat=len(pairs)):
         members = [x for bit, pr in zip(mask, pairs) if bit for x in pr]
         assert is_closed_subset(rs, members) == _closed_oracle(rs, members)
+        assert (additive_closure(rs, members) == set(members)) == _closed_oracle(rs, members)
+
+
+def _sum_fixpoint(rs, members):
+    """Add root sums of members until nothing new appears."""
+    s = set(members)
+    while True:
+        sums = {rs.add(i, j) for i in s for j in s} - {None}
+        if sums <= s:
+            return s
+        s |= sums
+
+
+@pytest.mark.parametrize("rs", [A2, B2], ids=["A2", "B2"])
+def test_additive_closure_matches_fixpoint_exhaustively(rs):
+    for mask in itertools.product([0, 1], repeat=rs.n_roots):
+        members = [i for i, bit in enumerate(mask) if bit]
+        closure = additive_closure(rs, members)
+        assert closure >= set(members)
+        assert _sum_fixpoint(rs, closure) == closure
+        assert closure == _sum_fixpoint(rs, members)
 
 
 def test_enumeration_counts():

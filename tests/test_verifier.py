@@ -490,6 +490,17 @@ def test_sampling_exhausted():
         sample_lambda(spec, plan, rng)
 
 
+def test_limit_and_pair_sampling_exhausted():
+    spec = RMatrixSpec(algebra=A2, family="RationalConstant", X=_full_X(A2))
+    plan = SamplePlan(box=(-0.001, 0.001), pole_margin=0.5, max_resamples=10)
+    zero = CartanVector.zero(2)
+    schedule = LimitSchedule(parameter="nu-ray", values=(1.0, 2.0), base=zero, ray=zero)
+    with pytest.raises(SamplingExhausted):
+        limit_compare(spec, schedule, None, plan)
+    with pytest.raises(SamplingExhausted):
+        reduce_pair_check(spec, A2.root_system.simple_roots[:1], plan)
+
+
 def test_samples_respect_margin():
     spec = RMatrixSpec(algebra=A2, family="RationalConstant", X=_full_X(A2))
     from dynr import pole_margin
