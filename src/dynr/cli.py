@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+import time
 
 import numpy as np
 
@@ -37,11 +38,13 @@ from .verifier import (
     VerificationReport,
     affine_hat_spec,
     affine_series_check,
-    cdybe_residual_spectral,
+    cdybe_residual,
     check_axioms,
     limit_compare,
     reduce_pair_check,
-    sample_spectral_point,
+    _axiom_checks,
+    _campaign_points,
+    _report,
 )
 
 _FAMILY_NAMES = {
@@ -203,16 +206,14 @@ def cmd_verify(args) -> int:
     return _emit_report(report, args)
 
 
-_AXIOM_CHECKS = ("zero-weight", "unitarity", "residue")
-
-
 def cmd_axioms(args) -> int:
+    """The axiom stage of verify on the same sample points; no residual."""
     algebra = _build_algebra(args)
     spec = _build_spec(args, algebra)
-    report = check_axioms(spec, _plan(args))
-    kept = [c for c in report.checks if c.name in _AXIOM_CHECKS]
-    report.checks = kept
-    return _emit_report(report, args)
+    plan = _plan(args)
+    t0 = time.perf_counter()
+    checks = _axiom_checks(spec, _campaign_points(spec, plan))
+    return _emit_report(_report(spec, plan, checks, t0), args)
 
 
 def cmd_subsets(args) -> int:
@@ -286,12 +287,9 @@ def cmd_limits(args) -> int:
         spec = RMatrixSpec(algebra=algebra, family="EllipticSpectral", tau=tau0)
         cmp_res = limit_compare(spec, LimitSchedule("tau", values), None, plan)
         gaps = list(cmp_res.cauchy)
-        passed = all(b <= a * 1.000001 for a, b in zip(gaps, gaps[1:])) and gaps[-1] < 1e-5
-        doc.update(
-            cauchy=gaps,
-            monotone=all(b <= a * 1.000001 for a, b in zip(gaps, gaps[1:])),
-            final_gap=gaps[-1],
-        )
+        monotone = all(b <= a * 1.000001 for a, b in zip(gaps, gaps[1:]))
+        passed = monotone and gaps[-1] < 1e-5
+        doc.update(cauchy=gaps, monotone=monotone, final_gap=gaps[-1])
     else:
         eps = args.eps if args.eps is not None else 2.0
         x_set = _parse_root_set(args.X, rs) if args.X is not None else ()
@@ -350,13 +348,10 @@ def cmd_series(args) -> int:
         lam, tau, args.z, args.n_terms, algebra=algebra
     )
     hat = affine_hat_spec(algebra, tau)
-    plan = _plan(args)
-    rng = np.random.default_rng(plan.seed)
-    residuals = []
-    for _ in range(plan.count):
-        lam_s, zs = sample_spectral_point(hat, plan, rng)
-        residuals.append(cdybe_residual_spectral(hat, lam_s, *zs).norm())
-    max_res = max(residuals)
+    max_res = max(
+        cdybe_residual(hat, lam_s, zs).norm()
+        for lam_s, zs in _campaign_points(hat, _plan(args))
+    )
     passed = deviation <= 1e-9 and max_res <= 1e-8
     doc = {
         "algebra": f"{rs.series}{rs.rank}",

@@ -172,35 +172,15 @@ def _check_properties(rs: RootSystemData, y: Sequence[int]):
         )
 
 
-def _weyl_chamber_vectors(rs: RootSystemData) -> list:
-    """Orbit of a dominant regular vector under the simple reflections."""
-    base = fundamental_weights(rs).sum(axis=0)
-    simple = [rs.roots[i] for i in rs.simple_roots]
-    seen = {}
-    frontier = [base]
-    seen[tuple(np.round(base, 9))] = base
-    while frontier:
-        fresh = []
-        for v in frontier:
-            for a in simple:
-                w = v - 2 * (v @ a) / (a @ a) * a
-                key = tuple(np.round(w, 9))
-                if key not in seen:
-                    seen[key] = w
-                    fresh.append(w)
-        frontier = fresh
-    return list(seen.values())
-
-
 def find_polarization(rs: RootSystemData, y: Iterable[int], max_iter: int = 20000) -> PolarizationResult:
     """Regular vector v with (a, v) > 0 for all a in Y, plus its positive system.
 
     Y must be additively closed within the root system (property A) and
     meet no root together with its negative (property B); those conditions
-    guarantee a solution exists.  A perceptron iteration finds a vector
-    positive on Y; a deterministic perturbation then clears any root
-    orthogonal to it.  For rank <= 4 an exhaustive scan over Weyl chamber
-    representatives backs the iteration up.
+    guarantee a solution exists.  Y then lies in some positive system, so
+    a batch perceptron iteration converges to a vector positive on Y; a
+    deterministic perturbation along a regular vector then clears any root
+    orthogonal to it.
 
     Raises
     ------
@@ -239,23 +219,18 @@ def find_polarization(rs: RootSystemData, y: Iterable[int], max_iter: int = 2000
             break
         v = v + bad.sum(axis=0)
     else:
-        v = None
+        raise SearchExhausted(f"no vector positive on Y within {max_iter} iterations")
 
-    if v is not None:
-        # clear accidental orthogonality against the full root set
-        if regular_margin(v) > tol:
-            return finish(v)
-        w = fundamental_weights(rs).sum(axis=0)
-        y_margin = float(np.min(rows @ v))
-        cap = y_margin / (2 * scale * np.linalg.norm(w) + 1e-30)
-        delta = cap
-        for _ in range(60):
-            for cand in (v + delta * w, v - delta * w):
-                if regular_margin(cand) > tol and float(np.min(rows @ cand)) > 0:
-                    return finish(cand)
-            delta /= 2
-    if rs.rank <= _ENUM_MAX_RANK:
-        for cand in _weyl_chamber_vectors(rs):
-            if float(np.min(rows @ cand)) > 0 and regular_margin(cand) > tol:
+    # clear accidental orthogonality against the full root set
+    if regular_margin(v) > tol:
+        return finish(v)
+    w = fundamental_weights(rs).sum(axis=0)
+    y_margin = float(np.min(rows @ v))
+    cap = y_margin / (2 * scale * np.linalg.norm(w) + 1e-30)
+    delta = cap
+    for _ in range(60):
+        for cand in (v + delta * w, v - delta * w):
+            if regular_margin(cand) > tol and float(np.min(rows @ cand)) > 0:
                 return finish(cand)
+        delta /= 2
     raise SearchExhausted("no regular vector positive on Y within budget")

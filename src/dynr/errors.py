@@ -34,10 +34,6 @@ class ConvergenceFailure(DynrError):
     """A series cannot reach the requested accuracy within its cutoff."""
 
 
-class ModeUnavailable(DynrError):
-    """Requested derivative mode is not implemented for this spec."""
-
-
 class RootSumNonzero(DynrError):
     """Triangle identity requested for roots that do not sum to zero."""
 

@@ -369,7 +369,6 @@ class SimpleLieAlgebra:
     dim: int
     structure_constants: dict
     bilinear_form: np.ndarray
-    labels: tuple
     _dense: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     @property
@@ -388,9 +387,6 @@ class SimpleLieAlgebra:
                     f[i, j, k] += float(v)
             self._dense = f
         return self._dense
-
-    def type_name(self) -> str:
-        return f"{self.root_system.series}{self.root_system.rank}"
 
 
 def _assemble_constants(rs: RootSystemData):
@@ -490,16 +486,11 @@ def build_simple_lie_algebra(rs: RootSystemData, cache_dir: Optional[str] = None
     bform[: rs.rank, : rs.rank] = np.eye(rs.rank)
     for i in range(rs.n_roots):
         bform[rs.rank + i, rs.rank + rs.neg(i)] = 1.0
-    labels = tuple(
-        [f"x{k + 1}" for k in range(rs.rank)]
-        + ["e(" + ",".join(str(int(x)) for x in c) + ")" for c in rs.coeffs]
-    )
     g = SimpleLieAlgebra(
         root_system=rs,
         dim=dim,
         structure_constants=const,
         bilinear_form=bform,
-        labels=labels,
     )
     _verify_algebra(g)
     if cache_dir and fresh:

@@ -36,7 +36,6 @@ FAMILIES = (
     "RationalSpectral",
 )
 SPECTRAL_FAMILIES = ("EllipticSpectral", "TrigSpectral", "RationalSpectral")
-_NEEDS_X = ("RationalConstant", "TrigDegenerate", "TrigSpectral", "RationalSpectral")
 _POLE_THRESHOLD = 1e-8
 
 

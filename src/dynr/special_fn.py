@@ -138,17 +138,11 @@ def rho_fn(z: complex, p: ThetaParams) -> complex:
 
 
 def _one_plus_coth(x: complex) -> complex:
-    # 1 + coth(x) = 2/(1 - e^{-2x}) for Re x >= 0, else 2 e^{2x}/(e^{2x}-1)
-    if x.real >= 0:
-        den = 1 - cmath.exp(-2 * x)
-        if abs(den) < _POLE_THRESHOLD:
-            raise PoleProximity(f"series term argument {x} too close to i*pi*Z")
-        return 2 / den
-    ep = cmath.exp(2 * x)
-    den = ep - 1
+    # 1 + coth(x) = 2/(1 - e^{-2x}), evaluated for Re x >= 0 only
+    den = 1 - cmath.exp(-2 * x)
     if abs(den) < _POLE_THRESHOLD:
         raise PoleProximity(f"series term argument {x} too close to i*pi*Z")
-    return 2 * ep / den
+    return 2 / den
 
 
 def classical_series(kind: str, u: complex, a: complex, p: ThetaParams, n_terms: int) -> complex:

@@ -1,6 +1,7 @@
 """Tensors over a simple Lie algebra and the bracket/alternation calculus.
 
-Tensor2 and Tensor3 wrap dense complex arrays indexed by the algebra basis.
+Tensor2 and Tensor3 wrap dense complex arrays indexed by the algebra basis;
+they share one base class for the shape check and the linear operations.
 bracket_legs contracts two 2-tensors through the Lie bracket on a shared
 leg placement, alt3 symmetrizes a 3-tensor over cyclic leg rotations, and
 act_diag applies an element diagonally (ad on every leg).  All operations
@@ -19,15 +20,17 @@ from .lie_core import SimpleLieAlgebra
 _PLACEMENTS = ("12-13", "12-23", "13-23")
 
 
-class Tensor2:
-    """Element of g (x) g as a dense (dim, dim) complex matrix."""
+class _DenseTensor:
+    """Dense complex array with `_legs` legs, each indexed by the algebra basis."""
 
     __slots__ = ("algebra", "data")
+    _legs = 0
 
     def __init__(self, algebra: SimpleLieAlgebra, data: np.ndarray):
         data = np.asarray(data, dtype=complex)
-        if data.shape != (algebra.dim, algebra.dim):
-            raise UnsupportedType(f"Tensor2 data shape {data.shape} != {(algebra.dim,) * 2}")
+        shape = (algebra.dim,) * self._legs
+        if data.shape != shape:
+            raise UnsupportedType(f"{type(self).__name__} data shape {data.shape} != {shape}")
         self.algebra = algebra
         self.data = data
 
@@ -35,54 +38,40 @@ class Tensor2:
         if self.algebra is not other.algebra:
             raise AlgebraMismatch("tensors over different algebras")
 
-    def __add__(self, other: "Tensor2") -> "Tensor2":
+    def __add__(self, other):
         self._check(other)
-        return Tensor2(self.algebra, self.data + other.data)
+        return type(self)(self.algebra, self.data + other.data)
 
-    def __sub__(self, other: "Tensor2") -> "Tensor2":
+    def __sub__(self, other):
         self._check(other)
-        return Tensor2(self.algebra, self.data - other.data)
+        return type(self)(self.algebra, self.data - other.data)
 
-    def scale(self, c: complex) -> "Tensor2":
-        return Tensor2(self.algebra, complex(c) * self.data)
+    def scale(self, c: complex):
+        return type(self)(self.algebra, complex(c) * self.data)
+
+    def norm(self) -> float:
+        return float(np.max(np.abs(self.data))) if self.data.size else 0.0
+
+
+class Tensor2(_DenseTensor):
+    """Element of g (x) g as a dense (dim, dim) complex matrix."""
+
+    __slots__ = ()
+    _legs = 2
 
     def swap(self) -> "Tensor2":
         """Exchange the two legs: (a (x) b) -> (b (x) a)."""
         return Tensor2(self.algebra, self.data.T.copy())
 
-    def norm(self) -> float:
-        return float(np.max(np.abs(self.data))) if self.data.size else 0.0
-
     def copy(self) -> "Tensor2":
         return Tensor2(self.algebra, self.data.copy())
 
 
-class Tensor3:
+class Tensor3(_DenseTensor):
     """Element of g (x) g (x) g as a dense (dim, dim, dim) complex array."""
 
-    __slots__ = ("algebra", "data")
-
-    def __init__(self, algebra: SimpleLieAlgebra, data: np.ndarray):
-        data = np.asarray(data, dtype=complex)
-        if data.shape != (algebra.dim,) * 3:
-            raise UnsupportedType(f"Tensor3 data shape {data.shape} != {(algebra.dim,) * 3}")
-        self.algebra = algebra
-        self.data = data
-
-    def _check(self, other):
-        if self.algebra is not other.algebra:
-            raise AlgebraMismatch("tensors over different algebras")
-
-    def __add__(self, other: "Tensor3") -> "Tensor3":
-        self._check(other)
-        return Tensor3(self.algebra, self.data + other.data)
-
-    def __sub__(self, other: "Tensor3") -> "Tensor3":
-        self._check(other)
-        return Tensor3(self.algebra, self.data - other.data)
-
-    def scale(self, c: complex) -> "Tensor3":
-        return Tensor3(self.algebra, complex(c) * self.data)
+    __slots__ = ()
+    _legs = 3
 
     def transpose_legs(self, perm) -> "Tensor3":
         """Relabel legs in numpy axes convention: result leg k is input leg perm[k].
@@ -94,9 +83,6 @@ class Tensor3:
         if sorted(perm) != [0, 1, 2]:
             raise UnsupportedType(f"not a leg permutation: {perm}")
         return Tensor3(self.algebra, np.transpose(self.data, perm).copy())
-
-    def norm(self) -> float:
-        return float(np.max(np.abs(self.data))) if self.data.size else 0.0
 
 
 def tensor_product(algebra: SimpleLieAlgebra, u: np.ndarray, v: np.ndarray) -> Tensor2:

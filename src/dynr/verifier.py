@@ -36,7 +36,7 @@ from .rmatrix import (
     spec_to_json,
 )
 from .special_fn import ThetaParams, classical_series, rho_fn, sigma_w, sigma_w_dw
-from .tensor_alg import Tensor2, Tensor3, act_diag, alt3, bracket_legs
+from .tensor_alg import Tensor2, Tensor3, act_diag, bracket_legs
 
 __all__ = [
     "SamplePlan",
@@ -159,10 +159,6 @@ def spec_digest(spec: RMatrixSpec) -> str:
     return f"{spec.family}:{h}"
 
 
-def _algebra_id(g: SimpleLieAlgebra) -> str:
-    return f"{g.root_system.series}{g.root_system.rank}"
-
-
 def _draw_vector(rng, rank: int, box, im_box=None) -> np.ndarray:
     lo, hi = box
     ilo, ihi = im_box if im_box is not None else box
@@ -215,43 +211,14 @@ def sample_spectral_point(spec: RMatrixSpec, plan: SamplePlan, rng):
     return _draw_point((spec,), plan, rng, 3, _lambda_im_box(spec, plan))
 
 
-def cdybe_residual_constant(
-    spec: RMatrixSpec,
-    lam: CartanVector,
-    mode: str = "analytic",
-    fd_step: float = 1e-5,
-) -> Tensor3:
-    """Alt(dr) + [r12,r13] + [r12,r23] + [r13,r23] for a constant spec."""
-    r = eval_constant(spec, lam)
-    d = eval_dlambda(spec, lam, None, mode=mode, fd_step=fd_step)
-    out = alt3(d)
-    for placement in ("12-13", "12-23", "13-23"):
-        out = out + bracket_legs(r, r, placement)
-    return out
-
-
-def cdybe_residual_spectral(
-    spec: RMatrixSpec,
-    lam: CartanVector,
-    z1: complex,
-    z2: complex,
-    z3: complex,
-    mode: str = "analytic",
-    fd_step: float = 1e-5,
-) -> Tensor3:
-    """Spectral residual at the triple (z1, z2, z3).
+def _cdybe_from(r12, r13, r23, d23, d31, d12) -> Tensor3:
+    """Alt(dr) + [r12,r13] + [r12,r23] + [r13,r23] from the r evaluations on
+    the three leg pairs and the lambda-derivatives at the matching arguments.
 
     The symmetrized derivative term places the Cartan leg cyclically:
-    x^(1) (dr)^{23}(z23) + x^(2) (dr)^{31}(z31) + x^(3) (dr)^{12}(z12),
-    and the brackets pair the legs at the matching argument differences.
+    x^(1) (dr)^{23} + x^(2) (dr)^{31} + x^(3) (dr)^{12}.  Every residual
+    in this module is assembled here.
     """
-    z12, z13, z23 = z1 - z2, z1 - z3, z2 - z3
-    r12 = eval_spectral(spec, lam, z12)
-    r13 = eval_spectral(spec, lam, z13)
-    r23 = eval_spectral(spec, lam, z23)
-    d23 = eval_dlambda(spec, lam, z23, mode=mode, fd_step=fd_step)
-    d31 = eval_dlambda(spec, lam, -z13, mode=mode, fd_step=fd_step)
-    d12 = eval_dlambda(spec, lam, z12, mode=mode, fd_step=fd_step)
     # (dr)^{31} carries r's legs at positions (3, 1) and the Cartan leg at
     # position 2, so output leg k reads input leg (2,0,1)[k]; (dr)^{12}
     # needs (1,2,0).  The two cycles are NOT interchangeable here.
@@ -266,8 +233,42 @@ def cdybe_residual_spectral(
     return out
 
 
+def cdybe_residual_constant(
+    spec: RMatrixSpec,
+    lam: CartanVector,
+    mode: str = "analytic",
+    fd_step: float = 1e-5,
+) -> Tensor3:
+    """Alt(dr) + [r12,r13] + [r12,r23] + [r13,r23] for a constant spec."""
+    r = eval_constant(spec, lam)
+    d = eval_dlambda(spec, lam, None, mode=mode, fd_step=fd_step)
+    return _cdybe_from(r, r, r, d, d, d)
+
+
+def cdybe_residual_spectral(
+    spec: RMatrixSpec,
+    lam: CartanVector,
+    z1: complex,
+    z2: complex,
+    z3: complex,
+    mode: str = "analytic",
+    fd_step: float = 1e-5,
+) -> Tensor3:
+    """Spectral residual at the triple (z1, z2, z3): the legs pair at the
+    argument differences z12, z13, z23 and the derivatives at z23, z31, z12."""
+    z12, z13, z23 = z1 - z2, z1 - z3, z2 - z3
+    return _cdybe_from(
+        eval_spectral(spec, lam, z12),
+        eval_spectral(spec, lam, z13),
+        eval_spectral(spec, lam, z23),
+        eval_dlambda(spec, lam, z23, mode=mode, fd_step=fd_step),
+        eval_dlambda(spec, lam, -z13, mode=mode, fd_step=fd_step),
+        eval_dlambda(spec, lam, z12, mode=mode, fd_step=fd_step),
+    )
+
+
 def cdybe_residual(spec: RMatrixSpec, lam: CartanVector, zs=None, **kw) -> Tensor3:
-    """Family-dispatching wrapper around the two residual assemblies."""
+    """Family-dispatching wrapper around the constant and spectral residuals."""
     if spec.family in SPECTRAL_FAMILIES:
         if zs is None:
             raise SpecInvalid("spectral spec needs a (z1, z2, z3) triple")
@@ -401,83 +402,103 @@ def _has_live_root_coefficient(spec, lam) -> bool:
     )
 
 
-def check_axioms(spec: RMatrixSpec, plan: SamplePlan) -> VerificationReport:
-    """Zero-weight, unitarity, residue, CDYBE, and symmetry checks.
-
-    The negative-control entry re-runs the residual with one root
-    coefficient sign-flipped and records threshold/residual, so its value
-    is <= 1 exactly when the perturbation is loud; it is omitted for
-    specs with no root coefficient to flip.
-    """
-    t0 = time.perf_counter()
-    g = spec.algebra
-    rs = g.root_system
-    spectral = spec.family in SPECTRAL_FAMILIES
+def _campaign_points(spec: RMatrixSpec, plan: SamplePlan) -> list:
+    """The plan's seeded (lambda, zs) points; zs is None for constant specs."""
     rng = np.random.default_rng(plan.seed)
+    if spec.family in SPECTRAL_FAMILIES:
+        return [sample_spectral_point(spec, plan, rng) for _ in range(plan.count)]
+    return [(sample_lambda(spec, plan, rng), None) for _ in range(plan.count)]
+
+
+def _axiom_checks(spec: RMatrixSpec, points: list) -> list:
+    """Zero-weight and unitarity, plus the residue for spectral specs."""
+    g = spec.algebra
+    spectral = spec.family in SPECTRAL_FAMILIES
     eps = effective_coupling(spec)
     omega = casimir(g)
-
-    zero_w, unit, resid, residue_dev, skew, res_weight = [], [], [], [], [], []
-    first_point = None
-    for _ in range(plan.count):
+    zero_w, unit, residue_dev = [], [], []
+    for lam, zs in points:
         if spectral:
-            lam, zs = sample_spectral_point(spec, plan, rng)
             z12 = zs[0] - zs[1]
             r = eval_spectral(spec, lam, z12)
             refl = eval_spectral(spec, lam, -z12)
             unit.append((r + Tensor2(g, refl.data.T)).norm())
             _, eps_est, dev = extract_residue(spec, lam)
             residue_dev.append(max(dev, abs(eps_est - eps)))
-            res = cdybe_residual_spectral(spec, lam, *zs)
-            if first_point is None:
-                first_point = (lam, zs)
         else:
-            lam = sample_lambda(spec, plan, rng)
             r = eval_constant(spec, lam)
             unit.append((r + Tensor2(g, r.data.T) - omega.scale(eps)).norm())
-            res = cdybe_residual_constant(spec, lam)
-            skew.append((res + res.transpose_legs((1, 0, 2))).norm())
-            if first_point is None:
-                first_point = (lam, None)
-        zero_w.append(max(act_diag(k, r).norm() for k in range(rs.rank)))
-        res_weight.append(max(act_diag(k, res).norm() for k in range(rs.rank)))
-        resid.append(res.norm())
-
+        zero_w.append(max(act_diag(k, r).norm() for k in range(g.rank)))
+    n = len(points)
     checks = [
-        CheckResult("zero-weight", _ZERO_WEIGHT_TOL, tuple(zero_w), plan.count),
-        CheckResult("unitarity", _UNITARITY_TOL, tuple(unit), plan.count),
-        CheckResult("cdybe-residual", _RESIDUAL_TOL_ANALYTIC, tuple(resid), plan.count),
-        CheckResult(
-            "residual-weight-zero", _RESIDUAL_WEIGHT_TOL, tuple(res_weight), plan.count
-        ),
+        CheckResult("zero-weight", _ZERO_WEIGHT_TOL, tuple(zero_w), n),
+        CheckResult("unitarity", _UNITARITY_TOL, tuple(unit), n),
     ]
     if spectral:
-        checks.insert(
-            2, CheckResult("residue", _RESIDUE_TOL, tuple(residue_dev), plan.count)
-        )
-    else:
-        checks.append(
-            CheckResult("residual-skew", _SKEW_TOL, tuple(skew), plan.count)
-        )
+        checks.append(CheckResult("residue", _RESIDUE_TOL, tuple(residue_dev), n))
+    return checks
 
-    lam0 = first_point[0]
+
+def _residual_checks(spec: RMatrixSpec, points: list) -> list:
+    """CDYBE residual, its weight and (constant specs) its 1<->2 skew, then
+    the negative control at the first point.
+
+    The control re-runs the residual with one root coefficient sign-flipped
+    and records threshold/residual, so its value is <= 1 exactly when the
+    perturbation is loud; it is omitted for specs with no root coefficient
+    to flip.  Each residual is reduced to norms before the next is built.
+    """
+    rs = spec.algebra.root_system
+    spectral = spec.family in SPECTRAL_FAMILIES
+    resid, res_weight, skew = [], [], []
+    for lam, zs in points:
+        res = cdybe_residual(spec, lam, zs)
+        resid.append(res.norm())
+        res_weight.append(max(act_diag(k, res).norm() for k in range(rs.rank)))
+        if not spectral:
+            skew.append((res + res.transpose_legs((1, 0, 2))).norm())
+    n = len(points)
+    checks = [
+        CheckResult("cdybe-residual", _RESIDUAL_TOL_ANALYTIC, tuple(resid), n),
+        CheckResult("residual-weight-zero", _RESIDUAL_WEIGHT_TOL, tuple(res_weight), n),
+    ]
+    if not spectral:
+        checks.append(CheckResult("residual-skew", _SKEW_TOL, tuple(skew), n))
+
+    lam0, zs0 = points[0]
     if _has_live_root_coefficient(spec, lam0):
         flipped = replace(spec, debug_flip_root=int(rs.positive_roots[0]), validate=False)
-        if spectral:
-            control = cdybe_residual_spectral(flipped, lam0, *first_point[1]).norm()
-        else:
-            control = cdybe_residual_constant(flipped, lam0).norm()
+        control = cdybe_residual(flipped, lam0, zs0).norm()
         margin = _CONTROL_THRESHOLD / control if control > 0 else math.inf
         checks.append(CheckResult("negative-control-margin", 1.0, (margin,), 1))
+    return checks
 
+
+def _report(
+    spec: RMatrixSpec, plan: SamplePlan, checks: list, t0: float
+) -> VerificationReport:
+    """Report for checks run on the plan's points, timed from t0."""
+    rs = spec.algebra.root_system
     return VerificationReport(
         spec_id=spec_digest(spec),
-        algebra_id=_algebra_id(g),
+        algebra_id=f"{rs.series}{rs.rank}",
         seed=plan.seed,
         checks=checks,
         samples_used=plan.count,
         wall_time=time.perf_counter() - t0,
     )
+
+
+def check_axioms(spec: RMatrixSpec, plan: SamplePlan) -> VerificationReport:
+    """Zero-weight, unitarity, residue, CDYBE, and symmetry checks.
+
+    The axiom stage and the residual stage share one list of seeded sample
+    points; see _residual_checks for the negative-control entry.
+    """
+    t0 = time.perf_counter()
+    points = _campaign_points(spec, plan)
+    checks = _axiom_checks(spec, points) + _residual_checks(spec, points)
+    return _report(spec, plan, checks, t0)
 
 
 @dataclass(frozen=True)
@@ -606,10 +627,8 @@ def reduce_pair_check(
         rest = r_tilde - r_rho
         d_rest = d_tilde - d_rho
         r_sum = rest + r_rho
-        res = alt3(d_rest + d_rho)
-        for placement in ("12-13", "12-23", "13-23"):
-            res = res + bracket_legs(r_sum, r_sum, placement)
-        sum_norms.append(res.norm())
+        d_sum = d_rest + d_rho
+        sum_norms.append(_cdybe_from(r_sum, r_sum, r_sum, d_sum, d_sum, d_sum).norm())
 
     checks = [
         CheckResult("projector-cdybe", 1e-9, tuple(rho_norms), plan.count),
@@ -617,14 +636,7 @@ def reduce_pair_check(
             "pair-sum-cdybe", _RESIDUAL_TOL_ANALYTIC, tuple(sum_norms), plan.count
         ),
     ]
-    return VerificationReport(
-        spec_id=spec_digest(spec_tilde),
-        algebra_id=_algebra_id(g),
-        seed=plan.seed,
-        checks=checks,
-        samples_used=plan.count,
-        wall_time=time.perf_counter() - t0,
-    )
+    return _report(spec_tilde, plan, checks, t0)
 
 
 def affine_hat_spec(algebra: SimpleLieAlgebra, tau: complex) -> RMatrixSpec:

@@ -5,10 +5,14 @@ import json
 import numpy as np
 import pytest
 
+import dynr.verifier
 from dynr import (
     RMatrixSpec,
+    SamplePlan,
+    affine_hat_spec,
     build_root_system,
     build_simple_lie_algebra,
+    check_axioms,
     spec_to_json,
 )
 from dynr.cli import main
@@ -128,14 +132,37 @@ def test_verify_rejects_unknown_family(capsys):
 # ---------------------------------------------------------------- axioms
 
 def test_axioms_filters_check_list(capsys):
-    code, out, _ = _run(
-        capsys, "axioms", "--algebra", "A1", "--family", "rational-spectral",
+    argv = (
+        "--algebra", "A1", "--family", "rational-spectral",
         "--X", "empty", "--samples", "3", "--format", "json", "--no-timing",
     )
+    code, out, _ = _run(capsys, "axioms", *argv)
     assert code == 0
     doc = json.loads(out)
     names = {c["name"] for c in doc["checks"]}
     assert names == {"zero-weight", "unitarity", "residue"}
+    # axioms and verify draw the same sample points
+    _, full, _ = _run(capsys, "verify", *argv)
+    assert doc["checks"] == json.loads(full)["checks"][: len(doc["checks"])]
+
+
+def test_axioms_skips_residual(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("axioms evaluated a CDYBE residual")
+
+    monkeypatch.setattr(dynr.verifier, "cdybe_residual_constant", refuse)
+    monkeypatch.setattr(dynr.verifier, "cdybe_residual_spectral", refuse)
+    for argv, want in (
+        (("--algebra", "A2", "--family", "trig-cotanh", "--eps", "1"),
+         {"zero-weight", "unitarity"}),
+        (("--algebra", "A1", "--family", "rational-spectral", "--X", "full"),
+         {"zero-weight", "unitarity", "residue"}),
+    ):
+        code, out, _ = _run(
+            capsys, "axioms", *argv, "--samples", "3", "--format", "json", "--no-timing",
+        )
+        assert code == 0
+        assert {c["name"] for c in json.loads(out)["checks"]} == want
 
 
 def test_axioms_constant_family_has_no_residue(capsys):
@@ -264,6 +291,9 @@ def test_series_inside_annulus(capsys):
     doc = json.loads(out)
     assert doc["passed"] is True
     assert doc["series_vs_closed"] <= 1e-9
+    report = check_axioms(affine_hat_spec(A1, 2j), SamplePlan(seed=42, count=3))
+    resid = next(c for c in report.checks if c.name == "cdybe-residual")
+    assert doc["closed_form_cdybe_max"] == resid.max_residual
 
 
 def test_series_boundary_is_numeric_failure(capsys):
