@@ -441,16 +441,28 @@ def _assemble_constants(rs: RootSystemData):
 
 def _verify_algebra(g: SimpleLieAlgebra, tol: float = 1e-12):
     f = g.bracket_table()
+    if np.any(f.imag):
+        raise ConstructionFailure("structure constants not real")
+    f = f.real
     if np.max(np.abs(f + np.swapaxes(f, 0, 1))) > tol:
         raise ConstructionFailure("antisymmetry violated")
     if g.dim <= 80:
-        jac = np.einsum("bcm,amk->abck", f, f)
-        total = jac + np.einsum("abck->bcak", jac) + np.einsum("abck->cabk", jac)
-        if np.max(np.abs(total)) > tol:
-            raise ConstructionFailure("Jacobi identity violated")
-        b = g.bilinear_form.astype(complex)
-        lhs = np.einsum("abm,mc->abc", f, b)
-        rhs = np.einsum("bcm,am->abc", f, b)
+        # [a,[b,c]] + [c,[a,b]] + [b,[c,a]] one index a at a time, as three
+        # GEMMs into (b, c, k) slices, so no dim^4 array is ever held
+        n = g.dim
+        rows = f.reshape(n * n, n)  # [(b, c), m]
+        cols = f.transpose(1, 0, 2).reshape(n, n * n)  # [m, (c, k)]
+        for a in range(n):
+            total = (
+                (rows @ f[a]).reshape(n, n, n)
+                + (f[a] @ cols).reshape(n, n, n)
+                + (f[:, a, :] @ cols).reshape(n, n, n).transpose(1, 0, 2)
+            )
+            if np.max(np.abs(total)) > tol:
+                raise ConstructionFailure("Jacobi identity violated")
+        b = g.bilinear_form
+        lhs = np.tensordot(f, b, ([2], [0]))
+        rhs = np.tensordot(b, f, ([1], [2]))
         if np.max(np.abs(lhs - rhs)) > tol:
             raise ConstructionFailure("invariance of the form violated")
 

@@ -598,7 +598,8 @@ def spec_from_json(doc: dict, algebra: SimpleLieAlgebra) -> RMatrixSpec:
     Raises
     ------
     SpecInvalid for a document that is not a JSON object, is for another
-    algebra, misses a required key, or holds a value of the wrong type.
+    algebra, misses a required key, holds a value of the wrong type, or
+    describes a spec that its family's rules reject.
     """
     if not isinstance(doc, dict):
         raise SpecInvalid(f"spec document must be a JSON object, got {type(doc).__name__}")
@@ -622,7 +623,6 @@ def spec_from_json(doc: dict, algebra: SimpleLieAlgebra) -> RMatrixSpec:
             gauge_stack=tuple(_gauge_from_json(g) for g in doc.get("gauge_stack", ())),
             debug_flip_root=None if flip is None else int(flip),
             debug_scale_omega=_j2c(doc.get("debug_scale_omega", [1.0, 0.0])),
-            validate=False,
         )
     except KeyError as exc:
         raise SpecInvalid(f"spec document is missing key {exc}") from None

@@ -10,6 +10,7 @@ control; evaluation near a pole raises instead of returning garbage.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -104,6 +105,12 @@ def theta1_dz(z: complex, p: ThetaParams) -> complex:
     return _theta_sum(z, p, 1)
 
 
+@functools.lru_cache(maxsize=64)
+def _theta1_dz0(p: ThetaParams) -> complex:
+    """theta1'(0), the normalisation in sigma_w; depends on p alone."""
+    return theta1_dz(0.0, p)
+
+
 def _theta_checked(z: complex, p: ThetaParams, what: str) -> complex:
     v = theta1(z, p)
     if abs(v) < _POLE_THRESHOLD:
@@ -118,7 +125,7 @@ def sigma_w(w: complex, z: complex, p: ThetaParams) -> complex:
     """
     tw = _theta_checked(w, p, "w")
     tz = _theta_checked(z, p, "z")
-    return theta1(w - z, p) * theta1_dz(0.0, p) / (tw * tz)
+    return theta1(w - z, p) * _theta1_dz0(p) / (tw * tz)
 
 
 def sigma_w_dw(w: complex, z: complex, p: ThetaParams) -> complex:
@@ -128,7 +135,7 @@ def sigma_w_dw(w: complex, z: complex, p: ThetaParams) -> complex:
     twz = theta1(w - z, p)
     dtwz = theta1_dz(w - z, p)
     dtw = theta1_dz(w, p)
-    return theta1_dz(0.0, p) * (dtwz * tw - twz * dtw) / (tw * tw * tz)
+    return _theta1_dz0(p) * (dtwz * tw - twz * dtw) / (tw * tw * tz)
 
 
 def rho_fn(z: complex, p: ThetaParams) -> complex:

@@ -111,12 +111,19 @@ def bracket_legs(x: Tensor2, y: Tensor2, placement: str) -> Tensor3:
     x._check(y)
     f = x.algebra.bracket_table()
     a, b = x.data, y.data
+    # f meets y first, then x: two O(dim^4) contractions, never a dim^5 loop
     if placement == "12-13":
-        data = np.einsum("ack,ab,cd->kbd", f, a, b)
+        # out[k,j,l] = sum_{i,m} f[i,m,k] x[i,j] y[m,l]
+        fy = np.tensordot(f, b, ([1], [0]))  # [i, k, l]
+        data = np.tensordot(a, fy, ([0], [0])).transpose(1, 0, 2)
     elif placement == "12-23":
-        data = np.einsum("bck,ab,cd->akd", f, a, b)
+        # out[i,k,l] = sum_{j,m} f[j,m,k] x[i,j] y[m,l]
+        fy = np.tensordot(f, b, ([1], [0]))  # [j, k, l]
+        data = np.tensordot(a, fy, ([1], [0]))
     elif placement == "13-23":
-        data = np.einsum("bdk,ab,cd->ack", f, a, b)
+        # out[i,m,k] = sum_{j,l} f[j,l,k] x[i,j] y[m,l]
+        fy = np.tensordot(f, b, ([1], [1]))  # [j, k, m]
+        data = np.tensordot(a, fy, ([1], [0])).transpose(0, 2, 1)
     else:
         raise UnsupportedType(f"placement must be one of {_PLACEMENTS}, got {placement!r}")
     return Tensor3(x.algebra, data)
@@ -139,7 +146,7 @@ def _ad_contract(algebra: SimpleLieAlgebra, x) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     if x.shape != (algebra.dim,):
         raise UnsupportedType("element must be a basis index or a dim-length vector")
-    return np.einsum("a,ack->ck", x, f)
+    return np.tensordot(x, f, 1)
 
 
 def act_diag(x, t: Union[Tensor2, Tensor3]) -> Union[Tensor2, Tensor3]:
@@ -151,12 +158,12 @@ def act_diag(x, t: Union[Tensor2, Tensor3]) -> Union[Tensor2, Tensor3]:
     m = _ad_contract(t.algebra, x)
     d = t.data
     if isinstance(t, Tensor2):
-        out = np.einsum("ak,ab->kb", m, d) + np.einsum("bk,ab->ak", m, d)
+        out = m.T @ d + d @ m
         return Tensor2(t.algebra, out)
     out = (
-        np.einsum("ak,abc->kbc", m, d)
-        + np.einsum("bk,abc->akc", m, d)
-        + np.einsum("ck,abc->abk", m, d)
+        np.tensordot(m, d, ([0], [0]))
+        + np.tensordot(d, m, ([1], [0])).transpose(0, 2, 1)
+        + np.tensordot(d, m, ([2], [0]))
     )
     return Tensor3(t.algebra, out)
 

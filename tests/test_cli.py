@@ -121,6 +121,18 @@ def test_verify_rejects_malformed_spec_json(capsys, doc):
     assert "Traceback" not in err
 
 
+def test_verify_rejects_spec_json_breaking_family_rules(capsys):
+    a2 = build_simple_lie_algebra(build_root_system("A", 2))
+    spec = RMatrixSpec(algebra=a2, family="TrigCotanh", eps=2.0, X=(0,), validate=False)
+    code, out, err = _run(
+        capsys, "verify", "--algebra", "A2", "--spec-json", json.dumps(spec_to_json(spec)),
+    )
+    assert code == 2
+    assert "TrigCotanh takes no X" in err
+    assert "FAIL" not in out
+    assert "Traceback" not in err
+
+
 def test_verify_rejects_unknown_family(capsys):
     code, _, err = _run(
         capsys, "verify", "--algebra", "A1", "--family", "septic-spectral",

@@ -1,5 +1,6 @@
 """Root systems, structure constants, and the invariant form."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from dynr import (
     CartanVector,
+    ConstructionFailure,
     UnsupportedType,
     build_root_system,
     build_simple_lie_algebra,
@@ -14,6 +16,7 @@ from dynr import (
     fundamental_weights,
     pairing,
 )
+from dynr.lie_core import _verify_algebra
 
 
 def _algebra(series, rank):
@@ -83,6 +86,37 @@ def test_bracket_antisymmetry_and_jacobi(series, rank):
         + np.einsum("cax,xby->caby", f, f).transpose(1, 2, 0, 3)
     )
     assert np.max(np.abs(jac)) < 1e-13
+
+
+def _with_table(g, f):
+    """Copy of g whose dense bracket table is f."""
+    h = dataclasses.replace(g)
+    h._dense = f
+    return h
+
+
+@pytest.mark.parametrize("series,rank", [("A", 2), ("B", 2)])
+def test_verify_algebra_rejects_broken_jacobi(series, rank):
+    g = _algebra(series, rank)
+    _verify_algebra(g)
+    rs = g.root_system
+    s0, s1 = rs.simple_roots[:2]
+    i, j = g.root_basis_index(s0), g.root_basis_index(s1)
+    f = g.bracket_table().copy()
+    assert np.any(f[i, j])
+    # antisymmetry survives, the Jacobi identity does not
+    f[i, j] *= 2
+    f[j, i] *= 2
+    with pytest.raises(ConstructionFailure, match="Jacobi identity violated"):
+        _verify_algebra(_with_table(g, f))
+
+
+def test_verify_algebra_rejects_imaginary_constant():
+    g = _algebra("A", 2)
+    f = g.bracket_table().copy()
+    f[0, g.root_basis_index(0), g.root_basis_index(0)] += 1e-3j
+    with pytest.raises(ConstructionFailure, match="not real"):
+        _verify_algebra(_with_table(g, f))
 
 
 @pytest.mark.parametrize("series,rank", [("A", 1), ("A", 2), ("B", 2), ("G", 2)])

@@ -17,6 +17,7 @@ from dynr import (
     sigma_w,
     theta1,
 )
+import dynr.special_fn
 from dynr.special_fn import sigma_w_dw, theta1_dz
 
 P_I = ThetaParams(tau=1j)
@@ -113,6 +114,36 @@ def test_sigma_matches_theta_ratio_oracle():
             _mp_theta1(w, tau) * _mp_theta1(z, tau)
         )
         assert sigma_w(w, z, p) == pytest.approx(want, rel=1e-12)
+
+
+def test_sigma_reuses_theta_prime_at_zero(monkeypatch):
+    """theta1'(0) is summed once per ThetaParams; values stay bit-identical."""
+    cases = [
+        (0.31, 0.27 - 0.14j, 0.37 + 1.11j),
+        (0.5 + 0.2j, -0.4 + 0.3j, 0.37 + 1.11j),
+        (-0.62, 0.18, -0.21 + 1.73j),
+    ]
+    want = []
+    for (w, z, tau) in cases:
+        p = ThetaParams(tau=tau)
+        tw, tz, twz = theta1(w, p), theta1(z, p), theta1(w - z, p)
+        dtw, dtwz, d0 = theta1_dz(w, p), theta1_dz(w - z, p), theta1_dz(0.0, p)
+        want.append((twz * d0 / (tw * tz), d0 * (dtwz * tw - twz * dtw) / (tw * tw * tz)))
+
+    prime_at_zero = []
+    theta_sum = dynr.special_fn._theta_sum
+
+    def counting(z, p, order):
+        if z == 0 and order == 1:
+            prime_at_zero.append(p.tau)
+        return theta_sum(z, p, order)
+
+    monkeypatch.setattr(dynr.special_fn, "_theta_sum", counting)
+    for (w, z, tau), (s, s_dw) in zip(cases, want):
+        p = ThetaParams(tau=tau)
+        assert sigma_w(w, z, p) == s
+        assert sigma_w_dw(w, z, p) == s_dw
+    assert sorted(prime_at_zero, key=abs) == [0.37 + 1.11j, -0.21 + 1.73j]
 
 
 def test_sigma_residue_at_zero():

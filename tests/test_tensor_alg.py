@@ -23,6 +23,39 @@ def _algebra(series, rank):
     return build_simple_lie_algebra(build_root_system(series, rank))
 
 
+def _random_complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+_EINSUM_BRACKET = {
+    "12-13": "ack,ab,cd->kbd",
+    "12-23": "bck,ab,cd->akd",
+    "13-23": "bdk,ab,cd->ack",
+}
+
+
+def _einsum_bracket(g, a, b, placement):
+    """Dense oracle for bracket_legs: one three-operand einsum, O(dim^5)."""
+    return np.einsum(_EINSUM_BRACKET[placement], g.bracket_table(), a, b)
+
+
+def _einsum_act_diag(g, x, d):
+    """Dense oracle for act_diag, one einsum per leg."""
+    f = g.bracket_table()
+    m = f[x] if isinstance(x, int) else np.einsum("a,ack->ck", x, f)
+    if d.ndim == 2:
+        return np.einsum("ak,ab->kb", m, d) + np.einsum("bk,ab->ak", m, d)
+    return (
+        np.einsum("ak,abc->kbc", m, d)
+        + np.einsum("bk,abc->akc", m, d)
+        + np.einsum("ck,abc->abk", m, d)
+    )
+
+
+def _assert_rel_close(got, want, rel=1e-14):
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
 def _brute_bracket(g, a, b, placement):
     """Triple loop oracle for bracket_legs."""
     f = g.bracket_table()
@@ -56,6 +89,28 @@ def test_bracket_legs_against_brute_force(placement):
     got = bracket_legs(Tensor2(g, a), Tensor2(g, b), placement).data
     want = _brute_bracket(g, a, b, placement)
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("series,rank", [("B", 3), ("D", 4), ("F", 4)])
+def test_bracket_legs_against_einsum_oracle(series, rank):
+    g = _algebra(series, rank)
+    rng = np.random.default_rng(11)
+    a = _random_complex(rng, (g.dim, g.dim))
+    b = _random_complex(rng, (g.dim, g.dim))
+    for placement in _EINSUM_BRACKET:
+        got = bracket_legs(Tensor2(g, a), Tensor2(g, b), placement).data
+        _assert_rel_close(got, _einsum_bracket(g, a, b, placement))
+
+
+@pytest.mark.parametrize("series,rank", [("A", 2), ("B", 3), ("D", 4)])
+def test_act_diag_against_einsum_oracle(series, rank):
+    g = _algebra(series, rank)
+    rng = np.random.default_rng(5)
+    d2 = _random_complex(rng, (g.dim,) * 2)
+    d3 = _random_complex(rng, (g.dim,) * 3)
+    for x in (0, g.root_basis_index(0), _random_complex(rng, g.dim)):
+        _assert_rel_close(act_diag(x, Tensor2(g, d2)).data, _einsum_act_diag(g, x, d2))
+        _assert_rel_close(act_diag(x, Tensor3(g, d3)).data, _einsum_act_diag(g, x, d3))
 
 
 def test_bracket_legs_rejects_bad_placement():
