@@ -370,6 +370,9 @@ class SimpleLieAlgebra:
     structure_constants: dict
     bilinear_form: np.ndarray
     _dense: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    _pairs: Optional[tuple] = field(default=None, init=False, repr=False)
+    # sparse CDYBE assembly plan, built by verifier on the first residual
+    _residual_plan: Optional[object] = field(default=None, init=False, repr=False)
 
     @property
     def rank(self) -> int:
@@ -377,6 +380,16 @@ class SimpleLieAlgebra:
 
     def root_basis_index(self, root_idx: int) -> int:
         return self.rank + root_idx
+
+    def root_pair_index(self) -> tuple:
+        """Read-only basis index arrays (of e_a, of e_{-a}), one entry per root a."""
+        if self._pairs is None:
+            rs = self.root_system
+            rows = self.rank + np.arange(rs.n_roots)
+            cols = self.rank + rs._neg
+            rows.flags.writeable = cols.flags.writeable = False
+            self._pairs = (rows, cols)
+        return self._pairs
 
     def bracket_table(self) -> np.ndarray:
         """Dense complex tensor f[i, j, k] with [b_i, b_j] = sum_k f[i,j,k] b_k."""
@@ -621,6 +634,5 @@ def casimir(g: SimpleLieAlgebra):
     m = np.zeros((g.dim, g.dim), dtype=complex)
     for k in range(rs.rank):
         m[k, k] = 1.0
-    for i in range(rs.n_roots):
-        m[g.root_basis_index(i), g.root_basis_index(rs.neg(i))] = 1.0
+    m[g.root_pair_index()] = 1.0
     return Tensor2(g, m)

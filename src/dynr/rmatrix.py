@@ -357,11 +357,9 @@ def _evaluate(spec: RMatrixSpec, lam: np.ndarray, z: Optional[complex], idx: int
 
 
 def _assemble2(algebra: SimpleLieAlgebra, m: np.ndarray, phi: np.ndarray) -> Tensor2:
-    rs = algebra.root_system
     data = np.zeros((algebra.dim, algebra.dim), dtype=complex)
-    data[: rs.rank, : rs.rank] = m
-    for p in range(rs.n_roots):
-        data[algebra.root_basis_index(p), algebra.root_basis_index(rs.neg(p))] = phi[p]
+    data[: algebra.rank, : algebra.rank] = m
+    data[algebra.root_pair_index()] = phi
     return Tensor2(algebra, data)
 
 
@@ -415,12 +413,11 @@ def eval_dlambda(
         raise SpecInvalid(f"{spec.family} takes no z")
     algebra = spec.algebra
     rs = algebra.root_system
+    rows, cols = algebra.root_pair_index()
     data = np.zeros((algebra.dim,) * 3, dtype=complex)
     if mode == "analytic":
         _, _, dphi = _evaluate(spec, lam.as_array(), z, len(spec.gauge_stack) - 1, True)
-        for p in range(rs.n_roots):
-            bi, bj = algebra.root_basis_index(p), algebra.root_basis_index(rs.neg(p))
-            data[: rs.rank, bi, bj] = dphi[:, p]
+        data[: rs.rank, rows, cols] = dphi
         return Tensor3(algebra, data)
     if mode != "finite-difference":
         raise SpecInvalid(f"unknown mode {mode!r}")
@@ -433,8 +430,7 @@ def eval_dlambda(
         mdiff = (up[0] - dn[0]) / (2 * fd_step)
         pdiff = (up[1] - dn[1]) / (2 * fd_step)
         data[i, : rs.rank, : rs.rank] = mdiff
-        for p in range(rs.n_roots):
-            data[i, algebra.root_basis_index(p), algebra.root_basis_index(rs.neg(p))] = pdiff[p]
+        data[i, rows, cols] = pdiff
     return Tensor3(algebra, data)
 
 

@@ -6,6 +6,11 @@ bracket_legs contracts two 2-tensors through the Lie bracket on a shared
 leg placement, alt3 symmetrizes a 3-tensor over cyclic leg rotations, and
 act_diag applies an element diagonally (ad on every leg).  All operations
 check that operands live over the same algebra.
+
+This dense calculus is the oracle: the verifier assembles the CDYBE
+residual on its weight-zero support and tests weights through the
+diagonal Cartan action, and the tests check both against bracket_legs and
+act_diag.
 """
 
 from __future__ import annotations

@@ -19,7 +19,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .combinatorics import is_closed_subset
-from .errors import RootSumNonzero, SamplingExhausted, SpecInvalid, SubalgebraInvalid
+from .errors import (
+    RootSumNonzero,
+    SamplingExhausted,
+    SpecInvalid,
+    SubalgebraInvalid,
+    UnsupportedType,
+)
 from .lie_core import CartanVector, SimpleLieAlgebra, casimir, pairing
 from .rmatrix import (
     SPECTRAL_FAMILIES,
@@ -36,7 +42,7 @@ from .rmatrix import (
     spec_to_json,
 )
 from .special_fn import ThetaParams, classical_series, rho_fn, sigma_w, sigma_w_dw
-from .tensor_alg import Tensor2, Tensor3, act_diag, bracket_legs
+from .tensor_alg import Tensor2, Tensor3
 
 __all__ = [
     "SamplePlan",
@@ -211,26 +217,149 @@ def sample_spectral_point(spec: RMatrixSpec, plan: SamplePlan, rng):
     return _draw_point((spec,), plan, rng, 3, _lambda_im_box(spec, plan))
 
 
+@dataclass(frozen=True)
+class _ResidualPlan:
+    """Index lists that assemble the CDYBE residual on its weight-zero support.
+
+    s2 holds the flat indices of the entries an r evaluation may carry
+    (Cartan x Cartan, then (e_a, e_{-a}) per root), s3 those of a
+    derivative tensor (a Cartan leg in front of s2).  The six residual
+    inputs contribute their support entries, in the order r12, r13, r23,
+    d23, d31, d12, to one value vector that ends in a 1.  Term t adds
+    coef[t] * values[src_x[t]] * values[src_y[t]] to out.flat[w3[slot[t]]]:
+    bracket terms multiply two r entries by a structure constant, Alt(dr)
+    terms multiply a derivative entry by the trailing 1.  w3 is the sorted
+    set of residual entries the terms reach; every one has weight zero.
+    """
+
+    s2: np.ndarray
+    s3: np.ndarray
+    w3: np.ndarray
+    src_x: np.ndarray
+    src_y: np.ndarray
+    coef: np.ndarray
+    slot: np.ndarray
+
+
+def _matches(keys: np.ndarray, values: np.ndarray):
+    """Index arrays (i, j) listing every pair with keys[i] == values[j]."""
+    order = np.argsort(values, kind="stable")
+    ranked = values[order]
+    lo = np.searchsorted(ranked, keys, "left")
+    count = np.searchsorted(ranked, keys, "right") - lo
+    i = np.repeat(np.arange(len(keys)), count)
+    j = order[np.repeat(lo - (np.cumsum(count) - count), count) + np.arange(count.sum())]
+    return i, j
+
+
+def _build_residual_plan(g: SimpleLieAlgebra) -> _ResidualPlan:
+    """The residual plan of g, from its structure-constant lists."""
+    rank, dim = g.rank, g.dim
+    rows, cols = g.root_pair_index()
+    cartan = np.arange(rank)
+    legs = (
+        np.concatenate([np.repeat(cartan, rank), rows]),
+        np.concatenate([np.tile(cartan, rank), cols]),
+    )
+    n2 = len(legs[0])
+    d_legs = (np.repeat(cartan, n2), np.tile(legs[0], rank), np.tile(legs[1], rank))
+    n3 = len(d_legs[0])
+    const = g.structure_constants
+    coo = np.array([(i, j, k, float(v)) for (i, j), entries in const.items() for k, v in entries])
+    fi, fj, fk = coo[:, :3].T.astype(np.intp)
+    fv = coo[:, 3]
+
+    src_x, src_y, coef, coords = [], [], [], []
+    # [x, y] on one shared leg: (x offset, x's bracketed leg, y offset,
+    # y's bracketed leg, output position of the bracket) for the placements
+    # 12-13, 12-23 and 13-23; the unbracketed legs keep their order.
+    for x_off, lx, y_off, ly, at in ((0, 0, n2, 0, 0), (0, 1, 2 * n2, 0, 1), (n2, 1, 2 * n2, 1, 2)):
+        e, t = _matches(fi, legs[lx])
+        keep, u = _matches(fj[e], legs[ly])
+        e, t = e[keep], t[keep]
+        out = [legs[1 - lx][t], legs[1 - ly][u]]
+        out.insert(at, fk[e])
+        src_x.append(x_off + t)
+        src_y.append(y_off + u)
+        coef.append(fv[e])
+        coords.append(out)
+    # Alt(dr) = x^(1) (dr)^{23} + x^(2) (dr)^{31} + x^(3) (dr)^{12}: the
+    # derivative entry (k, a, b) lands at (k, a, b), (b, k, a) and (a, b, k)
+    one = 3 * n2 + 3 * n3
+    k, a, b = d_legs
+    for n, out in enumerate(([k, a, b], [b, k, a], [a, b, k])):
+        src_x.append(3 * n2 + n * n3 + np.arange(n3))
+        src_y.append(np.full(n3, one))
+        coef.append(np.ones(n3))
+        coords.append(out)
+
+    flat = np.concatenate([(c0 * dim + c1) * dim + c2 for c0, c1, c2 in coords])
+    w3, slot = np.unique(flat, return_inverse=True)
+    return _ResidualPlan(
+        s2=legs[0] * dim + legs[1],
+        s3=(d_legs[0] * dim + d_legs[1]) * dim + d_legs[2],
+        w3=w3,
+        src_x=np.concatenate(src_x),
+        src_y=np.concatenate(src_y),
+        coef=np.concatenate(coef),
+        slot=slot,
+    )
+
+
+def _residual_plan(g: SimpleLieAlgebra) -> _ResidualPlan:
+    """The algebra's residual plan, built on first use and kept on the instance."""
+    if g._residual_plan is None:
+        g._residual_plan = _build_residual_plan(g)
+    return g._residual_plan
+
+
+def _support_values(t, support: np.ndarray) -> np.ndarray:
+    flat = t.data.reshape(-1)
+    values = flat[support]
+    if np.count_nonzero(values) != np.count_nonzero(flat):
+        raise UnsupportedType(f"{type(t).__name__} has a nonzero entry off its weight-zero support")
+    return values
+
+
 def _cdybe_from(r12, r13, r23, d23, d31, d12) -> Tensor3:
     """Alt(dr) + [r12,r13] + [r12,r23] + [r13,r23] from the r evaluations on
     the three leg pairs and the lambda-derivatives at the matching arguments.
 
     The symmetrized derivative term places the Cartan leg cyclically:
     x^(1) (dr)^{23} + x^(2) (dr)^{31} + x^(3) (dr)^{12}.  Every residual
-    in this module is assembled here.
+    in this module is assembled here, on the weight-zero support through
+    the algebra's _ResidualPlan; an input with a nonzero entry off that
+    support raises UnsupportedType.
     """
-    # (dr)^{31} carries r's legs at positions (3, 1) and the Cartan leg at
-    # position 2, so output leg k reads input leg (2,0,1)[k]; (dr)^{12}
-    # needs (1,2,0).  The two cycles are NOT interchangeable here.
-    alt = (
-        d23
-        + d31.transpose_legs((2, 0, 1))
-        + d12.transpose_legs((1, 2, 0))
-    )
-    out = alt + bracket_legs(r12, r13, "12-13")
-    out = out + bracket_legs(r12, r23, "12-23")
-    out = out + bracket_legs(r13, r23, "13-23")
-    return out
+    g = r12.algebra
+    for t in (r13, r23, d23, d31, d12):
+        r12._check(t)
+    plan = _residual_plan(g)
+    inputs = [(r, plan.s2) for r in (r12, r13, r23)] + [(d, plan.s3) for d in (d23, d31, d12)]
+    gathered = {}  # a constant residual passes one r and one d three times each
+    for t, support in inputs:
+        if id(t) not in gathered:
+            gathered[id(t)] = _support_values(t, support)
+    values = np.concatenate([gathered[id(t)] for t, _ in inputs] + [np.ones(1, dtype=complex)])
+    terms = plan.coef * values[plan.src_x] * values[plan.src_y]
+    out = np.zeros(g.dim**3, dtype=complex)
+    out.real[plan.w3] = np.bincount(plan.slot, terms.real, len(plan.w3))
+    out.imag[plan.w3] = np.bincount(plan.slot, terms.imag, len(plan.w3))
+    return Tensor3(g, out.reshape((g.dim,) * 3))
+
+
+def _cartan_weight_norm(t) -> float:
+    """max over Cartan basis vectors x_k of the sup norm of act_diag(x_k, t).
+
+    ad x_k kills the Cartan and scales e_a by a_k, so the diagonal action
+    scales each entry by the sum of its legs' weights; only the nonzero
+    entries of t are visited.
+    """
+    g = t.algebra
+    weights = np.hstack([np.zeros((g.rank, g.rank)), g.root_system.roots.T])
+    nonzero = np.flatnonzero(t.data)
+    total = sum(weights[:, leg] for leg in np.unravel_index(nonzero, t.data.shape))
+    return float(np.max(np.abs(t.data.reshape(-1)[nonzero]) * np.abs(total), initial=0.0))
 
 
 def cdybe_residual_constant(
@@ -428,7 +557,7 @@ def _axiom_checks(spec: RMatrixSpec, points: list) -> list:
         else:
             r = eval_constant(spec, lam)
             unit.append((r + Tensor2(g, r.data.T) - omega.scale(eps)).norm())
-        zero_w.append(max(act_diag(k, r).norm() for k in range(g.rank)))
+        zero_w.append(_cartan_weight_norm(r))
     n = len(points)
     checks = [
         CheckResult("zero-weight", _ZERO_WEIGHT_TOL, tuple(zero_w), n),
@@ -454,7 +583,7 @@ def _residual_checks(spec: RMatrixSpec, points: list) -> list:
     for lam, zs in points:
         res = cdybe_residual(spec, lam, zs)
         resid.append(res.norm())
-        res_weight.append(max(act_diag(k, res).norm() for k in range(rs.rank)))
+        res_weight.append(_cartan_weight_norm(res))
         if not spectral:
             skew.append((res + res.transpose_legs((1, 0, 2))).norm())
     n = len(points)

@@ -30,6 +30,7 @@ from dynr import (
     spec_to_json,
     trig_constant_fixture,
 )
+from dynr import rmatrix
 
 A1 = build_simple_lie_algebra(build_root_system("A", 1))
 A2 = build_simple_lie_algebra(build_root_system("A", 2))
@@ -394,6 +395,58 @@ def test_dlambda_rational_hand_value():
     e, f = A1.root_basis_index(pos), A1.root_basis_index(rs.neg(pos))
     assert d.data[0, e, f] == pytest.approx(-a / 4.0, abs=1e-14)
     assert d.data[0, f, e] == pytest.approx(a / 4.0, abs=1e-14)
+
+
+def _loop_assemble2(algebra, m, phi):
+    """Per-root loop oracle for rmatrix._assemble2."""
+    rs = algebra.root_system
+    data = np.zeros((algebra.dim, algebra.dim), dtype=complex)
+    data[: rs.rank, : rs.rank] = m
+    for p in range(rs.n_roots):
+        data[algebra.root_basis_index(p), algebra.root_basis_index(rs.neg(p))] = phi[p]
+    return data
+
+
+def _loop_dlambda(spec, lam, z, mode, fd_step=1e-5):
+    """Per-root loop oracle for both modes of eval_dlambda."""
+    algebra = spec.algebra
+    rs = algebra.root_system
+    top = len(spec.gauge_stack) - 1
+    data = np.zeros((algebra.dim,) * 3, dtype=complex)
+    if mode == "analytic":
+        _, _, dphi = rmatrix._evaluate(spec, lam.as_array(), z, top, True)
+        for p in range(rs.n_roots):
+            bi, bj = algebra.root_basis_index(p), algebra.root_basis_index(rs.neg(p))
+            data[: rs.rank, bi, bj] = dphi[:, p]
+        return data
+    base = lam.as_array()
+    for i in range(rs.rank):
+        step = np.zeros(rs.rank, dtype=complex)
+        step[i] = fd_step
+        up = rmatrix._evaluate(spec, base + step, z, top, False)
+        dn = rmatrix._evaluate(spec, base - step, z, top, False)
+        data[i, : rs.rank, : rs.rank] = (up[0] - dn[0]) / (2 * fd_step)
+        pdiff = (up[1] - dn[1]) / (2 * fd_step)
+        for p in range(rs.n_roots):
+            data[i, algebra.root_basis_index(p), algebra.root_basis_index(rs.neg(p))] = pdiff[p]
+    return data
+
+
+@pytest.mark.parametrize("algebra", [A2, B2, build_simple_lie_algebra(build_root_system("G", 2))])
+def test_root_scatter_matches_loop_oracle(algebra):
+    rank = algebra.rank
+    q = 0.3 * np.eye(rank) + 0.1 * (np.ones((rank, rank)) - np.eye(rank))
+    lam = CartanVector.of(np.linspace(0.83, -0.54, rank) + 0.1j)
+    zoo = _spec_zoo(algebra)
+    ell, z_ell = zoo[3]
+    zoo.append((gauge_apply(ell, GaugeRecord(kind=2, psi=(q, 0.15 * np.ones(rank)))), z_ell))
+    for spec, z in zoo:
+        r = eval_rmatrix(spec, lam, z)
+        m, phi, _ = rmatrix._evaluate(spec, lam.as_array(), z, len(spec.gauge_stack) - 1, False)
+        assert np.array_equal(r.data, _loop_assemble2(algebra, m, phi))
+        for mode in ("analytic", "finite-difference"):
+            got = eval_dlambda(spec, lam, z, mode=mode).data
+            assert np.array_equal(got, _loop_dlambda(spec, lam, z, mode))
 
 
 def test_dlambda_threads_kind2_gauge():

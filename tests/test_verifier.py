@@ -1,6 +1,8 @@
 """Axiom checks, residual assembly, limits, reduction, and the series bridge."""
 
+import gc
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,9 +18,14 @@ from dynr import (
     SamplingExhausted,
     SpecInvalid,
     SubalgebraInvalid,
+    Tensor2,
+    Tensor3,
     ThetaParams,
+    UnsupportedType,
+    act_diag,
     affine_hat_spec,
     affine_series_check,
+    bracket_legs,
     build_root_system,
     build_simple_lie_algebra,
     casimir,
@@ -28,12 +35,16 @@ from dynr import (
     check_axioms,
     check_phi_triangle,
     effective_coupling,
+    eval_constant,
+    eval_dlambda,
     extract_residue,
     family_phi,
     gauge_apply,
     limit_compare,
     reduce_pair_check,
+    tensor_product,
 )
+from dynr import verifier
 from dynr.verifier import addition_identity_residual, phi_ode_residual, sample_lambda, sample_spectral_point
 
 A1 = build_simple_lie_algebra(build_root_system("A", 1))
@@ -509,3 +520,153 @@ def test_samples_respect_margin():
     for _ in range(10):
         lam = sample_lambda(spec, PLAN, rng)
         assert pole_margin(spec, lam) >= PLAN.pole_margin
+
+
+# ---------------------------------------------------------------- residual kernel
+
+def _dense_cdybe(r12, r13, r23, d23, d31, d12):
+    """Dense oracle for verifier._cdybe_from: three O(dim^4) leg brackets."""
+    # (dr)^{31} carries r's legs at positions (3, 1) and the Cartan leg at
+    # position 2, so output leg k reads input leg (2,0,1)[k]; (dr)^{12}
+    # needs (1,2,0).  The two cycles are NOT interchangeable here.
+    alt = (
+        d23
+        + d31.transpose_legs((2, 0, 1))
+        + d12.transpose_legs((1, 2, 0))
+    )
+    out = alt + bracket_legs(r12, r13, "12-13")
+    out = out + bracket_legs(r12, r23, "12-23")
+    out = out + bracket_legs(r13, r23, "13-23")
+    return out
+
+
+def _kernel_inputs(monkeypatch, run):
+    """Every argument tuple run() passes to verifier._cdybe_from."""
+    seen = []
+    kernel = verifier._cdybe_from
+
+    def spy(*args):
+        seen.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(verifier, "_cdybe_from", spy)
+    run()
+    monkeypatch.undo()
+    return seen
+
+
+def _kernel_zoo(g):
+    """All six families, gauge kinds 1-4 and two flipped-root specs."""
+    rank, rs = g.rank, g.root_system
+    c = np.zeros((rank, rank), dtype=complex)
+    q = 0.3 * np.eye(rank)
+    if rank > 1:
+        c[0, 1], c[1, 0] = 0.4 + 0.1j, -0.4 - 0.1j
+        q += 0.1 * (np.ones((rank, rank)) - np.eye(rank))
+    zoo = _family_zoo(g)
+    gauged_constant = zoo[1]  # TrigCotanh
+    for rec in (
+        GaugeRecord(kind=1, c_matrix=c),
+        GaugeRecord(kind=3, shift=CartanVector.of(0.1 * np.arange(1, rank + 1))),
+        GaugeRecord(kind=4, scale=(0.8, 1.0)),
+    ):
+        gauged_constant = gauge_apply(gauged_constant, rec)
+    gauged_elliptic = zoo[3]  # EllipticSpectral
+    for rec in (
+        GaugeRecord(kind=2, psi=(q, 0.15 * np.ones(rank))),
+        GaugeRecord(kind=4, scale=(0.8, 1.6)),
+    ):
+        gauged_elliptic = gauge_apply(gauged_elliptic, rec)
+    flip = int(rs.positive_roots[0])
+    return zoo + [
+        gauged_constant,
+        gauged_elliptic,
+        replace(zoo[0], debug_flip_root=flip, validate=False),  # RationalConstant
+        replace(zoo[4], debug_flip_root=flip, validate=False),  # TrigSpectral
+    ]
+
+
+@pytest.mark.parametrize(
+    "series, rank",
+    [("A", 1), ("A", 2), ("B", 2), ("G", 2), ("B", 3), ("A", 4), ("D", 4), ("F", 4)],
+)
+def test_residual_kernel_matches_dense_oracle(monkeypatch, series, rank):
+    g = build_simple_lie_algebra(build_root_system(series, rank))
+    plan = SamplePlan(seed=3, count=1)
+
+    def run():
+        rng = np.random.default_rng(rank)
+        for spec in _kernel_zoo(g):
+            for mode in ("analytic", "finite-difference"):
+                if spec.is_spectral:
+                    lam, zs = sample_spectral_point(spec, plan, rng)
+                    cdybe_residual(spec, lam, zs, mode=mode)
+                else:
+                    cdybe_residual(spec, sample_lambda(spec, plan, rng), mode=mode)
+        pair = RMatrixSpec(algebra=g, family="RationalConstant", X=_full_X(g))
+        reduce_pair_check(pair, g.root_system.simple_roots[:1], plan)
+
+    inputs = _kernel_inputs(monkeypatch, run)
+    assert len(inputs) == 2 * len(_kernel_zoo(g)) + 2
+    for args in inputs:
+        r12, r13, r23 = args[:3]
+        scale = max(
+            bracket_legs(r12, r13, "12-13").norm(),
+            bracket_legs(r12, r23, "12-23").norm(),
+            bracket_legs(r13, r23, "13-23").norm(),
+        )
+        got = verifier._cdybe_from(*args).data
+        assert np.max(np.abs(got - _dense_cdybe(*args).data)) <= 1e-14 * scale
+
+    # every entry the plan can reach has weight zero
+    rs = g.root_system
+    coeffs = np.vstack([np.zeros((rank, rank), dtype=int), rs.coeffs])
+    legs = np.unravel_index(verifier._residual_plan(g).w3, (g.dim,) * 3)
+    assert not np.any(sum(coeffs[leg] for leg in legs))
+
+
+def test_residual_kernel_rejects_off_support_input():
+    g = A2
+    spec = RMatrixSpec(algebra=g, family="TrigCotanh", eps=2.0)
+    lam = CartanVector.of([0.83, -0.41])
+    r = eval_constant(spec, lam)
+    d = eval_dlambda(spec, lam)
+    e = np.zeros(g.dim)
+    e[g.root_basis_index(0)] = 1.0
+    off = r + tensor_product(g, e, e)  # e_a (x) e_a has weight 2a
+    with pytest.raises(UnsupportedType):
+        verifier._cdybe_from(r, r, off, d, d, d)
+    d_off = Tensor3(g, d.data.copy())
+    d_off.data[0, g.root_basis_index(0), g.root_basis_index(0)] = 1.0
+    with pytest.raises(UnsupportedType):
+        verifier._cdybe_from(r, r, r, d, d_off, d)
+
+
+def test_residual_plan_cached_per_algebra_instance():
+    first = build_simple_lie_algebra(build_root_system("B", 3))
+    assert first._residual_plan is None  # built on the first residual only
+    plan = verifier._residual_plan(first)
+    assert first._residual_plan is plan
+    assert verifier._residual_plan(first) is plan
+    b3_terms = len(plan.slot)
+    del first, plan
+    gc.collect()
+    # a new algebra (which may reuse the dropped one's id) gets its own plan
+    second = build_simple_lie_algebra(build_root_system("D", 4))
+    assert second._residual_plan is None
+    plan = verifier._residual_plan(second)
+    fresh = verifier._build_residual_plan(second)
+    assert len(plan.slot) != b3_terms
+    for name in ("s2", "s3", "w3", "src_x", "src_y", "coef", "slot"):
+        assert np.array_equal(getattr(plan, name), getattr(fresh, name))
+
+
+@pytest.mark.parametrize("series, rank", [("A", 2), ("B", 3), ("D", 4)])
+def test_cartan_weight_norm_matches_act_diag(series, rank):
+    g = build_simple_lie_algebra(build_root_system(series, rank))
+    rng = np.random.default_rng(rank)
+    for cls, legs in ((Tensor2, 2), (Tensor3, 3)):
+        shape = (g.dim,) * legs
+        t = cls(g, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        want = max(act_diag(k, t).norm() for k in range(g.rank))
+        assert abs(verifier._cartan_weight_norm(t) - want) <= 1e-14 * want
