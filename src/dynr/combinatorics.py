@@ -9,7 +9,7 @@ additively-closed, asymmetric set Y.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,6 +26,7 @@ class RootSubset:
 
     root_system: RootSystemData
     members: tuple
+    _set: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.root_system.n_roots
@@ -34,15 +35,16 @@ class RootSubset:
             if not 0 <= i < n:
                 raise SpecInvalid(f"root index {i} out of range 0..{n - 1}")
         object.__setattr__(self, "members", mem)
+        object.__setattr__(self, "_set", frozenset(mem))
 
     def __len__(self) -> int:
         return len(self.members)
 
     def __contains__(self, idx: int) -> bool:
-        return int(idx) in set(self.members)
+        return int(idx) in self._set
 
     def as_set(self) -> frozenset:
-        return frozenset(self.members)
+        return self._set
 
 
 def additive_closure(rs: RootSystemData, members: Iterable[int]) -> frozenset:

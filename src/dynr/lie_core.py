@@ -18,7 +18,9 @@ identity, and invariance of the form before it is returned.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -31,7 +33,7 @@ from .errors import ConstructionFailure, UnsupportedType
 Scalar = Union[Fraction, float]
 
 _CACHE_ENV = "DYNR_FIXTURE_DIR"
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2
 
 
 def _cartan_data(series: str, rank: int):
@@ -170,6 +172,12 @@ class RootSystemData:
     simple_roots : indices of the simple roots, in simple-root order.
     positive_roots : indices of roots with all-nonnegative coefficients.
     cartan_matrix : (rank, rank) int array, a_ij = 2(a_i,a_j)/(a_j,a_j).
+
+    Root arithmetic runs on integer codes: a coefficient vector c is coded
+    as sum_i c_i b^i with b = 4h + 1, h the largest |c_i| over the roots,
+    so the code of a sum or difference of two roots is the sum or
+    difference of their codes, and stays injective.  sum_table[i, j] is
+    the index of root_i + root_j, or -1 when the sum is not a root.
     """
 
     series: str
@@ -180,43 +188,66 @@ class RootSystemData:
     positive_roots: tuple
     cartan_matrix: np.ndarray
     gram: tuple  # exact Gram matrix of the simple roots, Fractions
-    _index: dict = field(init=False, repr=False)
-    _neg: np.ndarray = field(init=False, repr=False)
+    sum_table: np.ndarray = field(init=False, repr=False)
+    _hmax: int = field(init=False, repr=False)
+    _place: tuple = field(init=False, repr=False)  # b**i, Python ints
+    _index: dict = field(init=False, repr=False)  # code -> root index
+    _sum_rows: list = field(init=False, repr=False)  # sum_table as lists, for scalar reads
+    _neg: tuple = field(init=False, repr=False)
+    _pos_set: frozenset = field(init=False, repr=False)
     _len_sq: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._index = {tuple(int(x) for x in c): i for i, c in enumerate(self.coeffs)}
-        self._neg = np.array([self._index[tuple(-c)] for c in self.coeffs])
-        g = self.gram
-        ls = []
-        for c in self.coeffs:
-            v = Fraction(0)
-            for i in range(self.rank):
-                for j in range(self.rank):
-                    v += Fraction(int(c[i])) * g[i][j] * Fraction(int(c[j]))
-            ls.append(v)
-        self._len_sq = tuple(ls)
+        n, rank = self.n_roots, self.rank
+        self._hmax = int(np.max(np.abs(self.coeffs)))
+        base = 4 * self._hmax + 1
+        self._place = tuple(base**i for i in range(rank))
+        # sums of two codes reach 2h * (b^rank - 1) / (b - 1) < b^rank
+        dtype = np.int64 if base**rank < 2**62 else object
+        codes = self.coeffs.astype(dtype) @ np.array(self._place, dtype=dtype)
+        self._index = {int(c): i for i, c in enumerate(codes)}
+        order = np.argsort(codes)
+        ranked = codes[order]
+        sums = (codes[:, None] + codes[None, :]).ravel()
+        at = np.minimum(np.searchsorted(ranked, sums), n - 1)
+        table = np.where(ranked[at] == sums, order[at], -1).reshape(n, n)
+        table.flags.writeable = False
+        self.sum_table = table
+        self._sum_rows = table.tolist()
+        self._neg = tuple(self._index[int(-c)] for c in codes)
+        self._pos_set = frozenset(self.positive_roots)
+        # (c, c) = c^T G c exactly, with G scaled to integers by its denominators
+        den = math.lcm(*(x.denominator for row in self.gram for x in row))
+        g_int = np.array([[int(x * den) for x in row] for row in self.gram], dtype=object)
+        c = self.coeffs.astype(object)
+        self._len_sq = tuple(Fraction(int(v), den) for v in ((c @ g_int) * c).sum(axis=1))
 
     @property
     def n_roots(self) -> int:
         return len(self.coeffs)
 
     def index_of(self, coeff) -> Optional[int]:
-        return self._index.get(tuple(int(x) for x in coeff))
+        """Index of the root with these simple-root coefficients, or None."""
+        if len(coeff) != self.rank:
+            return None
+        code = 0
+        for x, w in zip(coeff, self._place):
+            x = int(x)
+            if abs(x) > self._hmax:
+                return None
+            code += x * w
+        return self._index.get(code)
 
     def neg(self, idx: int) -> int:
-        return int(self._neg[idx])
+        return self._neg[idx]
 
     def is_positive(self, idx: int) -> bool:
         return idx in self._pos_set
 
-    @property
-    def _pos_set(self):
-        return set(self.positive_roots)
-
     def add(self, i: int, j: int) -> Optional[int]:
         """Index of root_i + root_j, or None when the sum is not a root."""
-        return self.index_of(self.coeffs[i] + self.coeffs[j])
+        s = self._sum_rows[i][j]
+        return None if s < 0 else s
 
     def height(self, idx: int) -> int:
         return int(self.coeffs[idx].sum())
@@ -298,7 +329,7 @@ class _ChevalleyConstants:
                 continue
             cands = []
             for a_idx in pos:
-                b_idx = rs.index_of(rs.coeffs[g_idx] - rs.coeffs[a_idx])
+                b_idx = rs.add(g_idx, rs.neg(a_idx))
                 if b_idx is not None and b_idx in self.order and self.order[a_idx] <= self.order[b_idx]:
                     cands.append((self.order[a_idx], a_idx, b_idx))
             if not cands:
@@ -309,15 +340,16 @@ class _ChevalleyConstants:
 
     def p(self, a: int, b: int) -> int:
         rs, k = self.rs, 0
-        cur = rs.coeffs[b] - rs.coeffs[a]
-        while rs.index_of(cur) is not None:
+        minus_a = rs.neg(a)
+        cur = rs.add(b, minus_a)
+        while cur is not None:
             k += 1
-            cur = cur - rs.coeffs[a]
+            cur = rs.add(cur, minus_a)
         return k
 
     def N(self, a: int, b: int) -> Fraction:
         rs = self.rs
-        s = rs.index_of(rs.coeffs[a] + rs.coeffs[b])
+        s = rs.add(a, b)
         if s is None:
             return Fraction(0)
         key = (a, b)
@@ -332,11 +364,14 @@ class _ChevalleyConstants:
                 val = Fraction(self.p(a, b) + 1)
             else:
                 a0, b0 = self.extraspecial[s]
+                minus_a = rs.neg(a)
                 t = Fraction(0)
-                if rs.index_of(rs.coeffs[b0] - rs.coeffs[a]) is not None:
-                    t += self.N(b0, rs.neg(a)) * self.N(rs.index_of(rs.coeffs[b0] - rs.coeffs[a]), a0)
-                if rs.index_of(rs.coeffs[a0] - rs.coeffs[a]) is not None:
-                    t += self.N(rs.neg(a), a0) * self.N(rs.index_of(rs.coeffs[a0] - rs.coeffs[a]), b0)
+                b0_a = rs.add(b0, minus_a)
+                if b0_a is not None:
+                    t += self.N(b0, minus_a) * self.N(b0_a, a0)
+                a0_a = rs.add(a0, minus_a)
+                if a0_a is not None:
+                    t += self.N(minus_a, a0) * self.N(a0_a, b0)
                 if t == 0:
                     raise ConstructionFailure("degenerate extraspecial recursion")
                 val = ls(s) / (ls(b) * self.N(a0, b0)) * t
@@ -386,7 +421,7 @@ class SimpleLieAlgebra:
         if self._pairs is None:
             rs = self.root_system
             rows = self.rank + np.arange(rs.n_roots)
-            cols = self.rank + rs._neg
+            cols = self.rank + np.array(rs._neg)
             rows.flags.writeable = cols.flags.writeable = False
             self._pairs = (rows, cols)
         return self._pairs
@@ -406,11 +441,8 @@ def _assemble_constants(rs: RootSystemData):
     """Structure constants in the rescaled (dual root vector) basis."""
     chev = _ChevalleyConstants(rs)
     rank, nr = rs.rank, rs.n_roots
-
-    def scale(idx: int) -> Fraction:
-        # e_a -> s_a e_a with s_a s_{-a} = (a,a)/2; carried by the positive member
-        return rs.length_sq(idx) / 2 if idx in rs._pos_set else Fraction(1)
-
+    # e_a -> s_a e_a with s_a s_{-a} = (a,a)/2; carried by the positive member
+    scale = [rs.length_sq(i) / 2 if rs.is_positive(i) else Fraction(1) for i in range(nr)]
     const = {}
 
     def put(i, j, entries):
@@ -426,18 +458,14 @@ def _assemble_constants(rs: RootSystemData):
             c = float(coords[k])
             if c != 0.0:
                 put(k, bi, [(bi, c)])
+    # each unordered root pair once, smaller index first; put() writes both orders
     for i in range(nr):
-        for j in range(nr):
-            if i == j:
-                continue
+        for j in range(i + 1, nr):
             bi, bj = rank + i, rank + j
-            if (bi, bj) in const:
-                continue
             if rs.neg(i) == j:
-                if i < j:
-                    # [e_a, e_{-a}] = h_a, the form-dual of a, in x coordinates
-                    entries = [(k, float(rs.roots[i][k])) for k in range(rank) if rs.roots[i][k] != 0.0]
-                    put(bi, bj, entries)
+                # [e_a, e_{-a}] = h_a, the form-dual of a, in x coordinates
+                entries = [(k, float(rs.roots[i][k])) for k in range(rank) if rs.roots[i][k] != 0.0]
+                put(bi, bj, entries)
                 continue
             s = rs.add(i, j)
             if s is None:
@@ -445,39 +473,101 @@ def _assemble_constants(rs: RootSystemData):
             n = chev.N(i, j)
             if n == 0:
                 raise ConstructionFailure("vanishing constant on a root sum")
-            v = n * scale(i) * scale(j) / scale(s)
+            v = n * scale[i] * scale[j] / scale[s]
             if v.denominator != 1 and rs.series in ("A", "D", "E"):
                 raise ConstructionFailure("non-integer constant in simply-laced type")
             put(bi, bj, [(rank + s, v)])
     return const
 
 
-def _verify_algebra(g: SimpleLieAlgebra, tol: float = 1e-12):
-    f = g.bracket_table()
-    if np.any(f.imag):
+def _coo(g: SimpleLieAlgebra):
+    """Structure constants as arrays (i, j, k, v): [b_i, b_j] has v on b_k.
+
+    Raises ConstructionFailure when any constant has a nonzero imaginary part.
+    """
+    entries = [(i, j, k, v) for (i, j), es in g.structure_constants.items() for k, v in es]
+    i, j, k = (np.array([e[n] for e in entries], dtype=np.int64) for n in range(3))
+    v = np.array([complex(e[3]) for e in entries], dtype=complex)
+    if np.any(v.imag):
         raise ConstructionFailure("structure constants not real")
-    f = f.real
-    if np.max(np.abs(f + np.swapaxes(f, 0, 1))) > tol:
+    return i, j, k, v.real
+
+
+def _max_by_key(keys: np.ndarray, values: np.ndarray) -> float:
+    """Largest |sum of values| over the groups of equal keys."""
+    if len(keys) == 0:
+        return 0.0
+    _, group = np.unique(keys, return_inverse=True)
+    return float(np.max(np.abs(np.bincount(group, weights=values))))
+
+
+def _antisymmetry_defect(n: int, i, j, k, v) -> float:
+    """max |f[i,j,k] + f[j,i,k]|."""
+    keys = np.concatenate([(i * n + j) * n + k, (j * n + i) * n + k])
+    return _max_by_key(keys, np.concatenate([v, v]))
+
+
+def _join(a: np.ndarray, b: np.ndarray, n: int):
+    """Index arrays (left, right) of every pair with a[left] == b[right].
+
+    Keys lie in range(n); pairs come grouped by left index.
+    """
+    by_key = np.argsort(b, kind="stable")
+    first = np.searchsorted(b[by_key], np.arange(n))
+    fanout = np.bincount(b, minlength=n)[a]  # partners of each left entry
+    left = np.repeat(np.arange(len(a)), fanout)
+    offset = np.arange(len(left)) - np.repeat(np.cumsum(fanout) - fanout, fanout)
+    return left, by_key[first[a[left]] + offset]
+
+
+def _jacobi_defect(n: int, i, j, k, v) -> float:
+    """max over (a, b, c, k) of |[a,[b,c]] + [c,[a,b]] + [b,[c,a]]|_k.
+
+    P(x, y, z, k) = sum_m f[x,y,m] f[z,m,k] = [z,[x,y]]_k comes from joining
+    the entry list on its output index m with the entry list on its middle
+    index m.  The Jacobi sum at (a, b, c) is P summed over the three cyclic
+    rotations of (a, b, c), so every term is filed under the least rotation
+    of its (x, y, z) and one bincount adds the three (a term with
+    x = y = z is its own rotation three times).
+    """
+    left, right = _join(k, j, n)
+    x, y, z, out = i[left], j[left], i[right], k[right]
+    value = v[left] * v[right]
+    del left, right
+    value[(x == y) & (y == z)] *= 3
+    key = np.minimum(np.minimum((x * n + y) * n + z, (y * n + z) * n + x), (z * n + x) * n + y)
+    del x, y, z
+    return _max_by_key(key * n + out, value)
+
+
+def _invariance_defect(b: np.ndarray, i, j, k, v) -> float:
+    """max |B([b_i, b_j], b_c) - B(b_i, [b_j, b_c])| over (i, j, c)."""
+    n = len(b)
+    rows, cols = np.nonzero(b)
+    w = b[rows, cols]
+    # lhs[i, j, c] = sum_m f[i,j,m] B[m,c];  rhs[a, i, j] = sum_m B[a,m] f[i,j,m]
+    fl, bl = _join(k, rows, n)
+    fr, br = _join(k, cols, n)
+    keys = np.concatenate([(i[fl] * n + j[fl]) * n + cols[bl], (rows[br] * n + i[fr]) * n + j[fr]])
+    return _max_by_key(keys, np.concatenate([v[fl] * w[bl], -v[fr] * w[br]]))
+
+
+def _verify_algebra(g: SimpleLieAlgebra, tol: float = 1e-12):
+    """Check reality, antisymmetry, Jacobi and form invariance of g.
+
+    Works on the structure-constant entry lists, never on a dense table, so
+    it runs on every algebra.  Raises ConstructionFailure naming the first
+    check that fails.
+    """
+    n = g.dim
+    i, j, k, v = _coo(g)
+    # "not <=" so that a NaN defect fails too
+    if not _antisymmetry_defect(n, i, j, k, v) <= tol:
         raise ConstructionFailure("antisymmetry violated")
-    if g.dim <= 80:
-        # [a,[b,c]] + [c,[a,b]] + [b,[c,a]] one index a at a time, as three
-        # GEMMs into (b, c, k) slices, so no dim^4 array is ever held
-        n = g.dim
-        rows = f.reshape(n * n, n)  # [(b, c), m]
-        cols = f.transpose(1, 0, 2).reshape(n, n * n)  # [m, (c, k)]
-        for a in range(n):
-            total = (
-                (rows @ f[a]).reshape(n, n, n)
-                + (f[a] @ cols).reshape(n, n, n)
-                + (f[:, a, :] @ cols).reshape(n, n, n).transpose(1, 0, 2)
-            )
-            if np.max(np.abs(total)) > tol:
-                raise ConstructionFailure("Jacobi identity violated")
-        b = g.bilinear_form
-        lhs = np.tensordot(f, b, ([2], [0]))
-        rhs = np.tensordot(b, f, ([1], [2]))
-        if np.max(np.abs(lhs - rhs)) > tol:
-            raise ConstructionFailure("invariance of the form violated")
+    if not _jacobi_defect(n, i, j, k, v) <= tol:
+        raise ConstructionFailure("Jacobi identity violated")
+    if not _invariance_defect(g.bilinear_form, i, j, k, v) <= tol:
+        raise ConstructionFailure("invariance of the form violated")
 
 
 def build_simple_lie_algebra(rs: RootSystemData, cache_dir: Optional[str] = None) -> SimpleLieAlgebra:
@@ -488,6 +578,9 @@ def build_simple_lie_algebra(rs: RootSystemData, cache_dir: Optional[str] = None
     rs : root system from build_root_system.
     cache_dir : directory for the structure-constant cache; defaults to the
         DYNR_FIXTURE_DIR environment variable, and no caching when unset.
+        A cache file that is unreadable, ill-shaped, for another type or
+        version, or whose sha256 of its entries does not match is treated
+        as missing: the constants are rebuilt, checked and written anew.
 
     Returns
     -------
@@ -497,16 +590,22 @@ def build_simple_lie_algebra(rs: RootSystemData, cache_dir: Optional[str] = None
     Raises
     ------
     ConstructionFailure
-        If any internal consistency check (Jacobi, invariance) fails.
+        While assembling the constants: "positive root with no
+        decomposition", "degenerate extraspecial recursion", "vanishing
+        constant on a root sum", "non-integer constant in simply-laced
+        type".  Then on every algebra, built or loaded from the cache, in
+        this order: "structure constants not real", "antisymmetry
+        violated", "Jacobi identity violated", "invariance of the form
+        violated".
     """
     cache_dir = cache_dir if cache_dir is not None else os.environ.get(_CACHE_ENV)
+    dim = rs.rank + rs.n_roots
     const = None
     if cache_dir:
-        const = _load_cache(cache_dir, rs.series, rs.rank)
+        const = _load_cache(cache_dir, rs.series, rs.rank, dim)
     fresh = const is None
     if fresh:
         const = _assemble_constants(rs)
-    dim = rs.rank + rs.n_roots
     bform = np.zeros((dim, dim))
     bform[: rs.rank, : rs.rank] = np.eye(rs.rank)
     for i in range(rs.n_roots):
@@ -527,6 +626,11 @@ def _cache_path(cache_dir: str, series: str, rank: int) -> str:
     return os.path.join(cache_dir, f"structure_{series}{rank}_v{_CACHE_VERSION}.json")
 
 
+def _entries_digest(entries: list) -> str:
+    """sha256 of the entries list in compact canonical JSON."""
+    return hashlib.sha256(json.dumps(entries, separators=(",", ":")).encode()).hexdigest()
+
+
 def _encode_value(v: Scalar):
     if isinstance(v, Fraction):
         return ["q", str(v.numerator), str(v.denominator)]
@@ -534,38 +638,62 @@ def _encode_value(v: Scalar):
 
 
 def _decode_value(obj) -> Scalar:
-    tag = obj[0]
-    if tag == "q":
-        return Fraction(int(obj[1]), int(obj[2]))
-    return float(obj[1])
+    if not isinstance(obj, list) or not obj:
+        raise ValueError(f"bad cached constant {obj!r}")
+    tag, *body = obj
+    if tag == "q" and len(body) == 2:
+        return Fraction(int(body[0]), int(body[1]))
+    if tag == "f" and len(body) == 1 and isinstance(body[0], (int, float)) and math.isfinite(body[0]):
+        return float(body[0])
+    raise ValueError(f"bad cached constant {obj!r}")
+
+
+def _decode_index(x, dim: int) -> int:
+    if type(x) is not int or not 0 <= x < dim:
+        raise ValueError(f"bad cached basis index {x!r}")
+    return x
 
 
 def _save_cache(cache_dir: str, series: str, rank: int, const: dict):
     os.makedirs(cache_dir, exist_ok=True)
+    entries = [
+        [int(i), int(j), [[int(k), _encode_value(v)] for k, v in entries]]
+        for (i, j), entries in sorted(const.items())
+    ]
     doc = {
         "version": _CACHE_VERSION,
         "series": series,
         "rank": rank,
-        "entries": [
-            [int(i), int(j), [[int(k), _encode_value(v)] for k, v in entries]]
-            for (i, j), entries in sorted(const.items())
-        ],
+        "sha256": _entries_digest(entries),
+        "entries": entries,
     }
-    with open(_cache_path(cache_dir, series, rank), "w") as fh:
+    # write beside the target and rename, so a reader never sees half a file
+    path = _cache_path(cache_dir, series, rank)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    with open(tmp, "w") as fh:
         json.dump(doc, fh)
+    os.replace(tmp, path)
 
 
-def _load_cache(cache_dir: str, series: str, rank: int) -> Optional[dict]:
+def _load_cache(cache_dir: str, series: str, rank: int, dim: int) -> Optional[dict]:
+    """Cached constants, or None when there is no usable cache file."""
     path = _cache_path(cache_dir, series, rank)
     if not os.path.exists(path):
         return None
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("version") != _CACHE_VERSION:
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        entries = doc["entries"]
+        if (doc["version"], doc["series"], doc["rank"]) != (_CACHE_VERSION, series, rank):
+            return None
+        if doc["sha256"] != _entries_digest(entries):
+            return None
+        const = {}
+        for i, j, pairs in entries:
+            key = (_decode_index(i, dim), _decode_index(j, dim))
+            const[key] = tuple((_decode_index(k, dim), _decode_value(v)) for k, v in pairs)
+    except (OSError, ValueError, TypeError, KeyError, IndexError, ZeroDivisionError):
         return None
-    const = {}
-    for i, j, entries in doc["entries"]:
-        const[(int(i), int(j))] = tuple((int(k), _decode_value(v)) for k, v in entries)
     return const
 
 

@@ -178,10 +178,8 @@ class RMatrixSpec:
             if not is_closed_subset(rs, self.X):
                 raise SpecInvalid(f"{self.family} requires X closed under negation and addition")
         elif self.family in ("TrigDegenerate", "TrigSpectral"):
-            simple_of_pol = {
-                i for i in pol
-                if not any(rs.add(j, k) == i for j in pol for k in pol)
-            }
+            members = sorted(pol)
+            simple_of_pol = pol - set(rs.sum_table[np.ix_(members, members)].ravel().tolist())
             if not set(self.X) <= simple_of_pol:
                 raise SpecInvalid(f"{self.family} requires X inside the simple roots of the polarization")
         elif self.X:

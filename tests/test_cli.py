@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, output formats, determinism."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -131,6 +132,41 @@ def test_verify_rejects_spec_json_breaking_family_rules(capsys):
     assert "TrigCotanh takes no X" in err
     assert "FAIL" not in out
     assert "Traceback" not in err
+
+
+def _bad_entry(text):
+    """Drop the value of the first constant and re-sign the entries."""
+    doc = json.loads(text)
+    doc["entries"][0][2][0].pop()
+    canonical = json.dumps(doc["entries"], separators=(",", ":")).encode()
+    doc["sha256"] = hashlib.sha256(canonical).hexdigest()
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("damage", [
+    lambda text: text[: len(text) // 3],
+    lambda text: "\udcff\x00{",
+    lambda text: text.replace("]]]", "]]", 1),
+    lambda text: text.replace('["q", "1", "1"]', '["q", "2", "1"]', 1),  # checksum mismatch
+    _bad_entry,
+])
+def test_verify_rebuilds_unusable_structure_cache(capsys, monkeypatch, tmp_path, damage):
+    monkeypatch.setenv("DYNR_FIXTURE_DIR", str(tmp_path))
+    argv = ("verify", "--algebra", "A2", "--family", "trig-cotanh", "--eps", "2",
+            "--samples", "2", "--format", "json", "--no-timing")
+    code, clean, _ = _run(capsys, *argv)
+    assert code == 0
+    path = tmp_path / "structure_A2_v2.json"
+    good = path.read_text()
+    assert damage(good) != good
+    path.write_text(damage(good), errors="surrogateescape")
+    code, out, err = _run(capsys, *argv)
+    assert code == 0
+    assert out == clean
+    assert "Traceback" not in err
+    assert path.read_text() == good
+    # a run that loads the rewritten cache prints the same bytes
+    assert _run(capsys, *argv)[:2] == (0, clean)
 
 
 def test_verify_rejects_unknown_family(capsys):

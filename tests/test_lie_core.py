@@ -1,7 +1,10 @@
 """Root systems, structure constants, and the invariant form."""
 
 import dataclasses
+import hashlib
+import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,14 +12,17 @@ import pytest
 from dynr import (
     CartanVector,
     ConstructionFailure,
+    RMatrixSpec,
     UnsupportedType,
     build_root_system,
     build_simple_lie_algebra,
     casimir,
     fundamental_weights,
     pairing,
+    spec_to_json,
 )
-from dynr.lie_core import _verify_algebra
+from dynr import lie_core
+from dynr.lie_core import SimpleLieAlgebra, _verify_algebra
 
 
 def _algebra(series, rank):
@@ -67,6 +73,114 @@ def test_root_index_helpers():
     assert rs.is_positive(rs.add(s0, s1))
 
 
+_ALL_TYPES = [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+    ("C", 2), ("C", 3), ("C", 4), ("D", 3), ("D", 4), ("G", 2), ("F", 4),
+    ("E", 6), ("E", 7), ("E", 8),
+]
+
+
+@pytest.mark.parametrize("series,rank", _ALL_TYPES)
+def test_root_codes_match_coefficient_lookup(series, rank):
+    """add and index_of agree with a dict keyed by coefficient tuples."""
+    rs = build_root_system(series, rank)
+    by_tuple = {tuple(int(x) for x in c): i for i, c in enumerate(rs.coeffs)}
+    c = rs.coeffs
+    n = rs.n_roots
+    sums = (c[:, None, :] + c[None, :, :]).reshape(n * n, rank)
+    diffs = (c[:, None, :] - c[None, :, :]).reshape(n * n, rank)
+    want_sum = [by_tuple.get(tuple(int(x) for x in v)) for v in sums]
+    want_diff = [by_tuple.get(tuple(int(x) for x in v)) for v in diffs]
+    assert [rs.add(i, j) for i in range(n) for j in range(n)] == want_sum
+    assert [rs.index_of(v) for v in sums] == want_sum
+    assert [rs.index_of(v) for v in diffs] == want_diff
+    table = rs.sum_table.ravel().tolist()
+    assert table == [-1 if w is None else w for w in want_sum]
+    assert rs.neg(0) == by_tuple[tuple(int(-x) for x in c[0])]
+    assert rs.is_positive(rs.positive_roots[-1]) and not rs.is_positive(rs.neg(rs.positive_roots[-1]))
+
+
+@pytest.mark.parametrize("series,rank", [("D", 20), ("A", 30)])
+def test_root_codes_past_int64(series, rank):
+    """Codes that outgrow 64-bit integers are kept as Python integers."""
+    rs = build_root_system(series, rank)
+    by_tuple = {tuple(int(x) for x in c): i for i, c in enumerate(rs.coeffs)}
+    rng = np.random.default_rng(0)
+    for i, j in rng.integers(0, rs.n_roots, size=(3000, 2)):
+        want = by_tuple.get(tuple(int(x) for x in rs.coeffs[i] + rs.coeffs[j]))
+        assert rs.add(i, j) == want
+        assert rs.index_of(rs.coeffs[i] - rs.coeffs[j]) == by_tuple.get(
+            tuple(int(x) for x in rs.coeffs[i] - rs.coeffs[j]))
+    s0, s1 = rs.simple_roots[:2]
+    assert rs.add(s0, s1) is not None
+    row = [by_tuple.get(tuple(int(x) for x in rs.coeffs[s0] + c)) for c in rs.coeffs]
+    assert rs.sum_table[s0].tolist() == [-1 if w is None else w for w in row]
+
+
+@pytest.mark.parametrize("series,rank", [("A", 2), ("B", 3), ("G", 2), ("F", 4), ("E", 8)])
+def test_index_of_rejects_non_roots(series, rank):
+    rs = build_root_system(series, rank)
+    h = int(np.max(np.abs(rs.coeffs)))
+    base = 4 * h + 1
+    for i in range(rs.n_roots):
+        c = [int(x) for x in rs.coeffs[i]]
+        assert rs.index_of(c) == i
+        assert rs.index_of(c + [0]) is None
+        assert rs.index_of(c[:-1]) is None
+        # same mixed-radix code as root i, but a coefficient above h
+        alias = list(c)
+        alias[0] += base
+        alias[1] -= 1
+        assert rs.index_of(alias) is None
+        assert rs.index_of([h + 1] + c[1:]) is None
+        assert rs.index_of([2 * x for x in c]) is None
+    assert rs.index_of([0] * rank) is None
+    assert rs.index_of([]) is None
+
+
+# sha256 prefixes of the exact root-to-root constants (in assembly order) and
+# of the JSON of two default specs.  They pin root order, simple roots, the
+# extraspecial sign convention and the spec document across changes to the
+# root arithmetic; the float Cartan legs are left out, their last bits may
+# follow the LAPACK build.
+_DIGESTS = {
+    "A1": ("4f53cda18c2baa0c", "d471ddcc475dc9cc"),
+    "A2": ("11d3ad6eb2d15f2c", "a4eb897ccaa8b18f"),
+    "A3": ("6a4a4c071f930e0b", "085e5e7b206588e6"),
+    "A4": ("6ac90f1ba3044809", "4325a5edbf0fcc9e"),
+    "B2": ("d1c9158ec3a26985", "4679410488a3a63a"),
+    "B3": ("397639d7a38df4c4", "ed48f26d303b73ef"),
+    "B4": ("0159ca01f2193e8f", "1c556428d3b28f6c"),
+    "C2": ("9e99918b752c0f3c", "cd797b61b4584f50"),
+    "C3": ("0be034c153a4eaa4", "ee3ee7db3ef9b670"),
+    "C4": ("7288fc0e71e3ec84", "08538eee1830d407"),
+    "D3": ("ceb991f3b6e16ed4", "e38d060024ee5cc9"),
+    "D4": ("699d7bb8b9a37022", "d2757e4a99e92b0b"),
+    "G2": ("8a3bf395daede642", "04cc90acfd2e2e40"),
+    "F4": ("4bc0b78e0bf43cb6", "ffde56b62b03ce88"),
+    "E6": ("fd8ca33dec8e05c8", "a57f63ece5025cbf"),
+    "E7": ("24b1dec8ec6400bd", "101923b2a6e5c782"),
+    "E8": ("5c138c2ed273d0c2", "a2a1c0cb3b2175ba"),
+}
+
+
+@pytest.mark.parametrize("series,rank", _ALL_TYPES)
+def test_structure_constants_and_spec_digests_fixed(series, rank):
+    g = build_simple_lie_algebra(build_root_system(series, rank), cache_dir="")
+    rs = g.root_system
+    exact = [(i, j, e) for (i, j), e in g.structure_constants.items()
+             if all(isinstance(v, Fraction) for _, v in e)]
+    docs = [
+        spec_to_json(RMatrixSpec(algebra=g, family="TrigCotanh", eps=2.0)),
+        spec_to_json(RMatrixSpec(algebra=g, family="TrigDegenerate", eps=2.0, X=(rs.simple_roots[-1],))),
+    ]
+    got = (
+        hashlib.sha256(repr(exact).encode()).hexdigest()[:16],
+        hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()[:16],
+    )
+    assert got == _DIGESTS[f"{series}{rank}"]
+
+
 def test_dimensions():
     assert _algebra("A", 1).dim == 3
     assert _algebra("A", 2).dim == 8
@@ -88,35 +202,164 @@ def test_bracket_antisymmetry_and_jacobi(series, rank):
     assert np.max(np.abs(jac)) < 1e-13
 
 
-def _with_table(g, f):
-    """Copy of g whose dense bracket table is f."""
-    h = dataclasses.replace(g)
-    h._dense = f
-    return h
+def _with_constants(g, edit):
+    """Copy of g whose structure-constant dict has been changed by edit(dict)."""
+    const = dict(g.structure_constants)
+    edit(const)
+    return dataclasses.replace(g, structure_constants=const)
 
 
-@pytest.mark.parametrize("series,rank", [("A", 2), ("B", 2)])
+def _simple_pair(g):
+    """Basis indices of the first two simple roots whose sum is a root."""
+    rs = g.root_system
+    s0, s1 = next((s, t) for s in rs.simple_roots for t in rs.simple_roots if rs.add(s, t) is not None)
+    return g.root_basis_index(s0), g.root_basis_index(s1)
+
+
+def _scaled(entries, c):
+    return tuple((k, c * v) for k, v in entries)
+
+
+@pytest.mark.parametrize("series,rank", [("A", 2), ("B", 2), ("E", 7)])
 def test_verify_algebra_rejects_broken_jacobi(series, rank):
+    """E7 was built without a Jacobi check while the dense check was limited
+    to dim <= 80."""
     g = _algebra(series, rank)
     _verify_algebra(g)
-    rs = g.root_system
-    s0, s1 = rs.simple_roots[:2]
-    i, j = g.root_basis_index(s0), g.root_basis_index(s1)
-    f = g.bracket_table().copy()
-    assert np.any(f[i, j])
-    # antisymmetry survives, the Jacobi identity does not
-    f[i, j] *= 2
-    f[j, i] *= 2
+    i, j = _simple_pair(g)
+    assert g.structure_constants[(i, j)]
+
+    def double(const):
+        # antisymmetry survives, the Jacobi identity does not
+        const[(i, j)] = _scaled(const[(i, j)], 2)
+        const[(j, i)] = _scaled(const[(j, i)], 2)
+
     with pytest.raises(ConstructionFailure, match="Jacobi identity violated"):
-        _verify_algebra(_with_table(g, f))
+        _verify_algebra(_with_constants(g, double))
 
 
 def test_verify_algebra_rejects_imaginary_constant():
     g = _algebra("A", 2)
-    f = g.bracket_table().copy()
-    f[0, g.root_basis_index(0), g.root_basis_index(0)] += 1e-3j
+    e0 = g.root_basis_index(0)
+
+    def imaginary(const):
+        const[(0, e0)] = const.get((0, e0), ()) + ((e0, 1e-3j),)
+
     with pytest.raises(ConstructionFailure, match="not real"):
-        _verify_algebra(_with_table(g, f))
+        _verify_algebra(_with_constants(g, imaginary))
+
+
+def test_verify_algebra_rejects_nan_constant():
+    g = _algebra("A", 2)
+    i, j = _simple_pair(g)
+
+    def nan(const):
+        const[(i, j)] = _scaled(const[(i, j)], float("nan"))
+        const[(j, i)] = _scaled(const[(j, i)], float("nan"))
+
+    with pytest.raises(ConstructionFailure, match="antisymmetry violated"):
+        _verify_algebra(_with_constants(g, nan))
+
+
+def test_verify_algebra_rejects_broken_antisymmetry():
+    g = _algebra("B", 3)
+    i, j = _simple_pair(g)
+
+    def one_sided(const):
+        const[(j, i)] = _scaled(const[(j, i)], 2)
+
+    with pytest.raises(ConstructionFailure, match="antisymmetry violated"):
+        _verify_algebra(_with_constants(g, one_sided))
+
+
+def test_verify_algebra_rejects_broken_invariance():
+    g = _algebra("G", 2)
+    rs = g.root_system
+    a = rs.simple_roots[0]
+    i, j = g.root_basis_index(a), g.root_basis_index(rs.neg(a))
+    b = g.bilinear_form.copy()
+    b[i, j] = b[j, i] = 2.0
+    with pytest.raises(ConstructionFailure, match="invariance of the form violated"):
+        _verify_algebra(dataclasses.replace(g, bilinear_form=b))
+
+
+def test_verify_algebra_never_builds_dense_table(monkeypatch):
+    def refuse(self):
+        raise AssertionError("bracket_table called on the build path")
+
+    monkeypatch.setattr(SimpleLieAlgebra, "bracket_table", refuse)
+    for series, rank in (("A", 2), ("E", 7)):
+        g = build_simple_lie_algebra(build_root_system(series, rank), cache_dir="")
+        assert g._dense is None
+
+
+def _dense_defects(g):
+    """(antisymmetry, Jacobi, invariance) maxima from the dense bracket table.
+
+    The Jacobi sum [a,[b,c]] + [c,[a,b]] + [b,[c,a]] is formed one index a
+    at a time as three GEMMs into (b, c, k) slices.
+    """
+    f = g.bracket_table().real
+    n = g.dim
+    anti = np.max(np.abs(f + np.swapaxes(f, 0, 1)))
+    rows = f.reshape(n * n, n)  # [(b, c), m]
+    cols = f.transpose(1, 0, 2).reshape(n, n * n)  # [m, (c, k)]
+    jac = 0.0
+    for a in range(n):
+        total = (
+            (rows @ f[a]).reshape(n, n, n)
+            + (f[a] @ cols).reshape(n, n, n)
+            + (f[:, a, :] @ cols).reshape(n, n, n).transpose(1, 0, 2)
+        )
+        jac = max(jac, np.max(np.abs(total)))
+    b = g.bilinear_form
+    inv = np.max(np.abs(np.tensordot(f, b, ([2], [0])) - np.tensordot(b, f, ([1], [2]))))
+    return anti, jac, inv
+
+
+def _sparse_defects(g):
+    i, j, k, v = lie_core._coo(g)
+    return (
+        lie_core._antisymmetry_defect(g.dim, i, j, k, v),
+        lie_core._jacobi_defect(g.dim, i, j, k, v),
+        lie_core._invariance_defect(g.bilinear_form, i, j, k, v),
+    )
+
+
+@pytest.mark.parametrize(
+    "series,rank",
+    [("A", 1), ("A", 2), ("B", 2), ("G", 2), ("B", 3), ("C", 3), ("A", 4), ("D", 4), ("F", 4)],
+)
+def test_sparse_algebra_check_matches_dense_oracle(series, rank):
+    g = _algebra(series, rank)
+    rs = g.root_system
+    i, j = _simple_pair(g) if rank > 1 else (g.root_basis_index(0), g.root_basis_index(1))
+    a = rs.simple_roots[0]
+    b = g.bilinear_form.copy()
+    b[g.root_basis_index(a), g.root_basis_index(rs.neg(a))] *= 3.0
+
+    def double(const):
+        const[(i, j)] = _scaled(const[(i, j)], 2)
+        const[(j, i)] = _scaled(const[(j, i)], 2)
+
+    def one_sided(const):
+        const[(j, i)] = _scaled(const[(j, i)], -0.5)
+
+    def diagonal(const):
+        const[(i, i)] = ((j, 1.0),)
+
+    off = g.bilinear_form.copy()
+    off[0, -1] += 0.25
+    variants = [g, _with_constants(g, double), _with_constants(g, one_sided), _with_constants(g, diagonal),
+                dataclasses.replace(g, bilinear_form=b), dataclasses.replace(g, bilinear_form=off)]
+    for n, h in enumerate(variants):
+        dense, sparse = _dense_defects(h), _sparse_defects(h)
+        for d, s in zip(dense, sparse):
+            assert abs(d - s) <= 1e-14 + 1e-12 * d
+        if n == 0:
+            assert max(sparse) <= 1e-13
+        else:
+            assert max(sparse) > 0.1  # every corruption is seen
 
 
 @pytest.mark.parametrize("series,rank", [("A", 1), ("A", 2), ("B", 2), ("G", 2)])
@@ -237,6 +480,66 @@ def test_cache_round_trip(tmp_path):
     for key in k1:
         assert g1.structure_constants[key] == g2.structure_constants[key]
     assert np.array_equal(g1.bracket_table(), g2.bracket_table())
+
+
+def test_cache_document_carries_entry_checksum(tmp_path):
+    rs = build_root_system("A", 2)
+    build_simple_lie_algebra(rs, cache_dir=str(tmp_path))
+    (path,) = tmp_path.iterdir()
+    assert path.name == "structure_A2_v2.json"
+    doc = json.loads(path.read_text())
+    assert doc["version"] == 2
+    canonical = json.dumps(doc["entries"], separators=(",", ":")).encode()
+    assert doc["sha256"] == hashlib.sha256(canonical).hexdigest()
+
+
+def _rewrite_entries(doc, edit, resign=True):
+    """The cache document after edit(entries), with its checksum updated or not."""
+    edit(doc["entries"])
+    if resign:
+        canonical = json.dumps(doc["entries"], separators=(",", ":")).encode()
+        doc["sha256"] = hashlib.sha256(canonical).hexdigest()
+    return json.dumps(doc)
+
+
+def _double_root_constants(entries):
+    for entry in entries:
+        for pair in entry[2]:
+            if pair[1][0] == "q":
+                pair[1][1] = str(2 * int(pair[1][1]))
+
+
+@pytest.mark.parametrize("damage", [
+    lambda text, doc: text[: len(text) // 2],  # truncated
+    lambda text, doc: "",
+    lambda text, doc: "[1, 2, 3]",
+    lambda text, doc: _rewrite_entries(doc, _double_root_constants, resign=False),
+    lambda text, doc: _rewrite_entries(doc, lambda e: e[0][2][0].pop()),  # entry without a value
+    lambda text, doc: _rewrite_entries(doc, lambda e: e[0].__setitem__(0, 999)),  # index out of range
+    lambda text, doc: _rewrite_entries(doc, lambda e: e[0][2][0][1].__setitem__(0, "z")),
+    lambda text, doc: _rewrite_entries(doc, lambda e: e[0][2][0].__setitem__(0, 1.0)),
+    lambda text, doc: _rewrite_entries(doc, lambda e: e[0][2][0].__setitem__(1, ["f", float("nan")])),
+])
+def test_unusable_cache_is_rebuilt(tmp_path, damage):
+    rs = build_root_system("A", 2)
+    g1 = build_simple_lie_algebra(rs, cache_dir=str(tmp_path))
+    path = tmp_path / "structure_A2_v2.json"
+    good = path.read_text()
+    path.write_text(damage(good, json.loads(good)))
+    g2 = build_simple_lie_algebra(rs, cache_dir=str(tmp_path))
+    assert g2.structure_constants == g1.structure_constants
+    assert path.read_text() == good
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_cache_with_valid_checksum_is_still_checked(tmp_path):
+    rs = build_root_system("A", 2)
+    build_simple_lie_algebra(rs, cache_dir=str(tmp_path))
+    path = tmp_path / "structure_A2_v2.json"
+    doc = json.loads(path.read_text())
+    path.write_text(_rewrite_entries(doc, _double_root_constants))
+    with pytest.raises(ConstructionFailure, match="Jacobi identity violated"):
+        build_simple_lie_algebra(rs, cache_dir=str(tmp_path))
 
 
 def test_unsupported_types():
