@@ -3,12 +3,13 @@
 Commands: verify, axioms, subsets, polarize, limits, pair, series,
 catalog.  Exit codes: 0 all checks passed, 1 a check failed, 2 bad
 configuration, 3 numeric failure (pole proximity, divergent series,
-sampling exhausted).
+sampling exhausted, a residual that overflows).
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -20,6 +21,7 @@ from .combinatorics import enumerate_closed_subsets, find_polarization
 from .errors import (
     ConvergenceFailure,
     DynrError,
+    NonFiniteValue,
     PoleProximity,
     SamplingExhausted,
     PropertyViolated,
@@ -38,13 +40,14 @@ from .verifier import (
     VerificationReport,
     affine_hat_spec,
     affine_series_check,
-    cdybe_residual,
     check_axioms,
     limit_compare,
     reduce_pair_check,
     _axiom_checks,
     _campaign_points,
     _report,
+    _residual,
+    _sup,
 )
 
 _FAMILY_NAMES = {
@@ -73,12 +76,15 @@ _CATALOG = [
 
 
 def _parse_complex(tok: str) -> complex:
-    """Parse 'a+bi' style tokens ('2', '1+1i', '2i', '-0.5-0.25i')."""
+    """Parse finite 'a+bi' style tokens ('2', '1+1i', '2i', '-0.5-0.25i')."""
     t = tok.strip().replace(" ", "")
     try:
-        return complex(t.replace("i", "j"))
+        value = complex(t.replace("i", "j"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse complex number {tok!r}")
+    if not cmath.isfinite(value):
+        raise argparse.ArgumentTypeError(f"complex number {tok!r} is not finite")
+    return value
 
 
 def _parse_complex_list(tok: str):
@@ -263,7 +269,12 @@ def _parse_schedule(tok: str):
         raise _ConfigError("schedule must look like tau:4i,6i,8i or nu:20,40")
     kind, _, rest = tok.partition(":")
     kind = kind.strip().lower()
-    values = [_parse_complex(p) for p in rest.split(",") if p.strip()]
+    try:
+        values = [_parse_complex(p) for p in rest.split(",") if p.strip()]
+    except argparse.ArgumentTypeError as exc:
+        raise _ConfigError(str(exc))
+    if len(values) < 2:
+        raise _ConfigError("schedule needs at least two values")
     if kind == "tau":
         return "tau", tuple(values)
     if kind == "nu":
@@ -349,7 +360,7 @@ def cmd_series(args) -> int:
     )
     hat = affine_hat_spec(algebra, tau)
     max_res = max(
-        cdybe_residual(hat, lam_s, zs).norm()
+        _sup(_residual(hat, lam_s, zs))
         for lam_s, zs in _campaign_points(hat, _plan(args))
     )
     passed = deviation <= 1e-9 and max_res <= 1e-8
@@ -470,7 +481,7 @@ def main(argv=None) -> int:
     except _ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (PoleProximity, ConvergenceFailure, SamplingExhausted) as exc:
+    except (PoleProximity, ConvergenceFailure, SamplingExhausted, NonFiniteValue) as exc:
         print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except DynrError as exc:

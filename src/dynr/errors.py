@@ -30,6 +30,10 @@ class PoleProximity(DynrError):
     """Evaluation point too close to a pole of a meromorphic coefficient."""
 
 
+class NonFiniteValue(DynrError):
+    """A computed result overflowed to inf or nan."""
+
+
 class ConvergenceFailure(DynrError):
     """A series cannot reach the requested accuracy within its cutoff."""
 

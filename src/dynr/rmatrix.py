@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -195,6 +195,9 @@ class RMatrixSpec:
                 raise SpecInvalid("EllipticSpectral requires tau with Im tau > 0")
         elif self.tau is not None:
             raise SpecInvalid(f"{self.family} takes no tau")
+        for name, value in (("eps", self.eps), ("nu", self.nu.as_array()), ("C", self.C), ("tau", self.tau)):
+            if value is not None and not np.all(np.isfinite(value)):
+                raise SpecInvalid(f"{name} must be finite")
         if np.max(np.abs(self.C + self.C.T)) > 1e-12:
             raise SpecInvalid("C must be antisymmetric")
         for g in self.gauge_stack:
@@ -209,6 +212,9 @@ class RMatrixSpec:
 
 
 def _check_gauge_against_family(family: str, g: GaugeRecord):
+    payload = (g.c_matrix, g.scale, None if g.shift is None else g.shift.coords, *(g.psi or ()))
+    if any(part is not None and not np.all(np.isfinite(part)) for part in payload):
+        raise SpecInvalid(f"kind-{g.kind} gauge payload must be finite")
     spectral = family in SPECTRAL_FAMILIES
     if g.kind == 2 and not spectral:
         raise SpecInvalid("kind-2 gauges apply to spectral families only")
@@ -354,6 +360,56 @@ def _evaluate(spec: RMatrixSpec, lam: np.ndarray, z: Optional[complex], idx: int
     return m + z * q, phi * factors, dphi
 
 
+class _Record(NamedTuple):
+    """r at one (lam, z) in canonical shape, with its Cartan-direction derivative.
+
+    m is the Cartan block, phi the e_a (x) e_{-a} coefficient per root;
+    dm[k] and dphi[k] are their derivatives along the k-th Cartan
+    coordinate.  dm is None where M does not depend on lam (analytic mode);
+    dphi is None when no derivative was asked for.
+    """
+
+    m: np.ndarray
+    phi: np.ndarray
+    dm: Optional[np.ndarray] = None
+    dphi: Optional[np.ndarray] = None
+
+
+def _record(
+    spec: RMatrixSpec,
+    lam: np.ndarray,
+    z: Optional[complex],
+    mode: Optional[str] = None,
+    fd_step: float = 1e-5,
+) -> _Record:
+    """Evaluate spec at (lam, z); mode None skips the derivative.
+
+    Analytic mode differentiates the closed-form coefficients (threaded
+    through the gauge stack), where M is lam-independent; finite-difference
+    mode takes central differences of (M, phi) at lam +- fd_step e_k.
+    """
+    top = len(spec.gauge_stack) - 1
+    if mode is None:
+        return _Record(*_evaluate(spec, lam, z, top, False)[:2])
+    if mode == "analytic":
+        m, phi, dphi = _evaluate(spec, lam, z, top, True)
+        return _Record(m, phi, None, dphi)
+    if mode != "finite-difference":
+        raise SpecInvalid(f"unknown mode {mode!r}")
+    m, phi, _ = _evaluate(spec, lam, z, top, False)
+    rank = len(m)
+    dm = np.zeros((rank, rank, rank), dtype=complex)
+    dphi = np.zeros((rank, len(phi)), dtype=complex)
+    for i in range(rank):
+        step = np.zeros(rank, dtype=complex)
+        step[i] = fd_step
+        up = _evaluate(spec, lam + step, z, top, False)
+        dn = _evaluate(spec, lam - step, z, top, False)
+        dm[i] = (up[0] - dn[0]) / (2 * fd_step)
+        dphi[i] = (up[1] - dn[1]) / (2 * fd_step)
+    return _Record(m, phi, dm, dphi)
+
+
 def _assemble2(algebra: SimpleLieAlgebra, m: np.ndarray, phi: np.ndarray) -> Tensor2:
     data = np.zeros((algebra.dim, algebra.dim), dtype=complex)
     data[: algebra.rank, : algebra.rank] = m
@@ -370,7 +426,7 @@ def eval_constant(spec: RMatrixSpec, lam: CartanVector) -> Tensor2:
     """
     if spec.is_spectral:
         raise SpecInvalid(f"{spec.family} needs eval_spectral")
-    m, phi, _ = _evaluate(spec, lam.as_array(), None, len(spec.gauge_stack) - 1, False)
+    m, phi, _, _ = _record(spec, lam.as_array(), None)
     return _assemble2(spec.algebra, m, phi)
 
 
@@ -378,7 +434,7 @@ def eval_spectral(spec: RMatrixSpec, lam: CartanVector, z: complex) -> Tensor2:
     """Evaluate a spectral-family spec at (lam, z)."""
     if not spec.is_spectral:
         raise SpecInvalid(f"{spec.family} needs eval_constant")
-    m, phi, _ = _evaluate(spec, lam.as_array(), complex(z), len(spec.gauge_stack) - 1, False)
+    m, phi, _, _ = _record(spec, lam.as_array(), complex(z))
     return _assemble2(spec.algebra, m, phi)
 
 
@@ -409,26 +465,16 @@ def eval_dlambda(
         raise SpecInvalid("spectral family requires z")
     if not spec.is_spectral and z is not None:
         raise SpecInvalid(f"{spec.family} takes no z")
-    algebra = spec.algebra
-    rs = algebra.root_system
-    rows, cols = algebra.root_pair_index()
-    data = np.zeros((algebra.dim,) * 3, dtype=complex)
-    if mode == "analytic":
-        _, _, dphi = _evaluate(spec, lam.as_array(), z, len(spec.gauge_stack) - 1, True)
-        data[: rs.rank, rows, cols] = dphi
-        return Tensor3(algebra, data)
-    if mode != "finite-difference":
+    if mode not in ("analytic", "finite-difference"):
         raise SpecInvalid(f"unknown mode {mode!r}")
-    base = lam.as_array()
-    for i in range(rs.rank):
-        step = np.zeros(rs.rank, dtype=complex)
-        step[i] = fd_step
-        up = _evaluate(spec, base + step, z, len(spec.gauge_stack) - 1, False)
-        dn = _evaluate(spec, base - step, z, len(spec.gauge_stack) - 1, False)
-        mdiff = (up[0] - dn[0]) / (2 * fd_step)
-        pdiff = (up[1] - dn[1]) / (2 * fd_step)
-        data[i, : rs.rank, : rs.rank] = mdiff
-        data[i, rows, cols] = pdiff
+    algebra = spec.algebra
+    rank = algebra.rank
+    rows, cols = algebra.root_pair_index()
+    _, _, dm, dphi = _record(spec, lam.as_array(), z, mode, fd_step)
+    data = np.zeros((algebra.dim,) * 3, dtype=complex)
+    if dm is not None:
+        data[:rank, :rank, :rank] = dm
+    data[:rank, rows, cols] = dphi
     return Tensor3(algebra, data)
 
 
@@ -440,11 +486,15 @@ def family_phi(spec: RMatrixSpec, lam: CartanVector, alpha: int, z: Optional[com
     identities quantify over; for every other family it is the full
     e_alpha (x) e_{-alpha} coefficient.
     """
-    m, phi, _ = _evaluate(spec, lam.as_array(), z, len(spec.gauge_stack) - 1, False)
-    val = phi[int(alpha)]
+    phi = _record(spec, lam.as_array(), z).phi
+    return complex(_identity_phi(spec, phi[int(alpha)]))
+
+
+def _identity_phi(spec: RMatrixSpec, phi):
+    """phi (a coefficient or an array of them) in family_phi's form."""
     if spec.family in ("TrigCotanh", "TrigDegenerate"):
-        val = val - complex(spec.debug_scale_omega) * complex(spec.eps) / 2
-    return complex(val)
+        return phi - complex(spec.debug_scale_omega) * complex(spec.eps) / 2
+    return phi
 
 
 def _lattice_distance(w: complex, periods) -> float:

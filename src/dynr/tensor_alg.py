@@ -8,9 +8,9 @@ act_diag applies an element diagonally (ad on every leg).  All operations
 check that operands live over the same algebra.
 
 This dense calculus is the oracle: the verifier assembles the CDYBE
-residual on its weight-zero support and tests weights through the
-diagonal Cartan action, and the tests check both against bracket_legs and
-act_diag.
+residual as a vector on its weight-zero support and tests weights with
+per-entry Cartan weight sums, and the tests check both against
+bracket_legs and act_diag.
 """
 
 from __future__ import annotations

@@ -20,29 +20,29 @@ import numpy as np
 
 from .combinatorics import is_closed_subset
 from .errors import (
+    NonFiniteValue,
     RootSumNonzero,
     SamplingExhausted,
     SpecInvalid,
     SubalgebraInvalid,
-    UnsupportedType,
 )
-from .lie_core import CartanVector, SimpleLieAlgebra, casimir, pairing
+from .lie_core import CartanVector, SimpleLieAlgebra, pairing
 from .rmatrix import (
     SPECTRAL_FAMILIES,
     GaugeRecord,
     RMatrixSpec,
+    _assemble2,
+    _identity_phi,
+    _record,
+    _Record,
     effective_coupling,
-    eval_constant,
-    eval_dlambda,
-    eval_rmatrix,
-    eval_spectral,
     family_phi,
     gauge_apply,
     pole_margin,
     spec_to_json,
 )
 from .special_fn import ThetaParams, classical_series, rho_fn, sigma_w, sigma_w_dw
-from .tensor_alg import Tensor2, Tensor3
+from .tensor_alg import Tensor3
 
 __all__ = [
     "SamplePlan",
@@ -94,6 +94,8 @@ class SamplePlan:
     max_resamples: int = 500
 
     def __post_init__(self):
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise SpecInvalid("seed must be a non-negative integer")
         if self.count < 1:
             raise SpecInvalid("sample count must be >= 1")
         if not self.pole_margin > 0:
@@ -221,24 +223,45 @@ def sample_spectral_point(spec: RMatrixSpec, plan: SamplePlan, rng):
 class _ResidualPlan:
     """Index lists that assemble the CDYBE residual on its weight-zero support.
 
-    s2 holds the flat indices of the entries an r evaluation may carry
-    (Cartan x Cartan, then (e_a, e_{-a}) per root), s3 those of a
-    derivative tensor (a Cartan leg in front of s2).  The six residual
-    inputs contribute their support entries, in the order r12, r13, r23,
-    d23, d31, d12, to one value vector that ends in a 1.  Term t adds
-    coef[t] * values[src_x[t]] * values[src_y[t]] to out.flat[w3[slot[t]]]:
-    bracket terms multiply two r entries by a structure constant, Alt(dr)
-    terms multiply a derivative entry by the trailing 1.  w3 is the sorted
-    set of residual entries the terms reach; every one has weight zero.
+    An r record enters as its value vector _flat(m, phi): the Cartan x
+    Cartan entries in row-major order, then one (e_a, e_{-a}) entry per
+    root.  A derivative record enters as _flat(dm, dphi), the same layout
+    once per Cartan index k in front.  The six residual inputs r12, r13,
+    r23, d23, d31, d12 are concatenated in that order, followed by a 1.
+    Term t adds coef[t] * values[src_x[t]] * values[src_y[t]] to the
+    residual entry slot[t]: bracket terms multiply two r entries by a
+    structure constant, Alt(dr) terms multiply a derivative entry by the
+    trailing 1.  w3 holds the sorted flat (dim, dim, dim) indices of the
+    residual entries the terms reach; every one has weight zero.
+
+    weight[:, e] is |the sum of the Cartan weights of w3[e]'s legs|, one
+    row per Cartan basis vector.  swap[e] is the position in w3 of w3[e]
+    with legs 1 and 2 exchanged, valid where hit[e] is true.
     """
 
-    s2: np.ndarray
-    s3: np.ndarray
     w3: np.ndarray
     src_x: np.ndarray
     src_y: np.ndarray
     coef: np.ndarray
     slot: np.ndarray
+    weight: np.ndarray
+    swap: np.ndarray
+    hit: np.ndarray
+
+    def weight_norm(self, w: np.ndarray) -> float:
+        """Largest sup norm of the diagonal action of a Cartan basis vector on w."""
+        return float(np.max(np.abs(w) * self.weight))
+
+    def skew_norm(self, w: np.ndarray) -> float:
+        """Sup norm of w plus w with legs 1 and 2 exchanged; a swap outside
+        the support is 0."""
+        return _sup(np.where(self.hit, w + w[self.swap], w))
+
+
+def _flat(m: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Value vector of a record: per leading index, m's entries in
+    row-major order, then phi's."""
+    return np.concatenate((m.reshape(phi.shape[:-1] + (-1,)), phi), axis=-1).ravel()
 
 
 def _matches(keys: np.ndarray, values: np.ndarray):
@@ -257,10 +280,9 @@ def _build_residual_plan(g: SimpleLieAlgebra) -> _ResidualPlan:
     rank, dim = g.rank, g.dim
     rows, cols = g.root_pair_index()
     cartan = np.arange(rank)
-    legs = (
-        np.concatenate([np.repeat(cartan, rank), rows]),
-        np.concatenate([np.tile(cartan, rank), cols]),
-    )
+    # the basis index of each leg of each entry of an r value vector
+    ci, cj = np.indices((rank, rank))
+    legs = (_flat(ci, rows), _flat(cj, cols))
     n2 = len(legs[0])
     d_legs = (np.repeat(cartan, n2), np.tile(legs[0], rank), np.tile(legs[1], rank))
     n3 = len(d_legs[0])
@@ -296,14 +318,25 @@ def _build_residual_plan(g: SimpleLieAlgebra) -> _ResidualPlan:
     flat = np.concatenate([(c0 * dim + c1) * dim + c2 for c0, c1, c2 in coords])
     w3, slot = np.unique(flat, return_inverse=True)
     return _ResidualPlan(
-        s2=legs[0] * dim + legs[1],
-        s3=(d_legs[0] * dim + d_legs[1]) * dim + d_legs[2],
-        w3=w3,
-        src_x=np.concatenate(src_x),
-        src_y=np.concatenate(src_y),
-        coef=np.concatenate(coef),
-        slot=slot,
+        w3,
+        np.concatenate(src_x),
+        np.concatenate(src_y),
+        np.concatenate(coef),
+        slot,
+        *_support_maps(g, w3),
     )
+
+
+def _support_maps(g: SimpleLieAlgebra, support: np.ndarray):
+    """(weight, swap, hit) of _ResidualPlan for a sorted support of flat
+    (dim, dim, dim) indices."""
+    dim = g.dim
+    l0, l1, l2 = np.unravel_index(support, (dim,) * 3)
+    leg_weight = np.hstack([np.zeros((g.rank, g.rank)), g.root_system.roots.T])
+    swapped = (l1 * dim + l0) * dim + l2
+    swap = np.minimum(np.searchsorted(support, swapped), len(support) - 1)
+    weight = np.abs(leg_weight[:, l0] + leg_weight[:, l1] + leg_weight[:, l2])
+    return weight, swap, support[swap] == swapped
 
 
 def _residual_plan(g: SimpleLieAlgebra) -> _ResidualPlan:
@@ -313,53 +346,83 @@ def _residual_plan(g: SimpleLieAlgebra) -> _ResidualPlan:
     return g._residual_plan
 
 
-def _support_values(t, support: np.ndarray) -> np.ndarray:
-    flat = t.data.reshape(-1)
-    values = flat[support]
-    if np.count_nonzero(values) != np.count_nonzero(flat):
-        raise UnsupportedType(f"{type(t).__name__} has a nonzero entry off its weight-zero support")
-    return values
+def _cdybe_from(g: SimpleLieAlgebra, r12, r13, r23, d23, d31, d12) -> np.ndarray:
+    """Alt(dr) + [r12,r13] + [r12,r23] + [r13,r23] as a vector on the plan's w3.
 
-
-def _cdybe_from(r12, r13, r23, d23, d31, d12) -> Tensor3:
-    """Alt(dr) + [r12,r13] + [r12,r23] + [r13,r23] from the r evaluations on
-    the three leg pairs and the lambda-derivatives at the matching arguments.
-
-    The symmetrized derivative term places the Cartan leg cyclically:
-    x^(1) (dr)^{23} + x^(2) (dr)^{31} + x^(3) (dr)^{12}.  Every residual
-    in this module is assembled here, on the weight-zero support through
-    the algebra's _ResidualPlan; an input with a nonzero entry off that
-    support raises UnsupportedType.
+    Every argument is a _Record: the first three give r on the three leg
+    pairs, the last three the lambda-derivatives at the matching
+    arguments.  The symmetrized derivative term places the Cartan leg
+    cyclically: x^(1) (dr)^{23} + x^(2) (dr)^{31} + x^(3) (dr)^{12}.
+    Overflow yields inf or nan entries without a warning; callers test them.
     """
-    g = r12.algebra
-    for t in (r13, r23, d23, d31, d12):
-        r12._check(t)
     plan = _residual_plan(g)
-    inputs = [(r, plan.s2) for r in (r12, r13, r23)] + [(d, plan.s3) for d in (d23, d31, d12)]
-    gathered = {}  # a constant residual passes one r and one d three times each
-    for t, support in inputs:
-        if id(t) not in gathered:
-            gathered[id(t)] = _support_values(t, support)
-    values = np.concatenate([gathered[id(t)] for t, _ in inputs] + [np.ones(1, dtype=complex)])
-    terms = plan.coef * values[plan.src_x] * values[plan.src_y]
-    out = np.zeros(g.dim**3, dtype=complex)
-    out.real[plan.w3] = np.bincount(plan.slot, terms.real, len(plan.w3))
-    out.imag[plan.w3] = np.bincount(plan.slot, terms.imag, len(plan.w3))
-    return Tensor3(g, out.reshape((g.dim,) * 3))
+    no_dm = np.zeros((g.rank,) * 3, dtype=complex)
+    values = np.concatenate(
+        [_flat(r.m, r.phi) for r in (r12, r13, r23)]
+        + [_flat(no_dm if d.dm is None else d.dm, d.dphi) for d in (d23, d31, d12)]
+        + [np.ones(1, dtype=complex)]
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = plan.coef * values[plan.src_x] * values[plan.src_y]
+    w = np.empty(len(plan.w3), dtype=complex)
+    w.real = np.bincount(plan.slot, terms.real, len(plan.w3))
+    w.imag = np.bincount(plan.slot, terms.imag, len(plan.w3))
+    return w
 
 
-def _cartan_weight_norm(t) -> float:
-    """max over Cartan basis vectors x_k of the sup norm of act_diag(x_k, t).
+def _residual(
+    spec: RMatrixSpec,
+    lam: CartanVector,
+    zs=None,
+    mode: str = "analytic",
+    fd_step: float = 1e-5,
+) -> np.ndarray:
+    """The CDYBE residual of spec at lam (spectral specs: at the triple zs)
+    as a vector on the plan's w3.
 
-    ad x_k kills the Cartan and scales e_a by a_k, so the diagonal action
-    scales each entry by the sum of its legs' weights; only the nonzero
-    entries of t are visited.
+    A constant spec is evaluated once.  A spectral triple pairs the legs at
+    z12, z13, z23 and takes the derivatives at z23, z31, z12, so it is
+    evaluated at the four arguments z12, z13, z23 and -z13.  Raises
+    NonFiniteValue when an entry overflows.
     """
-    g = t.algebra
-    weights = np.hstack([np.zeros((g.rank, g.rank)), g.root_system.roots.T])
-    nonzero = np.flatnonzero(t.data)
-    total = sum(weights[:, leg] for leg in np.unravel_index(nonzero, t.data.shape))
-    return float(np.max(np.abs(t.data.reshape(-1)[nonzero]) * np.abs(total), initial=0.0))
+    if spec.is_spectral and zs is None:
+        raise SpecInvalid(f"{spec.family} residual needs a (z1, z2, z3) triple")
+    if not spec.is_spectral and zs is not None:
+        raise SpecInvalid(f"{spec.family} residual takes no spectral points")
+    if mode not in ("analytic", "finite-difference"):
+        raise SpecInvalid(f"unknown mode {mode!r}")
+    g, x = spec.algebra, lam.as_array()
+    if zs is None:
+        rec = _record(spec, x, None, mode, fd_step)
+        w = _cdybe_from(g, rec, rec, rec, rec, rec, rec)
+    else:
+        z1, z2, z3 = (complex(z) for z in zs)
+        z12, z13, z23 = z1 - z2, z1 - z3, z2 - z3
+        r12 = _record(spec, x, z12, mode, fd_step)
+        r13 = _record(spec, x, z13)
+        r23 = _record(spec, x, z23, mode, fd_step)
+        d31 = _record(spec, x, -z13, mode, fd_step)
+        w = _cdybe_from(g, r12, r13, r23, r23, d31, r12)
+    return _require_finite(w, lam, zs)
+
+
+def _require_finite(w: np.ndarray, lam: CartanVector, zs=None) -> np.ndarray:
+    if not np.all(np.isfinite(w)):
+        at = f"lambda {lam.as_array().tolist()}"
+        if zs is not None:
+            at += f", z {[complex(z) for z in zs]}"
+        raise NonFiniteValue(f"CDYBE residual is not finite at {at}")
+    return w
+
+
+def _sup(w: np.ndarray) -> float:
+    return float(np.max(np.abs(w)))
+
+
+def _densify(g: SimpleLieAlgebra, w: np.ndarray) -> Tensor3:
+    out = np.zeros(g.dim**3, dtype=complex)
+    out[_residual_plan(g).w3] = w
+    return Tensor3(g, out.reshape((g.dim,) * 3))
 
 
 def cdybe_residual_constant(
@@ -369,9 +432,7 @@ def cdybe_residual_constant(
     fd_step: float = 1e-5,
 ) -> Tensor3:
     """Alt(dr) + [r12,r13] + [r12,r23] + [r13,r23] for a constant spec."""
-    r = eval_constant(spec, lam)
-    d = eval_dlambda(spec, lam, None, mode=mode, fd_step=fd_step)
-    return _cdybe_from(r, r, r, d, d, d)
+    return _densify(spec.algebra, _residual(spec, lam, None, mode, fd_step))
 
 
 def cdybe_residual_spectral(
@@ -385,15 +446,7 @@ def cdybe_residual_spectral(
 ) -> Tensor3:
     """Spectral residual at the triple (z1, z2, z3): the legs pair at the
     argument differences z12, z13, z23 and the derivatives at z23, z31, z12."""
-    z12, z13, z23 = z1 - z2, z1 - z3, z2 - z3
-    return _cdybe_from(
-        eval_spectral(spec, lam, z12),
-        eval_spectral(spec, lam, z13),
-        eval_spectral(spec, lam, z23),
-        eval_dlambda(spec, lam, z23, mode=mode, fd_step=fd_step),
-        eval_dlambda(spec, lam, -z13, mode=mode, fd_step=fd_step),
-        eval_dlambda(spec, lam, z12, mode=mode, fd_step=fd_step),
-    )
+    return _densify(spec.algebra, _residual(spec, lam, (z1, z2, z3), mode, fd_step))
 
 
 def cdybe_residual(spec: RMatrixSpec, lam: CartanVector, zs=None, **kw) -> Tensor3:
@@ -405,6 +458,33 @@ def cdybe_residual(spec: RMatrixSpec, lam: CartanVector, zs=None, **kw) -> Tenso
     if zs is not None:
         raise SpecInvalid("constant spec takes no spectral points")
     return cdybe_residual_constant(spec, lam, **kw)
+
+
+def _residue(spec: RMatrixSpec, lam: CartanVector, radius: float, points: int):
+    """(M, phi) of the contour average, the eps estimate and the deviation;
+    see extract_residue.  The invariant tensor is 1 on the Cartan diagonal
+    and on every (e_a, e_{-a}) entry."""
+    if spec.family not in SPECTRAL_FAMILIES:
+        raise SpecInvalid("residue extraction needs a spectral family")
+    if points < 4:
+        raise SpecInvalid("need at least 4 contour points")
+    rs = spec.algebra.root_system
+    x = lam.as_array()
+    acc_m = np.zeros((rs.rank, rs.rank), dtype=complex)
+    acc_phi = np.zeros(rs.n_roots, dtype=complex)
+    for j in range(points):
+        zj = radius * cmath.exp(2j * math.pi * j / points)
+        rec = _record(spec, x, zj)
+        acc_m += zj * rec.m
+        acc_phi += zj * rec.phi
+    acc_m /= points
+    acc_phi /= points
+    eps_est = complex((np.trace(acc_m) + acc_phi.sum()) / (rs.rank + rs.n_roots))
+    deviation = max(
+        float(np.max(np.abs(acc_m - eps_est * np.eye(rs.rank)))),
+        float(np.max(np.abs(acc_phi - eps_est))),
+    )
+    return acc_m, acc_phi, eps_est, deviation
 
 
 def extract_residue(
@@ -419,20 +499,8 @@ def extract_residue(
     invariant tensor, sup deviation from that multiple).  Aliasing picks
     up only the z^{M-1} Laurent coefficient, negligible at this radius.
     """
-    if spec.family not in SPECTRAL_FAMILIES:
-        raise SpecInvalid("residue extraction needs a spectral family")
-    if points < 4:
-        raise SpecInvalid("need at least 4 contour points")
-    g = spec.algebra
-    acc = np.zeros((g.dim, g.dim), dtype=complex)
-    for j in range(points):
-        zj = radius * cmath.exp(2j * math.pi * j / points)
-        acc += zj * eval_spectral(spec, lam, zj).data
-    acc /= points
-    omega = casimir(g).data
-    eps_est = complex(np.vdot(omega, acc) / np.vdot(omega, omega))
-    deviation = float(np.max(np.abs(acc - eps_est * omega)))
-    return Tensor2(g, acc), eps_est, deviation
+    acc_m, acc_phi, eps_est, deviation = _residue(spec, lam, radius, points)
+    return _assemble2(spec.algebra, acc_m, acc_phi), eps_est, deviation
 
 
 def check_phi_triangle(
@@ -524,11 +592,11 @@ def addition_identity_residual(
 
 
 def _has_live_root_coefficient(spec, lam) -> bool:
-    rs = spec.algebra.root_system
+    """Whether any positive root's identity-bearing coefficient (see
+    family_phi) is nonzero at lam; spectral specs are read at a fixed z."""
     z = 0.17 - 0.23j if spec.family in SPECTRAL_FAMILIES else None
-    return any(
-        abs(family_phi(spec, lam, p, z)) > 1e-12 for p in rs.positive_roots
-    )
+    phi = _identity_phi(spec, _record(spec, lam.as_array(), z).phi)
+    return bool(np.any(np.abs(phi[list(spec.algebra.root_system.positive_roots)]) > 1e-12))
 
 
 def _campaign_points(spec: RMatrixSpec, plan: SamplePlan) -> list:
@@ -540,24 +608,37 @@ def _campaign_points(spec: RMatrixSpec, plan: SamplePlan) -> list:
 
 
 def _axiom_checks(spec: RMatrixSpec, points: list) -> list:
-    """Zero-weight and unitarity, plus the residue for spectral specs."""
-    g = spec.algebra
+    """Zero-weight and unitarity, plus the residue for spectral specs.
+
+    A record holds only Cartan x Cartan entries, of weight zero, and one
+    (e_a, e_{-a}) entry per root, of weight a + (-a).  Constant unitarity
+    compares r + r^T with eps times the invariant tensor, which is 1 on the
+    Cartan diagonal and on every (e_a, e_{-a}) entry; spectral unitarity
+    compares r(z) + r(-z)^T with 0.
+    """
+    rs = spec.algebra.root_system
+    rank = rs.rank
+    neg = np.array([rs.neg(p) for p in range(rs.n_roots)], dtype=np.intp)
+    pair_weight = np.abs(rs.roots + rs.roots[neg]).T
     spectral = spec.family in SPECTRAL_FAMILIES
     eps = effective_coupling(spec)
-    omega = casimir(g)
     zero_w, unit, residue_dev = [], [], []
     for lam, zs in points:
+        x = lam.as_array()
         if spectral:
             z12 = zs[0] - zs[1]
-            r = eval_spectral(spec, lam, z12)
-            refl = eval_spectral(spec, lam, -z12)
-            unit.append((r + Tensor2(g, refl.data.T)).norm())
-            _, eps_est, dev = extract_residue(spec, lam)
+            r = _record(spec, x, z12)
+            refl = _record(spec, x, -z12)
+            m_dev = r.m + refl.m.T
+            phi_dev = r.phi + refl.phi[neg]
+            _, _, eps_est, dev = _residue(spec, lam, 0.05, 16)
             residue_dev.append(max(dev, abs(eps_est - eps)))
         else:
-            r = eval_constant(spec, lam)
-            unit.append((r + Tensor2(g, r.data.T) - omega.scale(eps)).norm())
-        zero_w.append(_cartan_weight_norm(r))
+            r = _record(spec, x, None)
+            m_dev = r.m + r.m.T - eps * np.eye(rank)
+            phi_dev = r.phi + r.phi[neg] - eps
+        unit.append(max(float(np.max(np.abs(m_dev))), float(np.max(np.abs(phi_dev)))))
+        zero_w.append(float(np.max(np.abs(r.phi) * pair_weight, initial=0.0)))
     n = len(points)
     checks = [
         CheckResult("zero-weight", _ZERO_WEIGHT_TOL, tuple(zero_w), n),
@@ -575,17 +656,18 @@ def _residual_checks(spec: RMatrixSpec, points: list) -> list:
     The control re-runs the residual with one root coefficient sign-flipped
     and records threshold/residual, so its value is <= 1 exactly when the
     perturbation is loud; it is omitted for specs with no root coefficient
-    to flip.  Each residual is reduced to norms before the next is built.
+    to flip.  Each residual stays a vector on the plan's support.
     """
     rs = spec.algebra.root_system
+    plan = _residual_plan(spec.algebra)
     spectral = spec.family in SPECTRAL_FAMILIES
     resid, res_weight, skew = [], [], []
     for lam, zs in points:
-        res = cdybe_residual(spec, lam, zs)
-        resid.append(res.norm())
-        res_weight.append(_cartan_weight_norm(res))
+        w = _residual(spec, lam, zs)
+        resid.append(_sup(w))
+        res_weight.append(plan.weight_norm(w))
         if not spectral:
-            skew.append((res + res.transpose_legs((1, 0, 2))).norm())
+            skew.append(plan.skew_norm(w))
     n = len(points)
     checks = [
         CheckResult("cdybe-residual", _RESIDUAL_TOL_ANALYTIC, tuple(resid), n),
@@ -597,7 +679,7 @@ def _residual_checks(spec: RMatrixSpec, points: list) -> list:
     lam0, zs0 = points[0]
     if _has_live_root_coefficient(spec, lam0):
         flipped = replace(spec, debug_flip_root=int(rs.positive_roots[0]), validate=False)
-        control = cdybe_residual(flipped, lam0, zs0).norm()
+        control = _sup(_residual(flipped, lam0, zs0))
         margin = _CONTROL_THRESHOLD / control if control > 0 else math.inf
         checks.append(CheckResult("negative-control-margin", 1.0, (margin,), 1))
     return checks
@@ -697,17 +779,19 @@ def limit_compare(
         lam, zs = _draw_point(probes, plan, rng, 1 if spectral else 0)
         points.append((lam, zs[0] if zs else None))
 
-    def sup_dev(sa, sb) -> float:
+    records = [[_record(s, lam.as_array(), z) for lam, z in points] for s in probes]
+
+    def sup_dev(ra, rb) -> float:
         out = 0.0
-        for lam, z in points:
-            d = (eval_rmatrix(sa, lam, z) - eval_rmatrix(sb, lam, z)).norm()
+        for a, b in zip(ra, rb):
+            d = max(float(np.max(np.abs(a.m - b.m))), float(np.max(np.abs(a.phi - b.phi))))
             out = max(out, d)
         return out
 
     cauchy = tuple(
-        sup_dev(staged[i], staged[i + 1]) for i in range(len(staged) - 1)
+        sup_dev(records[i], records[i + 1]) for i in range(len(staged) - 1)
     )
-    final = sup_dev(staged[-1], spec_b) if spec_b is not None else None
+    final = sup_dev(records[-2], records[-1]) if spec_b is not None else None
     return LimitComparison(cauchy=cauchy, final_deviation=final, n_samples=len(points))
 
 
@@ -747,17 +831,15 @@ def reduce_pair_check(
     sum_norms, rho_norms = [], []
     for _ in range(plan.count):
         lam, _ = _draw_point((spec_tilde, rho_spec), plan, rng, 0)
-        rho_norms.append(cdybe_residual_constant(rho_spec, lam).norm())
+        rho = _record(rho_spec, lam.as_array(), None, "analytic")
+        w = _require_finite(_cdybe_from(g, *(rho,) * 6), lam)
+        rho_norms.append(_sup(w))
 
-        r_tilde = eval_constant(spec_tilde, lam)
-        r_rho = eval_constant(rho_spec, lam)
-        d_tilde = eval_dlambda(spec_tilde, lam)
-        d_rho = eval_dlambda(rho_spec, lam)
-        rest = r_tilde - r_rho
-        d_rest = d_tilde - d_rho
-        r_sum = rest + r_rho
-        d_sum = d_rest + d_rho
-        sum_norms.append(_cdybe_from(r_sum, r_sum, r_sum, d_sum, d_sum, d_sum).norm())
+        tilde = _record(spec_tilde, lam.as_array(), None, "analytic")
+        rest = _Record(tilde.m - rho.m, tilde.phi - rho.phi, None, tilde.dphi - rho.dphi)
+        total = _Record(rest.m + rho.m, rest.phi + rho.phi, None, rest.dphi + rho.dphi)
+        w = _require_finite(_cdybe_from(g, *(total,) * 6), lam)
+        sum_norms.append(_sup(w))
 
     checks = [
         CheckResult("projector-cdybe", 1e-9, tuple(rho_norms), plan.count),
@@ -800,16 +882,14 @@ def affine_series_check(
     params = ThetaParams(tau=tau)
     u = cmath.exp(2j * math.pi * complex(z))
 
-    data = np.zeros((algebra.dim, algebra.dim), dtype=complex)
-    s0 = classical_series("rho-sum", u, 0.0, params, n_terms)
-    for k in range(rs.rank):
-        data[k, k] = s0
-    for p in range(rs.n_roots):
-        a = pairing(rs, lam, p)
-        data[rs.rank + p, rs.rank + rs.neg(p)] = classical_series(
-            "sigma-sum", u, a, params, n_terms
-        )
-    series_route = Tensor2(algebra, data)
-
-    closed_route = eval_spectral(affine_hat_spec(algebra, tau), lam, complex(z))
-    return (series_route - closed_route).norm()
+    series_m = np.zeros((rs.rank, rs.rank), dtype=complex)
+    np.fill_diagonal(series_m, classical_series("rho-sum", u, 0.0, params, n_terms))
+    series_phi = np.array(
+        [classical_series("sigma-sum", u, pairing(rs, lam, p), params, n_terms) for p in range(rs.n_roots)],
+        dtype=complex,
+    )
+    closed = _record(affine_hat_spec(algebra, tau), lam.as_array(), complex(z))
+    return max(
+        float(np.max(np.abs(series_m - closed.m))),
+        float(np.max(np.abs(series_phi - closed.phi))),
+    )

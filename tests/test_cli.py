@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,16 @@ def _run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _run_process(*argv):
+    """Run `python -m dynr` in a fresh interpreter: (exit code, stderr)."""
+    src = str(Path(dynr.verifier.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dynr", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    return proc.returncode, proc.stderr
 
 
 # ---------------------------------------------------------------- verify
@@ -279,6 +293,49 @@ def test_polarize_rejects_symmetric_set(capsys):
     assert "FAIL" in out
 
 
+def _spec_doc_with(**fields):
+    doc = spec_to_json(RMatrixSpec(algebra=A1, family="TrigCotanh", eps=2.0))
+    doc.update(fields)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--family", "trig-cotanh", "--eps", "nan"),
+        ("--family", "trig-cotanh", "--eps", "1e400"),
+        ("--family", "elliptic-spectral", "--tau", "nan+1i"),
+        ("--family", "trig-cotanh", "--eps", "2", "--nu", "nan"),
+        ("--spec-json", _spec_doc_with(eps=[float("nan"), 0.0])),
+        ("--spec-json", _spec_doc_with(nu=[[float("nan"), 0.0]])),
+    ],
+)
+def test_verify_rejects_non_finite_input(argv):
+    code, err = _run_process("verify", "--algebra", "A1", "--samples", "2", *argv)
+    assert code == 2
+    assert "Traceback" not in err
+    assert "finite" in err
+
+
+def test_verify_rejects_negative_seed():
+    code, err = _run_process(
+        "verify", "--algebra", "A2", "--family", "trig-cotanh", "--eps", "2", "--seed", "-1",
+    )
+    assert code == 2
+    assert "Traceback" not in err
+    assert "seed must be a non-negative integer" in err
+
+
+def test_verify_reports_overflowing_residual_as_numeric_failure():
+    code, err = _run_process(
+        "verify", "--algebra", "A2", "--family", "trig-cotanh", "--eps", "1e300", "--samples", "2",
+    )
+    assert code == 3
+    assert "Traceback" not in err
+    assert "Warning" not in err
+    assert "NonFiniteValue" in err and "lambda" in err
+
+
 # ---------------------------------------------------------------- limits
 
 def test_limits_tau_schedule(capsys):
@@ -308,6 +365,13 @@ def test_limits_bad_schedule(capsys):
         capsys, "limits", "--algebra", "A1", "--schedule", "eps:1,2",
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("schedule", ["tau:", "tau:4i", "tau:4i,nan"])
+def test_limits_rejects_short_or_non_finite_schedule(schedule):
+    code, err = _run_process("limits", "--algebra", "A2", "--schedule", schedule)
+    assert code == 2
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------- pair

@@ -115,6 +115,28 @@ def test_gauge_family_gates():
     gauge_apply(const, GaugeRecord(kind=4, scale=(3.0, 1.0)))
 
 
+def test_non_finite_parameters_rejected():
+    nan = float("nan")
+    for kw in (
+        dict(family="TrigCotanh", eps=complex(nan, 0)),
+        dict(family="TrigCotanh", eps=1.0, nu=CartanVector.of([float("inf")])),
+        dict(family="TrigCotanh", eps=1.0, C=np.array([[nan]])),
+        dict(family="EllipticSpectral", tau=complex(nan, 1.0)),
+    ):
+        with pytest.raises(SpecInvalid, match="must be finite"):
+            RMatrixSpec(algebra=A1, **kw)
+    const = RMatrixSpec(algebra=A1, family="TrigCotanh", eps=1.0)
+    spectral = RMatrixSpec(algebra=A1, family="RationalSpectral", X=())
+    for spec, rec in (
+        (const, GaugeRecord(kind=1, c_matrix=np.array([[0.0]]) * nan)),
+        (spectral, GaugeRecord(kind=2, psi=(np.eye(1), np.array([nan])))),
+        (const, GaugeRecord(kind=3, shift=CartanVector.of([nan]))),
+        (const, GaugeRecord(kind=4, scale=(float("inf"), 1.0))),
+    ):
+        with pytest.raises(SpecInvalid, match="payload must be finite"):
+            gauge_apply(spec, rec)
+
+
 def test_eval_dispatch_gates():
     const = RMatrixSpec(algebra=A1, family="RationalConstant", X=_full_X(A1))
     spectral = RMatrixSpec(algebra=A1, family="RationalSpectral", X=())

@@ -21,7 +21,6 @@ from dynr import (
     Tensor2,
     Tensor3,
     ThetaParams,
-    UnsupportedType,
     act_diag,
     affine_hat_spec,
     affine_series_check,
@@ -37,14 +36,14 @@ from dynr import (
     effective_coupling,
     eval_constant,
     eval_dlambda,
+    eval_spectral,
     extract_residue,
     family_phi,
     gauge_apply,
     limit_compare,
     reduce_pair_check,
-    tensor_product,
 )
-from dynr import verifier
+from dynr import rmatrix, verifier
 from dynr.verifier import addition_identity_residual, phi_ode_residual, sample_lambda, sample_spectral_point
 
 A1 = build_simple_lie_algebra(build_root_system("A", 1))
@@ -491,6 +490,8 @@ def test_sample_plan_gates():
         SamplePlan(box=(1.0, -1.0))
     with pytest.raises(SpecInvalid):
         SamplePlan(z_box=(0.5, 0.5))
+    with pytest.raises(SpecInvalid, match="seed must be a non-negative integer"):
+        SamplePlan(seed=-1)
 
 
 def test_sampling_exhausted():
@@ -541,18 +542,34 @@ def _dense_cdybe(r12, r13, r23, d23, d31, d12):
 
 
 def _kernel_inputs(monkeypatch, run):
-    """Every argument tuple run() passes to verifier._cdybe_from."""
+    """Every (algebra, records, residual vector) run() passes through
+    verifier._cdybe_from."""
     seen = []
     kernel = verifier._cdybe_from
 
-    def spy(*args):
-        seen.append(args)
-        return kernel(*args)
+    def spy(g, *records):
+        w = kernel(g, *records)
+        seen.append((g, records, w))
+        return w
 
     monkeypatch.setattr(verifier, "_cdybe_from", spy)
     run()
     monkeypatch.undo()
     return seen
+
+
+def _dense_r(g, rec):
+    return rmatrix._assemble2(g, rec.m, rec.phi)
+
+
+def _dense_d(g, rec):
+    rank = g.rank
+    rows, cols = g.root_pair_index()
+    data = np.zeros((g.dim,) * 3, dtype=complex)
+    if rec.dm is not None:
+        data[:rank, :rank, :rank] = rec.dm
+    data[:rank, rows, cols] = rec.dphi
+    return Tensor3(g, data)
 
 
 def _kernel_zoo(g):
@@ -608,15 +625,17 @@ def test_residual_kernel_matches_dense_oracle(monkeypatch, series, rank):
 
     inputs = _kernel_inputs(monkeypatch, run)
     assert len(inputs) == 2 * len(_kernel_zoo(g)) + 2
-    for args in inputs:
-        r12, r13, r23 = args[:3]
+    for g_seen, records, w in inputs:
+        assert g_seen is g
+        r12, r13, r23 = (_dense_r(g, rec) for rec in records[:3])
+        d23, d31, d12 = (_dense_d(g, rec) for rec in records[3:])
         scale = max(
             bracket_legs(r12, r13, "12-13").norm(),
             bracket_legs(r12, r23, "12-23").norm(),
             bracket_legs(r13, r23, "13-23").norm(),
         )
-        got = verifier._cdybe_from(*args).data
-        assert np.max(np.abs(got - _dense_cdybe(*args).data)) <= 1e-14 * scale
+        want = _dense_cdybe(r12, r13, r23, d23, d31, d12).data
+        assert np.max(np.abs(verifier._densify(g, w).data - want)) <= 1e-14 * scale
 
     # every entry the plan can reach has weight zero
     rs = g.root_system
@@ -625,21 +644,39 @@ def test_residual_kernel_matches_dense_oracle(monkeypatch, series, rank):
     assert not np.any(sum(coeffs[leg] for leg in legs))
 
 
-def test_residual_kernel_rejects_off_support_input():
+def test_record_values_round_trip_through_dense():
+    """The value vectors the kernel reads are the records' dense tensors,
+    read in the plan's leg order, and a residual vector densifies onto w3."""
     g = A2
-    spec = RMatrixSpec(algebra=g, family="TrigCotanh", eps=2.0)
-    lam = CartanVector.of([0.83, -0.41])
-    r = eval_constant(spec, lam)
-    d = eval_dlambda(spec, lam)
-    e = np.zeros(g.dim)
-    e[g.root_basis_index(0)] = 1.0
-    off = r + tensor_product(g, e, e)  # e_a (x) e_a has weight 2a
-    with pytest.raises(UnsupportedType):
-        verifier._cdybe_from(r, r, off, d, d, d)
-    d_off = Tensor3(g, d.data.copy())
-    d_off.data[0, g.root_basis_index(0), g.root_basis_index(0)] = 1.0
-    with pytest.raises(UnsupportedType):
-        verifier._cdybe_from(r, r, r, d, d_off, d)
+    rank, rs = g.rank, g.root_system
+    rows, cols = g.root_pair_index()
+    ci, cj = np.indices((rank, rank))
+    legs = (verifier._flat(ci, rows), verifier._flat(cj, cols))
+    k = np.arange(rank)
+    d_legs = (
+        verifier._flat(np.broadcast_to(k[:, None, None], (rank,) * 3), np.broadcast_to(k[:, None], (rank, rs.n_roots))),
+        verifier._flat(np.broadcast_to(ci, (rank,) * 3), np.broadcast_to(rows, (rank, rs.n_roots))),
+        verifier._flat(np.broadcast_to(cj, (rank,) * 3), np.broadcast_to(cols, (rank, rs.n_roots))),
+    )
+    lam = CartanVector.of([0.83 - 0.2j, -0.41 + 0.1j])
+    for spec in _kernel_zoo(g):
+        z = 0.31 - 0.17j if spec.is_spectral else None
+        dense_r = eval_spectral(spec, lam, z) if spec.is_spectral else eval_constant(spec, lam)
+        for mode in ("analytic", "finite-difference"):
+            rec = rmatrix._record(spec, lam.as_array(), z, mode)
+            r = np.zeros((g.dim, g.dim), dtype=complex)
+            r[legs] = verifier._flat(rec.m, rec.phi)
+            assert np.array_equal(r, dense_r.data)
+            dm = np.zeros((rank,) * 3) if rec.dm is None else rec.dm
+            d = np.zeros((g.dim,) * 3, dtype=complex)
+            d[d_legs] = verifier._flat(dm, rec.dphi)
+            assert np.array_equal(d, eval_dlambda(spec, lam, z, mode=mode).data)
+
+    w = verifier._residual(_kernel_zoo(g)[1], lam)
+    dense = cdybe_residual_constant(_kernel_zoo(g)[1], lam).data.reshape(-1)
+    plan = verifier._residual_plan(g)
+    assert np.array_equal(dense[plan.w3], w)
+    assert np.count_nonzero(np.delete(dense, plan.w3)) == 0
 
 
 def test_residual_plan_cached_per_algebra_instance():
@@ -657,16 +694,82 @@ def test_residual_plan_cached_per_algebra_instance():
     plan = verifier._residual_plan(second)
     fresh = verifier._build_residual_plan(second)
     assert len(plan.slot) != b3_terms
-    for name in ("s2", "s3", "w3", "src_x", "src_y", "coef", "slot"):
+    for name in ("w3", "src_x", "src_y", "coef", "slot", "weight", "swap", "hit"):
         assert np.array_equal(getattr(plan, name), getattr(fresh, name))
 
 
 @pytest.mark.parametrize("series, rank", [("A", 2), ("B", 3), ("D", 4)])
 def test_cartan_weight_norm_matches_act_diag(series, rank):
+    """The plan's weight and skew norms match the dense diagonal Cartan
+    action and the dense leg swap.  The residual's own support has weight
+    zero, so the maps are built on a random support that mixes weights and
+    holds some swapped pairs and some unpaired entries."""
     g = build_simple_lie_algebra(build_root_system(series, rank))
     rng = np.random.default_rng(rank)
-    for cls, legs in ((Tensor2, 2), (Tensor3, 3)):
-        shape = (g.dim,) * legs
-        t = cls(g, rng.normal(size=shape) + 1j * rng.normal(size=shape))
-        want = max(act_diag(k, t).norm() for k in range(g.rank))
-        assert abs(verifier._cartan_weight_norm(t) - want) <= 1e-14 * want
+    support = np.unique(rng.integers(0, g.dim**3, size=4 * g.dim**2))
+    support = np.union1d(support, verifier._residual_plan(g).w3)
+    plan = verifier._ResidualPlan(support, None, None, None, None, *verifier._support_maps(g, support))
+    assert plan.hit.any() and not plan.hit.all()
+    w = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
+    data = np.zeros(g.dim**3, dtype=complex)
+    data[support] = w
+    t = Tensor3(g, data.reshape((g.dim,) * 3))
+    want = max(act_diag(k, t).norm() for k in range(g.rank))
+    assert abs(plan.weight_norm(w) - want) <= 1e-14 * want
+    assert plan.skew_norm(w) == (t + t.transpose_legs((1, 0, 2))).norm()
+    # on the residual's own support every weight is exactly zero
+    assert not verifier._residual_plan(g).weight.any()
+
+
+@pytest.mark.parametrize("series, rank", [("A", 2), ("B", 3)])
+def test_axiom_checks_match_dense_oracle(series, rank):
+    """Zero-weight, unitarity and residue read from records agree with the
+    dense tensors: act_diag, r + r^T - eps * casimir and the dense contour."""
+    g = build_simple_lie_algebra(build_root_system(series, rank))
+    omega = casimir(g).data
+    for spec in _kernel_zoo(g):
+        points = verifier._campaign_points(spec, SamplePlan(seed=5, count=2))
+        got = {c.name: c.residuals for c in verifier._axiom_checks(spec, points)}
+        eps = effective_coupling(spec)
+        want = {"zero-weight": [], "unitarity": [], "residue": []}
+        for lam, zs in points:
+            if spec.is_spectral:
+                z12 = zs[0] - zs[1]
+                r = eval_spectral(spec, lam, z12)
+                unit = r.data + eval_spectral(spec, lam, -z12).data.T
+                acc = sum(
+                    zj * eval_spectral(spec, lam, zj).data
+                    for zj in 0.05 * np.exp(2j * np.pi * np.arange(16) / 16)
+                ) / 16
+                est = np.vdot(omega, acc) / np.vdot(omega, omega)
+                want["residue"].append(max(np.max(np.abs(acc - est * omega)), abs(est - eps)))
+            else:
+                r = eval_constant(spec, lam)
+                unit = r.data + r.data.T - eps * omega
+            want["zero-weight"].append(max(act_diag(k, r).norm() for k in range(g.rank)))
+            want["unitarity"].append(np.max(np.abs(unit)))
+        for name, values in got.items():
+            scale = max(1.0, *(abs(v) for v in want[name]))
+            assert np.max(np.abs(np.subtract(values, want[name]))) <= 1e-14 * scale, name
+
+
+def test_check_axioms_builds_no_dense_tensor(monkeypatch):
+    g = build_simple_lie_algebra(build_root_system("E", 7))
+    rank = g.rank
+    c = np.zeros((rank, rank), dtype=complex)
+    c[0, 1], c[1, 0] = 0.4, -0.4
+    gauged = gauge_apply(RMatrixSpec(algebra=g, family="TrigCotanh", eps=2.0), GaugeRecord(kind=1, c_matrix=c))
+    gauged = gauge_apply(gauged, GaugeRecord(kind=3, shift=CartanVector.of(0.1 * np.ones(rank))))
+    constant = RMatrixSpec(algebra=g, family="TrigCotanh", eps=2.0)
+    spectral = RMatrixSpec(algebra=g, family="RationalSpectral", X=_full_X(g))
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__} built on the verification path")
+
+    monkeypatch.setattr(Tensor2, "__init__", refuse)
+    monkeypatch.setattr(Tensor3, "__init__", refuse)
+    plan = SamplePlan(seed=1, count=2)
+    for spec in (constant, spectral, gauged):
+        assert check_axioms(spec, plan).passed
+    for spec in (constant, gauged):
+        assert reduce_pair_check(spec, g.root_system.simple_roots[:1], plan).passed
