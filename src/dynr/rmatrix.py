@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .combinatorics import RootSubset, additive_closure, is_closed_subset
-from .errors import PoleProximity, SpecInvalid
+from .errors import NonFiniteValue, PoleProximity, SpecInvalid
 from .lie_core import CartanVector, SimpleLieAlgebra
 from .special_fn import ThetaParams, coth_scaled, rho_fn, sigma_w, sigma_w_dw
 from .tensor_alg import Tensor2, Tensor3
@@ -201,7 +201,7 @@ class RMatrixSpec:
         if np.max(np.abs(self.C + self.C.T)) > 1e-12:
             raise SpecInvalid("C must be antisymmetric")
         for g in self.gauge_stack:
-            _check_gauge_against_family(self.family, g)
+            _check_gauge_against_family(self, g)
 
     @property
     def is_spectral(self) -> bool:
@@ -211,11 +211,19 @@ class RMatrixSpec:
         return ThetaParams(tau=self.tau)
 
 
-def _check_gauge_against_family(family: str, g: GaugeRecord):
+def _check_gauge_against_family(spec: RMatrixSpec, g: GaugeRecord):
+    """Raise SpecInvalid unless g's payload is finite, of spec's rank and allowed for its family."""
     payload = (g.c_matrix, g.scale, None if g.shift is None else g.shift.coords, *(g.psi or ()))
     if any(part is not None and not np.all(np.isfinite(part)) for part in payload):
         raise SpecInvalid(f"kind-{g.kind} gauge payload must be finite")
-    spectral = family in SPECTRAL_FAMILIES
+    rank = spec.algebra.rank
+    if g.kind == 1 and g.c_matrix.shape != (rank, rank):
+        raise SpecInvalid("c_matrix dimension mismatch")
+    if g.kind == 2 and g.psi[0].shape[0] != rank:
+        raise SpecInvalid("psi dimension mismatch")
+    if g.kind == 3 and len(g.shift.coords) != rank:
+        raise SpecInvalid("shift dimension mismatch")
+    spectral = spec.family in SPECTRAL_FAMILIES
     if g.kind == 2 and not spectral:
         raise SpecInvalid("kind-2 gauges apply to spectral families only")
     if g.kind == 4 and not spectral and complex(g.scale[1]) != 1:
@@ -230,13 +238,7 @@ def gauge_apply(spec: RMatrixSpec, g: GaugeRecord) -> RMatrixSpec:
     """
     if not isinstance(g, GaugeRecord):
         raise SpecInvalid("gauge_apply expects a GaugeRecord")
-    _check_gauge_against_family(spec.family, g)
-    if g.kind == 2 and g.psi is not None and g.psi[0].shape[0] != spec.algebra.rank:
-        raise SpecInvalid("psi dimension mismatch")
-    if g.kind == 3 and len(g.shift.coords) != spec.algebra.rank:
-        raise SpecInvalid("shift dimension mismatch")
-    if g.kind == 1 and g.c_matrix.shape[0] != spec.algebra.rank:
-        raise SpecInvalid("c_matrix dimension mismatch")
+    _check_gauge_against_family(spec, g)
     return replace(spec, gauge_stack=spec.gauge_stack + (g,), validate=False)
 
 
@@ -260,7 +262,8 @@ def _require_margin(value: complex, what: str):
 
 
 def _base_eval(spec: RMatrixSpec, lam: np.ndarray, z: Optional[complex], want_d: bool):
-    """Family formulas in canonical (M, phi, dphi) shape, debug knobs applied."""
+    """Family formulas in canonical (M, phi, dphi) shape, debug_scale_omega
+    applied (_record applies debug_flip_root)."""
     rs = spec.algebra.root_system
     rank, nr = rs.rank, rs.n_roots
     lamt = lam - spec.nu.as_array()
@@ -328,10 +331,6 @@ def _base_eval(spec: RMatrixSpec, lam: np.ndarray, z: Optional[complex], want_d:
             phi[p] += 1.0 / h
             if want_d:
                 dphi[:, p] = -rs.roots[p] / (h * h)
-    if spec.debug_flip_root is not None:
-        phi[spec.debug_flip_root] *= -1
-        if want_d:
-            dphi[:, spec.debug_flip_root] *= -1
     return m, phi, dphi
 
 
@@ -375,6 +374,17 @@ class _Record(NamedTuple):
     dphi: Optional[np.ndarray] = None
 
 
+def _flip(rec: _Record, p: int) -> _Record:
+    """rec with phi_p and dphi[:, p] negated.  Every gauge kind is linear in
+    (phi_p, dphi_p) and negation is exact, so this gives the values a flip at
+    the family formula gives, and flipping twice restores rec bit for bit."""
+    phi, dphi = rec.phi.copy(), None if rec.dphi is None else rec.dphi.copy()
+    phi[p] = -phi[p]
+    if dphi is not None:
+        dphi[:, p] = -dphi[:, p]
+    return rec._replace(phi=phi, dphi=dphi)
+
+
 def _record(
     spec: RMatrixSpec,
     lam: np.ndarray,
@@ -386,28 +396,35 @@ def _record(
 
     Analytic mode differentiates the closed-form coefficients (threaded
     through the gauge stack), where M is lam-independent; finite-difference
-    mode takes central differences of (M, phi) at lam +- fd_step e_k.
+    mode takes central differences of (M, phi) at lam +- fd_step e_k.  The
+    spec's debug_flip_root is applied to the result.  Raises NonFiniteValue
+    naming (lam, z) when an entry is inf or nan.
     """
     top = len(spec.gauge_stack) - 1
     if mode is None:
-        return _Record(*_evaluate(spec, lam, z, top, False)[:2])
-    if mode == "analytic":
+        rec = _Record(*_evaluate(spec, lam, z, top, False)[:2])
+    elif mode == "analytic":
         m, phi, dphi = _evaluate(spec, lam, z, top, True)
-        return _Record(m, phi, None, dphi)
-    if mode != "finite-difference":
+        rec = _Record(m, phi, None, dphi)
+    elif mode != "finite-difference":
         raise SpecInvalid(f"unknown mode {mode!r}")
-    m, phi, _ = _evaluate(spec, lam, z, top, False)
-    rank = len(m)
-    dm = np.zeros((rank, rank, rank), dtype=complex)
-    dphi = np.zeros((rank, len(phi)), dtype=complex)
-    for i in range(rank):
-        step = np.zeros(rank, dtype=complex)
-        step[i] = fd_step
-        up = _evaluate(spec, lam + step, z, top, False)
-        dn = _evaluate(spec, lam - step, z, top, False)
-        dm[i] = (up[0] - dn[0]) / (2 * fd_step)
-        dphi[i] = (up[1] - dn[1]) / (2 * fd_step)
-    return _Record(m, phi, dm, dphi)
+    else:
+        m, phi, _ = _evaluate(spec, lam, z, top, False)
+        rank = len(m)
+        dm = np.zeros((rank, rank, rank), dtype=complex)
+        dphi = np.zeros((rank, len(phi)), dtype=complex)
+        for i in range(rank):
+            step = np.zeros(rank, dtype=complex)
+            step[i] = fd_step
+            up = _evaluate(spec, lam + step, z, top, False)
+            dn = _evaluate(spec, lam - step, z, top, False)
+            dm[i] = (up[0] - dn[0]) / (2 * fd_step)
+            dphi[i] = (up[1] - dn[1]) / (2 * fd_step)
+        rec = _Record(m, phi, dm, dphi)
+    if not all(np.all(np.isfinite(a)) for a in rec if a is not None):
+        at = "" if z is None else f", z {complex(z)}"
+        raise NonFiniteValue(f"r-matrix record is not finite at lambda {lam.tolist()}{at}")
+    return rec if spec.debug_flip_root is None else _flip(rec, spec.debug_flip_root)
 
 
 def _assemble2(algebra: SimpleLieAlgebra, m: np.ndarray, phi: np.ndarray) -> Tensor2:

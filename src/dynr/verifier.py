@@ -26,12 +26,13 @@ from .errors import (
     SpecInvalid,
     SubalgebraInvalid,
 )
-from .lie_core import CartanVector, SimpleLieAlgebra, pairing
+from .lie_core import CartanVector, SimpleLieAlgebra, _coo, _join, pairing
 from .rmatrix import (
     SPECTRAL_FAMILIES,
     GaugeRecord,
     RMatrixSpec,
     _assemble2,
+    _flip,
     _identity_phi,
     _record,
     _Record,
@@ -173,26 +174,20 @@ def _draw_vector(rng, rank: int, box, im_box=None) -> np.ndarray:
     return rng.uniform(lo, hi, rank) + 1j * rng.uniform(ilo, ihi, rank)
 
 
-def _lambda_im_box(spec: RMatrixSpec, plan: SamplePlan):
-    # Theta-quotient coefficients grow double-exponentially in the imaginary
-    # part of the root pairings while being quasi-periodic in them, so wide
-    # imaginary sampling only inflates magnitudes without adding coverage.
-    # Keep Im(lambda) at half the z_box scale for the elliptic family.
-    if spec.family != "EllipticSpectral":
-        return None
-    lo, hi = plan.z_box
-    return (0.5 * lo, 0.5 * hi)
-
-
-def _draw_point(specs: Sequence[RMatrixSpec], plan: SamplePlan, rng, n_z: int, im_box=None):
+def _draw_point(specs: Sequence[RMatrixSpec], plan: SamplePlan, rng, n_z: int):
     """Seeded (lambda, zs) with n_z in {0, 1, 3} spectral points, redrawn
     until every spec clears the plan's pole margin.
 
     The margin is taken with no z for n_z = 0, at z for n_z = 1, and at
     +-z12, +-z13, +-z23 for n_z = 3, so unitarity checks can evaluate the
-    reflected arguments too.  im_box bounds Im(lambda) (default: plan.box).
+    reflected arguments too.  Im(lambda) keeps to half the z_box when any
+    spec is elliptic: theta quotients are quasi-periodic in the root pairings
+    but grow double-exponentially in their imaginary part, so wider imaginary
+    sampling only inflates magnitudes without adding coverage.
     """
     rank = specs[0].algebra.root_system.rank
+    elliptic = any(s.family == "EllipticSpectral" for s in specs)
+    im_box = tuple(0.5 * b for b in plan.z_box) if elliptic else None
     for _ in range(plan.max_resamples):
         lam = CartanVector.of(_draw_vector(rng, rank, plan.box, im_box))
         zs = tuple(complex(w) for w in _draw_vector(rng, n_z, plan.z_box)) if n_z else ()
@@ -211,12 +206,12 @@ def _draw_point(specs: Sequence[RMatrixSpec], plan: SamplePlan, rng, n_z: int, i
 
 def sample_lambda(spec: RMatrixSpec, plan: SamplePlan, rng) -> CartanVector:
     """One lambda from the plan box with pole margin at least the floor."""
-    return _draw_point((spec,), plan, rng, 0, _lambda_im_box(spec, plan))[0]
+    return _draw_point((spec,), plan, rng, 0)[0]
 
 
 def sample_spectral_point(spec: RMatrixSpec, plan: SamplePlan, rng):
     """(lambda, (z1, z2, z3)) with every pairwise difference +-z_ij pole-free."""
-    return _draw_point((spec,), plan, rng, 3, _lambda_im_box(spec, plan))
+    return _draw_point((spec,), plan, rng, 3)
 
 
 @dataclass(frozen=True)
@@ -264,17 +259,6 @@ def _flat(m: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return np.concatenate((m.reshape(phi.shape[:-1] + (-1,)), phi), axis=-1).ravel()
 
 
-def _matches(keys: np.ndarray, values: np.ndarray):
-    """Index arrays (i, j) listing every pair with keys[i] == values[j]."""
-    order = np.argsort(values, kind="stable")
-    ranked = values[order]
-    lo = np.searchsorted(ranked, keys, "left")
-    count = np.searchsorted(ranked, keys, "right") - lo
-    i = np.repeat(np.arange(len(keys)), count)
-    j = order[np.repeat(lo - (np.cumsum(count) - count), count) + np.arange(count.sum())]
-    return i, j
-
-
 def _build_residual_plan(g: SimpleLieAlgebra) -> _ResidualPlan:
     """The residual plan of g, from its structure-constant lists."""
     rank, dim = g.rank, g.dim
@@ -286,18 +270,15 @@ def _build_residual_plan(g: SimpleLieAlgebra) -> _ResidualPlan:
     n2 = len(legs[0])
     d_legs = (np.repeat(cartan, n2), np.tile(legs[0], rank), np.tile(legs[1], rank))
     n3 = len(d_legs[0])
-    const = g.structure_constants
-    coo = np.array([(i, j, k, float(v)) for (i, j), entries in const.items() for k, v in entries])
-    fi, fj, fk = coo[:, :3].T.astype(np.intp)
-    fv = coo[:, 3]
+    fi, fj, fk, fv = _coo(g)
 
     src_x, src_y, coef, coords = [], [], [], []
     # [x, y] on one shared leg: (x offset, x's bracketed leg, y offset,
     # y's bracketed leg, output position of the bracket) for the placements
     # 12-13, 12-23 and 13-23; the unbracketed legs keep their order.
     for x_off, lx, y_off, ly, at in ((0, 0, n2, 0, 0), (0, 1, 2 * n2, 0, 1), (n2, 1, 2 * n2, 1, 2)):
-        e, t = _matches(fi, legs[lx])
-        keep, u = _matches(fj[e], legs[ly])
+        e, t = _join(fi, legs[lx], dim)
+        keep, u = _join(fj[e], legs[ly], dim)
         e, t = e[keep], t[keep]
         out = [legs[1 - lx][t], legs[1 - ly][u]]
         out.insert(at, fk[e])
@@ -370,6 +351,25 @@ def _cdybe_from(g: SimpleLieAlgebra, r12, r13, r23, d23, d31, d12) -> np.ndarray
     return w
 
 
+def _point_records(spec: RMatrixSpec, lam: CartanVector, zs=None, mode="analytic", fd_step=1e-5) -> tuple:
+    """The six residual inputs (r12, r13, r23, d23, d31, d12) at one point.
+
+    A constant spec is evaluated once.  A spectral triple pairs the legs at
+    z12, z13, z23 and takes the derivatives at z23, z31, z12, so it is
+    evaluated at the four arguments z12, z13, z23 and -z13.
+    """
+    x = lam.as_array()
+    if zs is None:
+        return (_record(spec, x, None, mode, fd_step),) * 6
+    z1, z2, z3 = (complex(z) for z in zs)
+    z12, z13, z23 = z1 - z2, z1 - z3, z2 - z3
+    r12 = _record(spec, x, z12, mode, fd_step)
+    r13 = _record(spec, x, z13)
+    r23 = _record(spec, x, z23, mode, fd_step)
+    d31 = _record(spec, x, -z13, mode, fd_step)
+    return r12, r13, r23, r23, d31, r12
+
+
 def _residual(
     spec: RMatrixSpec,
     lam: CartanVector,
@@ -378,11 +378,7 @@ def _residual(
     fd_step: float = 1e-5,
 ) -> np.ndarray:
     """The CDYBE residual of spec at lam (spectral specs: at the triple zs)
-    as a vector on the plan's w3.
-
-    A constant spec is evaluated once.  A spectral triple pairs the legs at
-    z12, z13, z23 and takes the derivatives at z23, z31, z12, so it is
-    evaluated at the four arguments z12, z13, z23 and -z13.  Raises
+    as a vector on the plan's w3, from _point_records.  Raises
     NonFiniteValue when an entry overflows.
     """
     if spec.is_spectral and zs is None:
@@ -391,19 +387,8 @@ def _residual(
         raise SpecInvalid(f"{spec.family} residual takes no spectral points")
     if mode not in ("analytic", "finite-difference"):
         raise SpecInvalid(f"unknown mode {mode!r}")
-    g, x = spec.algebra, lam.as_array()
-    if zs is None:
-        rec = _record(spec, x, None, mode, fd_step)
-        w = _cdybe_from(g, rec, rec, rec, rec, rec, rec)
-    else:
-        z1, z2, z3 = (complex(z) for z in zs)
-        z12, z13, z23 = z1 - z2, z1 - z3, z2 - z3
-        r12 = _record(spec, x, z12, mode, fd_step)
-        r13 = _record(spec, x, z13)
-        r23 = _record(spec, x, z23, mode, fd_step)
-        d31 = _record(spec, x, -z13, mode, fd_step)
-        w = _cdybe_from(g, r12, r13, r23, r23, d31, r12)
-    return _require_finite(w, lam, zs)
+    records = _point_records(spec, lam, zs, mode, fd_step)
+    return _require_finite(_cdybe_from(spec.algebra, *records), lam, zs)
 
 
 def _require_finite(w: np.ndarray, lam: CartanVector, zs=None) -> np.ndarray:
@@ -450,14 +435,10 @@ def cdybe_residual_spectral(
 
 
 def cdybe_residual(spec: RMatrixSpec, lam: CartanVector, zs=None, **kw) -> Tensor3:
-    """Family-dispatching wrapper around the constant and spectral residuals."""
-    if spec.family in SPECTRAL_FAMILIES:
-        if zs is None:
-            raise SpecInvalid("spectral spec needs a (z1, z2, z3) triple")
-        return cdybe_residual_spectral(spec, lam, *zs, **kw)
-    if zs is not None:
-        raise SpecInvalid("constant spec takes no spectral points")
-    return cdybe_residual_constant(spec, lam, **kw)
+    """The constant residual, or the spectral one at the triple zs."""
+    if zs is None:
+        return cdybe_residual_constant(spec, lam, **kw)
+    return cdybe_residual_spectral(spec, lam, *zs, **kw)
 
 
 def _residue(spec: RMatrixSpec, lam: CartanVector, radius: float, points: int):
@@ -591,14 +572,6 @@ def addition_identity_residual(
     )
 
 
-def _has_live_root_coefficient(spec, lam) -> bool:
-    """Whether any positive root's identity-bearing coefficient (see
-    family_phi) is nonzero at lam; spectral specs are read at a fixed z."""
-    z = 0.17 - 0.23j if spec.family in SPECTRAL_FAMILIES else None
-    phi = _identity_phi(spec, _record(spec, lam.as_array(), z).phi)
-    return bool(np.any(np.abs(phi[list(spec.algebra.root_system.positive_roots)]) > 1e-12))
-
-
 def _campaign_points(spec: RMatrixSpec, plan: SamplePlan) -> list:
     """The plan's seeded (lambda, zs) points; zs is None for constant specs."""
     rng = np.random.default_rng(plan.seed)
@@ -607,8 +580,12 @@ def _campaign_points(spec: RMatrixSpec, plan: SamplePlan) -> list:
     return [(sample_lambda(spec, plan, rng), None) for _ in range(plan.count)]
 
 
-def _axiom_checks(spec: RMatrixSpec, points: list) -> list:
+def _axiom_checks(spec: RMatrixSpec, points: list, r_records=None) -> list:
     """Zero-weight and unitarity, plus the residue for spectral specs.
+
+    r_records[i] is point i's r record (at z12 for a spectral triple),
+    evaluated here without derivative when not given.  Spectral specs add
+    the reflection r(-z12) and the residue contour.
 
     A record holds only Cartan x Cartan entries, of weight zero, and one
     (e_a, e_{-a}) entry per root, of weight a + (-a).  Constant unitarity
@@ -617,25 +594,23 @@ def _axiom_checks(spec: RMatrixSpec, points: list) -> list:
     compares r(z) + r(-z)^T with 0.
     """
     rs = spec.algebra.root_system
-    rank = rs.rank
     neg = np.array([rs.neg(p) for p in range(rs.n_roots)], dtype=np.intp)
     pair_weight = np.abs(rs.roots + rs.roots[neg]).T
     spectral = spec.family in SPECTRAL_FAMILIES
     eps = effective_coupling(spec)
+    if r_records is None:
+        r_records = [_record(spec, lam.as_array(), None if zs is None else zs[0] - zs[1])
+                     for lam, zs in points]
     zero_w, unit, residue_dev = [], [], []
-    for lam, zs in points:
-        x = lam.as_array()
+    for (lam, zs), r in zip(points, r_records):
         if spectral:
-            z12 = zs[0] - zs[1]
-            r = _record(spec, x, z12)
-            refl = _record(spec, x, -z12)
+            refl = _record(spec, lam.as_array(), -(zs[0] - zs[1]))
             m_dev = r.m + refl.m.T
             phi_dev = r.phi + refl.phi[neg]
             _, _, eps_est, dev = _residue(spec, lam, 0.05, 16)
             residue_dev.append(max(dev, abs(eps_est - eps)))
         else:
-            r = _record(spec, x, None)
-            m_dev = r.m + r.m.T - eps * np.eye(rank)
+            m_dev = r.m + r.m.T - eps * np.eye(rs.rank)
             phi_dev = r.phi + r.phi[neg] - eps
         unit.append(max(float(np.max(np.abs(m_dev))), float(np.max(np.abs(phi_dev)))))
         zero_w.append(float(np.max(np.abs(r.phi) * pair_weight, initial=0.0)))
@@ -649,21 +624,22 @@ def _axiom_checks(spec: RMatrixSpec, points: list) -> list:
     return checks
 
 
-def _residual_checks(spec: RMatrixSpec, points: list) -> list:
-    """CDYBE residual, its weight and (constant specs) its 1<->2 skew, then
-    the negative control at the first point.
+def _residual_checks(spec: RMatrixSpec, points: list, records: list) -> list:
+    """CDYBE residual, its weight and (constant specs) its 1<->2 skew from
+    each point's _point_records, then the negative control at the first point.
 
-    The control re-runs the residual with one root coefficient sign-flipped
-    and records threshold/residual, so its value is <= 1 exactly when the
-    perturbation is loud; it is omitted for specs with no root coefficient
-    to flip.  Each residual stays a vector on the plan's support.
+    The control sets the first point's root flip to the first positive root
+    (undoing the spec's own debug_flip_root) and records threshold/residual,
+    so its value is <= 1 exactly when the perturbation is loud; it is
+    omitted when no positive root's identity-bearing coefficient (see
+    family_phi) is nonzero there.  Each residual stays a vector on w3.
     """
-    rs = spec.algebra.root_system
-    plan = _residual_plan(spec.algebra)
+    g = spec.algebra
+    plan = _residual_plan(g)
     spectral = spec.family in SPECTRAL_FAMILIES
     resid, res_weight, skew = [], [], []
-    for lam, zs in points:
-        w = _residual(spec, lam, zs)
+    for (lam, zs), recs in zip(points, records):
+        w = _require_finite(_cdybe_from(g, *recs), lam, zs)
         resid.append(_sup(w))
         res_weight.append(plan.weight_norm(w))
         if not spectral:
@@ -676,10 +652,12 @@ def _residual_checks(spec: RMatrixSpec, points: list) -> list:
     if not spectral:
         checks.append(CheckResult("residual-skew", _SKEW_TOL, tuple(skew), n))
 
-    lam0, zs0 = points[0]
-    if _has_live_root_coefficient(spec, lam0):
-        flipped = replace(spec, debug_flip_root=int(rs.positive_roots[0]), validate=False)
-        control = _sup(_residual(flipped, lam0, zs0))
+    (lam0, zs0), first = points[0], records[0]
+    positive = list(g.root_system.positive_roots)
+    if np.any(np.abs(_identity_phi(spec, first[0].phi)[positive]) > 1e-12):
+        own = spec.debug_flip_root
+        flipped = [_flip(r if own is None else _flip(r, own), positive[0]) for r in first]
+        control = _sup(_require_finite(_cdybe_from(g, *flipped), lam0, zs0))
         margin = _CONTROL_THRESHOLD / control if control > 0 else math.inf
         checks.append(CheckResult("negative-control-margin", 1.0, (margin,), 1))
     return checks
@@ -703,12 +681,14 @@ def _report(
 def check_axioms(spec: RMatrixSpec, plan: SamplePlan) -> VerificationReport:
     """Zero-weight, unitarity, residue, CDYBE, and symmetry checks.
 
-    The axiom stage and the residual stage share one list of seeded sample
-    points; see _residual_checks for the negative-control entry.
+    Each seeded sample argument is evaluated once: the axiom stage, the
+    residual stage and its negative control read the same _point_records.
     """
     t0 = time.perf_counter()
     points = _campaign_points(spec, plan)
-    checks = _axiom_checks(spec, points) + _residual_checks(spec, points)
+    records = [_point_records(spec, lam, zs) for lam, zs in points]
+    checks = _axiom_checks(spec, points, [recs[0] for recs in records])
+    checks += _residual_checks(spec, points, records)
     return _report(spec, plan, checks, t0)
 
 

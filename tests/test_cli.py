@@ -23,6 +23,7 @@ from dynr import (
 from dynr.cli import main
 
 A1 = build_simple_lie_algebra(build_root_system("A", 1))
+A2 = build_simple_lie_algebra(build_root_system("A", 2))
 
 
 def _run(capsys, *argv):
@@ -336,6 +337,38 @@ def test_verify_reports_overflowing_residual_as_numeric_failure():
     assert "NonFiniteValue" in err and "lambda" in err
 
 
+def test_axioms_reports_non_finite_record_as_numeric_failure():
+    code, err = _run_process(
+        "axioms", "--algebra", "A2", "--samples", "2", "--family", "trig-cotanh", "--eps", "1e308",
+    )
+    assert code == 3
+    assert "Traceback" not in err
+    assert "NonFiniteValue" in err and "lambda" in err
+
+
+def _gauged_doc(family, gauge, **fields):
+    doc = spec_to_json(RMatrixSpec(algebra=A2, family=family, **fields))
+    doc["gauge_stack"] = [gauge]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "doc, what",
+    [
+        (_gauged_doc("TrigCotanh", {"kind": 3, "shift": [[0.1, 0.0]]}, eps=2.0), "shift"),
+        (_gauged_doc("TrigCotanh", {"kind": 1, "c_matrix": [[[0.0, 0.0]] * 3] * 3}, eps=2.0), "c_matrix"),
+        (_gauged_doc("EllipticSpectral", {"kind": 2, "psi": {"Q": [[[0.3, 0.0]]], "v": [[0.1, 0.0]]}}, tau=2j),
+         "psi"),
+    ],
+    ids=("shift", "c_matrix", "psi"),
+)
+def test_verify_rejects_gauge_of_wrong_rank(doc, what):
+    code, err = _run_process("verify", "--algebra", "A2", "--samples", "2", "--spec-json", doc)
+    assert code == 2
+    assert "Traceback" not in err
+    assert f"{what} dimension mismatch" in err
+
+
 # ---------------------------------------------------------------- limits
 
 def test_limits_tau_schedule(capsys):
@@ -347,6 +380,16 @@ def test_limits_tau_schedule(capsys):
     doc = json.loads(out)
     assert doc["passed"] is True
     assert doc["cauchy"][-1] < 1e-5
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_limits_tau_schedule_passes_on_every_seed(capsys, seed):
+    code, out, _ = _run(
+        capsys, "limits", "--algebra", "A2", "--schedule", "tau:4i,6i,8i",
+        "--seed", str(seed), "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["final_gap"] < 1e-5
 
 
 def test_limits_nu_schedule(capsys):

@@ -773,3 +773,51 @@ def test_check_axioms_builds_no_dense_tensor(monkeypatch):
         assert check_axioms(spec, plan).passed
     for spec in (constant, gauged):
         assert reduce_pair_check(spec, g.root_system.simple_roots[:1], plan).passed
+
+
+def test_negative_control_equals_flipped_spec_residual():
+    """The control flips the first positive root in the first point's
+    records; it equals the residual of the spec re-evaluated with its flip
+    set to that root, bit for bit, whatever flip the spec already carries."""
+    g = A2
+    rs = g.root_system
+    p0, other = int(rs.positive_roots[0]), int(rs.positive_roots[-1])
+    rank = g.rank
+    q = 0.3 * np.eye(rank) + 0.1 * (np.ones((rank, rank)) - np.eye(rank))
+    gauged = RMatrixSpec(algebra=g, family="EllipticSpectral", tau=1j)
+    for rec in (GaugeRecord(kind=2, psi=(q, 0.15 * np.ones(rank))), GaugeRecord(kind=4, scale=(0.8, 1.6))):
+        gauged = gauge_apply(gauged, rec)
+    plan = SamplePlan(seed=2, count=2)
+    for base in (_family_zoo(g)[1], _family_zoo(g)[5], gauged):
+        for flip in (None, p0, other):
+            spec = replace(base, debug_flip_root=flip, validate=False)
+            margins = {c.name: c.residuals for c in check_axioms(spec, plan).checks}
+            lam0, zs0 = verifier._campaign_points(spec, plan)[0]
+            flipped = replace(spec, debug_flip_root=p0, validate=False)
+            control = verifier._sup(verifier._residual(flipped, lam0, zs0))
+            assert margins["negative-control-margin"] == (verifier._CONTROL_THRESHOLD / control,)
+
+
+def test_check_axioms_evaluates_each_sample_argument_once(monkeypatch):
+    """A constant point is one evaluation; a spectral point is four residual
+    arguments, the reflection r(-z12) and the 16-point residue contour."""
+    calls = []
+    evaluate = rmatrix._evaluate
+
+    def count(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(rmatrix, "_evaluate", count)
+    n = 3
+    plan = SamplePlan(seed=4, count=n)
+    for spec, per_point in (
+        (RMatrixSpec(algebra=A2, family="TrigCotanh", eps=2.0), 1),
+        (RMatrixSpec(algebra=A2, family="RationalConstant", X=_full_X(A2)), 1),
+        (RMatrixSpec(algebra=A2, family="RationalSpectral", X=_full_X(A2)), 21),
+        (RMatrixSpec(algebra=A2, family="EllipticSpectral", tau=1j), 21),
+    ):
+        calls.clear()
+        report = check_axioms(spec, plan)
+        assert report.passed
+        assert len(calls) == n * per_point, spec.family
