@@ -218,7 +218,7 @@ def cmd_axioms(args) -> int:
     spec = _build_spec(args, algebra)
     plan = _plan(args)
     t0 = time.perf_counter()
-    checks = _axiom_checks(spec, _campaign_points(spec, plan))
+    checks = _axiom_checks(spec, _campaign_points((spec,), plan, 3 if spec.is_spectral else 0))
     return _emit_report(_report(spec, plan, checks, t0), args)
 
 
@@ -361,7 +361,7 @@ def cmd_series(args) -> int:
     hat = affine_hat_spec(algebra, tau)
     max_res = max(
         _sup(_residual(hat, lam_s, zs))
-        for lam_s, zs in _campaign_points(hat, _plan(args))
+        for lam_s, zs in _campaign_points((hat,), _plan(args), 3)
     )
     passed = deviation <= 1e-9 and max_res <= 1e-8
     doc = {

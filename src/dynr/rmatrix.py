@@ -24,7 +24,7 @@ import numpy as np
 from .combinatorics import RootSubset, additive_closure, is_closed_subset
 from .errors import NonFiniteValue, PoleProximity, SpecInvalid
 from .lie_core import CartanVector, SimpleLieAlgebra
-from .special_fn import ThetaParams, coth_scaled, rho_fn, sigma_w, sigma_w_dw
+from .special_fn import _POLE_THRESHOLD, ThetaParams, coth_scaled, rho_fn, sigma_w, sigma_w_dw
 from .tensor_alg import Tensor2, Tensor3
 
 FAMILIES = (
@@ -36,7 +36,6 @@ FAMILIES = (
     "RationalSpectral",
 )
 SPECTRAL_FAMILIES = ("EllipticSpectral", "TrigSpectral", "RationalSpectral")
-_POLE_THRESHOLD = 1e-8
 
 
 def _as_complex_matrix(m, rank: int, name: str) -> np.ndarray:
@@ -104,7 +103,8 @@ class RMatrixSpec:
     TrigDegenerate and TrigSpectral, and empty otherwise.  polarization is
     the positive-root index tuple (defaults to the standard one).  The two
     debug_* fields deliberately corrupt the evaluation and exist only to
-    drive negative controls; validation rejects nothing about them.
+    drive negative controls; validation rejects nothing about them, except
+    that debug_flip_root must be a root index even when validate is False.
     """
 
     algebra: SimpleLieAlgebra
@@ -152,6 +152,11 @@ class RMatrixSpec:
 
         object.__setattr__(self, "tau", complex(self.tau) if self.tau is not None else None)
         object.__setattr__(self, "gauge_stack", tuple(self.gauge_stack))
+        flip = self.debug_flip_root
+        if flip is not None:
+            if isinstance(flip, bool) or not isinstance(flip, (int, np.integer)) or not 0 <= flip < rs.n_roots:
+                raise SpecInvalid(f"debug_flip_root must be a root index in [0, {rs.n_roots}), got {flip!r}")
+            object.__setattr__(self, "debug_flip_root", int(flip))
         if self.validate:
             self._validate()
         # membership in the X-span, as a root subsystem (simple-subset families)
@@ -334,29 +339,41 @@ def _base_eval(spec: RMatrixSpec, lam: np.ndarray, z: Optional[complex], want_d:
     return m, phi, dphi
 
 
-def _evaluate(spec: RMatrixSpec, lam: np.ndarray, z: Optional[complex], idx: int, want_d: bool):
-    if idx < 0:
-        return _base_eval(spec, lam, z, want_d)
-    g = spec.gauge_stack[idx]
+def _arguments(spec: RMatrixSpec, lam: np.ndarray, z: Optional[complex]) -> list:
+    """The (lam, z) each gauge level receives, from the top of the stack
+    down; the last entry is the family formula's argument."""
+    out = [(lam, z)]
+    for g in reversed(spec.gauge_stack):
+        if g.kind == 3:
+            lam = lam - g.shift.as_array()
+        elif g.kind == 4:
+            a, b = g.scale
+            lam, z = a * lam, (b * z if z is not None else None)
+        out.append((lam, z))
+    return out
+
+
+def _evaluate(spec: RMatrixSpec, lam: np.ndarray, z: Optional[complex], want_d: bool):
+    """(M, phi, dphi) of spec at (lam, z): the family formula at the bottom
+    argument, then each gauge record from the bottom of the stack up."""
     rs = spec.algebra.root_system
-    if g.kind == 3:
-        return _evaluate(spec, lam - g.shift.as_array(), z, idx - 1, want_d)
-    if g.kind == 4:
-        a, b = g.scale
-        m, phi, dphi = _evaluate(spec, a * lam, (b * z if z is not None else None), idx - 1, want_d)
-        return a * m, a * phi, (a * a * dphi if want_d else None)
-    m, phi, dphi = _evaluate(spec, lam, z, idx - 1, want_d)
-    if g.kind == 1:
-        return m + g.c_matrix, phi, dphi
-    # kind 2
-    q, v = g.psi
-    grad = q @ lam + v
-    lvals = rs.roots @ grad  # L_a psi at the current lam, per root
-    factors = np.exp(z * lvals)
-    if want_d:
-        qa = rs.roots @ q  # row p = Q a_p
-        dphi = (dphi + phi[None, :] * (z * qa.T)) * factors[None, :]
-    return m + z * q, phi * factors, dphi
+    *levels, base = _arguments(spec, lam, z)
+    m, phi, dphi = _base_eval(spec, *base, want_d)
+    for g, (lam_g, z_g) in zip(spec.gauge_stack, reversed(levels)):
+        if g.kind == 1:
+            m = m + g.c_matrix
+        elif g.kind == 2:
+            q, v = g.psi
+            factors = np.exp(z_g * (rs.roots @ (q @ lam_g + v)))  # e^{z L_a psi}, per root
+            if want_d:
+                dphi = (dphi + phi[None, :] * (z_g * (rs.roots @ q).T)) * factors[None, :]
+            m, phi = m + z_g * q, phi * factors
+        elif g.kind == 4:
+            a = g.scale[0]
+            m, phi = a * m, a * phi
+            if want_d:
+                dphi = a * a * dphi
+    return m, phi, dphi
 
 
 class _Record(NamedTuple):
@@ -400,24 +417,23 @@ def _record(
     spec's debug_flip_root is applied to the result.  Raises NonFiniteValue
     naming (lam, z) when an entry is inf or nan.
     """
-    top = len(spec.gauge_stack) - 1
     if mode is None:
-        rec = _Record(*_evaluate(spec, lam, z, top, False)[:2])
+        rec = _Record(*_evaluate(spec, lam, z, False)[:2])
     elif mode == "analytic":
-        m, phi, dphi = _evaluate(spec, lam, z, top, True)
+        m, phi, dphi = _evaluate(spec, lam, z, True)
         rec = _Record(m, phi, None, dphi)
     elif mode != "finite-difference":
         raise SpecInvalid(f"unknown mode {mode!r}")
     else:
-        m, phi, _ = _evaluate(spec, lam, z, top, False)
+        m, phi, _ = _evaluate(spec, lam, z, False)
         rank = len(m)
         dm = np.zeros((rank, rank, rank), dtype=complex)
         dphi = np.zeros((rank, len(phi)), dtype=complex)
         for i in range(rank):
             step = np.zeros(rank, dtype=complex)
             step[i] = fd_step
-            up = _evaluate(spec, lam + step, z, top, False)
-            dn = _evaluate(spec, lam - step, z, top, False)
+            up = _evaluate(spec, lam + step, z, False)
+            dn = _evaluate(spec, lam - step, z, False)
             dm[i] = (up[0] - dn[0]) / (2 * fd_step)
             dphi[i] = (up[1] - dn[1]) / (2 * fd_step)
         rec = _Record(m, phi, dm, dphi)
@@ -514,59 +530,54 @@ def _identity_phi(spec: RMatrixSpec, phi):
     return phi
 
 
-def _lattice_distance(w: complex, periods) -> float:
-    """Distance from w to the lattice spanned by the given periods."""
+def _lattice_distance(w: np.ndarray, periods) -> np.ndarray:
+    """Distance from each entry of w to the lattice spanned by 0, 1 or 2 periods.
+
+    Two periods are first Lagrange-reduced to b1, b2 with |b1| <= |b2| and
+    |Re(b2 / b1)| <= 1/2: the cell they span then splits into two triangles
+    that are not obtuse, so the lattice point nearest w is a corner of the
+    cell that holds w.
+    """
+    if not periods:
+        return np.abs(w)
     if len(periods) == 1:
         p = periods[0]
-        t = (w / p).real
-        return min(abs(w - round(t + d) * p) for d in (-1, 0, 1))
-    p1, p2 = periods
-    mat = np.array([[p1.real, p2.real], [p1.imag, p2.imag]])
-    xy = np.linalg.solve(mat, [w.real, w.imag])
-    best = math.inf
-    for dx in (math.floor(xy[0]), math.floor(xy[0]) + 1):
-        for dy in (math.floor(xy[1]), math.floor(xy[1]) + 1):
-            best = min(best, abs(w - (dx * p1 + dy * p2)))
-    return best
+        return np.abs(w - np.round((w / p).real) * p)
+    b1, b2 = sorted(periods, key=abs)
+    while True:
+        b2 = b2 - round((b2 / b1).real) * b1
+        if abs(b2) >= abs(b1):
+            break
+        b1, b2 = b2, b1
+    det = (b1.conjugate() * b2).imag
+    x = np.floor((np.conj(w) * b2).imag / det)  # floor of w's coordinates in (b1, b2)
+    y = np.floor((b1.conjugate() * w).imag / det)
+    return np.min([np.abs(w - ((x + i) * b1 + (y + j) * b2)) for i in (0, 1) for j in (0, 1)], axis=0)
 
 
 def pole_margin(spec: RMatrixSpec, lam: CartanVector, z: Optional[complex] = None) -> float:
     """Smallest distance of any coefficient denominator argument to its poles.
 
     Used by the sampling layer to reject points too close to a pole before
-    evaluation; the gauge stack's argument changes are folded in.
+    evaluation; the distance is taken at the argument the gauge stack passes
+    to the family formula.
     """
-    lam_eff = lam.as_array()
-    z_eff = complex(z) if z is not None else None
-    for g in reversed(spec.gauge_stack):
-        if g.kind == 3:
-            lam_eff = lam_eff - g.shift.as_array()
-        elif g.kind == 4:
-            a, b = g.scale
-            lam_eff = a * lam_eff
-            if z_eff is not None:
-                z_eff = b * z_eff
+    lam_b, z_b = _arguments(spec, lam.as_array(), complex(z) if z is not None else None)[-1]
     rs = spec.algebra.root_system
-    pairings = rs.roots @ (lam_eff - spec.nu.as_array())
-    vals = [math.inf]
+    pairings = rs.roots @ (lam_b - spec.nu.as_array())
     fam = spec.family
-    if fam == "RationalConstant":
-        vals += [abs(pairings[p]) for p in spec.X]
-    elif fam in ("TrigCotanh", "TrigDegenerate"):
-        half = complex(spec.eps) / 2
-        rel = range(rs.n_roots) if fam == "TrigCotanh" else sorted(spec._span_set)
-        vals += [_lattice_distance(half * pairings[p], [1j * math.pi]) for p in rel]
+    if fam in ("TrigCotanh", "TrigDegenerate"):
+        roots = range(rs.n_roots) if fam == "TrigCotanh" else sorted(spec._span_set)
+        w, periods = complex(spec.eps) / 2 * pairings[roots], (1j * math.pi,)
     elif fam == "EllipticSpectral":
-        periods = [1 + 0j, complex(spec.tau)]
-        vals += [_lattice_distance(-pairings[p], periods) for p in range(rs.n_roots)]
-        vals.append(_lattice_distance(z_eff, periods))
+        w, periods = -pairings, (1 + 0j, complex(spec.tau))
     elif fam == "TrigSpectral":
-        vals += [_lattice_distance(pairings[p], [math.pi + 0j]) for p in sorted(spec._span_set)]
-        vals.append(_lattice_distance(z_eff, [math.pi + 0j]))
+        w, periods = pairings[sorted(spec._span_set)], (math.pi + 0j,)
     else:
-        vals += [abs(pairings[p]) for p in spec.X]
-        vals.append(abs(z_eff))
-    return float(min(vals))
+        w, periods = pairings[list(spec.X)], ()
+    if spec.is_spectral:
+        w = np.append(w, z_b)
+    return float(np.min(_lattice_distance(w, periods), initial=math.inf))
 
 
 def trig_constant_fixture(algebra: SimpleLieAlgebra, z: complex, polarization: Optional[Sequence[int]] = None) -> Tensor2:
@@ -631,7 +642,9 @@ def _gauge_from_json(d: dict) -> GaugeRecord:
         return GaugeRecord(kind=2, psi=(_j2mat(d["psi"]["Q"]), np.array([_j2c(x) for x in d["psi"]["v"]])))
     if kind == 3:
         return GaugeRecord(kind=3, shift=CartanVector(tuple(_j2c(x) for x in d["shift"])))
-    return GaugeRecord(kind=4, scale=(_j2c(d["scale"][0]), _j2c(d["scale"][1])))
+    if kind == 4:
+        return GaugeRecord(kind=4, scale=(_j2c(d["scale"][0]), _j2c(d["scale"][1])))
+    return GaugeRecord(kind=kind)
 
 
 def spec_to_json(spec: RMatrixSpec) -> dict:
@@ -671,7 +684,6 @@ def spec_from_json(doc: dict, algebra: SimpleLieAlgebra) -> RMatrixSpec:
             raise SpecInvalid(
                 f"document is for {want.get('series')}{want.get('rank')}, got {rs.series}{rs.rank}"
             )
-        flip = doc.get("debug_flip_root")
         return RMatrixSpec(
             algebra=algebra,
             family=doc["family"],
@@ -682,7 +694,7 @@ def spec_from_json(doc: dict, algebra: SimpleLieAlgebra) -> RMatrixSpec:
             C=_j2mat(doc["C"]),
             tau=None if doc.get("tau") is None else _j2c(doc["tau"]),
             gauge_stack=tuple(_gauge_from_json(g) for g in doc.get("gauge_stack", ())),
-            debug_flip_root=None if flip is None else int(flip),
+            debug_flip_root=doc.get("debug_flip_root"),
             debug_scale_omega=_j2c(doc.get("debug_scale_omega", [1.0, 0.0])),
         )
     except KeyError as exc:

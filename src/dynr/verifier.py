@@ -175,8 +175,8 @@ def _draw_vector(rng, rank: int, box, im_box=None) -> np.ndarray:
 
 
 def _draw_point(specs: Sequence[RMatrixSpec], plan: SamplePlan, rng, n_z: int):
-    """Seeded (lambda, zs) with n_z in {0, 1, 3} spectral points, redrawn
-    until every spec clears the plan's pole margin.
+    """Seeded (lambda, zs) with n_z in {0, 1, 3} spectral points (zs is None
+    for n_z = 0), redrawn until every spec clears the plan's pole margin.
 
     The margin is taken with no z for n_z = 0, at z for n_z = 1, and at
     +-z12, +-z13, +-z23 for n_z = 3, so unitarity checks can evaluate the
@@ -190,7 +190,7 @@ def _draw_point(specs: Sequence[RMatrixSpec], plan: SamplePlan, rng, n_z: int):
     im_box = tuple(0.5 * b for b in plan.z_box) if elliptic else None
     for _ in range(plan.max_resamples):
         lam = CartanVector.of(_draw_vector(rng, rank, plan.box, im_box))
-        zs = tuple(complex(w) for w in _draw_vector(rng, n_z, plan.z_box)) if n_z else ()
+        zs = tuple(complex(w) for w in _draw_vector(rng, n_z, plan.z_box)) if n_z else None
         if n_z == 3:
             diffs = (zs[0] - zs[1], zs[0] - zs[2], zs[1] - zs[2])
             args = diffs + tuple(-d for d in diffs)
@@ -572,12 +572,11 @@ def addition_identity_residual(
     )
 
 
-def _campaign_points(spec: RMatrixSpec, plan: SamplePlan) -> list:
-    """The plan's seeded (lambda, zs) points; zs is None for constant specs."""
+def _campaign_points(specs: Sequence[RMatrixSpec], plan: SamplePlan, n_z: int) -> list:
+    """The plan's seeded (lambda, zs) points for specs, from one generator
+    seeded with plan.seed; see _draw_point."""
     rng = np.random.default_rng(plan.seed)
-    if spec.family in SPECTRAL_FAMILIES:
-        return [sample_spectral_point(spec, plan, rng) for _ in range(plan.count)]
-    return [(sample_lambda(spec, plan, rng), None) for _ in range(plan.count)]
+    return [_draw_point(specs, plan, rng, n_z) for _ in range(plan.count)]
 
 
 def _axiom_checks(spec: RMatrixSpec, points: list, r_records=None) -> list:
@@ -685,7 +684,7 @@ def check_axioms(spec: RMatrixSpec, plan: SamplePlan) -> VerificationReport:
     residual stage and its negative control read the same _point_records.
     """
     t0 = time.perf_counter()
-    points = _campaign_points(spec, plan)
+    points = _campaign_points((spec,), plan, 3 if spec.is_spectral else 0)
     records = [_point_records(spec, lam, zs) for lam, zs in points]
     checks = _axiom_checks(spec, points, [recs[0] for recs in records])
     checks += _residual_checks(spec, points, records)
@@ -753,20 +752,11 @@ def limit_compare(
     if len(spectral) != 1:
         raise SpecInvalid("cannot mix constant and spectral specs in a limit")
     spectral = spectral.pop()
-    rng = np.random.default_rng(plan.seed)
-    points = []
-    for _ in range(plan.count):
-        lam, zs = _draw_point(probes, plan, rng, 1 if spectral else 0)
-        points.append((lam, zs[0] if zs else None))
-
-    records = [[_record(s, lam.as_array(), z) for lam, z in points] for s in probes]
+    points = _campaign_points(probes, plan, 1 if spectral else 0)
+    records = [[_record(s, lam.as_array(), None if zs is None else zs[0]) for lam, zs in points] for s in probes]
 
     def sup_dev(ra, rb) -> float:
-        out = 0.0
-        for a, b in zip(ra, rb):
-            d = max(float(np.max(np.abs(a.m - b.m))), float(np.max(np.abs(a.phi - b.phi))))
-            out = max(out, d)
-        return out
+        return max(max(_sup(a.m - b.m), _sup(a.phi - b.phi)) for a, b in zip(ra, rb))
 
     cauchy = tuple(
         sup_dev(records[i], records[i + 1]) for i in range(len(staged) - 1)
@@ -807,10 +797,8 @@ def reduce_pair_check(
     rho_spec = RMatrixSpec(algebra=g, family="RationalConstant", X=members)
 
     t0 = time.perf_counter()
-    rng = np.random.default_rng(plan.seed)
     sum_norms, rho_norms = [], []
-    for _ in range(plan.count):
-        lam, _ = _draw_point((spec_tilde, rho_spec), plan, rng, 0)
+    for lam, _ in _campaign_points((spec_tilde, rho_spec), plan, 0):
         rho = _record(rho_spec, lam.as_array(), None, "analytic")
         w = _require_finite(_cdybe_from(g, *(rho,) * 6), lam)
         rho_norms.append(_sup(w))
@@ -842,7 +830,6 @@ def affine_series_check(
     tau: complex,
     z: complex,
     n_terms: int,
-    plan: Optional[SamplePlan] = None,
     algebra: Optional[SimpleLieAlgebra] = None,
 ) -> float:
     """Sup deviation between the truncated loop-algebra series and the
@@ -869,7 +856,4 @@ def affine_series_check(
         dtype=complex,
     )
     closed = _record(affine_hat_spec(algebra, tau), lam.as_array(), complex(z))
-    return max(
-        float(np.max(np.abs(series_m - closed.m))),
-        float(np.max(np.abs(series_phi - closed.phi))),
-    )
+    return max(_sup(series_m - closed.m), _sup(series_phi - closed.phi))

@@ -369,6 +369,24 @@ def test_verify_rejects_gauge_of_wrong_rank(doc, what):
     assert f"{what} dimension mismatch" in err
 
 
+@pytest.mark.parametrize("flip", [99, 6, -1, 1.5, "1", True])
+def test_verify_rejects_flip_that_is_not_a_root_index(flip):
+    doc = spec_to_json(RMatrixSpec(algebra=A2, family="TrigCotanh", eps=2.0))
+    doc["debug_flip_root"] = flip
+    code, err = _run_process("verify", "--algebra", "A2", "--samples", "2", "--spec-json", json.dumps(doc))
+    assert code == 2
+    assert "Traceback" not in err
+    assert "debug_flip_root must be a root index in [0, 6)" in err
+
+
+def test_verify_rejects_unknown_gauge_kind():
+    doc = _gauged_doc("TrigCotanh", {"kind": 7, "scale": [[1.0, 0.0], [1.0, 0.0]]}, eps=2.0)
+    code, err = _run_process("verify", "--algebra", "A2", "--samples", "2", "--spec-json", doc)
+    assert code == 2
+    assert "Traceback" not in err
+    assert "gauge kind must be 1..4, got 7" in err
+
+
 # ---------------------------------------------------------------- limits
 
 def test_limits_tau_schedule(capsys):

@@ -433,10 +433,9 @@ def _loop_dlambda(spec, lam, z, mode, fd_step=1e-5):
     """Per-root loop oracle for both modes of eval_dlambda."""
     algebra = spec.algebra
     rs = algebra.root_system
-    top = len(spec.gauge_stack) - 1
     data = np.zeros((algebra.dim,) * 3, dtype=complex)
     if mode == "analytic":
-        _, _, dphi = rmatrix._evaluate(spec, lam.as_array(), z, top, True)
+        _, _, dphi = rmatrix._evaluate(spec, lam.as_array(), z, True)
         for p in range(rs.n_roots):
             bi, bj = algebra.root_basis_index(p), algebra.root_basis_index(rs.neg(p))
             data[: rs.rank, bi, bj] = dphi[:, p]
@@ -445,8 +444,8 @@ def _loop_dlambda(spec, lam, z, mode, fd_step=1e-5):
     for i in range(rs.rank):
         step = np.zeros(rs.rank, dtype=complex)
         step[i] = fd_step
-        up = rmatrix._evaluate(spec, base + step, z, top, False)
-        dn = rmatrix._evaluate(spec, base - step, z, top, False)
+        up = rmatrix._evaluate(spec, base + step, z, False)
+        dn = rmatrix._evaluate(spec, base - step, z, False)
         data[i, : rs.rank, : rs.rank] = (up[0] - dn[0]) / (2 * fd_step)
         pdiff = (up[1] - dn[1]) / (2 * fd_step)
         for p in range(rs.n_roots):
@@ -464,7 +463,7 @@ def test_root_scatter_matches_loop_oracle(algebra):
     zoo.append((gauge_apply(ell, GaugeRecord(kind=2, psi=(q, 0.15 * np.ones(rank)))), z_ell))
     for spec, z in zoo:
         r = eval_rmatrix(spec, lam, z)
-        m, phi, _ = rmatrix._evaluate(spec, lam.as_array(), z, len(spec.gauge_stack) - 1, False)
+        m, phi, _ = rmatrix._evaluate(spec, lam.as_array(), z, False)
         assert np.array_equal(r.data, _loop_assemble2(algebra, m, phi))
         for mode in ("analytic", "finite-difference"):
             got = eval_dlambda(spec, lam, z, mode=mode).data
@@ -512,6 +511,130 @@ def test_pole_margin_folds_gauge_arguments():
     assert pole_margin(gauged, lam, 0.03) == pytest.approx(0.3, rel=1e-12)
 
 
+def _brute_lattice_distance(w, periods, window):
+    """min |w - sum n_k p_k| over |n_k| <= window[k], by enumeration."""
+    grids = np.meshgrid(*(np.arange(-n, n + 1) for n in window), indexing="ij")
+    points = sum(g.ravel() * p for g, p in zip(grids, periods)) if periods else np.zeros(1)
+    return np.array([np.min(np.abs(x - points)) for x in w])
+
+
+@pytest.mark.parametrize(
+    "periods, window",
+    [((), ()), ((1j * math.pi,), (100,)), ((math.pi + 0j,), (100,))]
+    + [((1 + 0j, tau), (40, 40)) for tau in (1j, 2j, 0.2 + 1.4j, 0.5 + 1j, -0.7 + 0.2j, 0.45 + 0.3j)]
+    + [((1 + 0j, 3.3 + 0.05j), (400, 100))],
+)
+def test_lattice_distance_matches_brute_force(periods, window):
+    rng = np.random.default_rng(7)
+    w = rng.uniform(-3, 3, 200) + 1j * rng.uniform(-1.5, 1.5, 200)
+    got = rmatrix._lattice_distance(w, periods)
+    # the brute-force lattice points carry rounding of about |n| ulp
+    np.testing.assert_allclose(got, _brute_lattice_distance(w, periods, window), rtol=0, atol=1e-13)
+
+
+def test_pole_margin_is_the_distance_on_a_sheared_lattice():
+    spec = RMatrixSpec(algebra=A1, family="EllipticSpectral", tau=-0.7 + 0.2j)
+    lam, z = CartanVector.of([1.5794 + 0.2833j]), -1.0364 + 0.3723j
+    periods = (1 + 0j, complex(spec.tau))
+    w = np.append(-(A1.root_system.roots @ lam.as_array()), z)
+    want = np.min(_brute_lattice_distance(w, periods, (40, 40)))
+    assert pole_margin(spec, lam, z) == pytest.approx(want, rel=1e-13)
+    assert want == pytest.approx(0.2113, abs=1e-4)
+
+
+def _scalar_lattice_distance(w, periods):
+    """Per-argument lattice distance with a 2x2 solve, kept as an oracle."""
+    if len(periods) == 1:
+        p = periods[0]
+        t = (w / p).real
+        return min(abs(w - round(t + d) * p) for d in (-1, 0, 1))
+    p1, p2 = periods
+    mat = np.array([[p1.real, p2.real], [p1.imag, p2.imag]])
+    xy = np.linalg.solve(mat, [w.real, w.imag])
+    best = math.inf
+    for dx in (math.floor(xy[0]), math.floor(xy[0]) + 1):
+        for dy in (math.floor(xy[1]), math.floor(xy[1]) + 1):
+            best = min(best, abs(w - (dx * p1 + dy * p2)))
+    return best
+
+
+def _scalar_pole_margin(spec, lam, z=None):
+    """pole_margin with its own gauge fold and one branch per family, kept
+    as an oracle; exact on rectangular period lattices."""
+    lam_eff = lam.as_array()
+    z_eff = complex(z) if z is not None else None
+    for g in reversed(spec.gauge_stack):
+        if g.kind == 3:
+            lam_eff = lam_eff - g.shift.as_array()
+        elif g.kind == 4:
+            a, b = g.scale
+            lam_eff = a * lam_eff
+            if z_eff is not None:
+                z_eff = b * z_eff
+    rs = spec.algebra.root_system
+    pairings = rs.roots @ (lam_eff - spec.nu.as_array())
+    vals = [math.inf]
+    fam = spec.family
+    if fam == "RationalConstant":
+        vals += [abs(pairings[p]) for p in spec.X]
+    elif fam in ("TrigCotanh", "TrigDegenerate"):
+        half = complex(spec.eps) / 2
+        rel = range(rs.n_roots) if fam == "TrigCotanh" else sorted(spec._span_set)
+        vals += [_scalar_lattice_distance(half * pairings[p], [1j * math.pi]) for p in rel]
+    elif fam == "EllipticSpectral":
+        periods = [1 + 0j, complex(spec.tau)]
+        vals += [_scalar_lattice_distance(-pairings[p], periods) for p in range(rs.n_roots)]
+        vals.append(_scalar_lattice_distance(z_eff, periods))
+    elif fam == "TrigSpectral":
+        vals += [_scalar_lattice_distance(pairings[p], [math.pi + 0j]) for p in sorted(spec._span_set)]
+        vals.append(_scalar_lattice_distance(z_eff, [math.pi + 0j]))
+    else:
+        vals += [abs(pairings[p]) for p in spec.X]
+        vals.append(abs(z_eff))
+    return float(min(vals))
+
+
+def _margin_zoo(g):
+    """The six families (rectangular tau), a kind-1+3+4 and a kind-2+3+4 stack."""
+    rs, rank = g.root_system, g.rank
+    c = np.zeros((rank, rank), dtype=complex)
+    q = 0.3 * np.eye(rank)
+    if rank > 1:
+        c[0, 1], c[1, 0] = 0.4 + 0.1j, -0.4 - 0.1j
+        q += 0.1 * (np.ones((rank, rank)) - np.eye(rank))
+    shift = GaugeRecord(kind=3, shift=CartanVector.of(0.1 * np.arange(1, rank + 1)))
+    zoo = [
+        RMatrixSpec(algebra=g, family="RationalConstant", X=_full_X(g)),
+        RMatrixSpec(algebra=g, family="TrigCotanh", eps=2.0),
+        RMatrixSpec(algebra=g, family="TrigDegenerate", eps=1.0 + 0.5j, X=rs.simple_roots[:1]),
+        RMatrixSpec(algebra=g, family="TrigSpectral", X=rs.simple_roots),
+        RMatrixSpec(algebra=g, family="RationalSpectral", X=_full_X(g)),
+    ] + [RMatrixSpec(algebra=g, family="EllipticSpectral", tau=tau) for tau in (1j, 0.5j, 2j)]
+    gauged = []
+    for spec in zoo:
+        stack = (
+            (GaugeRecord(kind=2, psi=(q, 0.15 * np.ones(rank))), shift, GaugeRecord(kind=4, scale=(0.8, 1.6)))
+            if spec.is_spectral
+            else (GaugeRecord(kind=1, c_matrix=c), shift, GaugeRecord(kind=4, scale=(0.8 - 0.3j, 1.0)))
+        )
+        for rec in stack:
+            spec = gauge_apply(spec, rec)
+        gauged.append(spec)
+    return zoo + gauged
+
+
+@pytest.mark.parametrize("series, rank", [("A", 1), ("A", 2), ("G", 2), ("B", 3)])
+def test_pole_margin_matches_scalar_oracle(series, rank):
+    g = build_simple_lie_algebra(build_root_system(series, rank))
+    rng = np.random.default_rng(3)
+    for spec in _margin_zoo(g):
+        for _ in range(25):
+            lam = CartanVector.of(rng.uniform(-2, 2, rank) + 1j * rng.uniform(-1, 1, rank))
+            z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) if spec.is_spectral else None
+            want = _scalar_pole_margin(spec, lam, z)
+            assert pole_margin(spec, lam, z) == pytest.approx(want, rel=1e-15, abs=0)
+
+
 # ---------------------------------------------------------------- serialization
 
 def _fancy_spec():
@@ -552,6 +675,20 @@ def test_serialization_keeps_debug_fields():
     assert back.debug_scale_omega == 2.0 + 0j
     lam = _lam_with_pairing(A1, 2.0)
     assert np.array_equal(eval_constant(spec, lam).data, eval_constant(back, lam).data)
+
+
+@pytest.mark.parametrize("validate", [True, False])
+@pytest.mark.parametrize("flip", [6, -1, 1.5, "1", True])
+def test_debug_flip_root_must_be_a_root_index(flip, validate):
+    with pytest.raises(SpecInvalid, match="debug_flip_root must be a root index"):
+        RMatrixSpec(algebra=A2, family="TrigCotanh", eps=2.0, debug_flip_root=flip, validate=validate)
+
+
+def test_spec_from_json_rejects_unknown_gauge_kind():
+    doc = spec_to_json(RMatrixSpec(algebra=A2, family="TrigCotanh", eps=2.0))
+    doc["gauge_stack"] = [{"kind": 7, "scale": [[1.0, 0.0], [1.0, 0.0]]}]
+    with pytest.raises(SpecInvalid, match="gauge kind must be 1..4, got 7"):
+        spec_from_json(doc, A2)
 
 
 def test_serialization_algebra_mismatch():

@@ -728,7 +728,7 @@ def test_axiom_checks_match_dense_oracle(series, rank):
     g = build_simple_lie_algebra(build_root_system(series, rank))
     omega = casimir(g).data
     for spec in _kernel_zoo(g):
-        points = verifier._campaign_points(spec, SamplePlan(seed=5, count=2))
+        points = verifier._campaign_points((spec,), SamplePlan(seed=5, count=2), 3 if spec.is_spectral else 0)
         got = {c.name: c.residuals for c in verifier._axiom_checks(spec, points)}
         eps = effective_coupling(spec)
         want = {"zero-weight": [], "unitarity": [], "residue": []}
@@ -792,7 +792,7 @@ def test_negative_control_equals_flipped_spec_residual():
         for flip in (None, p0, other):
             spec = replace(base, debug_flip_root=flip, validate=False)
             margins = {c.name: c.residuals for c in check_axioms(spec, plan).checks}
-            lam0, zs0 = verifier._campaign_points(spec, plan)[0]
+            lam0, zs0 = verifier._campaign_points((spec,), plan, 3 if spec.is_spectral else 0)[0]
             flipped = replace(spec, debug_flip_root=p0, validate=False)
             control = verifier._sup(verifier._residual(flipped, lam0, zs0))
             assert margins["negative-control-margin"] == (verifier._CONTROL_THRESHOLD / control,)
