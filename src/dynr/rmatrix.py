@@ -22,9 +22,9 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .combinatorics import RootSubset, additive_closure, is_closed_subset
-from .errors import NonFiniteValue, PoleProximity, SpecInvalid
+from .errors import NonFiniteValue, SpecInvalid
 from .lie_core import CartanVector, SimpleLieAlgebra
-from .special_fn import _POLE_THRESHOLD, ThetaParams, coth_scaled, rho_fn, sigma_w, sigma_w_dw
+from .special_fn import ThetaParams, _require_margin, _sigma, coth_scaled, rho_fn
 from .tensor_alg import Tensor2, Tensor3
 
 FAMILIES = (
@@ -159,12 +159,16 @@ class RMatrixSpec:
             object.__setattr__(self, "debug_flip_root", int(flip))
         if self.validate:
             self._validate()
-        # membership in the X-span, as a root subsystem (simple-subset families)
-        span = frozenset()
-        if self.family in ("TrigDegenerate", "TrigSpectral"):
-            span = additive_closure(rs, set(x) | {rs.neg(i) for i in x})
-        object.__setattr__(self, "_span_set", span)
-        object.__setattr__(self, "_pol_set", frozenset(pol))
+        # the X-span (a root subsystem; simple-subset families) and the
+        # polarization as root masks, then the one list of the roots whose
+        # coefficient carries a pole, which _base_eval and pole_margin read
+        roots = np.arange(rs.n_roots)
+        simple_subset = self.family in ("TrigDegenerate", "TrigSpectral")
+        span = np.isin(roots, list(additive_closure(rs, set(x) | {rs.neg(i) for i in x}) if simple_subset else ()))
+        rational = self.family in ("RationalConstant", "RationalSpectral")
+        poles = roots[span] if simple_subset else roots[np.isin(roots, x)] if rational else roots
+        for name, value in (("_span", span), ("_pol", np.isin(roots, pol)), ("_pole_roots", poles)):
+            object.__setattr__(self, name, value)
 
     def _validate(self):
         rs = self.algebra.root_system
@@ -261,81 +265,66 @@ def effective_coupling(spec: RMatrixSpec) -> complex:
     return eps
 
 
-def _require_margin(value: complex, what: str):
-    if abs(value) < _POLE_THRESHOLD:
-        raise PoleProximity(f"{what} magnitude {abs(value):.3e} below pole threshold")
+def _below(what: str, value) -> str:
+    """The pole message for a coefficient denominator `what` of size value."""
+    return f"{what} magnitude {abs(value):.3e} below pole threshold"
 
 
-def _base_eval(spec: RMatrixSpec, lam: np.ndarray, z: Optional[complex], want_d: bool):
+def _base_eval(spec: RMatrixSpec, lam: np.ndarray, z, want_d: bool):
     """Family formulas in canonical (M, phi, dphi) shape, debug_scale_omega
-    applied (_record applies debug_flip_root)."""
+    applied (_record applies debug_flip_root).
+
+    Each family is one array expression over its pole-bearing roots.  z is
+    None or an array of spectral arguments, whose shape every output then
+    carries in front.
+    """
     rs = spec.algebra.root_system
     rank, nr = rs.rank, rs.n_roots
-    lamt = lam - spec.nu.as_array()
-    pairings = rs.roots @ lamt  # (n_roots,)
-    omega_scale = complex(spec.debug_scale_omega)
-    eps = complex(spec.eps)
-    m = spec.C.copy()
-    phi = np.zeros(nr, dtype=complex)
-    dphi = np.zeros((rank, nr), dtype=complex) if want_d else None
-    fam = spec.family
+    poles, fam, omega = spec._pole_roots, spec.family, complex(spec.debug_scale_omega)
+    a = (rs.roots @ (lam - spec.nu.as_array()))[poles]
+    roots = rs.roots[poles].T  # (rank, pole-bearing roots)
+    lead = () if z is None else z.shape
+    zc = None if z is None else z[..., None]  # broadcasts against the roots
+    phi = np.zeros(lead + (nr,), dtype=complex)
+    diag = None  # the scalar multiplying the identity in M, before debug_scale_omega
 
-    if fam == "RationalConstant":
-        for p in spec.X:
-            h = pairings[p]
-            _require_margin(h, f"(root {p}, lam-nu)")
-            phi[p] = 1.0 / h
-            if want_d:
-                dphi[:, p] = -rs.roots[p] / (h * h)
+    if fam in ("RationalConstant", "RationalSpectral"):
+        if z is not None:
+            _require_margin(z, lambda i: _below("z", z.flat[i]))
+            diag = 1.0 / z
+            phi += 1.0 / zc
+        _require_margin(a, lambda i: _below(f"(root {poles[i]}, lam-nu)", a[i]))
+        phi[..., poles] += 1.0 / a
+        d = -roots / (a * a)
     elif fam in ("TrigCotanh", "TrigDegenerate"):
-        m += omega_scale * (eps / 2) * np.eye(rank)
-        half = eps / 2
-        if fam == "TrigCotanh":
-            cot_roots = range(nr)
-        else:
-            cot_roots = sorted(spec._span_set)
-        phi += omega_scale * half
-        for p in cot_roots:
-            c = coth_scaled(eps, pairings[p])  # includes its own pole guard
-            phi[p] += c
-            if want_d:
-                dphi[:, p] = (half * half - c * c) * rs.roots[p]
+        diag = half = spec.eps / 2
+        phi += omega * half
+        c = coth_scaled(spec.eps, a)  # includes its own pole guard
+        phi[poles] += c
+        d = (half * half - c * c) * roots
         if fam == "TrigDegenerate":
-            for p in range(nr):
-                if p not in spec._span_set:
-                    phi[p] += half if p in spec._pol_set else -half
+            rest = ~spec._span
+            phi[rest] += np.where(spec._pol[rest], half, -half)
     elif fam == "EllipticSpectral":
         tp = spec.theta_params()
-        m += omega_scale * rho_fn(z, tp) * np.eye(rank)
-        for p in range(nr):
-            w = -pairings[p]
-            phi[p] = sigma_w(w, z, tp)
-            if want_d:
-                dphi[:, p] = sigma_w_dw(w, z, tp) * (-rs.roots[p])
-    elif fam == "TrigSpectral":
-        sz = cmath.sin(z)
-        _require_margin(sz, "sin z")
-        m += omega_scale * (cmath.cos(z) / sz) * np.eye(rank)
-        for p in range(nr):
-            if p in spec._span_set:
-                sa = cmath.sin(pairings[p])
-                _require_margin(sa, f"sin(root {p}, lam-nu)")
-                phi[p] = cmath.sin(pairings[p] + z) / (sa * sz)
-                if want_d:
-                    dphi[:, p] = -rs.roots[p] / (sa * sa)
-            else:
-                sign = -1j if p in spec._pol_set else 1j
-                phi[p] = cmath.exp(sign * z) / sz
-    else:  # RationalSpectral
-        _require_margin(z, "z")
-        m += omega_scale * (1.0 / z) * np.eye(rank)
-        phi += 1.0 / z
-        for p in spec.X:
-            h = pairings[p]
-            _require_margin(h, f"(root {p}, lam-nu)")
-            phi[p] += 1.0 / h
-            if want_d:
-                dphi[:, p] = -rs.roots[p] / (h * h)
+        diag = rho_fn(z, tp)
+        phi, ds = _sigma(-a, zc, tp, want_d)
+        d = None if ds is None else ds[..., None, :] * -roots
+    else:  # TrigSpectral
+        sz = np.sin(z)
+        _require_margin(sz, lambda i: _below("sin z", sz.flat[i]))
+        diag = np.cos(z) / sz
+        sa = np.sin(a)
+        _require_margin(sa, lambda i: _below(f"sin(root {poles[i]}, lam-nu)", sa[i]))
+        rest = ~spec._span
+        phi[..., rest] = np.exp(np.where(spec._pol[rest], -1j, 1j) * zc) / sz[..., None]
+        phi[..., poles] = np.sin(a + zc) / (sa * sz[..., None])
+        d = -roots / (sa * sa)
+
+    m = spec.C.copy() if diag is None else spec.C + np.multiply.outer(omega * diag, np.eye(rank))
+    dphi = np.zeros(lead + (rank, nr), dtype=complex) if want_d else None
+    if want_d:
+        dphi[..., poles] = d
     return m, phi, dphi
 
 
@@ -353,26 +342,35 @@ def _arguments(spec: RMatrixSpec, lam: np.ndarray, z: Optional[complex]) -> list
     return out
 
 
-def _evaluate(spec: RMatrixSpec, lam: np.ndarray, z: Optional[complex], want_d: bool):
+def _evaluate(spec: RMatrixSpec, lam: np.ndarray, z, want_d: bool):
     """(M, phi, dphi) of spec at (lam, z): the family formula at the bottom
-    argument, then each gauge record from the bottom of the stack up."""
+    argument, then each gauge record from the bottom of the stack up.  An
+    array z puts its shape in front of every output; a single z runs as a
+    batch of one, so its values equal the batched ones bit for bit.  Overflow
+    yields inf or nan entries without a warning; _record tests them."""
+    single = z is not None and np.ndim(z) == 0
+    z = np.reshape(z, 1) if single else z
     rs = spec.algebra.root_system
     *levels, base = _arguments(spec, lam, z)
-    m, phi, dphi = _base_eval(spec, *base, want_d)
-    for g, (lam_g, z_g) in zip(spec.gauge_stack, reversed(levels)):
-        if g.kind == 1:
-            m = m + g.c_matrix
-        elif g.kind == 2:
-            q, v = g.psi
-            factors = np.exp(z_g * (rs.roots @ (q @ lam_g + v)))  # e^{z L_a psi}, per root
-            if want_d:
-                dphi = (dphi + phi[None, :] * (z_g * (rs.roots @ q).T)) * factors[None, :]
-            m, phi = m + z_g * q, phi * factors
-        elif g.kind == 4:
-            a = g.scale[0]
-            m, phi = a * m, a * phi
-            if want_d:
-                dphi = a * a * dphi
+    with np.errstate(over="ignore", invalid="ignore"):
+        m, phi, dphi = _base_eval(spec, *base, want_d)
+        for g, (lam_g, z_g) in zip(spec.gauge_stack, reversed(levels)):
+            if g.kind == 1:
+                m = m + g.c_matrix
+            elif g.kind == 2:
+                q, v = g.psi
+                zc = z_g[..., None]
+                factors = np.exp(zc * (rs.roots @ (q @ lam_g + v)))  # e^{z L_a psi}, per root
+                if want_d:
+                    dphi = (dphi + phi[..., None, :] * (zc[..., None] * (rs.roots @ q).T)) * factors[..., None, :]
+                m, phi = m + np.multiply.outer(z_g, q), phi * factors
+            elif g.kind == 4:
+                a = g.scale[0]
+                m, phi = a * m, a * phi
+                if want_d:
+                    dphi = a * a * dphi
+    if single:
+        m, phi, dphi = m[0], phi[0], None if dphi is None else dphi[0]
     return m, phi, dphi
 
 
@@ -382,7 +380,8 @@ class _Record(NamedTuple):
     m is the Cartan block, phi the e_a (x) e_{-a} coefficient per root;
     dm[k] and dphi[k] are their derivatives along the k-th Cartan
     coordinate.  dm is None where M does not depend on lam (analytic mode);
-    dphi is None when no derivative was asked for.
+    dphi is None when no derivative was asked for.  A record of an array of
+    spectral arguments carries the array's shape in front of every field.
     """
 
     m: np.ndarray
@@ -396,26 +395,28 @@ def _flip(rec: _Record, p: int) -> _Record:
     (phi_p, dphi_p) and negation is exact, so this gives the values a flip at
     the family formula gives, and flipping twice restores rec bit for bit."""
     phi, dphi = rec.phi.copy(), None if rec.dphi is None else rec.dphi.copy()
-    phi[p] = -phi[p]
+    phi[..., p] = -phi[..., p]
     if dphi is not None:
-        dphi[:, p] = -dphi[:, p]
+        dphi[..., p] = -dphi[..., p]
     return rec._replace(phi=phi, dphi=dphi)
 
 
 def _record(
     spec: RMatrixSpec,
     lam: np.ndarray,
-    z: Optional[complex],
+    z,
     mode: Optional[str] = None,
     fd_step: float = 1e-5,
 ) -> _Record:
     """Evaluate spec at (lam, z); mode None skips the derivative.
 
-    Analytic mode differentiates the closed-form coefficients (threaded
-    through the gauge stack), where M is lam-independent; finite-difference
-    mode takes central differences of (M, phi) at lam +- fd_step e_k.  The
-    spec's debug_flip_root is applied to the result.  Raises NonFiniteValue
-    naming (lam, z) when an entry is inf or nan.
+    z may be an array of spectral arguments, evaluated in one pass; the
+    record then carries its shape in front.  Analytic mode differentiates
+    the closed-form coefficients (threaded through the gauge stack), where
+    M is lam-independent; finite-difference mode takes central differences
+    of (M, phi) at lam +- fd_step e_k.  The spec's debug_flip_root is
+    applied to the result.  Raises NonFiniteValue naming lam and the first
+    z whose record has an inf or nan entry.
     """
     if mode is None:
         rec = _Record(*_evaluate(spec, lam, z, False)[:2])
@@ -426,19 +427,15 @@ def _record(
         raise SpecInvalid(f"unknown mode {mode!r}")
     else:
         m, phi, _ = _evaluate(spec, lam, z, False)
-        rank = len(m)
-        dm = np.zeros((rank, rank, rank), dtype=complex)
-        dphi = np.zeros((rank, len(phi)), dtype=complex)
-        for i in range(rank):
-            step = np.zeros(rank, dtype=complex)
-            step[i] = fd_step
-            up = _evaluate(spec, lam + step, z, False)
-            dn = _evaluate(spec, lam - step, z, False)
-            dm[i] = (up[0] - dn[0]) / (2 * fd_step)
-            dphi[i] = (up[1] - dn[1]) / (2 * fd_step)
+        steps = fd_step * np.eye(spec.algebra.rank, dtype=complex)
+        pairs = [(_evaluate(spec, lam + s, z, False), _evaluate(spec, lam - s, z, False)) for s in steps]
+        dm = np.stack([(up[0] - dn[0]) / (2 * fd_step) for up, dn in pairs], axis=-3)
+        dphi = np.stack([(up[1] - dn[1]) / (2 * fd_step) for up, dn in pairs], axis=-2)
         rec = _Record(m, phi, dm, dphi)
-    if not all(np.all(np.isfinite(a)) for a in rec if a is not None):
-        at = "" if z is None else f", z {complex(z)}"
+    lead = () if z is None else np.shape(z)
+    finite = np.logical_and.reduce([np.isfinite(a).reshape(lead + (-1,)).all(axis=-1) for a in rec if a is not None])
+    if not np.all(finite):
+        at = "" if z is None else f", z {complex(np.ravel(z)[np.argmin(finite)])}"
         raise NonFiniteValue(f"r-matrix record is not finite at lambda {lam.tolist()}{at}")
     return rec if spec.debug_flip_root is None else _flip(rec, spec.debug_flip_root)
 
@@ -563,18 +560,16 @@ def pole_margin(spec: RMatrixSpec, lam: CartanVector, z: Optional[complex] = Non
     to the family formula.
     """
     lam_b, z_b = _arguments(spec, lam.as_array(), complex(z) if z is not None else None)[-1]
-    rs = spec.algebra.root_system
-    pairings = rs.roots @ (lam_b - spec.nu.as_array())
+    w = (spec.algebra.root_system.roots @ (lam_b - spec.nu.as_array()))[spec._pole_roots]
     fam = spec.family
     if fam in ("TrigCotanh", "TrigDegenerate"):
-        roots = range(rs.n_roots) if fam == "TrigCotanh" else sorted(spec._span_set)
-        w, periods = complex(spec.eps) / 2 * pairings[roots], (1j * math.pi,)
+        w, periods = complex(spec.eps) / 2 * w, (1j * math.pi,)
     elif fam == "EllipticSpectral":
-        w, periods = -pairings, (1 + 0j, complex(spec.tau))
+        w, periods = -w, (1 + 0j, complex(spec.tau))
     elif fam == "TrigSpectral":
-        w, periods = pairings[sorted(spec._span_set)], (math.pi + 0j,)
+        periods = (math.pi + 0j,)
     else:
-        w, periods = pairings[list(spec.X)], ()
+        periods = ()
     if spec.is_spectral:
         w = np.append(w, z_b)
     return float(np.min(_lattice_distance(w, periods), initial=math.inf))
@@ -599,8 +594,7 @@ def trig_constant_fixture(algebra: SimpleLieAlgebra, z: complex, polarization: O
         target[algebra.root_basis_index(p), algebra.root_basis_index(rs.neg(p))] = 1.0
     e2 = cmath.exp(2j * complex(z))
     den = e2 - 1
-    if abs(den) < _POLE_THRESHOLD:
-        raise PoleProximity("z too close to the pole lattice of the fixture")
+    _require_margin(den, lambda i: "z too close to the pole lattice of the fixture")
     return Tensor2(algebra, 2j * (omega_minus * e2 + omega_plus) / den)
 
 

@@ -1,10 +1,11 @@
-"""Scalar special functions for r-matrix coefficients.
+"""Special functions for r-matrix coefficients, over scalars or arrays.
 
 Covers the scaled hyperbolic cotangent, the odd Jacobi theta function
 theta1 with its z-derivative, the ratio functions sigma_w and rho built
 from it, and the two-sided classical series whose closed forms are sigma
-and rho.  Everything is plain complex arithmetic with explicit truncation
-control; evaluation near a pole raises instead of returning garbage.
+and rho.  Each function broadcasts over numpy array arguments and returns
+a complex for scalar ones.  Truncation is explicit, and evaluation near a
+pole raises, naming the first offending entry, instead of returning garbage.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ConvergenceFailure, PoleProximity, SpecInvalid
 
@@ -42,6 +45,19 @@ class ThetaParams:
             raise SpecInvalid("tol must lie in (0, 1)")
 
 
+def _out(a):
+    """a as a complex when it is 0-d, else a itself."""
+    return complex(a) if np.ndim(a) == 0 else a
+
+
+def _require_margin(values, message):
+    """Raise PoleProximity(message(i)) for the first flat index i (C order)
+    at which |values| is below the pole threshold."""
+    near = np.abs(values) < _POLE_THRESHOLD
+    if np.any(near):
+        raise PoleProximity(message(int(np.argmax(near))))
+
+
 def coth_scaled(eps: complex, w: complex) -> complex:
     """(eps/2) * coth((eps/2) * w), computed without overflow.
 
@@ -52,43 +68,46 @@ def coth_scaled(eps: complex, w: complex) -> complex:
     eps = complex(eps)
     if eps == 0:
         raise SpecInvalid("coth_scaled requires eps != 0")
-    x = eps * complex(w) / 2
-    # |sinh x| via exp(-|Re x|) scaling keeps the pole test overflow-free
-    if abs(cmath.sinh(x) if abs(x.real) < 300 else 1.0) < _POLE_THRESHOLD:
-        raise PoleProximity(f"coth argument {x} too close to i*pi*Z")
-    if x.real >= 0:
-        em = cmath.exp(-2 * x)
-        return (eps / 2) * (1 + em) / (1 - em)
-    ep = cmath.exp(2 * x)
-    return (eps / 2) * (ep + 1) / (ep - 1)
+    x = eps * np.asarray(w, dtype=complex) / 2
+    # |sinh x| is the pole test; past |Re x| = 300 it cannot be small, and
+    # sinh(1) stands in there so nothing overflows
+    near = np.sinh(np.where(np.abs(x.real) < 300, x, 1.0))
+    _require_margin(near, lambda i: f"coth argument {complex(x.flat[i])} too close to i*pi*Z")
+    sign = np.where(x.real >= 0, 1.0, -1.0)  # coth(x) = sign coth(sign x)
+    e = np.exp(-2 * sign * x)  # the decaying exponential
+    return _out(sign * (eps / 2) * (1 + e) / (1 - e))
 
 
-def _theta_cutoff(z: complex, p: ThetaParams) -> int:
+def _theta_cutoff(z: np.ndarray, p: ThetaParams) -> np.ndarray:
+    """Largest symmetric index each entry of z needs; ConvergenceFailure
+    names the first entry past the cap."""
     im_tau = complex(p.tau).imag
-    im_z = abs(complex(z).imag)
+    im_z = np.abs(z.imag)
     big = math.log(10.0 / p.tol)
-    j = (im_z + math.sqrt(im_z * im_z + im_tau * big / math.pi)) / im_tau
-    j = int(math.ceil(j)) + 2
-    j = max(j, 8)
+    with np.errstate(over="ignore"):  # an infinite cutoff is past the cap below
+        j = (im_z + np.sqrt(im_z * im_z + im_tau * big / math.pi)) / im_tau
+    j = np.maximum(np.ceil(j) + 2, 8)
     cap = min(int(p.truncation), _HARD_CAP)
-    if j > cap:
-        raise ConvergenceFailure(
-            f"theta truncation {j} exceeds cap {cap} for z={z}, tau={p.tau}"
-        )
-    return j
+    over = ~(j <= cap)  # compared as floats, so an infinite or nan cutoff fails too
+    if np.any(over):
+        i = int(np.argmax(over))
+        raise ConvergenceFailure(f"theta truncation {j.flat[i]:.0f} exceeds cap {cap} for z={complex(z.flat[i])}, tau={p.tau}")
+    return j.astype(int)
 
 
-def _theta_sum(z: complex, p: ThetaParams, order: int) -> complex:
-    """Termwise z-derivative of order `order` of the theta sum."""
-    z = complex(z)
-    tau = complex(p.tau)
+def _theta_sum(z, p: ThetaParams, order: int) -> np.ndarray:
+    """Termwise z-derivative of order `order` of the theta sum, entrywise
+    over z; each entry keeps its own cutoff, the terms past it masked out."""
+    z = np.asarray(z, dtype=complex)
     j_max = _theta_cutoff(z, p)
-    total = 0j
-    for j in range(-j_max - 1, j_max + 1):
-        h = j + 0.5
-        term = cmath.exp(1j * math.pi * h * h * tau + 2j * math.pi * h * (z + 0.5))
-        total += term * (2j * math.pi * h) ** order
-    return -total
+    top = int(j_max.max(initial=0))
+    j = np.arange(-top - 1, top + 1).reshape((-1,) + (1,) * z.ndim)
+    h = j + 0.5
+    terms = np.exp(1j * math.pi * h * h * complex(p.tau) + 2j * math.pi * h * (z + 0.5)) * (2j * math.pi * h) ** order
+    terms = np.where((j >= -j_max - 1) & (j <= j_max), terms, 0)
+    # cumsum adds the terms in index order for every shape of z, so an entry's
+    # value does not depend on what else is in the batch
+    return -np.cumsum(terms, axis=0)[-1]
 
 
 def theta1(z: complex, p: ThetaParams) -> complex:
@@ -97,12 +116,12 @@ def theta1(z: complex, p: ThetaParams) -> complex:
     Zeros lie on Z + tau Z; theta1(-z) = -theta1(z) and
     theta1(z+1) = -theta1(z).
     """
-    return _theta_sum(z, p, 0)
+    return _out(_theta_sum(z, p, 0))
 
 
 def theta1_dz(z: complex, p: ThetaParams) -> complex:
     """First-argument derivative of theta1, by termwise differentiation."""
-    return _theta_sum(z, p, 1)
+    return _out(_theta_sum(z, p, 1))
 
 
 @functools.lru_cache(maxsize=64)
@@ -111,11 +130,23 @@ def _theta1_dz0(p: ThetaParams) -> complex:
     return theta1_dz(0.0, p)
 
 
-def _theta_checked(z: complex, p: ThetaParams, what: str) -> complex:
-    v = theta1(z, p)
-    if abs(v) < _POLE_THRESHOLD:
-        raise PoleProximity(f"theta1({what}={z}) = {v:.3e}, too close to a zero")
-    return v
+def _theta_zero(what: str, z, v):
+    """_require_margin's message for v = theta1(z), naming z as `what`."""
+    return lambda i: f"theta1({what}={np.ravel(z)[i]}) = {complex(np.ravel(v)[i]):.3e}, too close to a zero"
+
+
+def _sigma(w, z, p: ThetaParams, want_d: bool):
+    """(sigma_w(z), its w-derivative or None) from one set of theta sums."""
+    tw, tz = theta1(w, p), theta1(z, p)
+    _require_margin(tw, _theta_zero("w", w, tw))
+    _require_margin(tz, _theta_zero("z", z, tz))
+    wz = np.subtract(w, z)
+    twz, d0 = theta1(wz, p), _theta1_dz0(p)
+    s = twz * d0 / (tw * tz)
+    if not want_d:
+        return s, None
+    dtwz, dtw = theta1_dz(wz, p), theta1_dz(w, p)
+    return s, d0 * (dtwz * tw - twz * dtw) / (tw * tw * tz)
 
 
 def sigma_w(w: complex, z: complex, p: ThetaParams) -> complex:
@@ -123,37 +154,23 @@ def sigma_w(w: complex, z: complex, p: ThetaParams) -> complex:
 
     Simple pole of residue 1 at z = 0; sigma_{-w}(-z) = -sigma_w(z).
     """
-    tw = _theta_checked(w, p, "w")
-    tz = _theta_checked(z, p, "z")
-    return theta1(w - z, p) * _theta1_dz0(p) / (tw * tz)
+    return _sigma(w, z, p, False)[0]
 
 
 def sigma_w_dw(w: complex, z: complex, p: ThetaParams) -> complex:
     """Analytic partial derivative of sigma_w(z) in w."""
-    tw = _theta_checked(w, p, "w")
-    tz = _theta_checked(z, p, "z")
-    twz = theta1(w - z, p)
-    dtwz = theta1_dz(w - z, p)
-    dtw = theta1_dz(w, p)
-    return _theta1_dz0(p) * (dtwz * tw - twz * dtw) / (tw * tw * tz)
+    return _sigma(w, z, p, True)[1]
 
 
 def rho_fn(z: complex, p: ThetaParams) -> complex:
     """Logarithmic derivative theta1'(z)/theta1(z); odd, residue 1 at 0."""
-    tz = _theta_checked(z, p, "z")
+    tz = theta1(z, p)
+    _require_margin(tz, _theta_zero("z", z, tz))
     return theta1_dz(z, p) / tz
 
 
-def _one_plus_coth(x: complex) -> complex:
-    # 1 + coth(x) = 2/(1 - e^{-2x}), evaluated for Re x >= 0 only
-    den = 1 - cmath.exp(-2 * x)
-    if abs(den) < _POLE_THRESHOLD:
-        raise PoleProximity(f"series term argument {x} too close to i*pi*Z")
-    return 2 / den
-
-
 def classical_series(kind: str, u: complex, a: complex, p: ThetaParams, n_terms: int) -> complex:
-    """Two-sided partial sum whose closed form is sigma or rho.
+    """Two-sided partial sum whose closed form is sigma or rho, entrywise over a.
 
     kind "sigma-sum": sum over |n| <= n_terms of u^n (1 + coth(a + pi i tau n)).
     kind "rho-sum":   1 + the same sum with a = 0 and n = 0 omitted.
@@ -161,6 +178,7 @@ def classical_series(kind: str, u: complex, a: complex, p: ThetaParams, n_terms:
     Converges on the annulus 1 < |u| < exp(2 pi Im tau); with
     u = exp(2 pi i z) and k = pi i tau the limits are
     (1/(pi i)) sigma_{-a/(pi i)}(z, tau) and (1/(pi i)) rho(z, tau).
+    Memory grows as (2 n_terms + 1) times the size of a.
 
     Raises
     ------
@@ -169,7 +187,7 @@ def classical_series(kind: str, u: complex, a: complex, p: ThetaParams, n_terms:
     SpecInvalid for an unknown kind or negative n_terms.
     """
     u = complex(u)
-    a = complex(a)
+    a = np.asarray(a, dtype=complex)
     if kind not in ("sigma-sum", "rho-sum"):
         raise SpecInvalid(f"unknown series kind {kind!r}")
     if n_terms < 0:
@@ -182,20 +200,18 @@ def classical_series(kind: str, u: complex, a: complex, p: ThetaParams, n_terms:
         )
     k = 1j * math.pi * complex(p.tau)
     log_u = cmath.log(u)
+    n = np.arange(-n_terms, n_terms + 1)
     if kind == "rho-sum":
-        a = 0j
-    total = 1 + 0j if kind == "rho-sum" else 0j
-    for n in range(-n_terms, n_terms + 1):
-        if kind == "rho-sum" and n == 0:
-            continue
-        x = a + k * n
-        if x.real >= 0:
-            total += cmath.exp(n * log_u) * _one_plus_coth(x)
-        else:
-            # u^n * 2 e^{2x}/(e^{2x}-1) with the exponentials combined, so the
-            # decaying factor is applied before anything can overflow
-            den = cmath.exp(2 * x) - 1
-            if abs(den) < _POLE_THRESHOLD:
-                raise PoleProximity(f"series term argument {x} too close to i*pi*Z")
-            total += 2 * cmath.exp(n * log_u + 2 * x) / den
-    return total
+        n, a = n[n != 0], np.zeros_like(a)
+    x = np.add.outer(a, k * n)  # one row of term arguments per entry of a
+    pos = x.real >= 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = np.exp(np.where(pos, -2 * x, 2 * x))  # the decaying exponential
+        den = np.where(pos, 1 - e, e - 1)
+        _require_margin(den, lambda i: f"series term argument {complex(x.flat[i])} too close to i*pi*Z")
+        # u^n (1 + coth x) is u^n 2/(1 - e^{-2x}) for Re x >= 0; for Re x < 0 it
+        # is u^n 2 e^{2x}/(e^{2x} - 1) with the exponentials combined, so the
+        # decaying factor applies before anything can overflow
+        terms = np.where(pos, np.exp(n * log_u) * (2 / den), 2 * np.exp(n * log_u + 2 * x) / den)
+    total = terms.sum(axis=-1)
+    return _out(1 + total if kind == "rho-sum" else total)

@@ -26,7 +26,7 @@ from .errors import (
     SpecInvalid,
     SubalgebraInvalid,
 )
-from .lie_core import CartanVector, SimpleLieAlgebra, _coo, _join, pairing
+from .lie_core import CartanVector, SimpleLieAlgebra, _coo, _join
 from .rmatrix import (
     SPECTRAL_FAMILIES,
     GaugeRecord,
@@ -356,17 +356,15 @@ def _point_records(spec: RMatrixSpec, lam: CartanVector, zs=None, mode="analytic
 
     A constant spec is evaluated once.  A spectral triple pairs the legs at
     z12, z13, z23 and takes the derivatives at z23, z31, z12, so it is
-    evaluated at the four arguments z12, z13, z23 and -z13.
+    evaluated in one call at the four arguments z12, z13, z23 and -z13.
     """
     x = lam.as_array()
     if zs is None:
         return (_record(spec, x, None, mode, fd_step),) * 6
     z1, z2, z3 = (complex(z) for z in zs)
     z12, z13, z23 = z1 - z2, z1 - z3, z2 - z3
-    r12 = _record(spec, x, z12, mode, fd_step)
-    r13 = _record(spec, x, z13)
-    r23 = _record(spec, x, z23, mode, fd_step)
-    d31 = _record(spec, x, -z13, mode, fd_step)
+    batch = _record(spec, x, np.array([z12, z13, z23, -z13]), mode, fd_step)
+    r12, r13, r23, d31 = (_Record(*(None if f is None else f[i] for f in batch)) for i in range(4))
     return r12, r13, r23, r23, d31, r12
 
 
@@ -450,16 +448,9 @@ def _residue(spec: RMatrixSpec, lam: CartanVector, radius: float, points: int):
     if points < 4:
         raise SpecInvalid("need at least 4 contour points")
     rs = spec.algebra.root_system
-    x = lam.as_array()
-    acc_m = np.zeros((rs.rank, rs.rank), dtype=complex)
-    acc_phi = np.zeros(rs.n_roots, dtype=complex)
-    for j in range(points):
-        zj = radius * cmath.exp(2j * math.pi * j / points)
-        rec = _record(spec, x, zj)
-        acc_m += zj * rec.m
-        acc_phi += zj * rec.phi
-    acc_m /= points
-    acc_phi /= points
+    zj = radius * np.exp(2j * math.pi * np.arange(points) / points)
+    rec = _record(spec, lam.as_array(), zj)
+    acc_m, acc_phi = (np.tensordot(zj, f, 1) / points for f in rec[:2])
     eps_est = complex((np.trace(acc_m) + acc_phi.sum()) / (rs.rank + rs.n_roots))
     deviation = max(
         float(np.max(np.abs(acc_m - eps_est * np.eye(rs.rank)))),
@@ -593,7 +584,7 @@ def _axiom_checks(spec: RMatrixSpec, points: list, r_records=None) -> list:
     compares r(z) + r(-z)^T with 0.
     """
     rs = spec.algebra.root_system
-    neg = np.array([rs.neg(p) for p in range(rs.n_roots)], dtype=np.intp)
+    neg = spec.algebra.root_pair_index()[1] - rs.rank  # the index of -a, per root a
     pair_weight = np.abs(rs.roots + rs.roots[neg]).T
     spectral = spec.family in SPECTRAL_FAMILIES
     eps = effective_coupling(spec)
@@ -851,9 +842,6 @@ def affine_series_check(
 
     series_m = np.zeros((rs.rank, rs.rank), dtype=complex)
     np.fill_diagonal(series_m, classical_series("rho-sum", u, 0.0, params, n_terms))
-    series_phi = np.array(
-        [classical_series("sigma-sum", u, pairing(rs, lam, p), params, n_terms) for p in range(rs.n_roots)],
-        dtype=complex,
-    )
+    series_phi = classical_series("sigma-sum", u, rs.roots @ lam.as_array(), params, n_terms)
     closed = _record(affine_hat_spec(algebra, tau), lam.as_array(), complex(z))
     return max(_sup(series_m - closed.m), _sup(series_phi - closed.phi))

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,6 +32,8 @@ from dynr import (
     trig_constant_fixture,
 )
 from dynr import rmatrix
+from dynr.combinatorics import additive_closure
+from dynr.verifier import SamplePlan, _campaign_points
 
 A1 = build_simple_lie_algebra(build_root_system("A", 1))
 A2 = build_simple_lie_algebra(build_root_system("A", 2))
@@ -579,14 +582,14 @@ def _scalar_pole_margin(spec, lam, z=None):
         vals += [abs(pairings[p]) for p in spec.X]
     elif fam in ("TrigCotanh", "TrigDegenerate"):
         half = complex(spec.eps) / 2
-        rel = range(rs.n_roots) if fam == "TrigCotanh" else sorted(spec._span_set)
+        rel = range(rs.n_roots) if fam == "TrigCotanh" else np.flatnonzero(spec._span)
         vals += [_scalar_lattice_distance(half * pairings[p], [1j * math.pi]) for p in rel]
     elif fam == "EllipticSpectral":
         periods = [1 + 0j, complex(spec.tau)]
         vals += [_scalar_lattice_distance(-pairings[p], periods) for p in range(rs.n_roots)]
         vals.append(_scalar_lattice_distance(z_eff, periods))
     elif fam == "TrigSpectral":
-        vals += [_scalar_lattice_distance(pairings[p], [math.pi + 0j]) for p in sorted(spec._span_set)]
+        vals += [_scalar_lattice_distance(pairings[p], [math.pi + 0j]) for p in np.flatnonzero(spec._span)]
         vals.append(_scalar_lattice_distance(z_eff, [math.pi + 0j]))
     else:
         vals += [abs(pairings[p]) for p in spec.X]
@@ -633,6 +636,269 @@ def test_pole_margin_matches_scalar_oracle(series, rank):
             z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) if spec.is_spectral else None
             want = _scalar_pole_margin(spec, lam, z)
             assert pole_margin(spec, lam, z) == pytest.approx(want, rel=1e-15, abs=0)
+
+
+# ---------------------------------------------------------------- scalar oracle
+# The per-root family formulas and scalar special functions that the array
+# path replaced, kept as an oracle for records and pole messages.
+
+_THRESHOLD = 1e-8
+
+
+def _o_coth(eps, w):
+    x = eps * complex(w) / 2
+    if abs(cmath.sinh(x) if abs(x.real) < 300 else 1.0) < _THRESHOLD:
+        raise PoleProximity(f"coth argument {x} too close to i*pi*Z")
+    if x.real >= 0:
+        em = cmath.exp(-2 * x)
+        return (eps / 2) * (1 + em) / (1 - em)
+    ep = cmath.exp(2 * x)
+    return (eps / 2) * (ep + 1) / (ep - 1)
+
+
+def _o_theta(z, tau, order):
+    """The theta sum term by term, with the default tolerance 1e-14."""
+    z = complex(z)
+    im_z = abs(z.imag)
+    j = (im_z + math.sqrt(im_z * im_z + tau.imag * math.log(10.0 / 1e-14) / math.pi)) / tau.imag
+    j_max = max(int(math.ceil(j)) + 2, 8)
+    total = 0j
+    for j in range(-j_max - 1, j_max + 1):
+        h = j + 0.5
+        total += cmath.exp(1j * math.pi * h * h * tau + 2j * math.pi * h * (z + 0.5)) * (2j * math.pi * h) ** order
+    return -total
+
+
+def _o_theta_checked(z, tau, what):
+    v = _o_theta(z, tau, 0)
+    if abs(v) < _THRESHOLD:
+        raise PoleProximity(f"theta1({what}={z}) = {v:.3e}, too close to a zero")
+    return v
+
+
+def _o_sigma(w, z, tau, want_d):
+    tw, tz = _o_theta_checked(w, tau, "w"), _o_theta_checked(z, tau, "z")
+    twz, d0 = _o_theta(w - z, tau, 0), _o_theta(0.0, tau, 1)
+    if not want_d:
+        return twz * d0 / (tw * tz)
+    return d0 * (_o_theta(w - z, tau, 1) * tw - twz * _o_theta(w, tau, 1)) / (tw * tw * tz)
+
+
+def _o_require(value, what):
+    if abs(value) < _THRESHOLD:
+        raise PoleProximity(f"{what} magnitude {abs(value):.3e} below pole threshold")
+
+
+def _o_base_eval(spec, lam, z, want_d):
+    """One family formula per root, with scalar special functions."""
+    rs = spec.algebra.root_system
+    rank, nr = rs.rank, rs.n_roots
+    pairings = rs.roots @ (lam - spec.nu.as_array())
+    omega, eps, fam = complex(spec.debug_scale_omega), complex(spec.eps), spec.family
+    pol = set(spec.polarization)
+    span = set()
+    if fam in ("TrigDegenerate", "TrigSpectral"):
+        span = additive_closure(rs, set(spec.X) | {rs.neg(i) for i in spec.X})
+    m = spec.C.copy()
+    phi = np.zeros(nr, dtype=complex)
+    dphi = np.zeros((rank, nr), dtype=complex) if want_d else None
+    if fam == "RationalConstant":
+        for p in spec.X:
+            h = pairings[p]
+            _o_require(h, f"(root {p}, lam-nu)")
+            phi[p] = 1.0 / h
+            if want_d:
+                dphi[:, p] = -rs.roots[p] / (h * h)
+    elif fam in ("TrigCotanh", "TrigDegenerate"):
+        half = eps / 2
+        m += omega * half * np.eye(rank)
+        phi += omega * half
+        for p in range(nr) if fam == "TrigCotanh" else sorted(span):
+            c = _o_coth(eps, pairings[p])
+            phi[p] += c
+            if want_d:
+                dphi[:, p] = (half * half - c * c) * rs.roots[p]
+        if fam == "TrigDegenerate":
+            for p in range(nr):
+                if p not in span:
+                    phi[p] += half if p in pol else -half
+    elif fam == "EllipticSpectral":
+        tau = complex(spec.tau)
+        m += omega * (_o_theta(z, tau, 1) / _o_theta_checked(z, tau, "z")) * np.eye(rank)
+        for p in range(nr):
+            w = -pairings[p]
+            phi[p] = _o_sigma(w, z, tau, False)
+            if want_d:
+                dphi[:, p] = _o_sigma(w, z, tau, True) * (-rs.roots[p])
+    elif fam == "TrigSpectral":
+        sz = cmath.sin(z)
+        _o_require(sz, "sin z")
+        m += omega * (cmath.cos(z) / sz) * np.eye(rank)
+        for p in range(nr):
+            if p in span:
+                sa = cmath.sin(pairings[p])
+                _o_require(sa, f"sin(root {p}, lam-nu)")
+                phi[p] = cmath.sin(pairings[p] + z) / (sa * sz)
+                if want_d:
+                    dphi[:, p] = -rs.roots[p] / (sa * sa)
+            else:
+                phi[p] = cmath.exp((-1j if p in pol else 1j) * z) / sz
+    else:  # RationalSpectral
+        _o_require(z, "z")
+        m += omega * (1.0 / z) * np.eye(rank)
+        phi += 1.0 / z
+        for p in spec.X:
+            h = pairings[p]
+            _o_require(h, f"(root {p}, lam-nu)")
+            phi[p] += 1.0 / h
+            if want_d:
+                dphi[:, p] = -rs.roots[p] / (h * h)
+    return m, phi, dphi
+
+
+def _o_evaluate(spec, lam, z, want_d):
+    """_o_base_eval at the bottom argument, then the gauge stack per root."""
+    rs = spec.algebra.root_system
+    *levels, base = rmatrix._arguments(spec, lam, z)
+    m, phi, dphi = _o_base_eval(spec, *base, want_d)
+    for g, (lam_g, z_g) in zip(spec.gauge_stack, reversed(levels)):
+        if g.kind == 1:
+            m = m + g.c_matrix
+        elif g.kind == 2:
+            q, v = g.psi
+            for p in range(rs.n_roots):
+                factor = np.exp(z_g * (rs.roots[p] @ (q @ lam_g + v)))
+                if want_d:
+                    dphi[:, p] = (dphi[:, p] + phi[p] * (z_g * (rs.roots[p] @ q))) * factor
+                phi[p] = phi[p] * factor
+            m = m + z_g * q
+        elif g.kind == 4:
+            a = g.scale[0]
+            m, phi = a * m, a * phi
+            if want_d:
+                dphi = a * a * dphi
+    return m, phi, dphi
+
+
+def _o_record(spec, lam, z, mode, fd_step=1e-5):
+    """(m, phi, dm, dphi) as rmatrix._record gives them, from the oracle."""
+    rank = spec.algebra.rank
+    if mode == "finite-difference":
+        m, phi, _ = _o_evaluate(spec, lam, z, False)
+        dm = np.zeros((rank, rank, rank), dtype=complex)
+        dphi = np.zeros((rank, len(phi)), dtype=complex)
+        for i in range(rank):
+            step = np.zeros(rank, dtype=complex)
+            step[i] = fd_step
+            up, dn = _o_evaluate(spec, lam + step, z, False), _o_evaluate(spec, lam - step, z, False)
+            dm[i] = (up[0] - dn[0]) / (2 * fd_step)
+            dphi[i] = (up[1] - dn[1]) / (2 * fd_step)
+    else:
+        m, phi, dphi = _o_evaluate(spec, lam, z, mode == "analytic")
+        dm = None
+    p = spec.debug_flip_root
+    if p is not None:
+        phi[p] = -phi[p]
+        if dphi is not None:
+            dphi[:, p] = -dphi[:, p]
+    return m, phi, dm, dphi
+
+
+def _record_zoo(g):
+    """_margin_zoo, the three spectral families under a kind-2+4 stack, and
+    two specs flipped at a root."""
+    rs, rank = g.root_system, g.rank
+    q = 0.3 * np.eye(rank) + 0.1 * (np.ones((rank, rank)) - np.eye(rank))
+    zoo = _margin_zoo(g)
+    for spec in zoo[3:6]:
+        for rec in (GaugeRecord(kind=2, psi=(q, 0.15 * np.ones(rank))), GaugeRecord(kind=4, scale=(0.8, 1.6))):
+            spec = gauge_apply(spec, rec)
+        zoo.append(spec)
+    zoo.append(replace(zoo[1], debug_flip_root=int(rs.positive_roots[0]), validate=False))
+    zoo.append(replace(zoo[-2], debug_flip_root=rs.n_roots - 1, validate=False))
+    return zoo
+
+
+def _zoo_point(spec):
+    lam, zs = _campaign_points((spec,), SamplePlan(seed=0, count=1), 3 if spec.is_spectral else 0)[0]
+    return lam.as_array(), None if zs is None else zs[0] - zs[1]
+
+
+@pytest.mark.parametrize("series, rank", [("A", 1), ("A", 2), ("G", 2), ("B", 3), ("F", 4)])
+def test_records_match_scalar_oracle(series, rank):
+    g = build_simple_lie_algebra(build_root_system(series, rank))
+    for spec in _record_zoo(g):
+        lam, z = _zoo_point(spec)
+        for mode in (None, "analytic", "finite-difference"):
+            got = rmatrix._record(spec, lam, z, mode)
+            want = _o_record(spec, lam, z, mode)
+            sup = max(np.max(np.abs(w)) for w in want if w is not None)
+            for field, (a, b) in enumerate(zip(got, want)):
+                assert (a is None) == (b is None), (spec.family, mode, field)
+                if a is not None:
+                    tol = 1e-10 if mode == "finite-difference" and field >= 2 else 2e-15
+                    assert np.max(np.abs(a - b)) <= tol * sup, (spec.family, mode, field)
+
+
+@pytest.mark.parametrize("algebra", [A2, build_simple_lie_algebra(build_root_system("B", 3))])
+def test_argument_batch_equals_single_calls(algebra):
+    zs = np.array([0.21 - 0.13j, -0.33 + 0.2j, 0.4 + 0.05j, -0.21 + 0.13j, 0.05j])
+    for spec in _record_zoo(algebra):
+        if not spec.is_spectral:
+            continue
+        lam, _ = _zoo_point(spec)
+        for mode in (None, "analytic", "finite-difference"):
+            batch = rmatrix._record(spec, lam, zs, mode)
+            for i, z in enumerate(zs):
+                for a, b in zip(batch, rmatrix._record(spec, lam, complex(z), mode)):
+                    assert (a is None and b is None) or np.array_equal(a[i], b), (spec.family, mode, i)
+
+
+def test_duplicate_X_entries_count_once():
+    """X is a set of roots: a repeated entry adds its 1/(alpha, lam) term once."""
+    lam = np.array([0.41 + 0.1j, -0.23 + 0.05j])
+    for family, z in (("RationalSpectral", 0.3 - 0.1j), ("RationalConstant", None)):
+        full = RMatrixSpec(algebra=A2, family=family, X=_full_X(A2))
+        repeated = RMatrixSpec(algebra=A2, family=family, X=(0,) + _full_X(A2))
+        for mode in (None, "analytic"):
+            for a, b in zip(rmatrix._record(repeated, lam, z, mode), rmatrix._record(full, lam, z, mode)):
+                assert (a is None and b is None) or np.array_equal(a, b), family
+
+
+def _pole_cases(g, spec):
+    """(lam, z) pairs that put a denominator of spec within 1e-12 of a pole."""
+    rs = g.root_system
+    a = rs.roots[rs.simple_roots[0]]
+    lam_at = lambda value: (a * (value / (a @ a))).astype(complex)
+    tiny, fam = 1e-12, spec.family
+    z_ok = 0.31 - 0.12j if spec.is_spectral else None
+    if fam in ("TrigCotanh", "TrigDegenerate"):
+        period = 2j * math.pi / complex(spec.eps)
+        return [(lam_at(tiny), None), (lam_at(period + tiny), None)]
+    if fam == "RationalConstant":
+        return [(lam_at(tiny), None)]
+    periods = {"EllipticSpectral": (1.0, spec.tau), "TrigSpectral": (math.pi,)}.get(fam, ())
+    lam_ok = lam_at(0.37 + 0.11j)
+    cases = [(lam_at(tiny), z_ok), (lam_ok, tiny), (lam_ok, -tiny * 1j)]
+    cases += [(lam_at(p + tiny), z_ok) for p in periods] + [(lam_ok, p + tiny) for p in periods]
+    return [(lam, complex(z)) for lam, z in cases]
+
+
+@pytest.mark.parametrize("algebra", [A2, B2])
+def test_pole_adjacent_arguments_raise_the_scalar_error(algebra):
+    for spec in _margin_zoo(algebra)[:8]:
+        for lam, z in _pole_cases(algebra, spec):
+            for mode in (None, "analytic"):
+                with pytest.raises(PoleProximity) as want:
+                    _o_record(spec, lam, z, mode)
+                with pytest.raises(PoleProximity) as got:
+                    rmatrix._record(spec, lam, z, mode)
+                assert str(got.value) == str(want.value), (spec.family, lam, z)
+            if z is not None:
+                # in a batch the error names the first argument that meets a pole
+                with pytest.raises(PoleProximity) as batch:
+                    rmatrix._record(spec, lam, np.array([0.31 - 0.12j, z]), "analytic")
+                assert str(batch.value) == str(got.value), (spec.family, lam, z)
 
 
 # ---------------------------------------------------------------- serialization

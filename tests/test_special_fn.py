@@ -4,6 +4,7 @@ import cmath
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
 from dynr import (
@@ -90,6 +91,48 @@ def test_theta1_truncation_cap():
     p = ThetaParams(tau=1j, truncation=8)
     with pytest.raises(ConvergenceFailure):
         theta1(50.0j, p)
+
+
+def test_theta1_array_cap_names_first_offending_entry():
+    p = ThetaParams(tau=1j, truncation=8)
+    with pytest.raises(ConvergenceFailure) as single:
+        theta1(50j, p)
+    with pytest.raises(ConvergenceFailure) as batch:
+        theta1(np.array([[0.1j, 0.2], [50j, 60j]]), p)
+    assert str(batch.value) == str(single.value)
+    assert "z=50j" in str(batch.value)
+    # a cutoff too large to be an integer is still past the cap
+    with pytest.raises(ConvergenceFailure):
+        theta1(1e200j, P_I)
+
+
+def test_theta_batch_keeps_each_entry_cutoff():
+    """Each entry is summed to its own cutoff whatever else is in the batch;
+    the coarse tolerance makes the terms past a cutoff visible."""
+    p = ThetaParams(tau=0.01j, tol=0.5)
+    z = np.array([0.2, 1j])
+    for f in (theta1, theta1_dz):
+        assert list(f(z, p)) == [f(0.2, p), f(1j, p)]
+
+
+def test_array_arguments_match_entrywise_calls():
+    p = ThetaParams(tau=0.3 + 1.1j)
+    w = np.array([[0.31, -0.62 + 0.1j], [0.5 + 0.2j, 1.7 - 0.4j]])
+    z = np.array([0.27 - 0.14j, -0.4 + 0.3j])  # broadcasts against w
+    cases = [
+        lambda w, z: theta1(w, p),
+        lambda w, z: theta1_dz(w, p),
+        lambda w, z: rho_fn(w, p),
+        lambda w, z: coth_scaled(1.5 - 0.2j, w),
+        lambda w, z: sigma_w(w, z, p),
+        lambda w, z: sigma_w_dw(w, z, p),
+    ]
+    wb, zb = np.broadcast_arrays(w, z)
+    for f in cases:
+        got = f(w, z)
+        want = [f(complex(a), complex(b)) for a, b in zip(wb.flat, zb.flat)]
+        assert got.shape == w.shape and all(type(v) is complex for v in want)
+        np.testing.assert_allclose(got.ravel(), want, rtol=1e-15, atol=0)
 
 
 def test_theta_params_gates():
@@ -248,6 +291,21 @@ def test_series_annulus_gate():
     # too far out fails as well
     with pytest.raises(ConvergenceFailure):
         classical_series("sigma-sum", cmath.exp(2 * cmath.pi * 2.5), 0.8, P_2I, 20)
+
+
+def test_series_over_an_array_of_a_matches_entrywise_calls():
+    u = cmath.exp(2j * cmath.pi * (0.3 - 0.5j))
+    a = np.array([0.8, -0.3 + 0.2j, 1.1j])
+    got = classical_series("sigma-sum", u, a, P_2I, 20)
+    want = [classical_series("sigma-sum", u, x, P_2I, 20) for x in a]
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+    # entry 1 meets the pole of its n = 1 term, entry 2 that of its n = 0 term
+    near = np.array([0.8, 2 * math.pi + 1e-12, 1e-13])
+    with pytest.raises(PoleProximity) as single:
+        classical_series("sigma-sum", u, near[1], P_2I, 3)
+    with pytest.raises(PoleProximity) as batch:
+        classical_series("sigma-sum", u, near, P_2I, 3)
+    assert str(batch.value) == str(single.value)
 
 
 def test_series_pole_and_spec_gates():

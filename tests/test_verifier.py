@@ -800,13 +800,14 @@ def test_negative_control_equals_flipped_spec_residual():
 
 def test_check_axioms_evaluates_each_sample_argument_once(monkeypatch):
     """A constant point is one evaluation; a spectral point is four residual
-    arguments, the reflection r(-z12) and the 16-point residue contour."""
+    arguments, the reflection r(-z12) and the 16-point residue contour.
+    Each call counts the spectral arguments it evaluates."""
     calls = []
     evaluate = rmatrix._evaluate
 
-    def count(*args):
-        calls.append(args)
-        return evaluate(*args)
+    def count(spec, lam, z, want_d):
+        calls.extend([z] * (1 if z is None else np.size(z)))
+        return evaluate(spec, lam, z, want_d)
 
     monkeypatch.setattr(rmatrix, "_evaluate", count)
     n = 3
