@@ -127,7 +127,7 @@ class RMatrixSpec:
         rank = rs.rank
 
         members = self.X.members if isinstance(self.X, RootSubset) else (self.X or ())
-        x = tuple(sorted(int(i) for i in members))
+        x = tuple(sorted({int(i) for i in members}))  # X is a set of roots
         object.__setattr__(self, "X", x)
 
         nu = self.nu if self.nu is not None else CartanVector.zero(rank)
@@ -270,59 +270,64 @@ def _below(what: str, value) -> str:
     return f"{what} magnitude {abs(value):.3e} below pole threshold"
 
 
+def _pairings(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """rows @ x per leading index of x: numpy's matmul makes one matrix-vector
+    product per stacked index, so a row does not depend on its batch."""
+    return (rows @ x[..., None])[..., 0]
+
+
 def _base_eval(spec: RMatrixSpec, lam: np.ndarray, z, want_d: bool):
     """Family formulas in canonical (M, phi, dphi) shape, debug_scale_omega
     applied (_record applies debug_flip_root).
 
-    Each family is one array expression over its pole-bearing roots.  z is
-    None or an array of spectral arguments, whose shape every output then
-    carries in front.
+    Each family is one array expression over its pole-bearing roots and a
+    batch of n arguments: lam is (n, rank), z None or (n,), and every
+    output has n in front.
     """
     rs = spec.algebra.root_system
-    rank, nr = rs.rank, rs.n_roots
+    rank, nr, n = rs.rank, rs.n_roots, len(lam)
     poles, fam, omega = spec._pole_roots, spec.family, complex(spec.debug_scale_omega)
-    a = (rs.roots @ (lam - spec.nu.as_array()))[poles]
+    a = _pairings(rs.roots, lam - spec.nu.as_array())[:, poles]  # (n, pole-bearing roots)
     roots = rs.roots[poles].T  # (rank, pole-bearing roots)
-    lead = () if z is None else z.shape
-    zc = None if z is None else z[..., None]  # broadcasts against the roots
-    phi = np.zeros(lead + (nr,), dtype=complex)
+    zc = None if z is None else z[:, None]  # broadcasts against the roots
+    phi = np.zeros((n, nr), dtype=complex)
     diag = None  # the scalar multiplying the identity in M, before debug_scale_omega
 
     if fam in ("RationalConstant", "RationalSpectral"):
         if z is not None:
-            _require_margin(z, lambda i: _below("z", z.flat[i]))
+            _require_margin(z, lambda i: _below("z", z[i]))
             diag = 1.0 / z
             phi += 1.0 / zc
-        _require_margin(a, lambda i: _below(f"(root {poles[i]}, lam-nu)", a[i]))
-        phi[..., poles] += 1.0 / a
-        d = -roots / (a * a)
+        _require_margin(a, lambda i: _below(f"(root {poles[i % len(poles)]}, lam-nu)", a.flat[i]))
+        phi[:, poles] += 1.0 / a
+        d = -roots / (a * a)[:, None]
     elif fam in ("TrigCotanh", "TrigDegenerate"):
         diag = half = spec.eps / 2
         phi += omega * half
         c = coth_scaled(spec.eps, a)  # includes its own pole guard
-        phi[poles] += c
-        d = (half * half - c * c) * roots
+        phi[:, poles] += c
+        d = (half * half - c * c)[:, None] * roots
         if fam == "TrigDegenerate":
             rest = ~spec._span
-            phi[rest] += np.where(spec._pol[rest], half, -half)
+            phi[:, rest] += np.where(spec._pol[rest], half, -half)
     elif fam == "EllipticSpectral":
         tp = spec.theta_params()
         diag = rho_fn(z, tp)
         phi, ds = _sigma(-a, zc, tp, want_d)
-        d = None if ds is None else ds[..., None, :] * -roots
+        d = None if ds is None else ds[:, None] * -roots
     else:  # TrigSpectral
         sz = np.sin(z)
-        _require_margin(sz, lambda i: _below("sin z", sz.flat[i]))
+        _require_margin(sz, lambda i: _below("sin z", sz[i]))
         diag = np.cos(z) / sz
         sa = np.sin(a)
-        _require_margin(sa, lambda i: _below(f"sin(root {poles[i]}, lam-nu)", sa[i]))
+        _require_margin(sa, lambda i: _below(f"sin(root {poles[i % len(poles)]}, lam-nu)", sa.flat[i]))
         rest = ~spec._span
-        phi[..., rest] = np.exp(np.where(spec._pol[rest], -1j, 1j) * zc) / sz[..., None]
-        phi[..., poles] = np.sin(a + zc) / (sa * sz[..., None])
-        d = -roots / (sa * sa)
+        phi[:, rest] = np.exp(np.where(spec._pol[rest], -1j, 1j) * zc) / sz[:, None]
+        phi[:, poles] = np.sin(a + zc) / (sa * sz[:, None])
+        d = -roots / (sa * sa)[:, None]
 
-    m = spec.C.copy() if diag is None else spec.C + np.multiply.outer(omega * diag, np.eye(rank))
-    dphi = np.zeros(lead + (rank, nr), dtype=complex) if want_d else None
+    m = np.repeat(spec.C[None], n, axis=0) if diag is None else spec.C + np.multiply.outer(np.broadcast_to(omega * diag, (n,)), np.eye(rank))
+    dphi = np.zeros((n, rank, nr), dtype=complex) if want_d else None
     if want_d:
         dphi[..., poles] = d
     return m, phi, dphi
@@ -344,13 +349,16 @@ def _arguments(spec: RMatrixSpec, lam: np.ndarray, z: Optional[complex]) -> list
 
 def _evaluate(spec: RMatrixSpec, lam: np.ndarray, z, want_d: bool):
     """(M, phi, dphi) of spec at (lam, z): the family formula at the bottom
-    argument, then each gauge record from the bottom of the stack up.  An
-    array z puts its shape in front of every output; a single z runs as a
-    batch of one, so its values equal the batched ones bit for bit.  Overflow
-    yields inf or nan entries without a warning; _record tests them."""
-    single = z is not None and np.ndim(z) == 0
-    z = np.reshape(z, 1) if single else z
+    argument, then each gauge record from the bottom of the stack up.  lam
+    may carry leading batch axes and z may be an array; every output then
+    carries the broadcast of lam.shape[:-1] and z's shape in front.  All run
+    as one flat batch, a single argument as a batch of one, so a value
+    equals its entry in any batch bit for bit.  Overflow yields inf or nan
+    entries without a warning; _record tests them."""
     rs = spec.algebra.root_system
+    lead = np.broadcast_shapes(np.shape(lam)[:-1], np.shape(z))
+    lam = np.broadcast_to(lam, lead + (rs.rank,)).reshape(-1, rs.rank)
+    z = None if z is None else np.broadcast_to(z, lead).reshape(-1)
     *levels, base = _arguments(spec, lam, z)
     with np.errstate(over="ignore", invalid="ignore"):
         m, phi, dphi = _base_eval(spec, *base, want_d)
@@ -359,19 +367,17 @@ def _evaluate(spec: RMatrixSpec, lam: np.ndarray, z, want_d: bool):
                 m = m + g.c_matrix
             elif g.kind == 2:
                 q, v = g.psi
-                zc = z_g[..., None]
-                factors = np.exp(zc * (rs.roots @ (q @ lam_g + v)))  # e^{z L_a psi}, per root
+                zc = z_g[:, None]
+                factors = np.exp(zc * _pairings(rs.roots, _pairings(q, lam_g) + v))  # e^{z L_a psi}, per root
                 if want_d:
-                    dphi = (dphi + phi[..., None, :] * (zc[..., None] * (rs.roots @ q).T)) * factors[..., None, :]
+                    dphi = (dphi + phi[:, None, :] * (zc[:, None] * (rs.roots @ q).T)) * factors[:, None, :]
                 m, phi = m + np.multiply.outer(z_g, q), phi * factors
             elif g.kind == 4:
                 a = g.scale[0]
                 m, phi = a * m, a * phi
                 if want_d:
                     dphi = a * a * dphi
-    if single:
-        m, phi, dphi = m[0], phi[0], None if dphi is None else dphi[0]
-    return m, phi, dphi
+    return tuple(None if f is None else f.reshape(lead + f.shape[1:]) for f in (m, phi, dphi))
 
 
 class _Record(NamedTuple):
@@ -380,14 +386,19 @@ class _Record(NamedTuple):
     m is the Cartan block, phi the e_a (x) e_{-a} coefficient per root;
     dm[k] and dphi[k] are their derivatives along the k-th Cartan
     coordinate.  dm is None where M does not depend on lam (analytic mode);
-    dphi is None when no derivative was asked for.  A record of an array of
-    spectral arguments carries the array's shape in front of every field.
+    dphi is None when no derivative was asked for.  A record of a batch of
+    arguments carries the batch's shape in front of every field.
     """
 
     m: np.ndarray
     phi: np.ndarray
     dm: Optional[np.ndarray] = None
     dphi: Optional[np.ndarray] = None
+
+    def take(self, i: int, axis: int = 0) -> "_Record":
+        """The record at index i of the leading axis `axis`."""
+        at = (slice(None),) * axis + (i,)
+        return _Record(*(None if f is None else f[at] for f in self))
 
 
 def _flip(rec: _Record, p: int) -> _Record:
@@ -410,33 +421,34 @@ def _record(
 ) -> _Record:
     """Evaluate spec at (lam, z); mode None skips the derivative.
 
-    z may be an array of spectral arguments, evaluated in one pass; the
-    record then carries its shape in front.  Analytic mode differentiates
-    the closed-form coefficients (threaded through the gauge stack), where
-    M is lam-independent; finite-difference mode takes central differences
-    of (M, phi) at lam +- fd_step e_k.  The spec's debug_flip_root is
-    applied to the result.  Raises NonFiniteValue naming lam and the first
-    z whose record has an inf or nan entry.
+    lam and z may be batches, as for _evaluate, run in one _evaluate call.
+    Analytic mode differentiates the closed-form coefficients (threaded
+    through the gauge stack), where M is lam-independent; finite-difference
+    mode takes central differences of (M, phi) at lam +- fd_step e_k, all
+    2 * rank shifts in one more call.  The spec's debug_flip_root is applied
+    to the result.  Raises NonFiniteValue naming lam and z of the first
+    argument (in C order) whose record has an inf or nan entry.
     """
-    if mode is None:
-        rec = _Record(*_evaluate(spec, lam, z, False)[:2])
-    elif mode == "analytic":
-        m, phi, dphi = _evaluate(spec, lam, z, True)
-        rec = _Record(m, phi, None, dphi)
-    elif mode != "finite-difference":
+    if mode not in (None, "analytic", "finite-difference"):
         raise SpecInvalid(f"unknown mode {mode!r}")
-    else:
-        m, phi, _ = _evaluate(spec, lam, z, False)
-        steps = fd_step * np.eye(spec.algebra.rank, dtype=complex)
-        pairs = [(_evaluate(spec, lam + s, z, False), _evaluate(spec, lam - s, z, False)) for s in steps]
-        dm = np.stack([(up[0] - dn[0]) / (2 * fd_step) for up, dn in pairs], axis=-3)
-        dphi = np.stack([(up[1] - dn[1]) / (2 * fd_step) for up, dn in pairs], axis=-2)
-        rec = _Record(m, phi, dm, dphi)
-    lead = () if z is None else np.shape(z)
-    finite = np.logical_and.reduce([np.isfinite(a).reshape(lead + (-1,)).all(axis=-1) for a in rec if a is not None])
+    lam = np.asarray(lam)
+    lead = np.broadcast_shapes(lam.shape[:-1], np.shape(z))
+    m, phi, dphi = _evaluate(spec, lam, z, mode == "analytic")
+    dm = None
+    if mode == "finite-difference":
+        rank = lam.shape[-1]
+        # the shifted lambdas as a (rank, 2) batch in front of the record's axes
+        s = fd_step * np.eye(rank, dtype=complex).reshape((rank,) + (1,) * len(lead) + (rank,))
+        ms, phis, _ = _evaluate(spec, np.stack([lam + s, lam - s], axis=1), z, False)
+        dm = np.moveaxis((ms[:, 0] - ms[:, 1]) / (2 * fd_step), 0, -3)
+        dphi = np.moveaxis((phis[:, 0] - phis[:, 1]) / (2 * fd_step), 0, -2)
+    rec = _Record(m, phi, dm, dphi)
+    finite = np.logical_and.reduce([np.isfinite(f).reshape(lead + (-1,)).all(axis=-1) for f in rec if f is not None])
     if not np.all(finite):
-        at = "" if z is None else f", z {complex(np.ravel(z)[np.argmin(finite)])}"
-        raise NonFiniteValue(f"r-matrix record is not finite at lambda {lam.tolist()}{at}")
+        i = int(np.argmin(finite))
+        lam_i = np.broadcast_to(lam, lead + lam.shape[-1:]).reshape(-1, lam.shape[-1])[i]
+        at = "" if z is None else f", z {complex(np.ravel(np.broadcast_to(z, lead))[i])}"
+        raise NonFiniteValue(f"r-matrix record is not finite at lambda {lam_i.tolist()}{at}")
     return rec if spec.debug_flip_root is None else _flip(rec, spec.debug_flip_root)
 
 
@@ -557,9 +569,10 @@ def pole_margin(spec: RMatrixSpec, lam: CartanVector, z: Optional[complex] = Non
 
     Used by the sampling layer to reject points too close to a pole before
     evaluation; the distance is taken at the argument the gauge stack passes
-    to the family formula.
+    to the family formula.  z may be an array of spectral arguments: the
+    margin is then the smallest over all of them.
     """
-    lam_b, z_b = _arguments(spec, lam.as_array(), complex(z) if z is not None else None)[-1]
+    lam_b, z_b = _arguments(spec, lam.as_array(), None if z is None else np.asarray(z, dtype=complex))[-1]
     w = (spec.algebra.root_system.roots @ (lam_b - spec.nu.as_array()))[spec._pole_roots]
     fam = spec.family
     if fam in ("TrigCotanh", "TrigDegenerate"):

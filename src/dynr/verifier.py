@@ -37,7 +37,6 @@ from .rmatrix import (
     _record,
     _Record,
     effective_coupling,
-    family_phi,
     gauge_apply,
     pole_margin,
     spec_to_json,
@@ -75,6 +74,9 @@ _RESIDUAL_TOL_ANALYTIC = 1e-8
 _SKEW_TOL = 1e-10
 _RESIDUAL_WEIGHT_TOL = 1e-11
 _CONTROL_THRESHOLD = 1e-3
+# terms per residual-kernel pass (16 bytes each), so its temporaries stay in cache:
+# unbounded passes over 40 points ran 2.5x (E7), 2.7x (E8) slower on a 2-vCPU Xeon
+_KERNEL_TERMS = 2**16
 
 
 @dataclass(frozen=True)
@@ -191,12 +193,10 @@ def _draw_point(specs: Sequence[RMatrixSpec], plan: SamplePlan, rng, n_z: int):
     for _ in range(plan.max_resamples):
         lam = CartanVector.of(_draw_vector(rng, rank, plan.box, im_box))
         zs = tuple(complex(w) for w in _draw_vector(rng, n_z, plan.z_box)) if n_z else None
+        w = None if zs is None else np.array(zs)
         if n_z == 3:
-            diffs = (zs[0] - zs[1], zs[0] - zs[2], zs[1] - zs[2])
-            args = diffs + tuple(-d for d in diffs)
-        else:
-            args = zs or (None,)
-        if all(pole_margin(s, lam, w) >= plan.pole_margin for s in specs for w in args):
+            w = w[[0, 0, 1, 1, 2, 2]] - w[[1, 2, 2, 0, 0, 1]]  # +-z12, +-z13, +-z23
+        if all(pole_margin(s, lam, w) >= plan.pole_margin for s in specs):
             return lam, zs
     raise SamplingExhausted(
         f"no sample point with pole margin {plan.pole_margin} "
@@ -229,8 +229,8 @@ class _ResidualPlan:
     trailing 1.  w3 holds the sorted flat (dim, dim, dim) indices of the
     residual entries the terms reach; every one has weight zero.
 
-    weight[:, e] is |the sum of the Cartan weights of w3[e]'s legs|, one
-    row per Cartan basis vector.  swap[e] is the position in w3 of w3[e]
+    weight[e] is the largest |the sum of the Cartan weights of w3[e]'s legs|
+    over the Cartan basis vectors.  swap[e] is the position in w3 of w3[e]
     with legs 1 and 2 exchanged, valid where hit[e] is true.
     """
 
@@ -243,20 +243,22 @@ class _ResidualPlan:
     swap: np.ndarray
     hit: np.ndarray
 
-    def weight_norm(self, w: np.ndarray) -> float:
-        """Largest sup norm of the diagonal action of a Cartan basis vector on w."""
-        return float(np.max(np.abs(w) * self.weight))
+    def weight_norm(self, w: np.ndarray) -> np.ndarray:
+        """Largest sup norm of the diagonal action of a Cartan basis vector
+        on w, per row of w.  Rounding is monotone, so the largest product of
+        an entry with its weights is the entry times its largest weight."""
+        return np.max(np.abs(w) * self.weight, axis=-1)
 
-    def skew_norm(self, w: np.ndarray) -> float:
-        """Sup norm of w plus w with legs 1 and 2 exchanged; a swap outside
-        the support is 0."""
-        return _sup(np.where(self.hit, w + w[self.swap], w))
+    def skew_norm(self, w: np.ndarray) -> np.ndarray:
+        """Sup norm of w plus w with legs 1 and 2 exchanged, per row of w; a
+        swap outside the support is 0."""
+        return np.abs(np.where(self.hit, w + np.take(w, self.swap, axis=-1), w)).max(axis=-1)
 
 
 def _flat(m: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Value vector of a record: per leading index, m's entries in
+    """Value vectors of a record: per leading index of phi, m's entries in
     row-major order, then phi's."""
-    return np.concatenate((m.reshape(phi.shape[:-1] + (-1,)), phi), axis=-1).ravel()
+    return np.concatenate((m.reshape(phi.shape[:-1] + (-1,)), phi), axis=-1)
 
 
 def _build_residual_plan(g: SimpleLieAlgebra) -> _ResidualPlan:
@@ -316,7 +318,7 @@ def _support_maps(g: SimpleLieAlgebra, support: np.ndarray):
     leg_weight = np.hstack([np.zeros((g.rank, g.rank)), g.root_system.roots.T])
     swapped = (l1 * dim + l0) * dim + l2
     swap = np.minimum(np.searchsorted(support, swapped), len(support) - 1)
-    weight = np.abs(leg_weight[:, l0] + leg_weight[:, l1] + leg_weight[:, l2])
+    weight = np.abs(leg_weight[:, l0] + leg_weight[:, l1] + leg_weight[:, l2]).max(axis=0)
     return weight, swap, support[swap] == swapped
 
 
@@ -334,51 +336,64 @@ def _cdybe_from(g: SimpleLieAlgebra, r12, r13, r23, d23, d31, d12) -> np.ndarray
     pairs, the last three the lambda-derivatives at the matching
     arguments.  The symmetrized derivative term places the Cartan leg
     cyclically: x^(1) (dr)^{23} + x^(2) (dr)^{31} + x^(3) (dr)^{12}.
-    Overflow yields inf or nan entries without a warning; callers test them.
+    Records of a batch of points give one row per point, from a bincount
+    over per-point offset slots, which adds each row's terms in the order a
+    single point's would; a pass takes as many points as _KERNEL_TERMS
+    allows.  Overflow yields inf or nan entries without a warning; callers
+    test them.
     """
     plan = _residual_plan(g)
-    no_dm = np.zeros((g.rank,) * 3, dtype=complex)
+    lead = r12.phi.shape[:-1]
+    n, size = math.prod(lead), len(plan.w3)
+    rows = min(n, max(1, _KERNEL_TERMS // len(plan.slot)))
+    no_dm = np.zeros(lead + (g.rank,) * 3, dtype=complex)
     values = np.concatenate(
-        [_flat(r.m, r.phi) for r in (r12, r13, r23)]
-        + [_flat(no_dm if d.dm is None else d.dm, d.dphi) for d in (d23, d31, d12)]
-        + [np.ones(1, dtype=complex)]
+        [_flat(r.m, r.phi).reshape(n, -1) for r in (r12, r13, r23)]
+        + [_flat(no_dm if d.dm is None else d.dm, d.dphi).reshape(n, -1) for d in (d23, d31, d12)]
+        + [np.ones((n, 1), dtype=complex)],
+        axis=1,
     )
+    slots = (plan.slot + size * np.arange(rows)[:, None]).ravel()
+    w = np.empty((n, size), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = plan.coef * values[plan.src_x] * values[plan.src_y]
-    w = np.empty(len(plan.w3), dtype=complex)
-    w.real = np.bincount(plan.slot, terms.real, len(plan.w3))
-    w.imag = np.bincount(plan.slot, terms.imag, len(plan.w3))
-    return w
+        for i in range(0, n, rows):
+            v = values[i : i + rows]
+            terms = v.take(plan.src_x, axis=1)  # in place, as coef * x * y
+            terms *= plan.coef
+            terms *= v.take(plan.src_y, axis=1)
+            k = len(v)
+            w[i : i + k].real = np.bincount(slots[: terms.size], terms.real.ravel(), k * size).reshape(k, size)
+            w[i : i + k].imag = np.bincount(slots[: terms.size], terms.imag.ravel(), k * size).reshape(k, size)
+    return w.reshape(lead + (size,))
 
 
-def _point_records(spec: RMatrixSpec, lam: CartanVector, zs=None, mode="analytic", fd_step=1e-5) -> tuple:
-    """The six residual inputs (r12, r13, r23, d23, d31, d12) at one point.
+def _point_records(spec: RMatrixSpec, lam: np.ndarray, zs=None, mode="analytic", fd_step=1e-5) -> tuple:
+    """The six residual inputs (r12, r13, r23, d23, d31, d12) at the points
+    lam (..., rank), with the spectral triples zs (..., 3) when given.
 
     A constant spec is evaluated once.  A spectral triple pairs the legs at
-    z12, z13, z23 and takes the derivatives at z23, z31, z12, so it is
-    evaluated in one call at the four arguments z12, z13, z23 and -z13.
+    z12, z13, z23 and takes the derivatives at z23, z31, z12, so each point
+    is evaluated at z12, z13, z23 and z31, all points in one call.
     """
-    x = lam.as_array()
     if zs is None:
-        return (_record(spec, x, None, mode, fd_step),) * 6
-    z1, z2, z3 = (complex(z) for z in zs)
-    z12, z13, z23 = z1 - z2, z1 - z3, z2 - z3
-    batch = _record(spec, x, np.array([z12, z13, z23, -z13]), mode, fd_step)
-    r12, r13, r23, d31 = (_Record(*(None if f is None else f[i] for f in batch)) for i in range(4))
+        return (_record(spec, lam, None, mode, fd_step),) * 6
+    zs = np.asarray(zs, dtype=complex)
+    args = zs[..., [0, 0, 1, 2]] - zs[..., [1, 2, 2, 0]]  # z12, z13, z23, z31 = -z13
+    batch = _record(spec, lam[..., None, :], args, mode, fd_step)
+    r12, r13, r23, d31 = (batch.take(i, zs.ndim - 1) for i in range(4))
     return r12, r13, r23, r23, d31, r12
 
 
 def _residual(
     spec: RMatrixSpec,
-    lam: CartanVector,
+    lam: np.ndarray,
     zs=None,
     mode: str = "analytic",
     fd_step: float = 1e-5,
 ) -> np.ndarray:
-    """The CDYBE residual of spec at lam (spectral specs: at the triple zs)
-    as a vector on the plan's w3, from _point_records.  Raises
-    NonFiniteValue when an entry overflows.
-    """
+    """The CDYBE residual of spec at the points lam (..., rank) (spectral specs:
+    at the triples zs (..., 3)), one vector on the plan's w3 per point, from
+    _point_records.  Raises NonFiniteValue when an entry overflows."""
     if spec.is_spectral and zs is None:
         raise SpecInvalid(f"{spec.family} residual needs a (z1, z2, z3) triple")
     if not spec.is_spectral and zs is not None:
@@ -389,11 +404,14 @@ def _residual(
     return _require_finite(_cdybe_from(spec.algebra, *records), lam, zs)
 
 
-def _require_finite(w: np.ndarray, lam: CartanVector, zs=None) -> np.ndarray:
-    if not np.all(np.isfinite(w)):
-        at = f"lambda {lam.as_array().tolist()}"
+def _require_finite(w: np.ndarray, lam: np.ndarray, zs=None) -> np.ndarray:
+    """w, or NonFiniteValue naming the first point whose row has an inf or nan."""
+    bad = ~np.isfinite(w).all(axis=-1)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        at = f"lambda {np.reshape(lam, (-1, lam.shape[-1]))[i].tolist()}"
         if zs is not None:
-            at += f", z {[complex(z) for z in zs]}"
+            at += f", z {np.reshape(np.asarray(zs, dtype=complex), (-1, 3))[i].tolist()}"
         raise NonFiniteValue(f"CDYBE residual is not finite at {at}")
     return w
 
@@ -415,7 +433,7 @@ def cdybe_residual_constant(
     fd_step: float = 1e-5,
 ) -> Tensor3:
     """Alt(dr) + [r12,r13] + [r12,r23] + [r13,r23] for a constant spec."""
-    return _densify(spec.algebra, _residual(spec, lam, None, mode, fd_step))
+    return _densify(spec.algebra, _residual(spec, lam.as_array(), None, mode, fd_step))
 
 
 def cdybe_residual_spectral(
@@ -429,7 +447,7 @@ def cdybe_residual_spectral(
 ) -> Tensor3:
     """Spectral residual at the triple (z1, z2, z3): the legs pair at the
     argument differences z12, z13, z23 and the derivatives at z23, z31, z12."""
-    return _densify(spec.algebra, _residual(spec, lam, (z1, z2, z3), mode, fd_step))
+    return _densify(spec.algebra, _residual(spec, lam.as_array(), (z1, z2, z3), mode, fd_step))
 
 
 def cdybe_residual(spec: RMatrixSpec, lam: CartanVector, zs=None, **kw) -> Tensor3:
@@ -439,22 +457,21 @@ def cdybe_residual(spec: RMatrixSpec, lam: CartanVector, zs=None, **kw) -> Tenso
     return cdybe_residual_spectral(spec, lam, *zs, **kw)
 
 
-def _residue(spec: RMatrixSpec, lam: CartanVector, radius: float, points: int):
-    """(M, phi) of the contour average, the eps estimate and the deviation;
-    see extract_residue.  The invariant tensor is 1 on the Cartan diagonal
-    and on every (e_a, e_{-a}) entry."""
-    if spec.family not in SPECTRAL_FAMILIES:
-        raise SpecInvalid("residue extraction needs a spectral family")
-    if points < 4:
-        raise SpecInvalid("need at least 4 contour points")
-    rs = spec.algebra.root_system
-    zj = radius * np.exp(2j * math.pi * np.arange(points) / points)
-    rec = _record(spec, lam.as_array(), zj)
-    acc_m, acc_phi = (np.tensordot(zj, f, 1) / points for f in rec[:2])
-    eps_est = complex((np.trace(acc_m) + acc_phi.sum()) / (rs.rank + rs.n_roots))
-    deviation = max(
-        float(np.max(np.abs(acc_m - eps_est * np.eye(rs.rank)))),
-        float(np.max(np.abs(acc_phi - eps_est))),
+def _contour(radius: float, points: int) -> np.ndarray:
+    return radius * np.exp(2j * math.pi * np.arange(points) / points)
+
+
+def _residue(rs, zj: np.ndarray, m: np.ndarray, phi: np.ndarray):
+    """(M, phi) of the contour average (1/len(zj)) sum_j z_j r(z_j), the eps
+    estimate and the deviation (see extract_residue), per index in front of
+    the contour axis, the last leading axis of m and phi.  The invariant
+    tensor is 1 on the Cartan diagonal and on every (e_a, e_{-a}) entry."""
+    acc_m = (zj @ m.reshape(m.shape[:-2] + (-1,))).reshape(m.shape[:-3] + m.shape[-2:]) / len(zj)
+    acc_phi = zj @ phi / len(zj)
+    eps_est = (np.trace(acc_m, axis1=-2, axis2=-1) + acc_phi.sum(axis=-1)) / (rs.rank + rs.n_roots)
+    deviation = np.maximum(
+        np.abs(acc_m - eps_est[..., None, None] * np.eye(rs.rank)).max(axis=(-2, -1)),
+        np.abs(acc_phi - eps_est[..., None]).max(axis=-1),
     )
     return acc_m, acc_phi, eps_est, deviation
 
@@ -471,8 +488,13 @@ def extract_residue(
     invariant tensor, sup deviation from that multiple).  Aliasing picks
     up only the z^{M-1} Laurent coefficient, negligible at this radius.
     """
-    acc_m, acc_phi, eps_est, deviation = _residue(spec, lam, radius, points)
-    return _assemble2(spec.algebra, acc_m, acc_phi), eps_est, deviation
+    if spec.family not in SPECTRAL_FAMILIES:
+        raise SpecInvalid("residue extraction needs a spectral family")
+    if points < 4:
+        raise SpecInvalid("need at least 4 contour points")
+    zj = _contour(radius, points)
+    acc_m, acc_phi, eps_est, deviation = _residue(spec.algebra.root_system, zj, *_record(spec, lam.as_array(), zj)[:2])
+    return _assemble2(spec.algebra, acc_m, acc_phi), complex(eps_est), float(deviation)
 
 
 def check_phi_triangle(
@@ -490,33 +512,17 @@ def check_phi_triangle(
     families: phi_a(z13) phi_b(z23) + phi_b(z21) phi_c(z31)
     + phi_a(z12) phi_c(z32).
     """
-    rs = spec.algebra.root_system
-    total = [
-        rs.coeffs[alpha][k] + rs.coeffs[beta][k] + rs.coeffs[gamma][k]
-        for k in range(rs.rank)
-    ]
-    if any(c != 0 for c in total):
+    if np.any(np.sum([spec.algebra.root_system.coeffs[i] for i in (alpha, beta, gamma)], axis=0)):
         raise RootSumNonzero(f"root triple {alpha},{beta},{gamma} does not sum to zero")
-    spectral = spec.family in SPECTRAL_FAMILIES
-    if not spectral:
+    if not spec.is_spectral:
         if z_args is not None:
             raise SpecInvalid("constant family takes no spectral arguments")
-        pa = family_phi(spec, lam, alpha)
-        pb = family_phi(spec, lam, beta)
-        pc = family_phi(spec, lam, gamma)
+        pa, pb, pc = _identity_phi(spec, _record(spec, lam.as_array(), None).phi[[alpha, beta, gamma]])
         eps = effective_coupling(spec)
-        return pa * pb + pa * pc + pc * pb + eps * eps / 4.0
-    if z_args is None:
-        z_args = (0.23 - 0.31j, -0.17 - 0.29j, 0.41 - 0.11j)
-    z1, z2, z3 = (complex(w) for w in z_args)
-    pa = lambda z: family_phi(spec, lam, alpha, z)
-    pb = lambda z: family_phi(spec, lam, beta, z)
-    pc = lambda z: family_phi(spec, lam, gamma, z)
-    return (
-        pa(z1 - z3) * pb(z2 - z3)
-        + pb(z2 - z1) * pc(z3 - z1)
-        + pa(z1 - z2) * pc(z3 - z2)
-    )
+        return complex(pa * pb + pa * pc + pc * pb + eps * eps / 4.0)
+    z1, z2, z3 = (complex(w) for w in z_args or (0.23 - 0.31j, -0.17 - 0.29j, 0.41 - 0.11j))
+    phi = _identity_phi(spec, _record(spec, lam.as_array(), np.array([z1 - z3, z2 - z3, z2 - z1, z3 - z1, z1 - z2, z3 - z2])).phi)
+    return complex(phi[0, alpha] * phi[1, beta] + phi[2, beta] * phi[3, gamma] + phi[4, alpha] * phi[5, gamma])
 
 
 def phi_ode_residual(
@@ -534,16 +540,12 @@ def phi_ode_residual(
         raise SpecInvalid("the phi ODE identity applies to constant families")
     if spec.gauge_stack:
         raise SpecInvalid("phi ODE identity is stated for ungauged specs")
-    rs = spec.algebra.root_system
-    root = np.asarray(rs.roots[alpha], dtype=float)
+    root = spec.algebra.root_system.roots[alpha]
     step = fd_step * root / float(root @ root)
     lam_arr = lam.as_array()
-    up = CartanVector.of(lam_arr + step)
-    dn = CartanVector.of(lam_arr - step)
-    d_phi = (family_phi(spec, up, alpha) - family_phi(spec, dn, alpha)) / (2 * fd_step)
-    phi0 = family_phi(spec, lam, alpha)
+    up, dn, phi0 = _identity_phi(spec, _record(spec, np.stack([lam_arr + step, lam_arr - step, lam_arr]), None).phi[:, alpha])
     eps = effective_coupling(spec)
-    return abs(d_phi + phi0 * phi0 - eps * eps / 4.0)
+    return float(abs((up - dn) / (2 * fd_step) + phi0 * phi0 - eps * eps / 4.0))
 
 
 def addition_identity_residual(
@@ -563,19 +565,22 @@ def addition_identity_residual(
     )
 
 
-def _campaign_points(specs: Sequence[RMatrixSpec], plan: SamplePlan, n_z: int) -> list:
-    """The plan's seeded (lambda, zs) points for specs, from one generator
-    seeded with plan.seed; see _draw_point."""
+def _campaign_points(specs: Sequence[RMatrixSpec], plan: SamplePlan, n_z: int):
+    """The plan's seeded points for specs, from one generator seeded with
+    plan.seed (see _draw_point): the lambdas as a (count, rank) array and
+    the spectral points as a (count, n_z) array, or None for n_z = 0."""
     rng = np.random.default_rng(plan.seed)
-    return [_draw_point(specs, plan, rng, n_z) for _ in range(plan.count)]
+    lam, zs = zip(*(_draw_point(specs, plan, rng, n_z) for _ in range(plan.count)))
+    return np.array([x.as_array() for x in lam]), np.array(zs) if n_z else None
 
 
-def _axiom_checks(spec: RMatrixSpec, points: list, r_records=None) -> list:
-    """Zero-weight and unitarity, plus the residue for spectral specs.
+def _axiom_checks(spec: RMatrixSpec, lam: np.ndarray, zs=None, r: Optional[_Record] = None) -> list:
+    """Zero-weight and unitarity, plus the residue for spectral specs, at
+    the campaign points lam (n, rank) and zs (n, 3).
 
-    r_records[i] is point i's r record (at z12 for a spectral triple),
-    evaluated here without derivative when not given.  Spectral specs add
-    the reflection r(-z12) and the residue contour.
+    r is the record at each point (at z12 for a spectral triple); without
+    it, r is evaluated value-only.  Spectral specs evaluate the reflections
+    r(-z12) and the residue contours, and r with them, in one call.
 
     A record holds only Cartan x Cartan entries, of weight zero, and one
     (e_a, e_{-a}) entry per root, of weight a + (-a).  Constant unitarity
@@ -585,38 +590,37 @@ def _axiom_checks(spec: RMatrixSpec, points: list, r_records=None) -> list:
     """
     rs = spec.algebra.root_system
     neg = spec.algebra.root_pair_index()[1] - rs.rank  # the index of -a, per root a
-    pair_weight = np.abs(rs.roots + rs.roots[neg]).T
-    spectral = spec.family in SPECTRAL_FAMILIES
+    pair_weight = np.abs(rs.roots + rs.roots[neg]).max(axis=1)  # largest over the Cartan basis, per root
     eps = effective_coupling(spec)
-    if r_records is None:
-        r_records = [_record(spec, lam.as_array(), None if zs is None else zs[0] - zs[1])
-                     for lam, zs in points]
-    zero_w, unit, residue_dev = [], [], []
-    for (lam, zs), r in zip(points, r_records):
-        if spectral:
-            refl = _record(spec, lam.as_array(), -(zs[0] - zs[1]))
-            m_dev = r.m + refl.m.T
-            phi_dev = r.phi + refl.phi[neg]
-            _, _, eps_est, dev = _residue(spec, lam, 0.05, 16)
-            residue_dev.append(max(dev, abs(eps_est - eps)))
-        else:
-            m_dev = r.m + r.m.T - eps * np.eye(rs.rank)
-            phi_dev = r.phi + r.phi[neg] - eps
-        unit.append(max(float(np.max(np.abs(m_dev))), float(np.max(np.abs(phi_dev)))))
-        zero_w.append(float(np.max(np.abs(r.phi) * pair_weight, initial=0.0)))
-    n = len(points)
-    checks = [
-        CheckResult("zero-weight", _ZERO_WEIGHT_TOL, tuple(zero_w), n),
-        CheckResult("unitarity", _UNITARITY_TOL, tuple(unit), n),
-    ]
-    if spectral:
-        checks.append(CheckResult("residue", _RESIDUE_TOL, tuple(residue_dev), n))
-    return checks
+    n = len(lam)
+    checks = []
+    if spec.is_spectral:
+        z12 = (zs[:, 0] - zs[:, 1])[:, None]
+        zj = _contour(0.05, 16)
+        args = [z12] * (r is None) + [-z12, np.broadcast_to(zj, (n, len(zj)))]
+        values = _record(spec, lam[:, None], np.hstack(args))
+        r = values.take(0, 1) if r is None else r
+        refl = values.take(-1 - len(zj), 1)
+        m_dev = r.m + np.swapaxes(refl.m, -1, -2)
+        phi_dev = r.phi + refl.phi[:, neg]
+        _, _, eps_est, dev = _residue(rs, zj, values.m[:, -len(zj) :], values.phi[:, -len(zj) :])
+        checks.append(CheckResult("residue", _RESIDUE_TOL, tuple(np.maximum(dev, np.abs(eps_est - eps)).tolist()), n))
+    else:
+        r = _record(spec, lam, None) if r is None else r
+        m_dev = r.m + np.swapaxes(r.m, -1, -2) - eps * np.eye(rs.rank)
+        phi_dev = r.phi + r.phi[:, neg] - eps
+    unit = np.maximum(np.abs(m_dev).max(axis=(-2, -1)), np.abs(phi_dev).max(axis=-1))
+    zero_w = np.max(np.abs(r.phi) * pair_weight, axis=-1, initial=0.0)
+    return [
+        CheckResult("zero-weight", _ZERO_WEIGHT_TOL, tuple(zero_w.tolist()), n),
+        CheckResult("unitarity", _UNITARITY_TOL, tuple(unit.tolist()), n),
+    ] + checks
 
 
-def _residual_checks(spec: RMatrixSpec, points: list, records: list) -> list:
+def _residual_checks(spec: RMatrixSpec, lam: np.ndarray, zs, records: tuple) -> list:
     """CDYBE residual, its weight and (constant specs) its 1<->2 skew from
-    each point's _point_records, then the negative control at the first point.
+    the _point_records of the campaign points lam and zs, then the negative
+    control at the first point.
 
     The control sets the first point's root flip to the first positive root
     (undoing the spec's own debug_flip_root) and records threshold/residual,
@@ -626,28 +630,22 @@ def _residual_checks(spec: RMatrixSpec, points: list, records: list) -> list:
     """
     g = spec.algebra
     plan = _residual_plan(g)
-    spectral = spec.family in SPECTRAL_FAMILIES
-    resid, res_weight, skew = [], [], []
-    for (lam, zs), recs in zip(points, records):
-        w = _require_finite(_cdybe_from(g, *recs), lam, zs)
-        resid.append(_sup(w))
-        res_weight.append(plan.weight_norm(w))
-        if not spectral:
-            skew.append(plan.skew_norm(w))
-    n = len(points)
+    n = len(lam)
+    w = _require_finite(_cdybe_from(g, *records), lam, zs)
     checks = [
-        CheckResult("cdybe-residual", _RESIDUAL_TOL_ANALYTIC, tuple(resid), n),
-        CheckResult("residual-weight-zero", _RESIDUAL_WEIGHT_TOL, tuple(res_weight), n),
+        CheckResult("cdybe-residual", _RESIDUAL_TOL_ANALYTIC, tuple(np.abs(w).max(axis=-1).tolist()), n),
+        CheckResult("residual-weight-zero", _RESIDUAL_WEIGHT_TOL, tuple(plan.weight_norm(w).tolist()), n),
     ]
-    if not spectral:
-        checks.append(CheckResult("residual-skew", _SKEW_TOL, tuple(skew), n))
+    if not spec.is_spectral:
+        checks.append(CheckResult("residual-skew", _SKEW_TOL, tuple(plan.skew_norm(w).tolist()), n))
 
-    (lam0, zs0), first = points[0], records[0]
     positive = list(g.root_system.positive_roots)
-    if np.any(np.abs(_identity_phi(spec, first[0].phi)[positive]) > 1e-12):
+    if np.any(np.abs(_identity_phi(spec, records[0].phi[0])[positive]) > 1e-12):
         own = spec.debug_flip_root
-        flipped = [_flip(r if own is None else _flip(r, own), positive[0]) for r in first]
-        control = _sup(_require_finite(_cdybe_from(g, *flipped), lam0, zs0))
+        # the records repeat (a constant spec's six are one), so flip each once
+        first = {id(r): r.take(0) for r in records}
+        flipped = {i: _flip(r if own is None else _flip(r, own), positive[0]) for i, r in first.items()}
+        control = _sup(_require_finite(_cdybe_from(g, *(flipped[id(r)] for r in records)), lam[0], None if zs is None else zs[0]))
         margin = _CONTROL_THRESHOLD / control if control > 0 else math.inf
         checks.append(CheckResult("negative-control-margin", 1.0, (margin,), 1))
     return checks
@@ -671,14 +669,16 @@ def _report(
 def check_axioms(spec: RMatrixSpec, plan: SamplePlan) -> VerificationReport:
     """Zero-weight, unitarity, residue, CDYBE, and symmetry checks.
 
-    Each seeded sample argument is evaluated once: the axiom stage, the
-    residual stage and its negative control read the same _point_records.
+    Each seeded sample argument is evaluated once, all sample points in one
+    batch: the axiom stage, the residual stage and its negative control read
+    the same _point_records, and spectral specs add one value-only batch for
+    the reflections and residue contours.
     """
     t0 = time.perf_counter()
-    points = _campaign_points((spec,), plan, 3 if spec.is_spectral else 0)
-    records = [_point_records(spec, lam, zs) for lam, zs in points]
-    checks = _axiom_checks(spec, points, [recs[0] for recs in records])
-    checks += _residual_checks(spec, points, records)
+    lam, zs = _campaign_points((spec,), plan, 3 if spec.is_spectral else 0)
+    records = _point_records(spec, lam, zs)
+    checks = _axiom_checks(spec, lam, zs, records[0])
+    checks += _residual_checks(spec, lam, zs, records)
     return _report(spec, plan, checks, t0)
 
 
@@ -743,17 +743,15 @@ def limit_compare(
     if len(spectral) != 1:
         raise SpecInvalid("cannot mix constant and spectral specs in a limit")
     spectral = spectral.pop()
-    points = _campaign_points(probes, plan, 1 if spectral else 0)
-    records = [[_record(s, lam.as_array(), None if zs is None else zs[0]) for lam, zs in points] for s in probes]
+    lam, zs = _campaign_points(probes, plan, 1 if spectral else 0)
+    records = [_record(s, lam, None if zs is None else zs[:, 0]) for s in probes]
 
-    def sup_dev(ra, rb) -> float:
-        return max(max(_sup(a.m - b.m), _sup(a.phi - b.phi)) for a, b in zip(ra, rb))
+    def sup_dev(a, b) -> float:
+        return max(_sup(a.m - b.m), _sup(a.phi - b.phi))
 
-    cauchy = tuple(
-        sup_dev(records[i], records[i + 1]) for i in range(len(staged) - 1)
-    )
+    cauchy = tuple(sup_dev(a, b) for a, b in zip(records[: len(staged) - 1], records[1 : len(staged)]))
     final = sup_dev(records[-2], records[-1]) if spec_b is not None else None
-    return LimitComparison(cauchy=cauchy, final_deviation=final, n_samples=len(points))
+    return LimitComparison(cauchy=cauchy, final_deviation=final, n_samples=len(lam))
 
 
 def _closure_of_pair_roots(rs, l_positive: Sequence[int]) -> tuple:
@@ -788,23 +786,17 @@ def reduce_pair_check(
     rho_spec = RMatrixSpec(algebra=g, family="RationalConstant", X=members)
 
     t0 = time.perf_counter()
-    sum_norms, rho_norms = [], []
-    for lam, _ in _campaign_points((spec_tilde, rho_spec), plan, 0):
-        rho = _record(rho_spec, lam.as_array(), None, "analytic")
-        w = _require_finite(_cdybe_from(g, *(rho,) * 6), lam)
-        rho_norms.append(_sup(w))
-
-        tilde = _record(spec_tilde, lam.as_array(), None, "analytic")
-        rest = _Record(tilde.m - rho.m, tilde.phi - rho.phi, None, tilde.dphi - rho.dphi)
-        total = _Record(rest.m + rho.m, rest.phi + rho.phi, None, rest.dphi + rho.dphi)
-        w = _require_finite(_cdybe_from(g, *(total,) * 6), lam)
-        sum_norms.append(_sup(w))
+    lam, _ = _campaign_points((spec_tilde, rho_spec), plan, 0)
+    rho = _record(rho_spec, lam, None, "analytic")
+    rho_norms = np.abs(_require_finite(_cdybe_from(g, *(rho,) * 6), lam)).max(axis=-1)
+    tilde = _record(spec_tilde, lam, None, "analytic")
+    rest = _Record(tilde.m - rho.m, tilde.phi - rho.phi, None, tilde.dphi - rho.dphi)
+    total = _Record(rest.m + rho.m, rest.phi + rho.phi, None, rest.dphi + rho.dphi)
+    sum_norms = np.abs(_require_finite(_cdybe_from(g, *(total,) * 6), lam)).max(axis=-1)
 
     checks = [
-        CheckResult("projector-cdybe", 1e-9, tuple(rho_norms), plan.count),
-        CheckResult(
-            "pair-sum-cdybe", _RESIDUAL_TOL_ANALYTIC, tuple(sum_norms), plan.count
-        ),
+        CheckResult("projector-cdybe", 1e-9, tuple(rho_norms.tolist()), plan.count),
+        CheckResult("pair-sum-cdybe", _RESIDUAL_TOL_ANALYTIC, tuple(sum_norms.tolist()), plan.count),
     ]
     return _report(spec_tilde, plan, checks, t0)
 

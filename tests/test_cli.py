@@ -469,6 +469,19 @@ def test_series_inside_annulus(capsys):
     assert doc["closed_form_cdybe_max"] == resid.max_residual
 
 
+@pytest.mark.parametrize("algebra", ["B2", "B3", "C3", "D4"])
+def test_series_default_lambda_clears_every_root(capsys, algebra):
+    """The default lambda pairs to nonzero with every root, e_i - e_j too."""
+    code, out, err = _run(
+        capsys, "series", "--algebra", algebra, "--z=0.3-0.5i", "--N", "20",
+        "--samples", "2", "--format", "json",
+    )
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["passed"] is True
+    assert doc["series_vs_closed"] <= 1e-9
+
+
 def test_series_boundary_is_numeric_failure(capsys):
     code, _, err = _run(
         capsys, "series", "--algebra", "A1", "--z", "0.3", "--samples", "2",

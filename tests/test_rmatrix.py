@@ -33,7 +33,7 @@ from dynr import (
 )
 from dynr import rmatrix
 from dynr.combinatorics import additive_closure
-from dynr.verifier import SamplePlan, _campaign_points
+from dynr.verifier import SamplePlan, _campaign_points, spec_digest
 
 A1 = build_simple_lie_algebra(build_root_system("A", 1))
 A2 = build_simple_lie_algebra(build_root_system("A", 2))
@@ -638,6 +638,19 @@ def test_pole_margin_matches_scalar_oracle(series, rank):
             assert pole_margin(spec, lam, z) == pytest.approx(want, rel=1e-15, abs=0)
 
 
+@pytest.mark.parametrize("series, rank", [("A", 2), ("G", 2), ("B", 3)])
+def test_pole_margin_over_an_array_of_z_is_the_smallest(series, rank):
+    g = build_simple_lie_algebra(build_root_system(series, rank))
+    rng = np.random.default_rng(4)
+    for spec in _margin_zoo(g):
+        if not spec.is_spectral:
+            continue
+        for _ in range(10):
+            lam = CartanVector.of(rng.uniform(-2, 2, rank) + 1j * rng.uniform(-1, 1, rank))
+            zs = rng.uniform(-1, 1, 6) + 1j * rng.uniform(-1, 1, 6)
+            assert pole_margin(spec, lam, zs) == min(pole_margin(spec, lam, z) for z in zs)
+
+
 # ---------------------------------------------------------------- scalar oracle
 # The per-root family formulas and scalar special functions that the array
 # path replaced, kept as an oracle for records and pole messages.
@@ -820,8 +833,8 @@ def _record_zoo(g):
 
 
 def _zoo_point(spec):
-    lam, zs = _campaign_points((spec,), SamplePlan(seed=0, count=1), 3 if spec.is_spectral else 0)[0]
-    return lam.as_array(), None if zs is None else zs[0] - zs[1]
+    lam, zs = _campaign_points((spec,), SamplePlan(seed=0, count=1), 3 if spec.is_spectral else 0)
+    return lam[0], None if zs is None else zs[0, 0] - zs[0, 1]
 
 
 @pytest.mark.parametrize("series, rank", [("A", 1), ("A", 2), ("G", 2), ("B", 3), ("F", 4)])
@@ -842,24 +855,39 @@ def test_records_match_scalar_oracle(series, rank):
 
 @pytest.mark.parametrize("algebra", [A2, build_simple_lie_algebra(build_root_system("B", 3))])
 def test_argument_batch_equals_single_calls(algebra):
+    """A batch of arguments equals single calls bit for bit: five spectral
+    arguments at one lambda, five lambdas (constant specs), and a 3 x 5
+    grid of three lambdas against the five spectral arguments."""
     zs = np.array([0.21 - 0.13j, -0.33 + 0.2j, 0.4 + 0.05j, -0.21 + 0.13j, 0.05j])
+    shifts = np.array([0.0, 0.013 - 0.02j, -0.031 + 0.007j, 0.02j, 0.017])
     for spec in _record_zoo(algebra):
-        if not spec.is_spectral:
-            continue
         lam, _ = _zoo_point(spec)
+        lams = lam + np.multiply.outer(shifts, np.ones(algebra.rank))
         for mode in (None, "analytic", "finite-difference"):
-            batch = rmatrix._record(spec, lam, zs, mode)
-            for i, z in enumerate(zs):
-                for a, b in zip(batch, rmatrix._record(spec, lam, complex(z), mode)):
+            if spec.is_spectral:
+                batch = rmatrix._record(spec, lam, zs, mode)
+                cases = [(i, lam, z) for i, z in enumerate(zs)]
+                grid = rmatrix._record(spec, lams[:3, None], zs, mode)
+                cases += [((i, j), lams[i], z) for i in range(3) for j, z in enumerate(zs)]
+                fields = [batch] * len(zs) + [grid] * 15
+            else:
+                batch = rmatrix._record(spec, lams, None, mode)
+                cases, fields = [(i, x, None) for i, x in enumerate(lams)], [batch] * len(lams)
+            for got, (i, x, z) in zip(fields, cases):
+                for a, b in zip(got, rmatrix._record(spec, x, z, mode)):
                     assert (a is None and b is None) or np.array_equal(a[i], b), (spec.family, mode, i)
 
 
 def test_duplicate_X_entries_count_once():
-    """X is a set of roots: a repeated entry adds its 1/(alpha, lam) term once."""
+    """X is a set of roots: a repeated entry adds its 1/(alpha, lam) term
+    once, and the spec has the document and the id of the spec without it."""
     lam = np.array([0.41 + 0.1j, -0.23 + 0.05j])
     for family, z in (("RationalSpectral", 0.3 - 0.1j), ("RationalConstant", None)):
         full = RMatrixSpec(algebra=A2, family=family, X=_full_X(A2))
         repeated = RMatrixSpec(algebra=A2, family=family, X=(0,) + _full_X(A2))
+        assert repeated.X == full.X
+        assert spec_to_json(repeated) == spec_to_json(full)
+        assert spec_digest(repeated) == spec_digest(full)
         for mode in (None, "analytic"):
             for a, b in zip(rmatrix._record(repeated, lam, z, mode), rmatrix._record(full, lam, z, mode)):
                 assert (a is None and b is None) or np.array_equal(a, b), family
@@ -887,15 +915,20 @@ def _pole_cases(g, spec):
 @pytest.mark.parametrize("algebra", [A2, B2])
 def test_pole_adjacent_arguments_raise_the_scalar_error(algebra):
     for spec in _margin_zoo(algebra)[:8]:
+        lam_ok, z_ok = _zoo_point(spec)  # a sampled point, clear of every pole
         for lam, z in _pole_cases(algebra, spec):
-            for mode in (None, "analytic"):
+            for mode in (None, "analytic", "finite-difference"):
                 with pytest.raises(PoleProximity) as want:
                     _o_record(spec, lam, z, mode)
                 with pytest.raises(PoleProximity) as got:
                     rmatrix._record(spec, lam, z, mode)
                 assert str(got.value) == str(want.value), (spec.family, lam, z)
+                # in a batch of lambdas the error names the first argument that meets a pole
+                with pytest.raises(PoleProximity) as batch:
+                    rmatrix._record(spec, np.stack([lam_ok, lam]), None if z is None else np.array([z_ok, z]), mode)
+                assert str(batch.value) == str(got.value), (spec.family, lam, z)
             if z is not None:
-                # in a batch the error names the first argument that meets a pole
+                # in a batch of spectral arguments, too
                 with pytest.raises(PoleProximity) as batch:
                     rmatrix._record(spec, lam, np.array([0.31 - 0.12j, z]), "analytic")
                 assert str(batch.value) == str(got.value), (spec.family, lam, z)

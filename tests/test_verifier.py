@@ -672,11 +672,24 @@ def test_record_values_round_trip_through_dense():
             d[d_legs] = verifier._flat(dm, rec.dphi)
             assert np.array_equal(d, eval_dlambda(spec, lam, z, mode=mode).data)
 
-    w = verifier._residual(_kernel_zoo(g)[1], lam)
+    w = verifier._residual(_kernel_zoo(g)[1], lam.as_array())
     dense = cdybe_residual_constant(_kernel_zoo(g)[1], lam).data.reshape(-1)
     plan = verifier._residual_plan(g)
     assert np.array_equal(dense[plan.w3], w)
     assert np.count_nonzero(np.delete(dense, plan.w3)) == 0
+
+
+def test_residual_rows_equal_single_point_residuals():
+    """A batch of points gives each point's residual bit for bit, also when
+    the kernel splits the batch into passes (F4 takes eight points a pass)."""
+    g = build_simple_lie_algebra(build_root_system("F", 4))
+    assert verifier._KERNEL_TERMS // len(verifier._residual_plan(g).slot) < 10
+    for spec in (_kernel_zoo(g)[1], _kernel_zoo(g)[5], _kernel_zoo(g)[7]):
+        lam, zs = verifier._campaign_points((spec,), SamplePlan(seed=6, count=10), 3 if spec.is_spectral else 0)
+        for mode in ("analytic", "finite-difference"):
+            rows = verifier._residual(spec, lam, zs, mode)
+            for i in range(len(lam)):
+                assert np.array_equal(rows[i], verifier._residual(spec, lam[i], None if zs is None else zs[i], mode))
 
 
 def test_residual_plan_cached_per_algebra_instance():
@@ -728,11 +741,11 @@ def test_axiom_checks_match_dense_oracle(series, rank):
     g = build_simple_lie_algebra(build_root_system(series, rank))
     omega = casimir(g).data
     for spec in _kernel_zoo(g):
-        points = verifier._campaign_points((spec,), SamplePlan(seed=5, count=2), 3 if spec.is_spectral else 0)
-        got = {c.name: c.residuals for c in verifier._axiom_checks(spec, points)}
+        lams, zss = verifier._campaign_points((spec,), SamplePlan(seed=5, count=2), 3 if spec.is_spectral else 0)
+        got = {c.name: c.residuals for c in verifier._axiom_checks(spec, lams, zss)}
         eps = effective_coupling(spec)
         want = {"zero-weight": [], "unitarity": [], "residue": []}
-        for lam, zs in points:
+        for lam, zs in zip(map(CartanVector.of, lams), [None] * len(lams) if zss is None else zss):
             if spec.is_spectral:
                 z12 = zs[0] - zs[1]
                 r = eval_spectral(spec, lam, z12)
@@ -792,33 +805,44 @@ def test_negative_control_equals_flipped_spec_residual():
         for flip in (None, p0, other):
             spec = replace(base, debug_flip_root=flip, validate=False)
             margins = {c.name: c.residuals for c in check_axioms(spec, plan).checks}
-            lam0, zs0 = verifier._campaign_points((spec,), plan, 3 if spec.is_spectral else 0)[0]
+            lam, zs = verifier._campaign_points((spec,), plan, 3 if spec.is_spectral else 0)
             flipped = replace(spec, debug_flip_root=p0, validate=False)
-            control = verifier._sup(verifier._residual(flipped, lam0, zs0))
+            control = verifier._sup(verifier._residual(flipped, lam[0], None if zs is None else zs[0]))
             assert margins["negative-control-margin"] == (verifier._CONTROL_THRESHOLD / control,)
 
 
 def test_check_axioms_evaluates_each_sample_argument_once(monkeypatch):
     """A constant point is one evaluation; a spectral point is four residual
     arguments, the reflection r(-z12) and the 16-point residue contour.
-    Each call counts the spectral arguments it evaluates."""
-    calls = []
-    evaluate = rmatrix._evaluate
+    Each call counts the arguments it evaluates, the broadcast of lam's
+    batch axes and z's shape.  A constant campaign is one _evaluate call
+    and a spectral one two, whatever the sample count; the residual kernel
+    runs once for the campaign and once for the negative control."""
+    calls, kernels = [], []
+    evaluate, kernel = rmatrix._evaluate, verifier._cdybe_from
 
     def count(spec, lam, z, want_d):
-        calls.extend([z] * (1 if z is None else np.size(z)))
+        calls.append(int(np.prod(np.broadcast_shapes(np.shape(lam)[:-1], np.shape(z)))))
         return evaluate(spec, lam, z, want_d)
 
+    def count_kernel(g, *records):
+        kernels.append(len(records))
+        return kernel(g, *records)
+
     monkeypatch.setattr(rmatrix, "_evaluate", count)
-    n = 3
-    plan = SamplePlan(seed=4, count=n)
-    for spec, per_point in (
-        (RMatrixSpec(algebra=A2, family="TrigCotanh", eps=2.0), 1),
-        (RMatrixSpec(algebra=A2, family="RationalConstant", X=_full_X(A2)), 1),
-        (RMatrixSpec(algebra=A2, family="RationalSpectral", X=_full_X(A2)), 21),
-        (RMatrixSpec(algebra=A2, family="EllipticSpectral", tau=1j), 21),
-    ):
-        calls.clear()
-        report = check_axioms(spec, plan)
-        assert report.passed
-        assert len(calls) == n * per_point, spec.family
+    monkeypatch.setattr(verifier, "_cdybe_from", count_kernel)
+    for n in (1, 3):
+        plan = SamplePlan(seed=4, count=n)
+        for spec, per_point, n_calls in (
+            (RMatrixSpec(algebra=A2, family="TrigCotanh", eps=2.0), 1, 1),
+            (RMatrixSpec(algebra=A2, family="RationalConstant", X=_full_X(A2)), 1, 1),
+            (RMatrixSpec(algebra=A2, family="RationalSpectral", X=_full_X(A2)), 21, 2),
+            (RMatrixSpec(algebra=A2, family="EllipticSpectral", tau=1j), 21, 2),
+        ):
+            calls.clear()
+            kernels.clear()
+            report = check_axioms(spec, plan)
+            assert report.passed
+            assert sum(calls) == n * per_point, spec.family
+            assert len(calls) == n_calls, spec.family
+            assert len(kernels) == 2, spec.family
