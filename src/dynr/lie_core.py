@@ -406,8 +406,9 @@ class SimpleLieAlgebra:
     bilinear_form: np.ndarray
     _dense: Optional[np.ndarray] = field(default=None, init=False, repr=False)
     _pairs: Optional[tuple] = field(default=None, init=False, repr=False)
-    # sparse CDYBE assembly plan, built by verifier on the first residual
+    # verifier's sparse CDYBE assembly plan and axiom-check root tables, built on first use
     _residual_plan: Optional[object] = field(default=None, init=False, repr=False)
+    _axiom_tables: Optional[tuple] = field(default=None, init=False, repr=False)
 
     @property
     def rank(self) -> int:

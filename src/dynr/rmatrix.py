@@ -38,10 +38,10 @@ FAMILIES = (
 SPECTRAL_FAMILIES = ("EllipticSpectral", "TrigSpectral", "RationalSpectral")
 
 
-def _as_complex_matrix(m, rank: int, name: str) -> np.ndarray:
-    a = np.asarray(m, dtype=complex)
-    if a.shape != (rank, rank):
-        raise SpecInvalid(f"{name} must be {rank}x{rank}, got {a.shape}")
+def _frozen(a) -> np.ndarray:
+    """A read-only complex copy of a, so no caller's array reaches a spec."""
+    a = np.array(a, dtype=complex)
+    a.flags.writeable = False
     return a
 
 
@@ -68,15 +68,14 @@ class GaugeRecord:
         if self.kind == 1:
             if self.c_matrix is None:
                 raise SpecInvalid("kind-1 gauge needs c_matrix")
-            c = np.asarray(self.c_matrix, dtype=complex)
+            c = _frozen(self.c_matrix)
             if np.max(np.abs(c + c.T)) > 1e-12:
                 raise SpecInvalid("kind-1 matrix must be antisymmetric")
             object.__setattr__(self, "c_matrix", c)
         elif self.kind == 2:
             if self.psi is None:
                 raise SpecInvalid("kind-2 gauge needs psi = (Q, v)")
-            q = np.asarray(self.psi[0], dtype=complex)
-            v = np.asarray(self.psi[1], dtype=complex)
+            q, v = _frozen(self.psi[0]), _frozen(self.psi[1])
             if q.ndim != 2 or q.shape[0] != q.shape[1] or v.shape != (q.shape[0],):
                 raise SpecInvalid("psi payload shapes inconsistent")
             if np.max(np.abs(q - q.T)) > 1e-12:
@@ -138,7 +137,9 @@ class RMatrixSpec:
         pol = tuple(sorted(int(i) for i in (self.polarization or rs.positive_roots)))
         object.__setattr__(self, "polarization", pol)
 
-        c = _as_complex_matrix(self.C if self.C is not None else np.zeros((rank, rank)), rank, "C")
+        c = _frozen(self.C if self.C is not None else np.zeros((rank, rank)))
+        if c.shape != (rank, rank):
+            raise SpecInvalid(f"C must be {rank}x{rank}, got {c.shape}")
         object.__setattr__(self, "C", c)
 
         eps = self.eps
@@ -395,8 +396,8 @@ class _Record(NamedTuple):
     dm: Optional[np.ndarray] = None
     dphi: Optional[np.ndarray] = None
 
-    def take(self, i: int, axis: int = 0) -> "_Record":
-        """The record at index i of the leading axis `axis`."""
+    def take(self, i, axis: int = 0) -> "_Record":
+        """The record at index i of the leading axis `axis`; a slice i keeps the axis."""
         at = (slice(None),) * axis + (i,)
         return _Record(*(None if f is None else f[at] for f in self))
 
@@ -572,8 +573,14 @@ def pole_margin(spec: RMatrixSpec, lam: CartanVector, z: Optional[complex] = Non
     to the family formula.  z may be an array of spectral arguments: the
     margin is then the smallest over all of them.
     """
-    lam_b, z_b = _arguments(spec, lam.as_array(), None if z is None else np.asarray(z, dtype=complex))[-1]
-    w = (spec.algebra.root_system.roots @ (lam_b - spec.nu.as_array()))[spec._pole_roots]
+    z = None if z is None else np.reshape(np.asarray(z, dtype=complex), (1, -1))
+    return float(_pole_margins(spec, lam.as_array()[None], z)[0])
+
+
+def _pole_margins(spec: RMatrixSpec, lam: np.ndarray, z=None) -> np.ndarray:
+    """pole_margin per row of lam (k, rank) and z (k, m); a row's margin does not depend on its batch."""
+    lam_b, z_b = _arguments(spec, lam, z)[-1]
+    w = _pairings(spec.algebra.root_system.roots, lam_b - spec.nu.as_array())[:, spec._pole_roots]
     fam = spec.family
     if fam in ("TrigCotanh", "TrigDegenerate"):
         w, periods = complex(spec.eps) / 2 * w, (1j * math.pi,)
@@ -584,8 +591,8 @@ def pole_margin(spec: RMatrixSpec, lam: CartanVector, z: Optional[complex] = Non
     else:
         periods = ()
     if spec.is_spectral:
-        w = np.append(w, z_b)
-    return float(np.min(_lattice_distance(w, periods), initial=math.inf))
+        w = np.concatenate((w, z_b), axis=1)
+    return np.min(_lattice_distance(w, periods), axis=1, initial=math.inf)
 
 
 def trig_constant_fixture(algebra: SimpleLieAlgebra, z: complex, polarization: Optional[Sequence[int]] = None) -> Tensor2:

@@ -34,11 +34,11 @@ from .rmatrix import (
     _assemble2,
     _flip,
     _identity_phi,
+    _pole_margins,
     _record,
     _Record,
     effective_coupling,
     gauge_apply,
-    pole_margin,
     spec_to_json,
 )
 from .special_fn import ThetaParams, classical_series, rho_fn, sigma_w, sigma_w_dw
@@ -77,6 +77,7 @@ _CONTROL_THRESHOLD = 1e-3
 # terms per residual-kernel pass (16 bytes each), so its temporaries stay in cache:
 # unbounded passes over 40 points ran 2.5x (E7), 2.7x (E8) slower on a 2-vCPU Xeon
 _KERNEL_TERMS = 2**16
+_BLOCK_ROWS = 1024  # keeps a rarely accepted plan's margin arrays small (E8 elliptic: 1 in 2000)
 
 
 @dataclass(frozen=True)
@@ -97,16 +98,18 @@ class SamplePlan:
     max_resamples: int = 500
 
     def __post_init__(self):
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise SpecInvalid("seed must be a non-negative integer")
-        if self.count < 1:
-            raise SpecInvalid("sample count must be >= 1")
+        for name, value in (("sample count", self.count), ("max_resamples", self.max_resamples)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise SpecInvalid(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise SpecInvalid(f"{name} must be >= 1")
         if not self.pole_margin > 0:
             raise SpecInvalid("pole_margin must be positive")
-        if len(self.box) != 2 or not self.box[0] < self.box[1]:
-            raise SpecInvalid("box must be an increasing (lo, hi) pair")
-        if len(self.z_box) != 2 or not self.z_box[0] < self.z_box[1]:
-            raise SpecInvalid("z_box must be an increasing (lo, hi) pair")
+        for name, box in (("box", self.box), ("z_box", self.z_box)):
+            if len(box) != 2 or not (box[0] < box[1] and math.isfinite(box[1] - box[0])):
+                raise SpecInvalid(f"{name} must be a finite increasing (lo, hi) pair")  # drawn as lo + (hi - lo) * u
 
 
 @dataclass(frozen=True)
@@ -164,54 +167,71 @@ class VerificationReport:
 
 
 def spec_digest(spec: RMatrixSpec) -> str:
-    """Short stable identifier: family name plus a hash of the spec JSON."""
-    doc = json.dumps(spec_to_json(spec), sort_keys=True)
-    h = hashlib.sha256(doc.encode()).hexdigest()[:12]
-    return f"{spec.family}:{h}"
+    """Short stable identifier: family name plus a hash of the spec JSON,
+    taken once and kept on the spec, which is immutable."""
+    if "_digest" not in vars(spec):
+        doc = json.dumps(spec_to_json(spec), sort_keys=True)
+        object.__setattr__(spec, "_digest", f"{spec.family}:{hashlib.sha256(doc.encode()).hexdigest()[:12]}")
+    return spec._digest
 
 
-def _draw_vector(rng, rank: int, box, im_box=None) -> np.ndarray:
-    lo, hi = box
-    ilo, ihi = im_box if im_box is not None else box
-    return rng.uniform(lo, hi, rank) + 1j * rng.uniform(ilo, ihi, rank)
+def _draw_vector(rng, k: int, box, im_box, z_box, n_z: int, rank: int):
+    """k candidates (lambda (k, rank), z (k, n_z)) from one rng.random call, a
+    row holding a serial uniform draw's doubles in order: Re, Im lambda in box,
+    im_box; Re, Im z in z_box.  uniform(lo, hi) is lo + (hi - lo) * random()."""
+    lo, hi = np.repeat([box, im_box, z_box, z_box], [rank, rank, n_z, n_z], axis=0).T
+    u = lo + (hi - lo) * rng.random((k, 2 * rank + 2 * n_z))
+    lam_re, lam_im, z_re, z_im = np.split(u, [rank, 2 * rank, 2 * rank + n_z], axis=1)
+    return lam_re + 1j * lam_im, z_re + 1j * z_im
 
 
-def _draw_point(specs: Sequence[RMatrixSpec], plan: SamplePlan, rng, n_z: int):
-    """Seeded (lambda, zs) with n_z in {0, 1, 3} spectral points (zs is None
-    for n_z = 0), redrawn until every spec clears the plan's pole margin.
+def _campaign_points(specs: Sequence[RMatrixSpec], plan: SamplePlan, n_z: int, rng=None):
+    """The plan's points, lambda (count, rank) and z (count, n_z) or None for
+    n_z = 0, clear of every spec's poles by the plan's margin: with no z for
+    n_z = 0, at z for n_z = 1, at +-z12, +-z13, +-z23 for n_z = 3 (so unitarity
+    can evaluate the reflections).  Im(lambda) keeps to half the z_box when
+    any spec is elliptic: theta quotients grow double-exponentially in it.
 
-    The margin is taken with no z for n_z = 0, at z for n_z = 1, and at
-    +-z12, +-z13, +-z23 for n_z = 3, so unitarity checks can evaluate the
-    reflected arguments too.  Im(lambda) keeps to half the z_box when any
-    spec is elliptic: theta quotients are quasi-periodic in the root pairings
-    but grow double-exponentially in their imaginary part, so wider imaginary
-    sampling only inflates magnitudes without adding coverage.
+    Candidate blocks are scored at once and walked in stream order, so the
+    points are a one-candidate loop's; a point fails after max_resamples
+    rejections in a row.  Without rng, a generator seeded with plan.seed is
+    discarded afterwards, so a block may read past the last point: it starts
+    at count rows and doubles on refill, up to _BLOCK_ROWS.  A caller's rng
+    gives one point in blocks of one, leaving rng where such a loop does.
     """
-    rank = specs[0].algebra.root_system.rank
-    elliptic = any(s.family == "EllipticSpectral" for s in specs)
-    im_box = tuple(0.5 * b for b in plan.z_box) if elliptic else None
-    for _ in range(plan.max_resamples):
-        lam = CartanVector.of(_draw_vector(rng, rank, plan.box, im_box))
-        zs = tuple(complex(w) for w in _draw_vector(rng, n_z, plan.z_box)) if n_z else None
-        w = None if zs is None else np.array(zs)
-        if n_z == 3:
-            w = w[[0, 0, 1, 1, 2, 2]] - w[[1, 2, 2, 0, 0, 1]]  # +-z12, +-z13, +-z23
-        if all(pole_margin(s, lam, w) >= plan.pole_margin for s in specs):
-            return lam, zs
-    raise SamplingExhausted(
-        f"no sample point with pole margin {plan.pole_margin} "
-        f"in {plan.max_resamples} draws"
-    )
+    count, cap, rng = (plan.count, _BLOCK_ROWS, np.random.default_rng(plan.seed)) if rng is None else (1, 1, rng)
+    block = min(count, cap)
+    im_box = tuple(0.5 * b for b in plan.z_box) if any(s.family == "EllipticSpectral" for s in specs) else plan.box
+    points, misses = [], 0
+    while len(points) < count:
+        lam, zs = _draw_vector(rng, block, plan.box, im_box, plan.z_box, n_z, specs[0].algebra.rank)
+        w = zs[:, [0, 0, 1, 1, 2, 2]] - zs[:, [1, 2, 2, 0, 0, 1]] if n_z == 3 else zs if n_z else None
+        ok = np.logical_and.reduce([_pole_margins(s, lam, w) >= plan.pole_margin for s in specs])
+        for i, hit in enumerate(ok.tolist()):
+            misses = 0 if hit else misses + 1
+            if misses == plan.max_resamples:
+                raise SamplingExhausted(
+                    f"no sample point with pole margin {plan.pole_margin} "
+                    f"in {plan.max_resamples} draws"
+                )
+            if hit:
+                points.append((lam[i], zs[i]))
+                if len(points) == count:
+                    break
+        block = min(2 * block, cap)
+    lam, zs = (np.array(x) for x in zip(*points))
+    return lam, zs if n_z else None
 
 
 def sample_lambda(spec: RMatrixSpec, plan: SamplePlan, rng) -> CartanVector:
     """One lambda from the plan box with pole margin at least the floor."""
-    return _draw_point((spec,), plan, rng, 0)[0]
+    return CartanVector.of(_campaign_points((spec,), plan, 0, rng)[0][0])
 
 
 def sample_spectral_point(spec: RMatrixSpec, plan: SamplePlan, rng):
     """(lambda, (z1, z2, z3)) with every pairwise difference +-z_ij pole-free."""
-    return _draw_point((spec,), plan, rng, 3)
+    lam, zs = _campaign_points((spec,), plan, 3, rng)
+    return CartanVector.of(lam[0]), tuple(complex(w) for w in zs[0])
 
 
 @dataclass(frozen=True)
@@ -259,6 +279,11 @@ def _flat(m: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Value vectors of a record: per leading index of phi, m's entries in
     row-major order, then phi's."""
     return np.concatenate((m.reshape(phi.shape[:-1] + (-1,)), phi), axis=-1)
+
+
+def _stack(*records: _Record) -> _Record:
+    """The records' points as one batch, in order along the leading axis."""
+    return _Record(*(None if f[0] is None else np.concatenate(f) for f in zip(*records)))
 
 
 def _build_residual_plan(g: SimpleLieAlgebra) -> _ResidualPlan:
@@ -565,15 +590,6 @@ def addition_identity_residual(
     )
 
 
-def _campaign_points(specs: Sequence[RMatrixSpec], plan: SamplePlan, n_z: int):
-    """The plan's seeded points for specs, from one generator seeded with
-    plan.seed (see _draw_point): the lambdas as a (count, rank) array and
-    the spectral points as a (count, n_z) array, or None for n_z = 0."""
-    rng = np.random.default_rng(plan.seed)
-    lam, zs = zip(*(_draw_point(specs, plan, rng, n_z) for _ in range(plan.count)))
-    return np.array([x.as_array() for x in lam]), np.array(zs) if n_z else None
-
-
 def _axiom_checks(spec: RMatrixSpec, lam: np.ndarray, zs=None, r: Optional[_Record] = None) -> list:
     """Zero-weight and unitarity, plus the residue for spectral specs, at
     the campaign points lam (n, rank) and zs (n, 3).
@@ -589,8 +605,7 @@ def _axiom_checks(spec: RMatrixSpec, lam: np.ndarray, zs=None, r: Optional[_Reco
     compares r(z) + r(-z)^T with 0.
     """
     rs = spec.algebra.root_system
-    neg = spec.algebra.root_pair_index()[1] - rs.rank  # the index of -a, per root a
-    pair_weight = np.abs(rs.roots + rs.roots[neg]).max(axis=1)  # largest over the Cartan basis, per root
+    neg, pair_weight = _axiom_tables(spec.algebra)
     eps = effective_coupling(spec)
     n = len(lam)
     checks = []
@@ -617,10 +632,19 @@ def _axiom_checks(spec: RMatrixSpec, lam: np.ndarray, zs=None, r: Optional[_Reco
     ] + checks
 
 
+def _axiom_tables(g: SimpleLieAlgebra) -> tuple:
+    """Per root a, the index of -a and the largest |a + (-a)| over the Cartan basis, kept on g."""
+    if g._axiom_tables is None:
+        neg = g.root_pair_index()[1] - g.rank
+        g._axiom_tables = (neg, np.abs(g.root_system.roots + g.root_system.roots[neg]).max(axis=1))
+    return g._axiom_tables
+
+
 def _residual_checks(spec: RMatrixSpec, lam: np.ndarray, zs, records: tuple) -> list:
     """CDYBE residual, its weight and (constant specs) its 1<->2 skew from
     the _point_records of the campaign points lam and zs, then the negative
-    control at the first point.
+    control at the first point, whose records join the campaign's as row n
+    of one kernel call (kernel rows are independent bit for bit).
 
     The control sets the first point's root flip to the first positive root
     (undoing the spec's own debug_flip_root) and records threshold/residual,
@@ -631,21 +655,25 @@ def _residual_checks(spec: RMatrixSpec, lam: np.ndarray, zs, records: tuple) -> 
     g = spec.algebra
     plan = _residual_plan(g)
     n = len(lam)
-    w = _require_finite(_cdybe_from(g, *records), lam, zs)
+    positive = list(g.root_system.positive_roots)
+    live = np.any(np.abs(_identity_phi(spec, records[0].phi[0])[positive]) > 1e-12)
+    # the records repeat (a constant spec's six are one), so extend each once
+    rows = {id(r): r for r in records}
+    if live:
+        own = spec.debug_flip_root
+        for i, r in rows.items():
+            first = r.take(slice(1))
+            rows[i] = _stack(r, _flip(first if own is None else _flip(first, own), positive[0]))
+    w_all = _cdybe_from(g, *(rows[id(r)] for r in records))
+    w = _require_finite(w_all[:n], lam, zs)
     checks = [
         CheckResult("cdybe-residual", _RESIDUAL_TOL_ANALYTIC, tuple(np.abs(w).max(axis=-1).tolist()), n),
         CheckResult("residual-weight-zero", _RESIDUAL_WEIGHT_TOL, tuple(plan.weight_norm(w).tolist()), n),
     ]
     if not spec.is_spectral:
         checks.append(CheckResult("residual-skew", _SKEW_TOL, tuple(plan.skew_norm(w).tolist()), n))
-
-    positive = list(g.root_system.positive_roots)
-    if np.any(np.abs(_identity_phi(spec, records[0].phi[0])[positive]) > 1e-12):
-        own = spec.debug_flip_root
-        # the records repeat (a constant spec's six are one), so flip each once
-        first = {id(r): r.take(0) for r in records}
-        flipped = {i: _flip(r if own is None else _flip(r, own), positive[0]) for i, r in first.items()}
-        control = _sup(_require_finite(_cdybe_from(g, *(flipped[id(r)] for r in records)), lam[0], None if zs is None else zs[0]))
+    if live:
+        control = _sup(_require_finite(w_all[n:], lam[0], None if zs is None else zs[0]))
         margin = _CONTROL_THRESHOLD / control if control > 0 else math.inf
         checks.append(CheckResult("negative-control-margin", 1.0, (margin,), 1))
     return checks
@@ -788,11 +816,12 @@ def reduce_pair_check(
     t0 = time.perf_counter()
     lam, _ = _campaign_points((spec_tilde, rho_spec), plan, 0)
     rho = _record(rho_spec, lam, None, "analytic")
-    rho_norms = np.abs(_require_finite(_cdybe_from(g, *(rho,) * 6), lam)).max(axis=-1)
     tilde = _record(spec_tilde, lam, None, "analytic")
     rest = _Record(tilde.m - rho.m, tilde.phi - rho.phi, None, tilde.dphi - rho.dphi)
     total = _Record(rest.m + rho.m, rest.phi + rho.phi, None, rest.dphi + rho.dphi)
-    sum_norms = np.abs(_require_finite(_cdybe_from(g, *(total,) * 6), lam)).max(axis=-1)
+    w = _cdybe_from(g, *(_stack(rho, total),) * 6)  # rho's rows, then the sum's
+    rho_norms = np.abs(_require_finite(w[: len(lam)], lam)).max(axis=-1)
+    sum_norms = np.abs(_require_finite(w[len(lam) :], lam)).max(axis=-1)
 
     checks = [
         CheckResult("projector-cdybe", 1e-9, tuple(rho_norms.tolist()), plan.count),

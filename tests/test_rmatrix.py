@@ -17,6 +17,7 @@ from dynr import (
     build_root_system,
     build_simple_lie_algebra,
     casimir,
+    check_axioms,
     effective_coupling,
     eval_constant,
     eval_dlambda,
@@ -891,6 +892,30 @@ def test_duplicate_X_entries_count_once():
         for mode in (None, "analytic"):
             for a, b in zip(rmatrix._record(repeated, lam, z, mode), rmatrix._record(full, lam, z, mode)):
                 assert (a is None and b is None) or np.array_equal(a, b), family
+
+
+def test_spec_arrays_are_read_only_copies():
+    """A spec and its gauge records keep read-only copies of the caller's
+    arrays: changing the caller's C, c_matrix or psi afterwards changes
+    neither the digest nor the report, and writing through the spec raises."""
+    c = np.array([[0, 0.3], [-0.3, 0]], dtype=complex)
+    cm = np.array([[0, 0.2j], [-0.2j, 0]])
+    q, v = 0.3 * np.eye(2, dtype=complex), np.array([0.1, 0.2], dtype=complex)
+    constant = RMatrixSpec(algebra=A2, family="TrigCotanh", eps=2.0, C=c)
+    spectral = RMatrixSpec(algebra=A2, family="EllipticSpectral", tau=2j)
+    spectral = gauge_apply(gauge_apply(spectral, GaugeRecord(kind=1, c_matrix=cm)), GaugeRecord(kind=2, psi=(q, v)))
+    plan = SamplePlan(seed=1, count=2)
+    before = [(spec_digest(s), check_axioms(s, plan).to_json(include_timing=False)) for s in (constant, spectral)]
+    for a in (c, cm, q, v):
+        a *= 5  # antisymmetric and symmetric payloads stay valid
+    for spec, (digest, report) in zip((constant, spectral), before):
+        assert spec_digest(replace(spec)) == digest  # taken afresh from the spec's own arrays
+        assert check_axioms(spec, plan).to_json(include_timing=False) == report
+    g1, g2 = spectral.gauge_stack
+    for frozen in (constant.C, g1.c_matrix, *g2.psi):
+        assert not frozen.flags.writeable
+        with pytest.raises(ValueError):
+            frozen[0] = 1
 
 
 def _pole_cases(g, spec):

@@ -494,6 +494,37 @@ def test_sample_plan_gates():
         SamplePlan(seed=-1)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"seed": True},
+        {"count": 2.5},
+        {"count": True},
+        {"count": "3"},
+        {"max_resamples": 2.5},
+        {"max_resamples": False},
+        {"max_resamples": 0},
+        {"max_resamples": -3},
+        {"box": (-math.inf, 2.0)},
+        {"box": (-2.0, math.inf)},
+        {"box": (-1e308, 1e308)},
+        {"z_box": (-0.6, math.nan)},
+        {"z_box": (-0.6,)},
+    ],
+)
+def test_sample_plan_rejects_what_the_sampler_cannot_draw(kwargs):
+    """The seed and the counts are integers that are not bools, and each box is a
+    finite increasing pair whose span is finite, since a coordinate is drawn
+    as lo + (hi - lo) * u."""
+    with pytest.raises(SpecInvalid):
+        SamplePlan(**kwargs)
+
+
+def test_sample_plan_accepts_numpy_integers():
+    plan = SamplePlan(seed=np.int64(3), count=np.int64(2), max_resamples=np.int32(5))
+    assert check_axioms(RMatrixSpec(algebra=A2, family="TrigCotanh", eps=2.0), plan).samples_used == 2
+
+
 def test_sampling_exhausted():
     spec = RMatrixSpec(algebra=A1, family="RationalConstant", X=_full_X(A1))
     plan = SamplePlan(box=(-0.001, 0.001), pole_margin=0.5, max_resamples=10)
@@ -521,6 +552,105 @@ def test_samples_respect_margin():
     for _ in range(10):
         lam = sample_lambda(spec, PLAN, rng)
         assert pole_margin(spec, lam) >= PLAN.pole_margin
+
+
+def _serial_points(specs, plan, rng, n_z, count):
+    """The one-candidate loop the block sampler replaced, kept as its oracle:
+    uniform draws for Re and Im of lambda, then of z, and one scalar
+    pole_margin per spec and candidate, up to max_resamples per point."""
+    rank = specs[0].algebra.rank
+    elliptic = any(s.family == "EllipticSpectral" for s in specs)
+    im_box = tuple(0.5 * b for b in plan.z_box) if elliptic else plan.box
+    lams, zss = [], []
+    for _ in range(count):
+        for _ in range(plan.max_resamples):
+            lam = rng.uniform(*plan.box, rank) + 1j * rng.uniform(*im_box, rank)
+            zs = rng.uniform(*plan.z_box, n_z) + 1j * rng.uniform(*plan.z_box, n_z) if n_z else None
+            w = zs[[0, 0, 1, 1, 2, 2]] - zs[[1, 2, 2, 0, 0, 1]] if n_z == 3 else zs
+            if all(rmatrix.pole_margin(s, CartanVector.of(lam), w) >= plan.pole_margin for s in specs):
+                break
+        else:
+            raise SamplingExhausted(
+                f"no sample point with pole margin {plan.pole_margin} in {plan.max_resamples} draws"
+            )
+        lams.append(lam)
+        zss.append(zs)
+    return np.array(lams), np.array(zss) if n_z else None
+
+
+def _sampler_cases():
+    """(specs, n_z) for every family shape the sampler meets, on B3."""
+    g = build_simple_lie_algebra(build_root_system("B", 3))
+    rs = g.root_system
+    shift = GaugeRecord(kind=3, shift=CartanVector.of([0.2 - 0.1j, -0.3, 0.05j]))
+    trig = RMatrixSpec(algebra=g, family="TrigCotanh", eps=2.0)
+    rational = RMatrixSpec(algebra=g, family="RationalConstant", X=_full_X(g))
+    elliptic = RMatrixSpec(algebra=g, family="EllipticSpectral", tau=2j)
+    trig_spectral = RMatrixSpec(algebra=g, family="TrigSpectral", X=rs.simple_roots[:1])
+    gauged_constant = gauge_apply(gauge_apply(trig, shift), GaugeRecord(kind=4, scale=(0.8, 1.0)))
+    gauged_spectral = gauge_apply(gauge_apply(elliptic, shift), GaugeRecord(kind=4, scale=(0.8, 1.3)))
+    rho = RMatrixSpec(algebra=g, family="RationalConstant", X=(rs.simple_roots[0], rs.neg(rs.simple_roots[0])))
+    staged = tuple(replace(elliptic, tau=t) for t in (4j, 6j, 8j))
+    cases = [((s,), 0) for s in (trig, rational, gauged_constant)]
+    cases += [((s,), n_z) for s in (elliptic, trig_spectral, gauged_spectral) for n_z in (1, 3)]
+    cases += [((rational, rho), 0), (staged, 1), ((trig_spectral, gauged_spectral), 1)]
+    return cases
+
+
+def test_block_sampler_draws_the_serial_loop_points():
+    """The campaign's points equal the one-candidate loop's for seeds 0-19
+    over constant, spectral, elliptic (half imaginary box), gauged and
+    multi-spec plans, also when most candidates are rejected."""
+    for specs, n_z in _sampler_cases():
+        for margin in (0.1, 0.2 if n_z else 0.6):  # the larger rejects half or more on most plans
+            for seed in range(20):
+                plan = SamplePlan(seed=seed, count=3, pole_margin=margin, max_resamples=10**4)
+                lam, zs = verifier._campaign_points(specs, plan, n_z)
+                want_lam, want_zs = _serial_points(specs, plan, np.random.default_rng(seed), n_z, plan.count)
+                assert np.array_equal(lam, want_lam) and lam.dtype == want_lam.dtype
+                assert (zs is None and want_zs is None) or np.array_equal(zs, want_zs)
+
+
+def test_block_sampler_exhausts_at_the_serial_loop_budget():
+    """Whatever max_resamples, the block walk accepts the same points or
+    raises the same SamplingExhausted as the one-candidate loop."""
+    specs, n_z = _sampler_cases()[0]
+    outcomes = set()
+    for budget in range(1, 41):
+        for seed in range(3):
+            plan = SamplePlan(seed=seed, count=4, pole_margin=0.9, max_resamples=budget)
+
+            def run(draw):
+                try:
+                    return draw()[0].tolist()
+                except SamplingExhausted as exc:
+                    return str(exc)
+
+            got = run(lambda: verifier._campaign_points(specs, plan, n_z))
+            want = run(lambda: _serial_points(specs, plan, np.random.default_rng(seed), n_z, plan.count))
+            assert got == want, (budget, seed)
+            outcomes.add(isinstance(got, str))
+    assert outcomes == {True, False}  # both outcomes occur over these budgets
+
+
+def test_caller_generator_ends_where_the_serial_loop_leaves_it():
+    """sample_lambda and sample_spectral_point read no candidate past the
+    accepted one: the caller's next rng.random() is the oracle's."""
+    cases = _sampler_cases()
+    for (spec,), n_z in (cases[0], cases[2], cases[4], cases[8]):
+        for seed in range(20):
+            plan = SamplePlan(pole_margin=0.2 if n_z else 0.6)
+            rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(2):
+                if n_z:
+                    lam, zs = sample_spectral_point(spec, plan, rng)
+                    want_lam, want_zs = _serial_points((spec,), plan, oracle, 3, 1)
+                    assert zs == tuple(want_zs[0].tolist())
+                else:
+                    lam = sample_lambda(spec, plan, rng)
+                    want_lam, _ = _serial_points((spec,), plan, oracle, 0, 1)
+                assert lam == CartanVector.of(want_lam[0])
+            assert rng.random() == oracle.random()
 
 
 # ---------------------------------------------------------------- residual kernel
@@ -624,18 +754,21 @@ def test_residual_kernel_matches_dense_oracle(monkeypatch, series, rank):
         reduce_pair_check(pair, g.root_system.simple_roots[:1], plan)
 
     inputs = _kernel_inputs(monkeypatch, run)
-    assert len(inputs) == 2 * len(_kernel_zoo(g)) + 2
-    for g_seen, records, w in inputs:
+    # reduce_pair_check is one call: its projector row, then its sum row
+    assert len(inputs) == 2 * len(_kernel_zoo(g)) + 1
+    for g_seen, batch, rows in inputs:
         assert g_seen is g
-        r12, r13, r23 = (_dense_r(g, rec) for rec in records[:3])
-        d23, d31, d12 = (_dense_d(g, rec) for rec in records[3:])
-        scale = max(
-            bracket_legs(r12, r13, "12-13").norm(),
-            bracket_legs(r12, r23, "12-23").norm(),
-            bracket_legs(r13, r23, "13-23").norm(),
-        )
-        want = _dense_cdybe(r12, r13, r23, d23, d31, d12).data
-        assert np.max(np.abs(verifier._densify(g, w).data - want)) <= 1e-14 * scale
+        for i in np.ndindex(rows.shape[:-1]):
+            records = [rmatrix._Record(*(None if f is None else f[i] for f in rec)) for rec in batch]
+            r12, r13, r23 = (_dense_r(g, rec) for rec in records[:3])
+            d23, d31, d12 = (_dense_d(g, rec) for rec in records[3:])
+            scale = max(
+                bracket_legs(r12, r13, "12-13").norm(),
+                bracket_legs(r12, r23, "12-23").norm(),
+                bracket_legs(r13, r23, "13-23").norm(),
+            )
+            want = _dense_cdybe(r12, r13, r23, d23, d31, d12).data
+            assert np.max(np.abs(verifier._densify(g, rows[i]).data - want)) <= 1e-14 * scale
 
     # every entry the plan can reach has weight zero
     rs = g.root_system
@@ -811,13 +944,66 @@ def test_negative_control_equals_flipped_spec_residual():
             assert margins["negative-control-margin"] == (verifier._CONTROL_THRESHOLD / control,)
 
 
+def test_kernel_rows_equal_one_row_kernel_calls(monkeypatch):
+    """check_axioms and reduce_pair_check each make one kernel call, and
+    every row of it equals a separate one-row call bit for bit: the campaign
+    points, the negative control (row n) and the pair check's projector and
+    sum rows."""
+    g = build_simple_lie_algebra(build_root_system("B", 3))
+    flip = int(g.root_system.positive_roots[2])
+    plan = SamplePlan(seed=3, count=3)
+    specs = (
+        RMatrixSpec(algebra=g, family="TrigCotanh", eps=2.0),
+        RMatrixSpec(algebra=g, family="EllipticSpectral", tau=2j),
+        RMatrixSpec(algebra=g, family="RationalSpectral", X=_full_X(g)),
+        RMatrixSpec(algebra=g, family="RationalConstant", X=_full_X(g), debug_flip_root=flip, validate=False),
+    )
+    for spec in specs:
+        inputs = _kernel_inputs(monkeypatch, lambda: check_axioms(spec, plan))
+        assert len(inputs) == 1
+        _, records, w = inputs[0]
+        assert w.shape[0] == plan.count + 1
+        for i in range(len(w)):
+            assert np.array_equal(w[i], verifier._cdybe_from(g, *(r.take(i) for r in records)))
+        margins = {c.name: c.residuals for c in check_axioms(spec, plan).checks}
+        assert margins["negative-control-margin"] == (verifier._CONTROL_THRESHOLD / verifier._sup(w[-1]),)
+    p = int(g.root_system.simple_roots[0])
+    rho_spec = RMatrixSpec(algebra=g, family="RationalConstant", X=(p, g.root_system.neg(p)))
+    for tilde in (specs[0], specs[-1]):
+        inputs = _kernel_inputs(monkeypatch, lambda: reduce_pair_check(tilde, [p], plan))
+        assert len(inputs) == 1
+        report = reduce_pair_check(tilde, [p], plan)
+        lam, _ = verifier._campaign_points((tilde, rho_spec), plan, 0)
+        rho = rmatrix._record(rho_spec, lam, None, "analytic")
+        r = rmatrix._record(tilde, lam, None, "analytic")
+        rest = rmatrix._Record(r.m - rho.m, r.phi - rho.phi, None, r.dphi - rho.dphi)
+        total = rmatrix._Record(rest.m + rho.m, rest.phi + rho.phi, None, rest.dphi + rho.dphi)
+        got = {c.name: c.residuals for c in report.checks}
+        for name, rec in (("projector-cdybe", rho), ("pair-sum-cdybe", total)):
+            assert got[name] == tuple(np.abs(verifier._cdybe_from(g, *(rec,) * 6)).max(axis=-1).tolist())
+
+
+def test_spec_digest_is_taken_once_per_spec(monkeypatch):
+    """A spec is immutable, so its digest is encoded and hashed on first use
+    only; a spec made from it by replace() gets its own."""
+    calls = []
+    to_json = verifier.spec_to_json
+    monkeypatch.setattr(verifier, "spec_to_json", lambda spec: calls.append(spec) or to_json(spec))
+    spec = RMatrixSpec(algebra=A2, family="TrigCotanh", eps=2.0)
+    plan = SamplePlan(seed=1, count=1)
+    ids = {check_axioms(spec, plan).spec_id for _ in range(3)}
+    assert len(ids) == 1 and calls == [spec]
+    other = replace(spec, eps=3.0)
+    assert check_axioms(other, plan).spec_id not in ids and calls == [spec, other]
+
+
 def test_check_axioms_evaluates_each_sample_argument_once(monkeypatch):
     """A constant point is one evaluation; a spectral point is four residual
     arguments, the reflection r(-z12) and the 16-point residue contour.
     Each call counts the arguments it evaluates, the broadcast of lam's
     batch axes and z's shape.  A constant campaign is one _evaluate call
     and a spectral one two, whatever the sample count; the residual kernel
-    runs once for the campaign and once for the negative control."""
+    runs once, for the campaign and its negative control together."""
     calls, kernels = [], []
     evaluate, kernel = rmatrix._evaluate, verifier._cdybe_from
 
@@ -845,4 +1031,4 @@ def test_check_axioms_evaluates_each_sample_argument_once(monkeypatch):
             assert report.passed
             assert sum(calls) == n * per_point, spec.family
             assert len(calls) == n_calls, spec.family
-            assert len(kernels) == 2, spec.family
+            assert len(kernels) == 1, spec.family
