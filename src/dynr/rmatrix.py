@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .combinatorics import RootSubset, additive_closure, is_closed_subset
-from .errors import NonFiniteValue, SpecInvalid
+from .errors import ConvergenceFailure, NonFiniteValue, PoleProximity, SpecInvalid
 from .lie_core import CartanVector, SimpleLieAlgebra
 from .special_fn import ThetaParams, _require_margin, _sigma, coth_scaled, rho_fn
 from .tensor_alg import Tensor2, Tensor3
@@ -153,11 +153,8 @@ class RMatrixSpec:
 
         object.__setattr__(self, "tau", complex(self.tau) if self.tau is not None else None)
         object.__setattr__(self, "gauge_stack", tuple(self.gauge_stack))
-        flip = self.debug_flip_root
-        if flip is not None:
-            if isinstance(flip, bool) or not isinstance(flip, (int, np.integer)) or not 0 <= flip < rs.n_roots:
-                raise SpecInvalid(f"debug_flip_root must be a root index in [0, {rs.n_roots}), got {flip!r}")
-            object.__setattr__(self, "debug_flip_root", int(flip))
+        if self.debug_flip_root is not None:
+            object.__setattr__(self, "debug_flip_root", _require_root(rs, self.debug_flip_root, "debug_flip_root"))
         if self.validate:
             self._validate()
         # the X-span (a root subsystem; simple-subset families) and the
@@ -278,8 +275,8 @@ def _pairings(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _base_eval(spec: RMatrixSpec, lam: np.ndarray, z, want_d: bool):
-    """Family formulas in canonical (M, phi, dphi) shape, debug_scale_omega
-    applied (_record applies debug_flip_root).
+    """Family formulas as a record (v, d), debug_scale_omega applied
+    (_record applies debug_flip_root).
 
     Each family is one array expression over its pole-bearing roots and a
     batch of n arguments: lam is (n, rank), z None or (n,), and every
@@ -291,7 +288,8 @@ def _base_eval(spec: RMatrixSpec, lam: np.ndarray, z, want_d: bool):
     a = _pairings(rs.roots, lam - spec.nu.as_array())[:, poles]  # (n, pole-bearing roots)
     roots = rs.roots[poles].T  # (rank, pole-bearing roots)
     zc = None if z is None else z[:, None]  # broadcasts against the roots
-    phi = np.zeros((n, nr), dtype=complex)
+    v = np.zeros((n, rank * rank + nr), dtype=complex)
+    phi = v[:, rank * rank :]  # the root entries, written in place
     diag = None  # the scalar multiplying the identity in M, before debug_scale_omega
 
     if fam in ("RationalConstant", "RationalSpectral"):
@@ -314,7 +312,7 @@ def _base_eval(spec: RMatrixSpec, lam: np.ndarray, z, want_d: bool):
     elif fam == "EllipticSpectral":
         tp = spec.theta_params()
         diag = rho_fn(z, tp)
-        phi, ds = _sigma(-a, zc, tp, want_d)
+        phi[:], ds = _sigma(-a, zc, tp, want_d)
         d = None if ds is None else ds[:, None] * -roots
     else:  # TrigSpectral
         sz = np.sin(z)
@@ -327,11 +325,13 @@ def _base_eval(spec: RMatrixSpec, lam: np.ndarray, z, want_d: bool):
         phi[:, poles] = np.sin(a + zc) / (sa * sz[:, None])
         d = -roots / (sa * sa)[:, None]
 
-    m = np.repeat(spec.C[None], n, axis=0) if diag is None else spec.C + np.multiply.outer(np.broadcast_to(omega * diag, (n,)), np.eye(rank))
-    dphi = np.zeros((n, rank, nr), dtype=complex) if want_d else None
-    if want_d:
-        dphi[..., poles] = d
-    return m, phi, dphi
+    m = spec.C if diag is None else spec.C + np.multiply.outer(np.broadcast_to(omega * diag, (n,)), np.eye(rank))
+    v[:, : rank * rank] = np.reshape(m, (-1, rank * rank))
+    if not want_d:
+        return v, None
+    dv = np.zeros((n, rank, rank * rank + nr), dtype=complex)
+    dv[..., rank * rank + poles] = d
+    return v, dv
 
 
 def _arguments(spec: RMatrixSpec, lam: np.ndarray, z: Optional[complex]) -> list:
@@ -349,68 +349,85 @@ def _arguments(spec: RMatrixSpec, lam: np.ndarray, z: Optional[complex]) -> list
 
 
 def _evaluate(spec: RMatrixSpec, lam: np.ndarray, z, want_d: bool):
-    """(M, phi, dphi) of spec at (lam, z): the family formula at the bottom
+    """(v, d) of spec at (lam, z): the family formula at the bottom
     argument, then each gauge record from the bottom of the stack up.  lam
-    may carry leading batch axes and z may be an array; every output then
-    carries the broadcast of lam.shape[:-1] and z's shape in front.  All run
+    may carry leading batch axes and z may be an array; both outputs then
+    carry the broadcast of lam.shape[:-1] and z's shape in front.  All run
     as one flat batch, a single argument as a batch of one, so a value
-    equals its entry in any batch bit for bit.  Overflow yields inf or nan
-    entries without a warning; _record tests them."""
+    equals its entry in any batch bit for bit, and a pole or a divergent
+    sum raises the first failing argument's own error.  Overflow yields
+    inf or nan entries without a warning; _record tests them."""
     rs = spec.algebra.root_system
     lead = np.broadcast_shapes(np.shape(lam)[:-1], np.shape(z))
     lam = np.broadcast_to(lam, lead + (rs.rank,)).reshape(-1, rs.rank)
     z = None if z is None else np.broadcast_to(z, lead).reshape(-1)
     *levels, base = _arguments(spec, lam, z)
     with np.errstate(over="ignore", invalid="ignore"):
-        m, phi, dphi = _base_eval(spec, *base, want_d)
+        try:
+            v, d = _base_eval(spec, *base, want_d)
+        except (PoleProximity, ConvergenceFailure):
+            for i in range(len(lam)):  # one row at a time, up to the first that raises
+                _base_eval(spec, *(None if x is None else x[i : i + 1] for x in base), want_d)
+            raise
+        cartan, phi = v[:, : rs.rank**2], v[:, rs.rank**2 :]  # views, updated in place
+        dphi = None if d is None else d[..., rs.rank**2 :]
         for g, (lam_g, z_g) in zip(spec.gauge_stack, reversed(levels)):
             if g.kind == 1:
-                m = m + g.c_matrix
+                cartan += g.c_matrix.reshape(-1)
             elif g.kind == 2:
-                q, v = g.psi
+                q, w = g.psi
                 zc = z_g[:, None]
-                factors = np.exp(zc * _pairings(rs.roots, _pairings(q, lam_g) + v))  # e^{z L_a psi}, per root
+                factors = np.exp(zc * _pairings(rs.roots, _pairings(q, lam_g) + w))  # e^{z L_a psi}, per root
                 if want_d:
-                    dphi = (dphi + phi[:, None, :] * (zc[:, None] * (rs.roots @ q).T)) * factors[:, None, :]
-                m, phi = m + np.multiply.outer(z_g, q), phi * factors
+                    dphi[:] = (dphi + phi[:, None, :] * (zc[:, None] * (rs.roots @ q).T)) * factors[:, None, :]
+                cartan += np.multiply.outer(z_g, q.reshape(-1))
+                phi *= factors
             elif g.kind == 4:
                 a = g.scale[0]
-                m, phi = a * m, a * phi
+                np.multiply(a, v, out=v)  # a * v, in the operand order that fixes its rounding
                 if want_d:
-                    dphi = a * a * dphi
-    return tuple(None if f is None else f.reshape(lead + f.shape[1:]) for f in (m, phi, dphi))
+                    np.multiply(a * a, dphi, out=dphi)
+    return tuple(None if f is None else f.reshape(lead + f.shape[1:]) for f in (v, d))
 
 
 class _Record(NamedTuple):
-    """r at one (lam, z) in canonical shape, with its Cartan-direction derivative.
+    """r at one (lam, z) as a vector on its support, with its Cartan-direction derivative.
 
-    m is the Cartan block, phi the e_a (x) e_{-a} coefficient per root;
-    dm[k] and dphi[k] are their derivatives along the k-th Cartan
-    coordinate.  dm is None where M does not depend on lam (analytic mode);
-    dphi is None when no derivative was asked for.  A record of a batch of
-    arguments carries the batch's shape in front of every field.
+    v holds the Cartan block M row-major, then the e_a (x) e_{-a}
+    coefficient per root, the entries whose basis legs _legs gives.  d[k]
+    is v's derivative along the k-th Cartan coordinate (M block zero in
+    analytic mode), or None when no derivative was asked for.  A record of
+    a batch of arguments carries the batch's shape in front of both fields.
     """
 
-    m: np.ndarray
-    phi: np.ndarray
-    dm: Optional[np.ndarray] = None
-    dphi: Optional[np.ndarray] = None
-
-    def take(self, i, axis: int = 0) -> "_Record":
-        """The record at index i of the leading axis `axis`; a slice i keeps the axis."""
-        at = (slice(None),) * axis + (i,)
-        return _Record(*(None if f is None else f[at] for f in self))
+    v: np.ndarray
+    d: Optional[np.ndarray] = None
 
 
-def _flip(rec: _Record, p: int) -> _Record:
-    """rec with phi_p and dphi[:, p] negated.  Every gauge kind is linear in
-    (phi_p, dphi_p) and negation is exact, so this gives the values a flip at
-    the family formula gives, and flipping twice restores rec bit for bit."""
-    phi, dphi = rec.phi.copy(), None if rec.dphi is None else rec.dphi.copy()
-    phi[..., p] = -phi[..., p]
-    if dphi is not None:
-        dphi[..., p] = -dphi[..., p]
-    return rec._replace(phi=phi, dphi=dphi)
+def _legs(g: SimpleLieAlgebra) -> tuple:
+    """The basis indices (first leg, second leg) of each entry of a record's v."""
+    rows, cols = g.root_pair_index()
+    ci, cj = np.indices((g.rank, g.rank)).reshape(2, -1)
+    return np.concatenate((ci, rows)), np.concatenate((cj, cols))
+
+
+def _flip(rec: _Record, k: int) -> _Record:
+    """rec with entry k of v and of every d row negated.  Every gauge kind is
+    linear in a root's entries and negation is exact, so at a root's entry
+    this gives the values a flip at the family formula gives, and flipping
+    twice restores rec bit for bit."""
+    return _Record(*(None if f is None else np.where(np.arange(f.shape[-1]) == k, -f, f) for f in rec))
+
+
+def _check_point(spec: RMatrixSpec, lam: np.ndarray, z) -> None:
+    """SpecInvalid unless lam has the algebra's rank and z is given just for spectral specs."""
+    rank, got = spec.algebra.rank, np.shape(lam)[-1] if np.ndim(lam) else 0
+    if got != rank:
+        raise SpecInvalid(f"lambda must have {rank} coordinates, got {got}")
+    if spec.is_spectral and z is None:
+        raise SpecInvalid(f"{spec.family} needs a spectral argument z")
+    if not spec.is_spectral and z is not None:
+        raise SpecInvalid(f"{spec.family} takes no z")
 
 
 def _record(
@@ -425,38 +442,37 @@ def _record(
     lam and z may be batches, as for _evaluate, run in one _evaluate call.
     Analytic mode differentiates the closed-form coefficients (threaded
     through the gauge stack), where M is lam-independent; finite-difference
-    mode takes central differences of (M, phi) at lam +- fd_step e_k, all
-    2 * rank shifts in one more call.  The spec's debug_flip_root is applied
-    to the result.  Raises NonFiniteValue naming lam and z of the first
-    argument (in C order) whose record has an inf or nan entry.
+    mode takes central differences of v at lam +- fd_step e_k, all 2 * rank
+    shifts in one more call.  The spec's debug_flip_root is applied to the
+    result.  Raises SpecInvalid for a point of the wrong shape (see
+    _check_point), NonFiniteValue naming lam and z of the first argument
+    (in C order) whose record has an inf or nan entry.
     """
     if mode not in (None, "analytic", "finite-difference"):
         raise SpecInvalid(f"unknown mode {mode!r}")
+    _check_point(spec, lam, z)
     lam = np.asarray(lam)
+    z = None if z is None else np.asarray(z, dtype=complex)
     lead = np.broadcast_shapes(lam.shape[:-1], np.shape(z))
-    m, phi, dphi = _evaluate(spec, lam, z, mode == "analytic")
-    dm = None
+    rec = _Record(*_evaluate(spec, lam, z, mode == "analytic"))
     if mode == "finite-difference":
         rank = lam.shape[-1]
         # the shifted lambdas as a (rank, 2) batch in front of the record's axes
         s = fd_step * np.eye(rank, dtype=complex).reshape((rank,) + (1,) * len(lead) + (rank,))
-        ms, phis, _ = _evaluate(spec, np.stack([lam + s, lam - s], axis=1), z, False)
-        dm = np.moveaxis((ms[:, 0] - ms[:, 1]) / (2 * fd_step), 0, -3)
-        dphi = np.moveaxis((phis[:, 0] - phis[:, 1]) / (2 * fd_step), 0, -2)
-    rec = _Record(m, phi, dm, dphi)
+        vs, _ = _evaluate(spec, np.stack([lam + s, lam - s], axis=1), z, False)
+        rec = _Record(rec.v, np.moveaxis((vs[:, 0] - vs[:, 1]) / (2 * fd_step), 0, -2))
     finite = np.logical_and.reduce([np.isfinite(f).reshape(lead + (-1,)).all(axis=-1) for f in rec if f is not None])
     if not np.all(finite):
         i = int(np.argmin(finite))
         lam_i = np.broadcast_to(lam, lead + lam.shape[-1:]).reshape(-1, lam.shape[-1])[i]
         at = "" if z is None else f", z {complex(np.ravel(np.broadcast_to(z, lead))[i])}"
         raise NonFiniteValue(f"r-matrix record is not finite at lambda {lam_i.tolist()}{at}")
-    return rec if spec.debug_flip_root is None else _flip(rec, spec.debug_flip_root)
+    return rec if spec.debug_flip_root is None else _flip(rec, spec.algebra.rank**2 + spec.debug_flip_root)
 
 
-def _assemble2(algebra: SimpleLieAlgebra, m: np.ndarray, phi: np.ndarray) -> Tensor2:
+def _assemble2(algebra: SimpleLieAlgebra, v: np.ndarray) -> Tensor2:
     data = np.zeros((algebra.dim, algebra.dim), dtype=complex)
-    data[: algebra.rank, : algebra.rank] = m
-    data[algebra.root_pair_index()] = phi
+    data[_legs(algebra)] = v
     return Tensor2(algebra, data)
 
 
@@ -469,21 +485,19 @@ def eval_constant(spec: RMatrixSpec, lam: CartanVector) -> Tensor2:
     """
     if spec.is_spectral:
         raise SpecInvalid(f"{spec.family} needs eval_spectral")
-    m, phi, _, _ = _record(spec, lam.as_array(), None)
-    return _assemble2(spec.algebra, m, phi)
+    return _assemble2(spec.algebra, _record(spec, lam.as_array(), None).v)
 
 
 def eval_spectral(spec: RMatrixSpec, lam: CartanVector, z: complex) -> Tensor2:
     """Evaluate a spectral-family spec at (lam, z)."""
     if not spec.is_spectral:
         raise SpecInvalid(f"{spec.family} needs eval_constant")
-    m, phi, _, _ = _record(spec, lam.as_array(), complex(z))
-    return _assemble2(spec.algebra, m, phi)
+    return _assemble2(spec.algebra, _record(spec, lam.as_array(), z).v)
 
 
 def eval_rmatrix(spec: RMatrixSpec, lam: CartanVector, z: Optional[complex] = None) -> Tensor2:
-    """Dispatch to eval_constant or eval_spectral by family."""
-    return eval_spectral(spec, lam, z) if spec.is_spectral else eval_constant(spec, lam)
+    """Evaluate spec at lam, and at z for a spectral family."""
+    return _assemble2(spec.algebra, _record(spec, lam.as_array(), z).v)
 
 
 def eval_dlambda(
@@ -504,21 +518,19 @@ def eval_dlambda(
     SpecInvalid on a bad mode or a missing/extra z; PoleProximity near
     poles (including within a finite-difference step).
     """
-    if spec.is_spectral and z is None:
-        raise SpecInvalid("spectral family requires z")
-    if not spec.is_spectral and z is not None:
-        raise SpecInvalid(f"{spec.family} takes no z")
     if mode not in ("analytic", "finite-difference"):
         raise SpecInvalid(f"unknown mode {mode!r}")
     algebra = spec.algebra
-    rank = algebra.rank
-    rows, cols = algebra.root_pair_index()
-    _, _, dm, dphi = _record(spec, lam.as_array(), z, mode, fd_step)
     data = np.zeros((algebra.dim,) * 3, dtype=complex)
-    if dm is not None:
-        data[:rank, :rank, :rank] = dm
-    data[:rank, rows, cols] = dphi
+    data[(slice(algebra.rank),) + _legs(algebra)] = _record(spec, lam.as_array(), z, mode, fd_step).d
     return Tensor3(algebra, data)
+
+
+def _require_root(rs, i, what: str) -> int:
+    """i as a root index of rs, or SpecInvalid naming it as `what`."""
+    if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < rs.n_roots:
+        raise SpecInvalid(f"{what} must be a root index in [0, {rs.n_roots}), got {i!r}")
+    return int(i)
 
 
 def family_phi(spec: RMatrixSpec, lam: CartanVector, alpha: int, z: Optional[complex] = None) -> complex:
@@ -529,8 +541,8 @@ def family_phi(spec: RMatrixSpec, lam: CartanVector, alpha: int, z: Optional[com
     identities quantify over; for every other family it is the full
     e_alpha (x) e_{-alpha} coefficient.
     """
-    phi = _record(spec, lam.as_array(), z).phi
-    return complex(_identity_phi(spec, phi[int(alpha)]))
+    k = spec.algebra.rank**2 + _require_root(spec.algebra.root_system, alpha, "alpha")
+    return complex(_identity_phi(spec, _record(spec, lam.as_array(), z).v[k]))
 
 
 def _identity_phi(spec: RMatrixSpec, phi):
@@ -578,7 +590,9 @@ def pole_margin(spec: RMatrixSpec, lam: CartanVector, z: Optional[complex] = Non
 
 
 def _pole_margins(spec: RMatrixSpec, lam: np.ndarray, z=None) -> np.ndarray:
-    """pole_margin per row of lam (k, rank) and z (k, m); a row's margin does not depend on its batch."""
+    """pole_margin per row of lam (k, rank) and z (k, m), each independent of
+    its batch; a point of the wrong shape raises SpecInvalid, as in _record."""
+    _check_point(spec, lam, z)
     lam_b, z_b = _arguments(spec, lam, z)[-1]
     w = _pairings(spec.algebra.root_system.roots, lam_b - spec.nu.as_array())[:, spec._pole_roots]
     fam = spec.family

@@ -34,9 +34,11 @@ from .rmatrix import (
     _assemble2,
     _flip,
     _identity_phi,
+    _legs,
     _pole_margins,
     _record,
     _Record,
+    _require_root,
     effective_coupling,
     gauge_apply,
     spec_to_json,
@@ -105,8 +107,8 @@ class SamplePlan:
                 raise SpecInvalid(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise SpecInvalid(f"{name} must be >= 1")
-        if not self.pole_margin > 0:
-            raise SpecInvalid("pole_margin must be positive")
+        if not 0 < self.pole_margin < math.inf:
+            raise SpecInvalid("pole_margin must be finite and positive")
         for name, box in (("box", self.box), ("z_box", self.z_box)):
             if len(box) != 2 or not (box[0] < box[1] and math.isfinite(box[1] - box[0])):
                 raise SpecInvalid(f"{name} must be a finite increasing (lo, hi) pair")  # drawn as lo + (hi - lo) * u
@@ -238,12 +240,10 @@ def sample_spectral_point(spec: RMatrixSpec, plan: SamplePlan, rng):
 class _ResidualPlan:
     """Index lists that assemble the CDYBE residual on its weight-zero support.
 
-    An r record enters as its value vector _flat(m, phi): the Cartan x
-    Cartan entries in row-major order, then one (e_a, e_{-a}) entry per
-    root.  A derivative record enters as _flat(dm, dphi), the same layout
-    once per Cartan index k in front.  The six residual inputs r12, r13,
-    r23, d23, d31, d12 are concatenated in that order, followed by a 1.
-    Term t adds coef[t] * values[src_x[t]] * values[src_y[t]] to the
+    An r record enters as its vector v, a derivative record as d, v's
+    layout once per Cartan index k in front.  The six residual inputs r12,
+    r13, r23, d23, d31, d12 are concatenated in that order, followed by a
+    1.  Term t adds coef[t] * values[src_x[t]] * values[src_y[t]] to the
     residual entry slot[t]: bracket terms multiply two r entries by a
     structure constant, Alt(dr) terms multiply a derivative entry by the
     trailing 1.  w3 holds the sorted flat (dim, dim, dim) indices of the
@@ -275,27 +275,19 @@ class _ResidualPlan:
         return np.abs(np.where(self.hit, w + np.take(w, self.swap, axis=-1), w)).max(axis=-1)
 
 
-def _flat(m: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Value vectors of a record: per leading index of phi, m's entries in
-    row-major order, then phi's."""
-    return np.concatenate((m.reshape(phi.shape[:-1] + (-1,)), phi), axis=-1)
-
-
-def _stack(*records: _Record) -> _Record:
-    """The records' points as one batch, in order along the leading axis."""
-    return _Record(*(None if f[0] is None else np.concatenate(f) for f in zip(*records)))
+def _leg_weight(g: SimpleLieAlgebra, *legs) -> np.ndarray:
+    """Per entry, the largest |sum of its legs' Cartan weights| over the
+    Cartan basis, for basis index arrays legs."""
+    leg_weight = np.hstack([np.zeros((g.rank, g.rank)), g.root_system.roots.T])
+    return np.abs(sum(leg_weight[:, leg] for leg in legs)).max(axis=0)
 
 
 def _build_residual_plan(g: SimpleLieAlgebra) -> _ResidualPlan:
     """The residual plan of g, from its structure-constant lists."""
     rank, dim = g.rank, g.dim
-    rows, cols = g.root_pair_index()
-    cartan = np.arange(rank)
-    # the basis index of each leg of each entry of an r value vector
-    ci, cj = np.indices((rank, rank))
-    legs = (_flat(ci, rows), _flat(cj, cols))
+    legs = _legs(g)  # the basis index of each leg of each entry of a record's v
     n2 = len(legs[0])
-    d_legs = (np.repeat(cartan, n2), np.tile(legs[0], rank), np.tile(legs[1], rank))
+    d_legs = (np.repeat(np.arange(rank), n2), np.tile(legs[0], rank), np.tile(legs[1], rank))
     n3 = len(d_legs[0])
     fi, fj, fk, fv = _coo(g)
 
@@ -340,11 +332,9 @@ def _support_maps(g: SimpleLieAlgebra, support: np.ndarray):
     (dim, dim, dim) indices."""
     dim = g.dim
     l0, l1, l2 = np.unravel_index(support, (dim,) * 3)
-    leg_weight = np.hstack([np.zeros((g.rank, g.rank)), g.root_system.roots.T])
     swapped = (l1 * dim + l0) * dim + l2
     swap = np.minimum(np.searchsorted(support, swapped), len(support) - 1)
-    weight = np.abs(leg_weight[:, l0] + leg_weight[:, l1] + leg_weight[:, l2]).max(axis=0)
-    return weight, swap, support[swap] == swapped
+    return _leg_weight(g, l0, l1, l2), swap, support[swap] == swapped
 
 
 def _residual_plan(g: SimpleLieAlgebra) -> _ResidualPlan:
@@ -354,59 +344,53 @@ def _residual_plan(g: SimpleLieAlgebra) -> _ResidualPlan:
     return g._residual_plan
 
 
-def _cdybe_from(g: SimpleLieAlgebra, r12, r13, r23, d23, d31, d12) -> np.ndarray:
+def _cdybe_from(g: SimpleLieAlgebra, rec: _Record, roles: tuple) -> np.ndarray:
     """Alt(dr) + [r12,r13] + [r12,r23] + [r13,r23] as a vector on the plan's w3.
 
-    Every argument is a _Record: the first three give r on the three leg
-    pairs, the last three the lambda-derivatives at the matching
-    arguments.  The symmetrized derivative term places the Cartan leg
-    cyclically: x^(1) (dr)^{23} + x^(2) (dr)^{31} + x^(3) (dr)^{12}.
-    Records of a batch of points give one row per point, from a bincount
+    rec is one record batch whose last leading axis holds each point's
+    distinct arguments; roles names the argument that gives r12, r13, r23
+    and the lambda-derivatives d23, d31, d12.  The symmetrized derivative
+    term places the Cartan leg cyclically: x^(1) (dr)^{23} + x^(2)
+    (dr)^{31} + x^(3) (dr)^{12}.  Each point gives one row, from a bincount
     over per-point offset slots, which adds each row's terms in the order a
     single point's would; a pass takes as many points as _KERNEL_TERMS
     allows.  Overflow yields inf or nan entries without a warning; callers
     test them.
     """
     plan = _residual_plan(g)
-    lead = r12.phi.shape[:-1]
+    lead = rec.v.shape[:-2]
     n, size = math.prod(lead), len(plan.w3)
     rows = min(n, max(1, _KERNEL_TERMS // len(plan.slot)))
-    no_dm = np.zeros(lead + (g.rank,) * 3, dtype=complex)
-    values = np.concatenate(
-        [_flat(r.m, r.phi).reshape(n, -1) for r in (r12, r13, r23)]
-        + [_flat(no_dm if d.dm is None else d.dm, d.dphi).reshape(n, -1) for d in (d23, d31, d12)]
-        + [np.ones((n, 1), dtype=complex)],
-        axis=1,
-    )
+    v = rec.v.reshape((n,) + rec.v.shape[-2:])[:, roles[:3]]
+    d = rec.d.reshape((n,) + rec.d.shape[-3:])[:, roles[3:]]
+    values = np.concatenate((v.reshape(n, -1), d.reshape(n, -1), np.ones((n, 1), dtype=complex)), axis=1)
     slots = (plan.slot + size * np.arange(rows)[:, None]).ravel()
     w = np.empty((n, size), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(0, n, rows):
-            v = values[i : i + rows]
-            terms = v.take(plan.src_x, axis=1)  # in place, as coef * x * y
+            x = values[i : i + rows]
+            terms = x.take(plan.src_x, axis=1)  # in place, as coef * x * y
             terms *= plan.coef
-            terms *= v.take(plan.src_y, axis=1)
-            k = len(v)
+            terms *= x.take(plan.src_y, axis=1)
+            k = len(x)
             w[i : i + k].real = np.bincount(slots[: terms.size], terms.real.ravel(), k * size).reshape(k, size)
             w[i : i + k].imag = np.bincount(slots[: terms.size], terms.imag.ravel(), k * size).reshape(k, size)
     return w.reshape(lead + (size,))
 
 
 def _point_records(spec: RMatrixSpec, lam: np.ndarray, zs=None, mode="analytic", fd_step=1e-5) -> tuple:
-    """The six residual inputs (r12, r13, r23, d23, d31, d12) at the points
-    lam (..., rank), with the spectral triples zs (..., 3) when given.
+    """(record, roles) for _cdybe_from at the points lam (..., rank), with the
+    spectral triples zs (..., 3) when given, all points in one call.
 
-    A constant spec is evaluated once.  A spectral triple pairs the legs at
-    z12, z13, z23 and takes the derivatives at z23, z31, z12, so each point
-    is evaluated at z12, z13, z23 and z31, all points in one call.
+    A constant point has one argument, which serves every leg pair.  A
+    spectral triple pairs the legs at z12, z13, z23 and takes the
+    derivatives at z23, z31, z12, so its arguments are z12, z13, z23, z31.
     """
     if zs is None:
-        return (_record(spec, lam, None, mode, fd_step),) * 6
+        return _record(spec, lam[..., None, :], None, mode, fd_step), (0,) * 6
     zs = np.asarray(zs, dtype=complex)
     args = zs[..., [0, 0, 1, 2]] - zs[..., [1, 2, 2, 0]]  # z12, z13, z23, z31 = -z13
-    batch = _record(spec, lam[..., None, :], args, mode, fd_step)
-    r12, r13, r23, d31 = (batch.take(i, zs.ndim - 1) for i in range(4))
-    return r12, r13, r23, r23, d31, r12
+    return _record(spec, lam[..., None, :], args, mode, fd_step), (0, 1, 2, 2, 3, 0)
 
 
 def _residual(
@@ -421,12 +405,9 @@ def _residual(
     _point_records.  Raises NonFiniteValue when an entry overflows."""
     if spec.is_spectral and zs is None:
         raise SpecInvalid(f"{spec.family} residual needs a (z1, z2, z3) triple")
-    if not spec.is_spectral and zs is not None:
-        raise SpecInvalid(f"{spec.family} residual takes no spectral points")
     if mode not in ("analytic", "finite-difference"):
         raise SpecInvalid(f"unknown mode {mode!r}")
-    records = _point_records(spec, lam, zs, mode, fd_step)
-    return _require_finite(_cdybe_from(spec.algebra, *records), lam, zs)
+    return _require_finite(_cdybe_from(spec.algebra, *_point_records(spec, lam, zs, mode, fd_step)), lam, zs)
 
 
 def _require_finite(w: np.ndarray, lam: np.ndarray, zs=None) -> np.ndarray:
@@ -486,19 +467,16 @@ def _contour(radius: float, points: int) -> np.ndarray:
     return radius * np.exp(2j * math.pi * np.arange(points) / points)
 
 
-def _residue(rs, zj: np.ndarray, m: np.ndarray, phi: np.ndarray):
-    """(M, phi) of the contour average (1/len(zj)) sum_j z_j r(z_j), the eps
-    estimate and the deviation (see extract_residue), per index in front of
-    the contour axis, the last leading axis of m and phi.  The invariant
-    tensor is 1 on the Cartan diagonal and on every (e_a, e_{-a}) entry."""
-    acc_m = (zj @ m.reshape(m.shape[:-2] + (-1,))).reshape(m.shape[:-3] + m.shape[-2:]) / len(zj)
-    acc_phi = zj @ phi / len(zj)
-    eps_est = (np.trace(acc_m, axis1=-2, axis2=-1) + acc_phi.sum(axis=-1)) / (rs.rank + rs.n_roots)
-    deviation = np.maximum(
-        np.abs(acc_m - eps_est[..., None, None] * np.eye(rs.rank)).max(axis=(-2, -1)),
-        np.abs(acc_phi - eps_est[..., None]).max(axis=-1),
-    )
-    return acc_m, acc_phi, eps_est, deviation
+def _residue(g: SimpleLieAlgebra, zj: np.ndarray, v: np.ndarray):
+    """The contour average (1/len(zj)) sum_j z_j r(z_j) as a record vector,
+    the eps estimate and the deviation (see extract_residue), per index in
+    front of the contour axis, the last leading axis of v.  The sum runs
+    over the contour in order, so a point's values do not depend on its
+    batch or on v's layout."""
+    omega = _axiom_tables(g)[1]
+    acc = sum(w * v[..., j, :] for j, w in enumerate(zj)) / len(zj)
+    eps_est = (acc * omega).sum(axis=-1) / omega.sum()
+    return acc, eps_est, np.abs(acc - eps_est[..., None] * omega).max(axis=-1)
 
 
 def extract_residue(
@@ -518,8 +496,8 @@ def extract_residue(
     if points < 4:
         raise SpecInvalid("need at least 4 contour points")
     zj = _contour(radius, points)
-    acc_m, acc_phi, eps_est, deviation = _residue(spec.algebra.root_system, zj, *_record(spec, lam.as_array(), zj)[:2])
-    return _assemble2(spec.algebra, acc_m, acc_phi), complex(eps_est), float(deviation)
+    acc, eps_est, deviation = _residue(spec.algebra, zj, _record(spec, lam.as_array(), zj).v)
+    return _assemble2(spec.algebra, acc), complex(eps_est), float(deviation)
 
 
 def check_phi_triangle(
@@ -537,17 +515,20 @@ def check_phi_triangle(
     families: phi_a(z13) phi_b(z23) + phi_b(z21) phi_c(z31)
     + phi_a(z12) phi_c(z32).
     """
-    if np.any(np.sum([spec.algebra.root_system.coeffs[i] for i in (alpha, beta, gamma)], axis=0)):
+    rs = spec.algebra.root_system
+    triple = [_require_root(rs, i, name) for i, name in zip((alpha, beta, gamma), ("alpha", "beta", "gamma"))]
+    if np.any(np.sum([rs.coeffs[i] for i in triple], axis=0)):
         raise RootSumNonzero(f"root triple {alpha},{beta},{gamma} does not sum to zero")
+    a, b, c = (spec.algebra.rank**2 + i for i in triple)  # their entries in a record's v
     if not spec.is_spectral:
         if z_args is not None:
             raise SpecInvalid("constant family takes no spectral arguments")
-        pa, pb, pc = _identity_phi(spec, _record(spec, lam.as_array(), None).phi[[alpha, beta, gamma]])
+        pa, pb, pc = _identity_phi(spec, _record(spec, lam.as_array(), None).v[[a, b, c]])
         eps = effective_coupling(spec)
         return complex(pa * pb + pa * pc + pc * pb + eps * eps / 4.0)
     z1, z2, z3 = (complex(w) for w in z_args or (0.23 - 0.31j, -0.17 - 0.29j, 0.41 - 0.11j))
-    phi = _identity_phi(spec, _record(spec, lam.as_array(), np.array([z1 - z3, z2 - z3, z2 - z1, z3 - z1, z1 - z2, z3 - z2])).phi)
-    return complex(phi[0, alpha] * phi[1, beta] + phi[2, beta] * phi[3, gamma] + phi[4, alpha] * phi[5, gamma])
+    phi = _identity_phi(spec, _record(spec, lam.as_array(), np.array([z1 - z3, z2 - z3, z2 - z1, z3 - z1, z1 - z2, z3 - z2])).v)
+    return complex(phi[0, a] * phi[1, b] + phi[2, b] * phi[3, c] + phi[4, a] * phi[5, c])
 
 
 def phi_ode_residual(
@@ -565,10 +546,12 @@ def phi_ode_residual(
         raise SpecInvalid("the phi ODE identity applies to constant families")
     if spec.gauge_stack:
         raise SpecInvalid("phi ODE identity is stated for ungauged specs")
+    alpha = _require_root(spec.algebra.root_system, alpha, "alpha")
     root = spec.algebra.root_system.roots[alpha]
     step = fd_step * root / float(root @ root)
     lam_arr = lam.as_array()
-    up, dn, phi0 = _identity_phi(spec, _record(spec, np.stack([lam_arr + step, lam_arr - step, lam_arr]), None).phi[:, alpha])
+    v = _record(spec, np.stack([lam_arr + step, lam_arr - step, lam_arr]), None).v
+    up, dn, phi0 = _identity_phi(spec, v[:, spec.algebra.rank**2 + alpha])
     eps = effective_coupling(spec)
     return float(abs((up - dn) / (2 * fd_step) + phi0 * phi0 - eps * eps / 4.0))
 
@@ -590,22 +573,20 @@ def addition_identity_residual(
     )
 
 
-def _axiom_checks(spec: RMatrixSpec, lam: np.ndarray, zs=None, r: Optional[_Record] = None) -> list:
+def _axiom_checks(spec: RMatrixSpec, lam: np.ndarray, zs=None, r: Optional[np.ndarray] = None) -> list:
     """Zero-weight and unitarity, plus the residue for spectral specs, at
     the campaign points lam (n, rank) and zs (n, 3).
 
-    r is the record at each point (at z12 for a spectral triple); without
-    it, r is evaluated value-only.  Spectral specs evaluate the reflections
+    r is the record vector v at each point (at z12 for a spectral triple);
+    without it, r is evaluated.  Spectral specs evaluate the reflections
     r(-z12) and the residue contours, and r with them, in one call.
 
     A record holds only Cartan x Cartan entries, of weight zero, and one
     (e_a, e_{-a}) entry per root, of weight a + (-a).  Constant unitarity
-    compares r + r^T with eps times the invariant tensor, which is 1 on the
-    Cartan diagonal and on every (e_a, e_{-a}) entry; spectral unitarity
-    compares r(z) + r(-z)^T with 0.
+    compares r + r^T with eps times the invariant tensor; spectral
+    unitarity compares r(z) + r(-z)^T with 0.
     """
-    rs = spec.algebra.root_system
-    neg, pair_weight = _axiom_tables(spec.algebra)
+    swap, omega, weight = _axiom_tables(spec.algebra)
     eps = effective_coupling(spec)
     n = len(lam)
     checks = []
@@ -613,34 +594,33 @@ def _axiom_checks(spec: RMatrixSpec, lam: np.ndarray, zs=None, r: Optional[_Reco
         z12 = (zs[:, 0] - zs[:, 1])[:, None]
         zj = _contour(0.05, 16)
         args = [z12] * (r is None) + [-z12, np.broadcast_to(zj, (n, len(zj)))]
-        values = _record(spec, lam[:, None], np.hstack(args))
-        r = values.take(0, 1) if r is None else r
-        refl = values.take(-1 - len(zj), 1)
-        m_dev = r.m + np.swapaxes(refl.m, -1, -2)
-        phi_dev = r.phi + refl.phi[:, neg]
-        _, _, eps_est, dev = _residue(rs, zj, values.m[:, -len(zj) :], values.phi[:, -len(zj) :])
-        checks.append(CheckResult("residue", _RESIDUE_TOL, tuple(np.maximum(dev, np.abs(eps_est - eps)).tolist()), n))
+        values = _record(spec, lam[:, None], np.hstack(args)).v
+        r = values[:, 0] if r is None else r
+        dev = r + values[:, -1 - len(zj), swap]
+        _, eps_est, res = _residue(spec.algebra, zj, values[:, -len(zj) :])
+        checks.append(CheckResult("residue", _RESIDUE_TOL, tuple(np.maximum(res, np.abs(eps_est - eps)).tolist()), n))
     else:
-        r = _record(spec, lam, None) if r is None else r
-        m_dev = r.m + np.swapaxes(r.m, -1, -2) - eps * np.eye(rs.rank)
-        phi_dev = r.phi + r.phi[:, neg] - eps
-    unit = np.maximum(np.abs(m_dev).max(axis=(-2, -1)), np.abs(phi_dev).max(axis=-1))
-    zero_w = np.max(np.abs(r.phi) * pair_weight, axis=-1, initial=0.0)
+        r = _record(spec, lam, None).v if r is None else r
+        dev = r + r[:, swap] - eps * omega
     return [
-        CheckResult("zero-weight", _ZERO_WEIGHT_TOL, tuple(zero_w.tolist()), n),
-        CheckResult("unitarity", _UNITARITY_TOL, tuple(unit.tolist()), n),
+        CheckResult("zero-weight", _ZERO_WEIGHT_TOL, tuple(np.max(np.abs(r) * weight, axis=-1).tolist()), n),
+        CheckResult("unitarity", _UNITARITY_TOL, tuple(np.abs(dev).max(axis=-1).tolist()), n),
     ] + checks
 
 
 def _axiom_tables(g: SimpleLieAlgebra) -> tuple:
-    """Per root a, the index of -a and the largest |a + (-a)| over the Cartan basis, kept on g."""
+    """Per entry of a record's v: the entry with its legs exchanged, the
+    invariant tensor (1 on the Cartan diagonal and on every (e_a, e_{-a})
+    entry) and the largest Cartan weight of its two legs; kept on g."""
     if g._axiom_tables is None:
-        neg = g.root_pair_index()[1] - g.rank
-        g._axiom_tables = (neg, np.abs(g.root_system.roots + g.root_system.roots[neg]).max(axis=1))
+        rows, cols = _legs(g)
+        at = np.zeros((g.dim, g.dim), dtype=int)
+        at[rows, cols] = np.arange(len(rows))
+        g._axiom_tables = (at[cols, rows], ((rows == cols) | (rows >= g.rank)).astype(float), _leg_weight(g, rows, cols))
     return g._axiom_tables
 
 
-def _residual_checks(spec: RMatrixSpec, lam: np.ndarray, zs, records: tuple) -> list:
+def _residual_checks(spec: RMatrixSpec, lam: np.ndarray, zs, rec: _Record, roles: tuple) -> list:
     """CDYBE residual, its weight and (constant specs) its 1<->2 skew from
     the _point_records of the campaign points lam and zs, then the negative
     control at the first point, whose records join the campaign's as row n
@@ -655,16 +635,14 @@ def _residual_checks(spec: RMatrixSpec, lam: np.ndarray, zs, records: tuple) -> 
     g = spec.algebra
     plan = _residual_plan(g)
     n = len(lam)
-    positive = list(g.root_system.positive_roots)
-    live = np.any(np.abs(_identity_phi(spec, records[0].phi[0])[positive]) > 1e-12)
-    # the records repeat (a constant spec's six are one), so extend each once
-    rows = {id(r): r for r in records}
+    positive = g.rank**2 + np.array(g.root_system.positive_roots)  # their entries in v
+    live = np.any(np.abs(_identity_phi(spec, rec.v[0, roles[0], positive])) > 1e-12)
     if live:
-        own = spec.debug_flip_root
-        for i, r in rows.items():
-            first = r.take(slice(1))
-            rows[i] = _stack(r, _flip(first if own is None else _flip(first, own), positive[0]))
-    w_all = _cdybe_from(g, *(rows[id(r)] for r in records))
+        first = _Record(rec.v[:1], rec.d[:1])
+        if spec.debug_flip_root is not None:
+            first = _flip(first, g.rank**2 + spec.debug_flip_root)
+        rec = _Record(*map(np.concatenate, zip(rec, _flip(first, positive[0]))))  # the control as row n
+    w_all = _cdybe_from(g, rec, roles)
     w = _require_finite(w_all[:n], lam, zs)
     checks = [
         CheckResult("cdybe-residual", _RESIDUAL_TOL_ANALYTIC, tuple(np.abs(w).max(axis=-1).tolist()), n),
@@ -704,9 +682,9 @@ def check_axioms(spec: RMatrixSpec, plan: SamplePlan) -> VerificationReport:
     """
     t0 = time.perf_counter()
     lam, zs = _campaign_points((spec,), plan, 3 if spec.is_spectral else 0)
-    records = _point_records(spec, lam, zs)
-    checks = _axiom_checks(spec, lam, zs, records[0])
-    checks += _residual_checks(spec, lam, zs, records)
+    rec, roles = _point_records(spec, lam, zs)
+    checks = _axiom_checks(spec, lam, zs, rec.v[:, roles[0]])
+    checks += _residual_checks(spec, lam, zs, rec, roles)
     return _report(spec, plan, checks, t0)
 
 
@@ -772,13 +750,9 @@ def limit_compare(
         raise SpecInvalid("cannot mix constant and spectral specs in a limit")
     spectral = spectral.pop()
     lam, zs = _campaign_points(probes, plan, 1 if spectral else 0)
-    records = [_record(s, lam, None if zs is None else zs[:, 0]) for s in probes]
-
-    def sup_dev(a, b) -> float:
-        return max(_sup(a.m - b.m), _sup(a.phi - b.phi))
-
-    cauchy = tuple(sup_dev(a, b) for a, b in zip(records[: len(staged) - 1], records[1 : len(staged)]))
-    final = sup_dev(records[-2], records[-1]) if spec_b is not None else None
+    values = [_record(s, lam, None if zs is None else zs[:, 0]).v for s in probes]
+    cauchy = tuple(_sup(a - b) for a, b in zip(values[: len(staged) - 1], values[1 : len(staged)]))
+    final = _sup(values[-2] - values[-1]) if spec_b is not None else None
     return LimitComparison(cauchy=cauchy, final_deviation=final, n_samples=len(lam))
 
 
@@ -815,11 +789,10 @@ def reduce_pair_check(
 
     t0 = time.perf_counter()
     lam, _ = _campaign_points((spec_tilde, rho_spec), plan, 0)
-    rho = _record(rho_spec, lam, None, "analytic")
-    tilde = _record(spec_tilde, lam, None, "analytic")
-    rest = _Record(tilde.m - rho.m, tilde.phi - rho.phi, None, tilde.dphi - rho.dphi)
-    total = _Record(rest.m + rho.m, rest.phi + rho.phi, None, rest.dphi + rho.dphi)
-    w = _cdybe_from(g, *(_stack(rho, total),) * 6)  # rho's rows, then the sum's
+    rho, roles = _point_records(rho_spec, lam)
+    tilde, _ = _point_records(spec_tilde, lam)
+    total = _Record(*((t - r) + r for t, r in zip(tilde, rho)))  # rest = r_tilde - rho, then rest + rho
+    w = _cdybe_from(g, _Record(*map(np.concatenate, zip(rho, total))), roles)  # rho's rows, then the sum's
     rho_norms = np.abs(_require_finite(w[: len(lam)], lam)).max(axis=-1)
     sum_norms = np.abs(_require_finite(w[len(lam) :], lam)).max(axis=-1)
 
@@ -860,9 +833,7 @@ def affine_series_check(
         raise SpecInvalid("lambda rank does not match the algebra")
     params = ThetaParams(tau=tau)
     u = cmath.exp(2j * math.pi * complex(z))
-
-    series_m = np.zeros((rs.rank, rs.rank), dtype=complex)
-    np.fill_diagonal(series_m, classical_series("rho-sum", u, 0.0, params, n_terms))
-    series_phi = classical_series("sigma-sum", u, rs.roots @ lam.as_array(), params, n_terms)
-    closed = _record(affine_hat_spec(algebra, tau), lam.as_array(), complex(z))
-    return max(_sup(series_m - closed.m), _sup(series_phi - closed.phi))
+    series = np.zeros(rs.rank**2 + rs.n_roots, dtype=complex)  # as a record's v
+    series[: rs.rank**2 : rs.rank + 1] = classical_series("rho-sum", u, 0.0, params, n_terms)
+    series[rs.rank**2 :] = classical_series("sigma-sum", u, rs.roots @ lam.as_array(), params, n_terms)
+    return _sup(series - _record(affine_hat_spec(algebra, tau), lam.as_array(), complex(z)).v)

@@ -479,6 +479,50 @@ def test_affine_hat_spec_properties():
     assert cdybe_residual_spectral(hat, lam, *zs).norm() < 1e-10
 
 
+# ---------------------------------------------------------------- point validation
+
+_COT = RMatrixSpec(algebra=A2, family="TrigCotanh", eps=2.0)
+_ELL = RMatrixSpec(algebra=A2, family="EllipticSpectral", tau=2j)
+_LAM = CartanVector.of([0.31 + 0.1j, -0.27])
+_SHORT, _LONG = CartanVector.of([0.3 + 0.1j]), CartanVector.of([0.3, 0.2, 0.1])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: rmatrix.eval_rmatrix(_COT, _SHORT), "lambda must have 2 coordinates, got 1"),
+        (lambda: rmatrix.eval_rmatrix(_COT, _LONG), "lambda must have 2 coordinates, got 3"),
+        (lambda: rmatrix.pole_margin(_COT, _SHORT), "lambda must have 2 coordinates, got 1"),
+        (lambda: family_phi(_COT, _LONG, 0), "lambda must have 2 coordinates, got 3"),
+        (lambda: eval_dlambda(_COT, _SHORT), "lambda must have 2 coordinates, got 1"),
+        (lambda: cdybe_residual(_COT, _SHORT), "lambda must have 2 coordinates, got 1"),
+        (lambda: cdybe_residual(_ELL, _LONG, (0.1, 0.2j, 0.3)), "lambda must have 2 coordinates, got 3"),
+        (lambda: extract_residue(_ELL, _SHORT), "lambda must have 2 coordinates, got 1"),
+        (lambda: rmatrix.eval_rmatrix(_ELL, _LAM), "EllipticSpectral needs a spectral argument z"),
+        (lambda: family_phi(_ELL, _LAM, 0), "EllipticSpectral needs a spectral argument z"),
+        (lambda: rmatrix.pole_margin(_ELL, _LAM), "EllipticSpectral needs a spectral argument z"),
+        (lambda: eval_dlambda(_ELL, _LAM), "EllipticSpectral needs a spectral argument z"),
+        (lambda: cdybe_residual(_ELL, _LAM), r"EllipticSpectral residual needs a \(z1, z2, z3\) triple"),
+        (lambda: rmatrix.eval_rmatrix(_COT, _LAM, 0.3), "TrigCotanh takes no z"),
+        (lambda: family_phi(_COT, _LAM, 0, 0.3), "TrigCotanh takes no z"),
+        (lambda: rmatrix.pole_margin(_COT, _LAM, 0.3), "TrigCotanh takes no z"),
+        (lambda: eval_dlambda(_COT, _LAM, 0.3), "TrigCotanh takes no z"),
+        (lambda: cdybe_residual(_COT, _LAM, (0.1, 0.2j, 0.3)), "TrigCotanh takes no z"),
+        (lambda: family_phi(_COT, _LAM, 6), r"alpha must be a root index in \[0, 6\), got 6"),
+        (lambda: family_phi(_COT, _LAM, -1), r"alpha must be a root index in \[0, 6\), got -1"),
+        (lambda: check_phi_triangle(_COT, 0, 1, 9, _LAM), r"gamma must be a root index in \[0, 6\), got 9"),
+        (lambda: check_phi_triangle(_ELL, 7, 1, 2, _LAM), r"alpha must be a root index in \[0, 6\), got 7"),
+        (lambda: phi_ode_residual(_COT, 6, _LAM), r"alpha must be a root index in \[0, 6\), got 6"),
+    ],
+)
+def test_public_entry_points_validate_the_point(call, message):
+    """A point of the wrong rank, a missing or extra spectral argument and a
+    root index out of range raise SpecInvalid, not a numpy error or a value
+    at a broadcast point."""
+    with pytest.raises(SpecInvalid, match=message):
+        call()
+
+
 # ---------------------------------------------------------------- sampling
 
 def test_sample_plan_gates():
@@ -492,6 +536,9 @@ def test_sample_plan_gates():
         SamplePlan(z_box=(0.5, 0.5))
     with pytest.raises(SpecInvalid, match="seed must be a non-negative integer"):
         SamplePlan(seed=-1)
+    for margin in (math.inf, math.nan):  # an infinite margin would reject every draw
+        with pytest.raises(SpecInvalid, match="pole_margin must be finite and positive"):
+            SamplePlan(pole_margin=margin)
 
 
 @pytest.mark.parametrize(
@@ -672,14 +719,14 @@ def _dense_cdybe(r12, r13, r23, d23, d31, d12):
 
 
 def _kernel_inputs(monkeypatch, run):
-    """Every (algebra, records, residual vector) run() passes through
-    verifier._cdybe_from."""
+    """Every (algebra, record batch, roles, residual vector) run() passes
+    through verifier._cdybe_from."""
     seen = []
     kernel = verifier._cdybe_from
 
-    def spy(g, *records):
-        w = kernel(g, *records)
-        seen.append((g, records, w))
+    def spy(g, rec, roles):
+        w = kernel(g, rec, roles)
+        seen.append((g, rec, roles, w))
         return w
 
     monkeypatch.setattr(verifier, "_cdybe_from", spy)
@@ -688,18 +735,19 @@ def _kernel_inputs(monkeypatch, run):
     return seen
 
 
-def _dense_r(g, rec):
-    return rmatrix._assemble2(g, rec.m, rec.phi)
+def _dense_r(g, v):
+    """The dense r of a record vector v: M row-major, then phi per root."""
+    rank, rs = g.rank, g.root_system
+    data = np.zeros((g.dim,) * 2, dtype=complex)
+    data[:rank, :rank] = v[: rank * rank].reshape(rank, rank)
+    for p in range(rs.n_roots):
+        data[g.root_basis_index(p), g.root_basis_index(rs.neg(p))] = v[rank * rank + p]
+    return Tensor2(g, data)
 
 
-def _dense_d(g, rec):
-    rank = g.rank
-    rows, cols = g.root_pair_index()
-    data = np.zeros((g.dim,) * 3, dtype=complex)
-    if rec.dm is not None:
-        data[:rank, :rank, :rank] = rec.dm
-    data[:rank, rows, cols] = rec.dphi
-    return Tensor3(g, data)
+def _dense_d(g, d):
+    """The dense sum_k x_k (x) d[k] of a derivative record d."""
+    return Tensor3(g, np.stack([_dense_r(g, dk).data for dk in d] + [np.zeros((g.dim,) * 2)] * (g.dim - g.rank)))
 
 
 def _kernel_zoo(g):
@@ -756,12 +804,12 @@ def test_residual_kernel_matches_dense_oracle(monkeypatch, series, rank):
     inputs = _kernel_inputs(monkeypatch, run)
     # reduce_pair_check is one call: its projector row, then its sum row
     assert len(inputs) == 2 * len(_kernel_zoo(g)) + 1
-    for g_seen, batch, rows in inputs:
+    for g_seen, rec, roles, rows in inputs:
         assert g_seen is g
         for i in np.ndindex(rows.shape[:-1]):
-            records = [rmatrix._Record(*(None if f is None else f[i] for f in rec)) for rec in batch]
-            r12, r13, r23 = (_dense_r(g, rec) for rec in records[:3])
-            d23, d31, d12 = (_dense_d(g, rec) for rec in records[3:])
+            v, d = rec.v[i], rec.d[i]  # the point's distinct arguments
+            r12, r13, r23 = (_dense_r(g, v[k]) for k in roles[:3])
+            d23, d31, d12 = (_dense_d(g, d[k]) for k in roles[3:])
             scale = max(
                 bracket_legs(r12, r13, "12-13").norm(),
                 bracket_legs(r12, r23, "12-23").norm(),
@@ -778,32 +826,26 @@ def test_residual_kernel_matches_dense_oracle(monkeypatch, series, rank):
 
 
 def test_record_values_round_trip_through_dense():
-    """The value vectors the kernel reads are the records' dense tensors,
-    read in the plan's leg order, and a residual vector densifies onto w3."""
+    """A record's v and d are r's and dr's dense tensors read in _legs'
+    order, Cartan block row-major then (e_a, e_{-a}) per root, with d's
+    Cartan block zero in analytic mode; and a residual vector densifies
+    onto w3."""
     g = A2
     rank, rs = g.rank, g.root_system
-    rows, cols = g.root_pair_index()
-    ci, cj = np.indices((rank, rank))
-    legs = (verifier._flat(ci, rows), verifier._flat(cj, cols))
-    k = np.arange(rank)
-    d_legs = (
-        verifier._flat(np.broadcast_to(k[:, None, None], (rank,) * 3), np.broadcast_to(k[:, None], (rank, rs.n_roots))),
-        verifier._flat(np.broadcast_to(ci, (rank,) * 3), np.broadcast_to(rows, (rank, rs.n_roots))),
-        verifier._flat(np.broadcast_to(cj, (rank,) * 3), np.broadcast_to(cols, (rank, rs.n_roots))),
-    )
+    legs = rmatrix._legs(g)
+    want = [(i, j) for i in range(rank) for j in range(rank)]
+    want += [(g.root_basis_index(p), g.root_basis_index(rs.neg(p))) for p in range(rs.n_roots)]
+    assert list(zip(*(leg.tolist() for leg in legs))) == want
     lam = CartanVector.of([0.83 - 0.2j, -0.41 + 0.1j])
     for spec in _kernel_zoo(g):
         z = 0.31 - 0.17j if spec.is_spectral else None
         dense_r = eval_spectral(spec, lam, z) if spec.is_spectral else eval_constant(spec, lam)
         for mode in ("analytic", "finite-difference"):
             rec = rmatrix._record(spec, lam.as_array(), z, mode)
-            r = np.zeros((g.dim, g.dim), dtype=complex)
-            r[legs] = verifier._flat(rec.m, rec.phi)
-            assert np.array_equal(r, dense_r.data)
-            dm = np.zeros((rank,) * 3) if rec.dm is None else rec.dm
-            d = np.zeros((g.dim,) * 3, dtype=complex)
-            d[d_legs] = verifier._flat(dm, rec.dphi)
-            assert np.array_equal(d, eval_dlambda(spec, lam, z, mode=mode).data)
+            assert np.array_equal(_dense_r(g, rec.v).data, dense_r.data)
+            assert np.array_equal(_dense_d(g, rec.d).data, eval_dlambda(spec, lam, z, mode=mode).data)
+            if mode == "analytic":
+                assert not rec.d[:, : rank * rank].any()
 
     w = verifier._residual(_kernel_zoo(g)[1], lam.as_array())
     dense = cdybe_residual_constant(_kernel_zoo(g)[1], lam).data.reshape(-1)
@@ -961,10 +1003,11 @@ def test_kernel_rows_equal_one_row_kernel_calls(monkeypatch):
     for spec in specs:
         inputs = _kernel_inputs(monkeypatch, lambda: check_axioms(spec, plan))
         assert len(inputs) == 1
-        _, records, w = inputs[0]
+        _, rec, roles, w = inputs[0]
         assert w.shape[0] == plan.count + 1
+        assert roles == ((0, 1, 2, 2, 3, 0) if spec.is_spectral else (0,) * 6)
         for i in range(len(w)):
-            assert np.array_equal(w[i], verifier._cdybe_from(g, *(r.take(i) for r in records)))
+            assert np.array_equal(w[i], verifier._cdybe_from(g, rmatrix._Record(rec.v[i], rec.d[i]), roles))
         margins = {c.name: c.residuals for c in check_axioms(spec, plan).checks}
         assert margins["negative-control-margin"] == (verifier._CONTROL_THRESHOLD / verifier._sup(w[-1]),)
     p = int(g.root_system.simple_roots[0])
@@ -974,13 +1017,34 @@ def test_kernel_rows_equal_one_row_kernel_calls(monkeypatch):
         assert len(inputs) == 1
         report = reduce_pair_check(tilde, [p], plan)
         lam, _ = verifier._campaign_points((tilde, rho_spec), plan, 0)
-        rho = rmatrix._record(rho_spec, lam, None, "analytic")
-        r = rmatrix._record(tilde, lam, None, "analytic")
-        rest = rmatrix._Record(r.m - rho.m, r.phi - rho.phi, None, r.dphi - rho.dphi)
-        total = rmatrix._Record(rest.m + rho.m, rest.phi + rho.phi, None, rest.dphi + rho.dphi)
+        rho = rmatrix._record(rho_spec, lam[:, None], None, "analytic")
+        r = rmatrix._record(tilde, lam[:, None], None, "analytic")
+        total = rmatrix._Record(*((t - p) + p for t, p in zip(r, rho)))  # rest = r - rho, then rest + rho
         got = {c.name: c.residuals for c in report.checks}
         for name, rec in (("projector-cdybe", rho), ("pair-sum-cdybe", total)):
-            assert got[name] == tuple(np.abs(verifier._cdybe_from(g, *(rec,) * 6)).max(axis=-1).tolist())
+            assert got[name] == tuple(np.abs(verifier._cdybe_from(g, rec, (0,) * 6)).max(axis=-1).tolist())
+
+
+@pytest.mark.parametrize("series, rank", [("A", 2), ("G", 2), ("B", 3), ("F", 4)])
+def test_residue_of_a_point_equals_its_campaign_row(series, rank):
+    """extract_residue at one point equals that point's row of a campaign's
+    contour batch bit for bit, and check_axioms' residue reads those rows:
+    the contour sum runs in a fixed order, whatever the batch."""
+    g = build_simple_lie_algebra(build_root_system(series, rank))
+    zj = verifier._contour(0.05, 16)
+    plan = SamplePlan(seed=rank, count=4)
+    for spec in (
+        RMatrixSpec(algebra=g, family="EllipticSpectral", tau=2j),
+        RMatrixSpec(algebra=g, family="RationalSpectral", X=_full_X(g)),
+    ):
+        lam, _ = verifier._campaign_points((spec,), plan, 3)
+        acc, est, dev = verifier._residue(g, zj, rmatrix._record(spec, lam[:, None], zj).v)
+        for i, x in enumerate(lam):
+            tensor, est_i, dev_i = extract_residue(spec, CartanVector.of(x))
+            assert np.array_equal(tensor.data, rmatrix._assemble2(g, acc[i]).data)
+            assert (est_i, dev_i) == (complex(est[i]), float(dev[i]))
+        rows = {c.name: c.residuals for c in check_axioms(spec, plan).checks}["residue"]
+        assert rows == tuple(np.maximum(dev, np.abs(est - effective_coupling(spec))).tolist())
 
 
 def test_spec_digest_is_taken_once_per_spec(monkeypatch):
@@ -1011,9 +1075,9 @@ def test_check_axioms_evaluates_each_sample_argument_once(monkeypatch):
         calls.append(int(np.prod(np.broadcast_shapes(np.shape(lam)[:-1], np.shape(z)))))
         return evaluate(spec, lam, z, want_d)
 
-    def count_kernel(g, *records):
-        kernels.append(len(records))
-        return kernel(g, *records)
+    def count_kernel(g, rec, roles):
+        kernels.append(roles)
+        return kernel(g, rec, roles)
 
     monkeypatch.setattr(rmatrix, "_evaluate", count)
     monkeypatch.setattr(verifier, "_cdybe_from", count_kernel)
