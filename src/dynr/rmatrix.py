@@ -476,28 +476,17 @@ def _assemble2(algebra: SimpleLieAlgebra, v: np.ndarray) -> Tensor2:
     return Tensor2(algebra, data)
 
 
-def eval_constant(spec: RMatrixSpec, lam: CartanVector) -> Tensor2:
-    """Evaluate a constant-family spec at a Cartan point.
-
-    Raises
-    ------
-    SpecInvalid for spectral tags; PoleProximity near coefficient poles.
-    """
-    if spec.is_spectral:
-        raise SpecInvalid(f"{spec.family} needs eval_spectral")
-    return _assemble2(spec.algebra, _record(spec, lam.as_array(), None).v)
-
-
-def eval_spectral(spec: RMatrixSpec, lam: CartanVector, z: complex) -> Tensor2:
-    """Evaluate a spectral-family spec at (lam, z)."""
-    if not spec.is_spectral:
-        raise SpecInvalid(f"{spec.family} needs eval_constant")
-    return _assemble2(spec.algebra, _record(spec, lam.as_array(), z).v)
+def _one_z(z):
+    """z, or SpecInvalid unless it is None or one number: the public point
+    functions take one point, and batches go through _record."""
+    if np.ndim(z) != 0:
+        raise SpecInvalid(f"z must be one complex number, got shape {np.shape(z)}")
+    return z
 
 
 def eval_rmatrix(spec: RMatrixSpec, lam: CartanVector, z: Optional[complex] = None) -> Tensor2:
     """Evaluate spec at lam, and at z for a spectral family."""
-    return _assemble2(spec.algebra, _record(spec, lam.as_array(), z).v)
+    return _assemble2(spec.algebra, _record(spec, lam.as_array(), _one_z(z)).v)
 
 
 def eval_dlambda(
@@ -515,14 +504,14 @@ def eval_dlambda(
 
     Raises
     ------
-    SpecInvalid on a bad mode or a missing/extra z; PoleProximity near
-    poles (including within a finite-difference step).
+    SpecInvalid on a bad mode or a missing, extra or non-scalar z;
+    PoleProximity near poles (including within a finite-difference step).
     """
     if mode not in ("analytic", "finite-difference"):
         raise SpecInvalid(f"unknown mode {mode!r}")
     algebra = spec.algebra
     data = np.zeros((algebra.dim,) * 3, dtype=complex)
-    data[(slice(algebra.rank),) + _legs(algebra)] = _record(spec, lam.as_array(), z, mode, fd_step).d
+    data[(slice(algebra.rank),) + _legs(algebra)] = _record(spec, lam.as_array(), _one_z(z), mode, fd_step).d
     return Tensor3(algebra, data)
 
 
@@ -542,7 +531,7 @@ def family_phi(spec: RMatrixSpec, lam: CartanVector, alpha: int, z: Optional[com
     e_alpha (x) e_{-alpha} coefficient.
     """
     k = spec.algebra.rank**2 + _require_root(spec.algebra.root_system, alpha, "alpha")
-    return complex(_identity_phi(spec, _record(spec, lam.as_array(), z).v[k]))
+    return complex(_identity_phi(spec, _record(spec, lam.as_array(), _one_z(z)).v[k]))
 
 
 def _identity_phi(spec: RMatrixSpec, phi):
@@ -580,12 +569,11 @@ def _lattice_distance(w: np.ndarray, periods) -> np.ndarray:
 def pole_margin(spec: RMatrixSpec, lam: CartanVector, z: Optional[complex] = None) -> float:
     """Smallest distance of any coefficient denominator argument to its poles.
 
-    Used by the sampling layer to reject points too close to a pole before
-    evaluation; the distance is taken at the argument the gauge stack passes
-    to the family formula.  z may be an array of spectral arguments: the
-    margin is then the smallest over all of them.
+    The sampler scores its candidates the same way (_pole_margins) to reject
+    points too close to a pole before evaluation; the distance is taken at
+    the argument the gauge stack passes to the family formula.
     """
-    z = None if z is None else np.reshape(np.asarray(z, dtype=complex), (1, -1))
+    z = None if _one_z(z) is None else np.full((1, 1), z, dtype=complex)
     return float(_pole_margins(spec, lam.as_array()[None], z)[0])
 
 

@@ -46,29 +46,6 @@ from .rmatrix import (
 from .special_fn import ThetaParams, classical_series, rho_fn, sigma_w, sigma_w_dw
 from .tensor_alg import Tensor3
 
-__all__ = [
-    "SamplePlan",
-    "CheckResult",
-    "VerificationReport",
-    "LimitSchedule",
-    "LimitComparison",
-    "sample_lambda",
-    "sample_spectral_point",
-    "cdybe_residual_constant",
-    "cdybe_residual_spectral",
-    "cdybe_residual",
-    "check_axioms",
-    "extract_residue",
-    "check_phi_triangle",
-    "phi_ode_residual",
-    "addition_identity_residual",
-    "limit_compare",
-    "reduce_pair_check",
-    "affine_series_check",
-    "affine_hat_spec",
-    "spec_digest",
-]
-
 _ZERO_WEIGHT_TOL = 1e-12
 _UNITARITY_TOL = 1e-11
 _RESIDUE_TOL = 1e-8
@@ -403,7 +380,7 @@ def _residual(
     """The CDYBE residual of spec at the points lam (..., rank) (spectral specs:
     at the triples zs (..., 3)), one vector on the plan's w3 per point, from
     _point_records.  Raises NonFiniteValue when an entry overflows."""
-    if spec.is_spectral and zs is None:
+    if spec.is_spectral and np.shape(zs)[-1:] != (3,):
         raise SpecInvalid(f"{spec.family} residual needs a (z1, z2, z3) triple")
     if mode not in ("analytic", "finite-difference"):
         raise SpecInvalid(f"unknown mode {mode!r}")
@@ -432,35 +409,17 @@ def _densify(g: SimpleLieAlgebra, w: np.ndarray) -> Tensor3:
     return Tensor3(g, out.reshape((g.dim,) * 3))
 
 
-def cdybe_residual_constant(
+def cdybe_residual(
     spec: RMatrixSpec,
     lam: CartanVector,
+    zs=None,
     mode: str = "analytic",
     fd_step: float = 1e-5,
 ) -> Tensor3:
-    """Alt(dr) + [r12,r13] + [r12,r23] + [r13,r23] for a constant spec."""
-    return _densify(spec.algebra, _residual(spec, lam.as_array(), None, mode, fd_step))
-
-
-def cdybe_residual_spectral(
-    spec: RMatrixSpec,
-    lam: CartanVector,
-    z1: complex,
-    z2: complex,
-    z3: complex,
-    mode: str = "analytic",
-    fd_step: float = 1e-5,
-) -> Tensor3:
-    """Spectral residual at the triple (z1, z2, z3): the legs pair at the
-    argument differences z12, z13, z23 and the derivatives at z23, z31, z12."""
-    return _densify(spec.algebra, _residual(spec, lam.as_array(), (z1, z2, z3), mode, fd_step))
-
-
-def cdybe_residual(spec: RMatrixSpec, lam: CartanVector, zs=None, **kw) -> Tensor3:
-    """The constant residual, or the spectral one at the triple zs."""
-    if zs is None:
-        return cdybe_residual_constant(spec, lam, **kw)
-    return cdybe_residual_spectral(spec, lam, *zs, **kw)
+    """Alt(dr) + [r12,r13] + [r12,r23] + [r13,r23] at lam, and for a spectral
+    spec at the triple zs = (z1, z2, z3): the legs pair at the argument
+    differences z12, z13, z23 and the derivatives at z23, z31, z12."""
+    return _densify(spec.algebra, _residual(spec, lam.as_array(), zs, mode, fd_step))
 
 
 def _contour(radius: float, points: int) -> np.ndarray:
@@ -627,21 +586,21 @@ def _residual_checks(spec: RMatrixSpec, lam: np.ndarray, zs, rec: _Record, roles
     of one kernel call (kernel rows are independent bit for bit).
 
     The control sets the first point's root flip to the first positive root
-    (undoing the spec's own debug_flip_root) and records threshold/residual,
+    whose identity-bearing coefficient (see family_phi) is nonzero there,
+    undoing the spec's own debug_flip_root, and records threshold/residual,
     so its value is <= 1 exactly when the perturbation is loud; it is
-    omitted when no positive root's identity-bearing coefficient (see
-    family_phi) is nonzero there.  Each residual stays a vector on w3.
+    omitted when there is no such root.  Each residual stays a vector on w3.
     """
     g = spec.algebra
     plan = _residual_plan(g)
     n = len(lam)
     positive = g.rank**2 + np.array(g.root_system.positive_roots)  # their entries in v
-    live = np.any(np.abs(_identity_phi(spec, rec.v[0, roles[0], positive])) > 1e-12)
-    if live:
+    live = np.flatnonzero(np.abs(_identity_phi(spec, rec.v[0, roles[0], positive])) > 1e-12)
+    if live.size:
         first = _Record(rec.v[:1], rec.d[:1])
         if spec.debug_flip_root is not None:
             first = _flip(first, g.rank**2 + spec.debug_flip_root)
-        rec = _Record(*map(np.concatenate, zip(rec, _flip(first, positive[0]))))  # the control as row n
+        rec = _Record(*map(np.concatenate, zip(rec, _flip(first, positive[live[0]]))))  # the control as row n
     w_all = _cdybe_from(g, rec, roles)
     w = _require_finite(w_all[:n], lam, zs)
     checks = [
@@ -650,7 +609,7 @@ def _residual_checks(spec: RMatrixSpec, lam: np.ndarray, zs, rec: _Record, roles
     ]
     if not spec.is_spectral:
         checks.append(CheckResult("residual-skew", _SKEW_TOL, tuple(plan.skew_norm(w).tolist()), n))
-    if live:
+    if live.size:
         control = _sup(_require_finite(w_all[n:], lam[0], None if zs is None else zs[0]))
         margin = _CONTROL_THRESHOLD / control if control > 0 else math.inf
         checks.append(CheckResult("negative-control-margin", 1.0, (margin,), 1))

@@ -213,8 +213,7 @@ def test_axioms_skips_residual(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("axioms evaluated a CDYBE residual")
 
-    monkeypatch.setattr(dynr.verifier, "cdybe_residual_constant", refuse)
-    monkeypatch.setattr(dynr.verifier, "cdybe_residual_spectral", refuse)
+    monkeypatch.setattr(dynr.verifier, "_cdybe_from", refuse)
     for argv, want in (
         (("--algebra", "A2", "--family", "trig-cotanh", "--eps", "1"),
          {"zero-weight", "unitarity"}),

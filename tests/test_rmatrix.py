@@ -19,10 +19,8 @@ from dynr import (
     casimir,
     check_axioms,
     effective_coupling,
-    eval_constant,
     eval_dlambda,
     eval_rmatrix,
-    eval_spectral,
     family_phi,
     gauge_apply,
     pole_margin,
@@ -146,9 +144,9 @@ def test_eval_dispatch_gates():
     spectral = RMatrixSpec(algebra=A1, family="RationalSpectral", X=())
     lam = _lam_with_pairing(A1, 2.0)
     with pytest.raises(SpecInvalid):
-        eval_spectral(const, lam, 0.3)
+        eval_rmatrix(const, lam, 0.3)
     with pytest.raises(SpecInvalid):
-        eval_constant(spectral, lam)
+        eval_rmatrix(spectral, lam)
     with pytest.raises(SpecInvalid):
         eval_dlambda(spectral, lam)  # missing z
     with pytest.raises(SpecInvalid):
@@ -162,7 +160,7 @@ def test_eval_dispatch_gates():
 def test_rational_constant_hand_value():
     spec = RMatrixSpec(algebra=A1, family="RationalConstant", X=_full_X(A1))
     lam = _lam_with_pairing(A1, 2.0)
-    r = eval_constant(spec, lam)
+    r = eval_rmatrix(spec, lam)
     rs = A1.root_system
     pos = rs.positive_roots[0]
     assert _root_entry(A1, r, pos) == pytest.approx(0.5)
@@ -173,7 +171,7 @@ def test_rational_constant_hand_value():
 def test_cotanh_hand_value():
     spec = RMatrixSpec(algebra=A1, family="TrigCotanh", eps=2.0)
     lam = _lam_with_pairing(A1, math.log(3.0))
-    r = eval_constant(spec, lam)
+    r = eval_rmatrix(spec, lam)
     rs = A1.root_system
     pos = rs.positive_roots[0]
     # 1 + coth(ln 3) = 9/4, 1 - coth(ln 3) = -1/4, Cartan block eps/2 = 1
@@ -185,7 +183,7 @@ def test_cotanh_hand_value():
 def test_degenerate_with_empty_X_is_half_casimir_plus_positives():
     spec = RMatrixSpec(algebra=A2, family="TrigDegenerate", eps=1.0, X=())
     lam = CartanVector.of([0.37, -0.81])
-    r = eval_constant(spec, lam)
+    r = eval_rmatrix(spec, lam)
     rs = A2.root_system
     want = np.zeros((A2.dim, A2.dim), dtype=complex)
     want[: rs.rank, : rs.rank] = 0.5 * np.eye(rs.rank)
@@ -193,7 +191,7 @@ def test_degenerate_with_empty_X_is_half_casimir_plus_positives():
         want[A2.root_basis_index(p), A2.root_basis_index(rs.neg(p))] = 1.0
     assert np.max(np.abs(r.data - want)) < 1e-14
     # no lam dependence when the span is empty
-    r2 = eval_constant(spec, CartanVector.of([1.9, 0.4]))
+    r2 = eval_rmatrix(spec, CartanVector.of([1.9, 0.4]))
     assert np.max(np.abs(r.data - r2.data)) == 0
 
 
@@ -201,7 +199,7 @@ def test_trig_spectral_empty_X_matches_fixture():
     spec = RMatrixSpec(algebra=A2, family="TrigSpectral", X=())
     lam = CartanVector.of([0.21, 0.53])
     for z in (0.4, 0.37 - 0.22j, -0.8 + 0.13j):
-        got = eval_spectral(spec, lam, z)
+        got = eval_rmatrix(spec, lam, z)
         want = trig_constant_fixture(A2, z)
         assert np.max(np.abs(got.data - want.data)) < 1e-12
 
@@ -210,7 +208,7 @@ def test_rational_spectral_empty_X_is_casimir_over_z():
     spec = RMatrixSpec(algebra=B2, family="RationalSpectral", X=())
     lam = CartanVector.of([0.7, -0.2])
     for z in (0.5, 0.31 + 0.4j):
-        got = eval_spectral(spec, lam, z)
+        got = eval_rmatrix(spec, lam, z)
         want = casimir(B2).scale(1.0 / z)
         assert np.max(np.abs(got.data - want.data)) < 1e-15
 
@@ -221,7 +219,7 @@ def test_elliptic_entries_are_theta_ratios():
     a = 0.43
     lam = _lam_with_pairing(A1, a)
     z = 0.27 - 0.31j
-    r = eval_spectral(spec, lam, z)
+    r = eval_rmatrix(spec, lam, z)
     p = ThetaParams(tau=tau)
     rs = A1.root_system
     pos = rs.positive_roots[0]
@@ -235,7 +233,7 @@ def test_trig_spectral_full_span_entries():
     a = 0.62
     lam = _lam_with_pairing(A1, a)
     z = 0.33 - 0.18j
-    r = eval_spectral(spec, lam, z)
+    r = eval_rmatrix(spec, lam, z)
     rs = A1.root_system
     pos = rs.positive_roots[0]
     sz = cmath.sin(z)
@@ -259,7 +257,7 @@ def test_spectral_short_distance_limit(family, kw):
     # root pairings stay well clear of the coefficient pole lattice here
     lam = CartanVector.of([0.27, -0.38])
     z = 1e-3
-    r = eval_spectral(spec, lam, z)
+    r = eval_rmatrix(spec, lam, z)
     om = casimir(A2)
     assert np.max(np.abs(z * r.data - om.data)) < 1e-2 * np.max(np.abs(om.data))
 
@@ -276,8 +274,8 @@ def test_gauge_kind1_adds_cartan_matrix():
     base = RMatrixSpec(algebra=A2, family="TrigCotanh", eps=1.0)
     gauged = gauge_apply(base, GaugeRecord(kind=1, c_matrix=c))
     lam = _rand_lam(2, 5)
-    r0 = eval_constant(base, lam)
-    r1 = eval_constant(gauged, lam)
+    r0 = eval_rmatrix(base, lam)
+    r1 = eval_rmatrix(gauged, lam)
     diff = r1.data - r0.data
     assert np.max(np.abs(diff[:2, :2] - c)) < 1e-14
     diff[:2, :2] = 0
@@ -290,8 +288,8 @@ def test_gauge_kind2_zero_Q_scales_root_lines():
     gauged = gauge_apply(base, GaugeRecord(kind=2, psi=(np.zeros((2, 2)), v)))
     lam = _rand_lam(2, 6)
     z = 0.37 - 0.2j
-    r0 = eval_spectral(base, lam, z)
-    r1 = eval_spectral(gauged, lam, z)
+    r0 = eval_rmatrix(base, lam, z)
+    r1 = eval_rmatrix(gauged, lam, z)
     rs = A2.root_system
     assert np.max(np.abs(r1.data[:2, :2] - r0.data[:2, :2])) == 0
     for p in range(rs.n_roots):
@@ -306,8 +304,8 @@ def test_gauge_kind2_general_pointwise():
     gauged = gauge_apply(base, GaugeRecord(kind=2, psi=(q, v)))
     lam = _rand_lam(1, 7)
     z = 0.29 - 0.41j
-    r0 = eval_spectral(base, lam, z)
-    r1 = eval_spectral(gauged, lam, z)
+    r0 = eval_rmatrix(base, lam, z)
+    r1 = eval_rmatrix(gauged, lam, z)
     rs = A1.root_system
     grad = q @ lam.as_array() + v
     assert np.max(np.abs(r1.data[:1, :1] - (r0.data[:1, :1] + z * q))) < 1e-13
@@ -321,12 +319,12 @@ def test_gauge_kind3_shifts_argument():
     base = RMatrixSpec(algebra=A2, family="TrigCotanh", eps=2.0)
     gauged = gauge_apply(base, GaugeRecord(kind=3, shift=shift))
     lam = _rand_lam(2, 8)
-    got = eval_constant(gauged, lam)
-    want = eval_constant(base, lam - shift)
+    got = eval_rmatrix(gauged, lam)
+    want = eval_rmatrix(base, lam - shift)
     assert np.max(np.abs(got.data - want.data)) == 0
     # zero shift is the identity
     same = gauge_apply(base, GaugeRecord(kind=3, shift=CartanVector.zero(2)))
-    assert np.max(np.abs(eval_constant(same, lam).data - eval_constant(base, lam).data)) == 0
+    assert np.max(np.abs(eval_rmatrix(same, lam).data - eval_rmatrix(base, lam).data)) == 0
 
 
 def test_gauge_kind4_rescales_both_arguments():
@@ -335,8 +333,8 @@ def test_gauge_kind4_rescales_both_arguments():
     gauged = gauge_apply(base, GaugeRecord(kind=4, scale=(a, b)))
     lam = _rand_lam(1, 9)
     z = 0.23 - 0.11j
-    got = eval_spectral(gauged, lam, z)
-    want = eval_spectral(base, lam.scale(a), b * z).scale(a)
+    got = eval_rmatrix(gauged, lam, z)
+    want = eval_rmatrix(base, lam.scale(a), b * z).scale(a)
     assert np.max(np.abs(got.data - want.data)) < 1e-14
 
 
@@ -345,7 +343,7 @@ def test_gauge_kind4_halves_rational_spectral():
     gauged = gauge_apply(base, GaugeRecord(kind=4, scale=(1.0, 2.0)))
     lam = _rand_lam(1, 10)
     z = 0.42
-    got = eval_spectral(gauged, lam, z)
+    got = eval_rmatrix(gauged, lam, z)
     want = casimir(A1).scale(1.0 / (2 * z))
     assert np.max(np.abs(got.data - want.data)) < 1e-15
     assert effective_coupling(gauged) == pytest.approx(0.5)
@@ -365,16 +363,6 @@ def test_effective_coupling_folding():
         GaugeRecord(kind=4, scale=(3.0, 1.0)),
     )
     assert effective_coupling(stacked) == pytest.approx(1.5)
-
-
-def test_eval_rmatrix_dispatches():
-    const = RMatrixSpec(algebra=A1, family="RationalConstant", X=_full_X(A1))
-    lam = _lam_with_pairing(A1, 2.0)
-    assert np.array_equal(eval_rmatrix(const, lam).data, eval_constant(const, lam).data)
-    spec = RMatrixSpec(algebra=A1, family="RationalSpectral", X=())
-    assert np.array_equal(
-        eval_rmatrix(spec, lam, 0.3).data, eval_spectral(spec, lam, 0.3).data
-    )
 
 
 # ---------------------------------------------------------------- derivatives
@@ -498,10 +486,10 @@ def test_dlambda_threads_kind2_gauge():
 def test_pole_proximity_raises():
     spec = RMatrixSpec(algebra=A1, family="RationalConstant", X=_full_X(A1))
     with pytest.raises(PoleProximity):
-        eval_constant(spec, CartanVector.of([1e-12]))
+        eval_rmatrix(spec, CartanVector.of([1e-12]))
     spectral = RMatrixSpec(algebra=A1, family="RationalSpectral", X=())
     with pytest.raises(PoleProximity):
-        eval_spectral(spectral, CartanVector.of([0.5]), 1e-12)
+        eval_rmatrix(spectral, CartanVector.of([0.5]), 1e-12)
 
 
 def test_pole_margin_reports_distance():
@@ -656,7 +644,8 @@ def test_pole_margin_over_an_array_of_z_is_the_smallest(series, rank):
         for _ in range(10):
             lam = CartanVector.of(rng.uniform(-2, 2, rank) + 1j * rng.uniform(-1, 1, rank))
             zs = rng.uniform(-1, 1, 6) + 1j * rng.uniform(-1, 1, 6)
-            assert pole_margin(spec, lam, zs) == min(pole_margin(spec, lam, z) for z in zs)
+            got = rmatrix._pole_margins(spec, lam.as_array()[None], zs[None])  # the sampler's margins
+            assert got[0] == min(pole_margin(spec, lam, z) for z in zs)
 
 
 # ---------------------------------------------------------------- scalar oracle
@@ -1004,8 +993,8 @@ def test_serialization_round_trip():
     assert spec_to_json(back) == doc
     lam = CartanVector.of([0.51, -0.38])
     z = 0.22 - 0.35j
-    r0 = eval_spectral(spec, lam, z)
-    r1 = eval_spectral(back, lam, z)
+    r0 = eval_rmatrix(spec, lam, z)
+    r1 = eval_rmatrix(back, lam, z)
     assert np.max(np.abs(r0.data - r1.data)) == 0
 
 
@@ -1018,7 +1007,7 @@ def test_serialization_keeps_debug_fields():
     assert back.debug_flip_root == 0
     assert back.debug_scale_omega == 2.0 + 0j
     lam = _lam_with_pairing(A1, 2.0)
-    assert np.array_equal(eval_constant(spec, lam).data, eval_constant(back, lam).data)
+    assert np.array_equal(eval_rmatrix(spec, lam).data, eval_rmatrix(back, lam).data)
 
 
 @pytest.mark.parametrize("validate", [True, False])

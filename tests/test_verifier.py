@@ -29,14 +29,12 @@ from dynr import (
     build_simple_lie_algebra,
     casimir,
     cdybe_residual,
-    cdybe_residual_constant,
-    cdybe_residual_spectral,
     check_axioms,
     check_phi_triangle,
     effective_coupling,
-    eval_constant,
+    enumerate_closed_subsets,
     eval_dlambda,
-    eval_spectral,
+    eval_rmatrix,
     extract_residue,
     family_phi,
     gauge_apply,
@@ -84,10 +82,10 @@ def test_residual_vanishes_for_every_family(idx):
     for _ in range(3):
         if spec.is_spectral:
             lam, zs = sample_spectral_point(spec, PLAN, rng)
-            res = cdybe_residual_spectral(spec, lam, *zs)
+            res = cdybe_residual(spec, lam, zs)
         else:
             lam = sample_lambda(spec, PLAN, rng)
-            res = cdybe_residual_constant(spec, lam)
+            res = cdybe_residual(spec, lam)
         assert res.norm() < 1e-10
 
 
@@ -105,12 +103,12 @@ def test_residual_finite_difference_agrees():
         rng = np.random.default_rng(5)
         if spec.is_spectral:
             lam, zs = sample_spectral_point(spec, PLAN, rng)
-            an = cdybe_residual_spectral(spec, lam, *zs, mode="analytic")
-            fd = cdybe_residual_spectral(spec, lam, *zs, mode="finite-difference")
+            an = cdybe_residual(spec, lam, zs, mode="analytic")
+            fd = cdybe_residual(spec, lam, zs, mode="finite-difference")
         else:
             lam = sample_lambda(spec, PLAN, rng)
-            an = cdybe_residual_constant(spec, lam, mode="analytic")
-            fd = cdybe_residual_constant(spec, lam, mode="finite-difference")
+            an = cdybe_residual(spec, lam, mode="analytic")
+            fd = cdybe_residual(spec, lam, mode="finite-difference")
         assert np.max(np.abs(an.data - fd.data)) < 1e-6
         assert fd.norm() < 1e-6
 
@@ -122,7 +120,7 @@ def test_nonsolution_has_loud_residual():
         algebra=A2, family="TrigCotanh", eps=2.0, debug_scale_omega=0.0, validate=False
     )
     lam = CartanVector.of([0.83, -0.41])
-    assert cdybe_residual_constant(spec, lam).norm() > 1e-2
+    assert cdybe_residual(spec, lam).norm() > 1e-2
 
 
 # ---------------------------------------------------------------- check_axioms
@@ -339,10 +337,10 @@ def test_gauge_covariance_of_residual(idx):
         rng = np.random.default_rng(31)
         if gauged.is_spectral:
             lam, zs = sample_spectral_point(gauged, PLAN, rng)
-            res = cdybe_residual_spectral(gauged, lam, *zs)
+            res = cdybe_residual(gauged, lam, zs)
         else:
             lam = sample_lambda(gauged, PLAN, rng)
-            res = cdybe_residual_constant(gauged, lam)
+            res = cdybe_residual(gauged, lam)
         assert res.norm() < 2e-8, (spec.family, g.kind)
 
 
@@ -352,7 +350,7 @@ def test_gauge_stack_composition_stays_solution():
         spec = gauge_apply(spec, g)
     rng = np.random.default_rng(13)
     lam, zs = sample_spectral_point(spec, PLAN, rng)
-    assert cdybe_residual_spectral(spec, lam, *zs).norm() < 2e-8
+    assert cdybe_residual(spec, lam, zs).norm() < 2e-8
 
 
 # ---------------------------------------------------------------- limits
@@ -476,7 +474,7 @@ def test_affine_hat_spec_properties():
     assert abs(effective_coupling(hat) - 1.0 / (1j * math.pi)) < 1e-15
     rng = np.random.default_rng(3)
     lam, zs = sample_spectral_point(hat, PLAN, rng)
-    assert cdybe_residual_spectral(hat, lam, *zs).norm() < 1e-10
+    assert cdybe_residual(hat, lam, zs).norm() < 1e-10
 
 
 # ---------------------------------------------------------------- point validation
@@ -513,6 +511,11 @@ _SHORT, _LONG = CartanVector.of([0.3 + 0.1j]), CartanVector.of([0.3, 0.2, 0.1])
         (lambda: check_phi_triangle(_COT, 0, 1, 9, _LAM), r"gamma must be a root index in \[0, 6\), got 9"),
         (lambda: check_phi_triangle(_ELL, 7, 1, 2, _LAM), r"alpha must be a root index in \[0, 6\), got 7"),
         (lambda: phi_ode_residual(_COT, 6, _LAM), r"alpha must be a root index in \[0, 6\), got 6"),
+        (lambda: rmatrix.eval_rmatrix(_ELL, _LAM, [0.1, 0.2]), r"z must be one complex number, got shape \(2,\)"),
+        (lambda: eval_dlambda(_ELL, _LAM, [0.1, 0.2]), r"z must be one complex number, got shape \(2,\)"),
+        (lambda: family_phi(_ELL, _LAM, 0, [0.1, 0.2]), r"z must be one complex number, got shape \(2,\)"),
+        (lambda: rmatrix.pole_margin(_ELL, _LAM, [0.1, 0.2]), r"z must be one complex number, got shape \(2,\)"),
+        (lambda: cdybe_residual(_ELL, _LAM, (0.1, 0.2)), r"EllipticSpectral residual needs a \(z1, z2, z3\) triple"),
     ],
 )
 def test_public_entry_points_validate_the_point(call, message):
@@ -604,7 +607,8 @@ def test_samples_respect_margin():
 def _serial_points(specs, plan, rng, n_z, count):
     """The one-candidate loop the block sampler replaced, kept as its oracle:
     uniform draws for Re and Im of lambda, then of z, and one scalar
-    pole_margin per spec and candidate, up to max_resamples per point."""
+    pole_margin per spec, candidate and argument, up to max_resamples per
+    point."""
     rank = specs[0].algebra.rank
     elliptic = any(s.family == "EllipticSpectral" for s in specs)
     im_box = tuple(0.5 * b for b in plan.z_box) if elliptic else plan.box
@@ -614,7 +618,8 @@ def _serial_points(specs, plan, rng, n_z, count):
             lam = rng.uniform(*plan.box, rank) + 1j * rng.uniform(*im_box, rank)
             zs = rng.uniform(*plan.z_box, n_z) + 1j * rng.uniform(*plan.z_box, n_z) if n_z else None
             w = zs[[0, 0, 1, 1, 2, 2]] - zs[[1, 2, 2, 0, 0, 1]] if n_z == 3 else zs
-            if all(rmatrix.pole_margin(s, CartanVector.of(lam), w) >= plan.pole_margin for s in specs):
+            args = [None] if w is None else w
+            if all(rmatrix.pole_margin(s, CartanVector.of(lam), x) >= plan.pole_margin for s in specs for x in args):
                 break
         else:
             raise SamplingExhausted(
@@ -839,7 +844,7 @@ def test_record_values_round_trip_through_dense():
     lam = CartanVector.of([0.83 - 0.2j, -0.41 + 0.1j])
     for spec in _kernel_zoo(g):
         z = 0.31 - 0.17j if spec.is_spectral else None
-        dense_r = eval_spectral(spec, lam, z) if spec.is_spectral else eval_constant(spec, lam)
+        dense_r = eval_rmatrix(spec, lam, z)
         for mode in ("analytic", "finite-difference"):
             rec = rmatrix._record(spec, lam.as_array(), z, mode)
             assert np.array_equal(_dense_r(g, rec.v).data, dense_r.data)
@@ -848,7 +853,7 @@ def test_record_values_round_trip_through_dense():
                 assert not rec.d[:, : rank * rank].any()
 
     w = verifier._residual(_kernel_zoo(g)[1], lam.as_array())
-    dense = cdybe_residual_constant(_kernel_zoo(g)[1], lam).data.reshape(-1)
+    dense = cdybe_residual(_kernel_zoo(g)[1], lam).data.reshape(-1)
     plan = verifier._residual_plan(g)
     assert np.array_equal(dense[plan.w3], w)
     assert np.count_nonzero(np.delete(dense, plan.w3)) == 0
@@ -923,16 +928,16 @@ def test_axiom_checks_match_dense_oracle(series, rank):
         for lam, zs in zip(map(CartanVector.of, lams), [None] * len(lams) if zss is None else zss):
             if spec.is_spectral:
                 z12 = zs[0] - zs[1]
-                r = eval_spectral(spec, lam, z12)
-                unit = r.data + eval_spectral(spec, lam, -z12).data.T
+                r = eval_rmatrix(spec, lam, z12)
+                unit = r.data + eval_rmatrix(spec, lam, -z12).data.T
                 acc = sum(
-                    zj * eval_spectral(spec, lam, zj).data
+                    zj * eval_rmatrix(spec, lam, zj).data
                     for zj in 0.05 * np.exp(2j * np.pi * np.arange(16) / 16)
                 ) / 16
                 est = np.vdot(omega, acc) / np.vdot(omega, omega)
                 want["residue"].append(max(np.max(np.abs(acc - est * omega)), abs(est - eps)))
             else:
-                r = eval_constant(spec, lam)
+                r = eval_rmatrix(spec, lam)
                 unit = r.data + r.data.T - eps * omega
             want["zero-weight"].append(max(act_diag(k, r).norm() for k in range(g.rank)))
             want["unitarity"].append(np.max(np.abs(unit)))
@@ -964,9 +969,11 @@ def test_check_axioms_builds_no_dense_tensor(monkeypatch):
 
 
 def test_negative_control_equals_flipped_spec_residual():
-    """The control flips the first positive root in the first point's
-    records; it equals the residual of the spec re-evaluated with its flip
-    set to that root, bit for bit, whatever flip the spec already carries."""
+    """The control flips the first positive root with a live coefficient in
+    the first point's records; it equals the residual of the spec
+    re-evaluated with its flip set to that root, bit for bit, whatever flip
+    the spec already carries.  A RationalConstant spec whose first positive
+    root lies outside X flips the first positive root inside X."""
     g = A2
     rs = g.root_system
     p0, other = int(rs.positive_roots[0]), int(rs.positive_roots[-1])
@@ -975,15 +982,29 @@ def test_negative_control_equals_flipped_spec_residual():
     gauged = RMatrixSpec(algebra=g, family="EllipticSpectral", tau=1j)
     for rec in (GaugeRecord(kind=2, psi=(q, 0.15 * np.ones(rank))), GaugeRecord(kind=4, scale=(0.8, 1.6))):
         gauged = gauge_apply(gauged, rec)
+    x = (other, rs.neg(other))  # closed, without the first positive root
+    rational = RMatrixSpec(algebra=g, family="RationalConstant", X=x)
     plan = SamplePlan(seed=2, count=2)
-    for base in (_family_zoo(g)[1], _family_zoo(g)[5], gauged):
+    for base, root in ((_family_zoo(g)[1], p0), (_family_zoo(g)[5], p0), (gauged, p0), (rational, other)):
         for flip in (None, p0, other):
             spec = replace(base, debug_flip_root=flip, validate=False)
             margins = {c.name: c.residuals for c in check_axioms(spec, plan).checks}
             lam, zs = verifier._campaign_points((spec,), plan, 3 if spec.is_spectral else 0)
-            flipped = replace(spec, debug_flip_root=p0, validate=False)
+            flipped = replace(spec, debug_flip_root=root, validate=False)
             control = verifier._sup(verifier._residual(flipped, lam[0], None if zs is None else zs[0]))
             assert margins["negative-control-margin"] == (verifier._CONTROL_THRESHOLD / control,)
+
+
+def test_rational_constant_control_is_loud_on_every_closed_subset():
+    """Every RationalConstant spec over every closed subset passes
+    check_axioms, its negative control included: the control flips a root
+    whose coefficient is live, never one outside X."""
+    plan = SamplePlan(seed=0, count=3)
+    for series, rank in (("A", 1), ("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3), ("C", 3), ("D", 4), ("F", 4)):
+        g = build_simple_lie_algebra(build_root_system(series, rank))
+        for sub in enumerate_closed_subsets(g.root_system):
+            report = check_axioms(RMatrixSpec(algebra=g, family="RationalConstant", X=sub.members), plan)
+            assert report.passed, (series, rank, sub.members, [c.name for c in report.checks if not c.passed])
 
 
 def test_kernel_rows_equal_one_row_kernel_calls(monkeypatch):
