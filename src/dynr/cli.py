@@ -251,7 +251,8 @@ def cmd_polarize(args) -> int:
     try:
         result = find_polarization(rs, y)
     except (PropertyViolated, SearchExhausted) as exc:
-        print(f"FAIL {type(exc).__name__}: {exc}")
+        error = f"{type(exc).__name__}: {exc}"
+        _emit({"algebra": f"{series}{rank}", "Y": list(y), "error": error}, args, [f"FAIL {error}"])
         return 1
     doc = {
         "algebra": f"{series}{rank}",

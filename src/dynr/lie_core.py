@@ -404,7 +404,6 @@ class SimpleLieAlgebra:
     dim: int
     structure_constants: dict
     bilinear_form: np.ndarray
-    _dense: Optional[np.ndarray] = field(default=None, init=False, repr=False)
     _pairs: Optional[tuple] = field(default=None, init=False, repr=False)
     # verifier's sparse CDYBE assembly plan and axiom-check root tables, built on first use
     _residual_plan: Optional[object] = field(default=None, init=False, repr=False)
@@ -413,9 +412,6 @@ class SimpleLieAlgebra:
     @property
     def rank(self) -> int:
         return self.root_system.rank
-
-    def root_basis_index(self, root_idx: int) -> int:
-        return self.rank + root_idx
 
     def root_pair_index(self) -> tuple:
         """Read-only basis index arrays (of e_a, of e_{-a}), one entry per root a."""
@@ -426,16 +422,6 @@ class SimpleLieAlgebra:
             rows.flags.writeable = cols.flags.writeable = False
             self._pairs = (rows, cols)
         return self._pairs
-
-    def bracket_table(self) -> np.ndarray:
-        """Dense complex tensor f[i, j, k] with [b_i, b_j] = sum_k f[i,j,k] b_k."""
-        if self._dense is None:
-            f = np.zeros((self.dim, self.dim, self.dim), dtype=complex)
-            for (i, j), entries in self.structure_constants.items():
-                for k, v in entries:
-                    f[i, j, k] += float(v)
-            self._dense = f
-        return self._dense
 
 
 def _assemble_constants(rs: RootSystemData):
@@ -725,22 +711,6 @@ class CartanVector:
         return CartanVector((0j,) * rank)
 
 
-def pairing(rs: RootSystemData, lam: CartanVector, alpha: int, shift: Optional[CartanVector] = None) -> complex:
-    """(alpha, lam - shift) in orthonormal coordinates.
-
-    Parameters
-    ----------
-    rs : root system owning the root index.
-    lam : evaluation point.
-    alpha : root index into rs.
-    shift : optional second point, e.g. the family parameter nu.
-    """
-    v = lam.as_array()
-    if shift is not None:
-        v = v - shift.as_array()
-    return complex(np.dot(rs.roots[alpha], v))
-
-
 def fundamental_weights(rs: RootSystemData) -> np.ndarray:
     """Rows are orthonormal coordinates of the fundamental weights.
 
@@ -749,19 +719,3 @@ def fundamental_weights(rs: RootSystemData) -> np.ndarray:
     simple = rs.roots[list(rs.simple_roots)]
     d = np.array([float(rs.length_sq(i)) / 2.0 for i in rs.simple_roots])
     return np.diag(d) @ np.linalg.inv(simple.T)
-
-
-def casimir(g: SimpleLieAlgebra):
-    """The invariant symmetric tensor of the bilinear form.
-
-    Sum of x_i (x) x_i over the orthonormal Cartan basis plus e_a (x) e_{-a}
-    over all roots.  Returned as a Tensor2 over g.
-    """
-    from .tensor_alg import Tensor2
-
-    rs = g.root_system
-    m = np.zeros((g.dim, g.dim), dtype=complex)
-    for k in range(rs.rank):
-        m[k, k] = 1.0
-    m[g.root_pair_index()] = 1.0
-    return Tensor2(g, m)

@@ -14,7 +14,6 @@ cross-check.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Sequence
@@ -63,8 +62,8 @@ class GaugeRecord:
     scale: Optional[tuple] = None
 
     def __post_init__(self):
-        if self.kind not in (1, 2, 3, 4):
-            raise SpecInvalid(f"gauge kind must be 1..4, got {self.kind}")
+        if not _is_integer(self.kind) or self.kind not in (1, 2, 3, 4):
+            raise SpecInvalid(f"gauge kind must be 1..4, got {self.kind!r}")
         if self.kind == 1:
             if self.c_matrix is None:
                 raise SpecInvalid("kind-1 gauge needs c_matrix")
@@ -515,9 +514,14 @@ def eval_dlambda(
     return Tensor3(algebra, data)
 
 
+def _is_integer(i) -> bool:
+    """Whether i is an integer, bools excluded."""
+    return isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+
+
 def _require_root(rs, i, what: str) -> int:
     """i as a root index of rs, or SpecInvalid naming it as `what`."""
-    if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < rs.n_roots:
+    if not _is_integer(i) or not 0 <= i < rs.n_roots:
         raise SpecInvalid(f"{what} must be a root index in [0, {rs.n_roots}), got {i!r}")
     return int(i)
 
@@ -597,29 +601,6 @@ def _pole_margins(spec: RMatrixSpec, lam: np.ndarray, z=None) -> np.ndarray:
     return np.min(_lattice_distance(w, periods), axis=1, initial=math.inf)
 
 
-def trig_constant_fixture(algebra: SimpleLieAlgebra, z: complex, polarization: Optional[Sequence[int]] = None) -> Tensor2:
-    """Reference trigonometric solution 2i (O_- e^{2iz} + O_+) / (e^{2iz} - 1).
-
-    O_+- are the half-Casimirs of the given polarization (standard one by
-    default).  Provided as an independent comparison fixture.
-    """
-    rs = algebra.root_system
-    pol = set(int(i) for i in (polarization or rs.positive_roots))
-    dim = algebra.dim
-    omega_plus = np.zeros((dim, dim), dtype=complex)
-    omega_minus = np.zeros((dim, dim), dtype=complex)
-    for k in range(rs.rank):
-        omega_plus[k, k] = 0.5
-        omega_minus[k, k] = 0.5
-    for p in range(rs.n_roots):
-        target = omega_plus if p in pol else omega_minus
-        target[algebra.root_basis_index(p), algebra.root_basis_index(rs.neg(p))] = 1.0
-    e2 = cmath.exp(2j * complex(z))
-    den = e2 - 1
-    _require_margin(den, lambda i: "z too close to the pole lattice of the fixture")
-    return Tensor2(algebra, 2j * (omega_minus * e2 + omega_plus) / den)
-
-
 # --- serialization ---------------------------------------------------------
 
 
@@ -640,6 +621,14 @@ def _j2mat(rows) -> np.ndarray:
     return np.array([[_j2c(x) for x in row] for row in rows], dtype=complex)
 
 
+def _j2ints(values, what: str) -> tuple:
+    """A JSON list of root indices; SpecInvalid for an entry that is not an integer."""
+    for i in values:
+        if not _is_integer(i):
+            raise SpecInvalid(f"{what} entries must be integers, got {i!r}")
+    return tuple(values)
+
+
 def _gauge_to_json(g: GaugeRecord) -> dict:
     if g.kind == 1:
         return {"kind": 1, "c_matrix": _mat2j(g.c_matrix)}
@@ -651,16 +640,16 @@ def _gauge_to_json(g: GaugeRecord) -> dict:
 
 
 def _gauge_from_json(d: dict) -> GaugeRecord:
-    kind = int(d["kind"])
+    kind = d["kind"]
+    if not _is_integer(kind) or kind not in (1, 2, 3, 4):
+        return GaugeRecord(kind=kind)  # raises SpecInvalid naming the kind
     if kind == 1:
         return GaugeRecord(kind=1, c_matrix=_j2mat(d["c_matrix"]))
     if kind == 2:
         return GaugeRecord(kind=2, psi=(_j2mat(d["psi"]["Q"]), np.array([_j2c(x) for x in d["psi"]["v"]])))
     if kind == 3:
         return GaugeRecord(kind=3, shift=CartanVector(tuple(_j2c(x) for x in d["shift"])))
-    if kind == 4:
-        return GaugeRecord(kind=4, scale=(_j2c(d["scale"][0]), _j2c(d["scale"][1])))
-    return GaugeRecord(kind=kind)
+    return GaugeRecord(kind=4, scale=(_j2c(d["scale"][0]), _j2c(d["scale"][1])))
 
 
 def spec_to_json(spec: RMatrixSpec) -> dict:
@@ -705,8 +694,8 @@ def spec_from_json(doc: dict, algebra: SimpleLieAlgebra) -> RMatrixSpec:
             family=doc["family"],
             eps=_j2c(doc["eps"]),
             nu=CartanVector(tuple(_j2c(x) for x in doc["nu"])),
-            X=tuple(int(i) for i in doc["X"]),
-            polarization=tuple(int(i) for i in doc["polarization"]),
+            X=_j2ints(doc["X"], "X"),
+            polarization=_j2ints(doc["polarization"], "polarization"),
             C=_j2mat(doc["C"]),
             tau=None if doc.get("tau") is None else _j2c(doc["tau"]),
             gauge_stack=tuple(_gauge_from_json(g) for g in doc.get("gauge_stack", ())),

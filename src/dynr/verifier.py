@@ -164,7 +164,7 @@ def _draw_vector(rng, k: int, box, im_box, z_box, n_z: int, rank: int):
     return lam_re + 1j * lam_im, z_re + 1j * z_im
 
 
-def _campaign_points(specs: Sequence[RMatrixSpec], plan: SamplePlan, n_z: int, rng=None):
+def _campaign_points(specs: Sequence[RMatrixSpec], plan: SamplePlan, n_z: int):
     """The plan's points, lambda (count, rank) and z (count, n_z) or None for
     n_z = 0, clear of every spec's poles by the plan's margin: with no z for
     n_z = 0, at z for n_z = 1, at +-z12, +-z13, +-z23 for n_z = 3 (so unitarity
@@ -173,13 +173,12 @@ def _campaign_points(specs: Sequence[RMatrixSpec], plan: SamplePlan, n_z: int, r
 
     Candidate blocks are scored at once and walked in stream order, so the
     points are a one-candidate loop's; a point fails after max_resamples
-    rejections in a row.  Without rng, a generator seeded with plan.seed is
-    discarded afterwards, so a block may read past the last point: it starts
-    at count rows and doubles on refill, up to _BLOCK_ROWS.  A caller's rng
-    gives one point in blocks of one, leaving rng where such a loop does.
+    rejections in a row.  The generator, seeded with plan.seed, is discarded
+    afterwards, so a block may read past the last point: it starts at count
+    rows and doubles on refill, up to _BLOCK_ROWS.
     """
-    count, cap, rng = (plan.count, _BLOCK_ROWS, np.random.default_rng(plan.seed)) if rng is None else (1, 1, rng)
-    block = min(count, cap)
+    count, rng = plan.count, np.random.default_rng(plan.seed)
+    block = min(count, _BLOCK_ROWS)
     im_box = tuple(0.5 * b for b in plan.z_box) if any(s.family == "EllipticSpectral" for s in specs) else plan.box
     points, misses = [], 0
     while len(points) < count:
@@ -197,20 +196,9 @@ def _campaign_points(specs: Sequence[RMatrixSpec], plan: SamplePlan, n_z: int, r
                 points.append((lam[i], zs[i]))
                 if len(points) == count:
                     break
-        block = min(2 * block, cap)
+        block = min(2 * block, _BLOCK_ROWS)
     lam, zs = (np.array(x) for x in zip(*points))
     return lam, zs if n_z else None
-
-
-def sample_lambda(spec: RMatrixSpec, plan: SamplePlan, rng) -> CartanVector:
-    """One lambda from the plan box with pole margin at least the floor."""
-    return CartanVector.of(_campaign_points((spec,), plan, 0, rng)[0][0])
-
-
-def sample_spectral_point(spec: RMatrixSpec, plan: SamplePlan, rng):
-    """(lambda, (z1, z2, z3)) with every pairwise difference +-z_ij pole-free."""
-    lam, zs = _campaign_points((spec,), plan, 3, rng)
-    return CartanVector.of(lam[0]), tuple(complex(w) for w in zs[0])
 
 
 @dataclass(frozen=True)

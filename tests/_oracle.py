@@ -1,0 +1,237 @@
+"""Test oracles: the dense leg calculus and the one-candidate sampler.
+
+The library checks the CDYBE on the residual's weight-zero support and
+never forms a dense structure-constant table.  The tests check it against
+the independent dense calculus kept here:
+
+- bracket_table(g) is the dense tensor f[i, j, k] with [b_i, b_j] =
+  sum_k f[i, j, k] b_k, built once per algebra and cached here, never on
+  the algebra;
+- bracket_legs contracts two 2-tensors through the Lie bracket on a shared
+  leg placement, alt3 sums a 3-tensor over cyclic leg rotations, and
+  act_diag applies an element diagonally (ad on every leg);
+- casimir, tensor_product, transpose_legs, pairing, basis_index and
+  trig_constant_fixture build reference tensors and scalars;
+- _serial_points is the one-candidate sampling loop the block sampler
+  replaced; sample_lambda and sample_spectral_point draw one point from a
+  caller's generator through it.
+
+Tests import these as ``from _oracle import ...``.
+"""
+
+from __future__ import annotations
+
+import cmath
+import weakref
+from typing import Optional, Sequence, Union
+
+import numpy as np
+
+from dynr import CartanVector, SamplingExhausted, Tensor2, Tensor3, UnsupportedType, rmatrix
+from dynr.special_fn import _require_margin
+
+_PLACEMENTS = ("12-13", "12-23", "13-23")
+
+_TABLES = weakref.WeakKeyDictionary()
+
+
+def bracket_table(g) -> np.ndarray:
+    """Dense complex tensor f[i, j, k] with [b_i, b_j] = sum_k f[i,j,k] b_k."""
+    f = _TABLES.get(g)
+    if f is None:
+        f = np.zeros((g.dim, g.dim, g.dim), dtype=complex)
+        for (i, j), entries in g.structure_constants.items():
+            for k, v in entries:
+                f[i, j, k] += float(v)
+        _TABLES[g] = f
+    return f
+
+
+def basis_index(g, root_idx: int) -> int:
+    """Basis index of the root vector of root root_idx (after the Cartan basis)."""
+    return g.rank + root_idx
+
+
+def pairing(rs, lam: CartanVector, alpha: int, shift: Optional[CartanVector] = None) -> complex:
+    """(alpha, lam - shift) in orthonormal coordinates.
+
+    Parameters
+    ----------
+    rs : root system owning the root index.
+    lam : evaluation point.
+    alpha : root index into rs.
+    shift : optional second point, e.g. the family parameter nu.
+    """
+    v = lam.as_array()
+    if shift is not None:
+        v = v - shift.as_array()
+    return complex(np.dot(rs.roots[alpha], v))
+
+
+def casimir(g) -> Tensor2:
+    """The invariant symmetric tensor of the bilinear form.
+
+    Sum of x_i (x) x_i over the orthonormal Cartan basis plus e_a (x) e_{-a}
+    over all roots.
+    """
+    rs = g.root_system
+    m = np.zeros((g.dim, g.dim), dtype=complex)
+    for k in range(rs.rank):
+        m[k, k] = 1.0
+    m[g.root_pair_index()] = 1.0
+    return Tensor2(g, m)
+
+
+def tensor_product(algebra, u: np.ndarray, v: np.ndarray) -> Tensor2:
+    """u (x) v for coefficient vectors in the algebra basis."""
+    u = np.asarray(u, dtype=complex)
+    v = np.asarray(v, dtype=complex)
+    if u.shape != (algebra.dim,) or v.shape != (algebra.dim,):
+        raise UnsupportedType("vectors must have algebra dimension")
+    return Tensor2(algebra, np.outer(u, v))
+
+
+def transpose_legs(t: Tensor3, perm) -> Tensor3:
+    """Relabel legs in numpy axes convention: result leg k is input leg perm[k].
+
+    R[j0, j1, j2] = data[i0, i1, i2] with i[perm[k]] = j[k].  For a pure
+    tensor a(x)b(x)c, perm (1,2,0) gives b(x)c(x)a and (2,0,1) gives
+    c(x)a(x)b.
+    """
+    if sorted(perm) != [0, 1, 2]:
+        raise UnsupportedType(f"not a leg permutation: {perm}")
+    return Tensor3(t.algebra, np.transpose(t.data, perm).copy())
+
+
+def bracket_legs(x: Tensor2, y: Tensor2, placement: str) -> Tensor3:
+    """Pairwise leg bracket [x^{p}, y^{q}] inside g (x) g (x) g.
+
+    Parameters
+    ----------
+    x, y : Tensor2 over the same algebra.
+    placement : one of "12-13", "12-23", "13-23"; x occupies the first
+        pair of legs, y the second, and the bracket is taken on the leg
+        they share.
+
+    Returns
+    -------
+    Tensor3 holding the commutator.
+    """
+    x._check(y)
+    f = bracket_table(x.algebra)
+    a, b = x.data, y.data
+    # f meets y first, then x: two O(dim^4) contractions, never a dim^5 loop
+    if placement == "12-13":
+        # out[k,j,l] = sum_{i,m} f[i,m,k] x[i,j] y[m,l]
+        fy = np.tensordot(f, b, ([1], [0]))  # [i, k, l]
+        data = np.tensordot(a, fy, ([0], [0])).transpose(1, 0, 2)
+    elif placement == "12-23":
+        # out[i,k,l] = sum_{j,m} f[j,m,k] x[i,j] y[m,l]
+        fy = np.tensordot(f, b, ([1], [0]))  # [j, k, l]
+        data = np.tensordot(a, fy, ([1], [0]))
+    elif placement == "13-23":
+        # out[i,m,k] = sum_{j,l} f[j,l,k] x[i,j] y[m,l]
+        fy = np.tensordot(f, b, ([1], [1]))  # [j, k, m]
+        data = np.tensordot(a, fy, ([1], [0])).transpose(0, 2, 1)
+    else:
+        raise UnsupportedType(f"placement must be one of {_PLACEMENTS}, got {placement!r}")
+    return Tensor3(x.algebra, data)
+
+
+def alt3(z: Tensor3) -> Tensor3:
+    """Sum of the three cyclic leg rotations of z.
+
+    For z = a (x) b (x) c the result is a(x)b(x)c + c(x)a(x)b + b(x)c(x)a.
+    """
+    d = z.data
+    return Tensor3(z.algebra, d + np.transpose(d, (1, 2, 0)) + np.transpose(d, (2, 0, 1)))
+
+
+def _ad_contract(algebra, x) -> np.ndarray:
+    """M[c, k] = coefficient of b_k in [x, b_c]."""
+    f = bracket_table(algebra)
+    if isinstance(x, (int, np.integer)):
+        return f[int(x)]
+    x = np.asarray(x, dtype=complex)
+    if x.shape != (algebra.dim,):
+        raise UnsupportedType("element must be a basis index or a dim-length vector")
+    return np.tensordot(x, f, 1)
+
+
+def act_diag(x, t: Union[Tensor2, Tensor3]) -> Union[Tensor2, Tensor3]:
+    """Diagonal adjoint action of x: sum over legs of (1 .. ad_x .. 1).
+
+    x may be a basis index or a coefficient vector.  For Cartan x and a
+    zero-weight tensor the result vanishes.
+    """
+    m = _ad_contract(t.algebra, x)
+    d = t.data
+    if isinstance(t, Tensor2):
+        out = m.T @ d + d @ m
+        return Tensor2(t.algebra, out)
+    out = (
+        np.tensordot(m, d, ([0], [0]))
+        + np.tensordot(d, m, ([1], [0])).transpose(0, 2, 1)
+        + np.tensordot(d, m, ([2], [0]))
+    )
+    return Tensor3(t.algebra, out)
+
+
+def trig_constant_fixture(algebra, z: complex, polarization: Optional[Sequence[int]] = None) -> Tensor2:
+    """Reference trigonometric solution 2i (O_- e^{2iz} + O_+) / (e^{2iz} - 1).
+
+    O_+- are the half-Casimirs of the given polarization (standard one by
+    default).
+    """
+    rs = algebra.root_system
+    pol = set(int(i) for i in (polarization or rs.positive_roots))
+    dim = algebra.dim
+    omega_plus = np.zeros((dim, dim), dtype=complex)
+    omega_minus = np.zeros((dim, dim), dtype=complex)
+    for k in range(rs.rank):
+        omega_plus[k, k] = 0.5
+        omega_minus[k, k] = 0.5
+    for p in range(rs.n_roots):
+        target = omega_plus if p in pol else omega_minus
+        target[basis_index(algebra, p), basis_index(algebra, rs.neg(p))] = 1.0
+    e2 = cmath.exp(2j * complex(z))
+    den = e2 - 1
+    _require_margin(den, lambda i: "z too close to the pole lattice of the fixture")
+    return Tensor2(algebra, 2j * (omega_minus * e2 + omega_plus) / den)
+
+
+def _serial_points(specs, plan, rng, n_z, count):
+    """The one-candidate loop the block sampler replaced, kept as its oracle:
+    uniform draws for Re and Im of lambda, then of z, and one scalar
+    pole_margin per spec, candidate and argument, up to max_resamples per
+    point."""
+    rank = specs[0].algebra.rank
+    elliptic = any(s.family == "EllipticSpectral" for s in specs)
+    im_box = tuple(0.5 * b for b in plan.z_box) if elliptic else plan.box
+    lams, zss = [], []
+    for _ in range(count):
+        for _ in range(plan.max_resamples):
+            lam = rng.uniform(*plan.box, rank) + 1j * rng.uniform(*im_box, rank)
+            zs = rng.uniform(*plan.z_box, n_z) + 1j * rng.uniform(*plan.z_box, n_z) if n_z else None
+            w = zs[[0, 0, 1, 1, 2, 2]] - zs[[1, 2, 2, 0, 0, 1]] if n_z == 3 else zs
+            args = [None] if w is None else w
+            if all(rmatrix.pole_margin(s, CartanVector.of(lam), x) >= plan.pole_margin for s in specs for x in args):
+                break
+        else:
+            raise SamplingExhausted(
+                f"no sample point with pole margin {plan.pole_margin} in {plan.max_resamples} draws"
+            )
+        lams.append(lam)
+        zss.append(zs)
+    return np.array(lams), np.array(zss) if n_z else None
+
+
+def sample_lambda(spec, plan, rng) -> CartanVector:
+    """One lambda from the plan box with pole margin at least the floor."""
+    return CartanVector.of(_serial_points((spec,), plan, rng, 0, 1)[0][0])
+
+
+def sample_spectral_point(spec, plan, rng):
+    """(lambda, (z1, z2, z3)) with every pairwise difference +-z_ij pole-free."""
+    lam, zs = _serial_points((spec,), plan, rng, 3, 1)
+    return CartanVector.of(lam[0]), tuple(complex(w) for w in zs[0])

@@ -293,6 +293,21 @@ def test_polarize_rejects_symmetric_set(capsys):
     assert "FAIL" in out
 
 
+def test_polarize_failure_is_a_json_document(capsys, tmp_path):
+    out_file = tmp_path / "polarize.json"
+    code, out, _ = _run(
+        capsys, "polarize", "--algebra", "A2", "--Y", "0,5", "--format", "json", "--output", str(out_file),
+    )
+    assert code == 1
+    doc = json.loads(out)
+    assert doc == {
+        "algebra": "A2",
+        "Y": [0, 5],
+        "error": "PropertyViolated: property B fails: both 0 and its negative are in Y",
+    }
+    assert json.loads(out_file.read_text()) == doc
+
+
 def _spec_doc_with(**fields):
     doc = spec_to_json(RMatrixSpec(algebra=A1, family="TrigCotanh", eps=2.0))
     doc.update(fields)
@@ -376,6 +391,31 @@ def test_verify_rejects_flip_that_is_not_a_root_index(flip):
     assert code == 2
     assert "Traceback" not in err
     assert "debug_flip_root must be a root index in [0, 6)" in err
+
+
+_SCALE_ONE = {"scale": [[1.0, 0.0], [1.0, 0.0]]}
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"gauge_stack": [{"kind": 4.7, **_SCALE_ONE}]}, "gauge kind must be 1..4, got 4.7"),
+        ({"gauge_stack": [{"kind": "4", **_SCALE_ONE}]}, "gauge kind must be 1..4, got '4'"),
+        ({"gauge_stack": [{"kind": True, "c_matrix": [[[0.0, 0.0]] * 2] * 2}]}, "gauge kind must be 1..4, got True"),
+        ({"family": "RationalConstant", "eps": [0.0, 0.0], "X": [0.9, 5.2]}, "X entries must be integers, got 0.9"),
+        ({"family": "RationalConstant", "eps": [0.0, 0.0], "X": [False, 5]}, "X entries must be integers, got False"),
+        ({"polarization": [3.1, 4, 5]}, "polarization entries must be integers, got 3.1"),
+    ],
+    ids=("kind-float", "kind-string", "kind-bool", "X-float", "X-bool", "polarization-float"),
+)
+def test_verify_rejects_spec_json_index_that_is_not_an_integer(capsys, fields, message):
+    doc = spec_to_json(RMatrixSpec(algebra=A2, family="TrigCotanh", eps=2.0))
+    code, out, err = _run(
+        capsys, "verify", "--algebra", "A2", "--samples", "2", "--spec-json", json.dumps({**doc, **fields}),
+    )
+    assert code == 2
+    assert message in err
+    assert out == ""
 
 
 def test_verify_rejects_unknown_gauge_kind():

@@ -2,11 +2,13 @@
 
 import cmath
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from _oracle import basis_index, casimir, trig_constant_fixture
 from dynr import (
     CartanVector,
     GaugeRecord,
@@ -16,7 +18,6 @@ from dynr import (
     ThetaParams,
     build_root_system,
     build_simple_lie_algebra,
-    casimir,
     check_axioms,
     effective_coupling,
     eval_dlambda,
@@ -28,7 +29,6 @@ from dynr import (
     sigma_w,
     spec_from_json,
     spec_to_json,
-    trig_constant_fixture,
 )
 from dynr import rmatrix
 from dynr.combinatorics import additive_closure
@@ -52,7 +52,7 @@ def _lam_with_pairing(g, value):
 
 def _root_entry(g, r, root_idx):
     rs = g.root_system
-    return r.data[g.root_basis_index(root_idx), g.root_basis_index(rs.neg(root_idx))]
+    return r.data[basis_index(g, root_idx), basis_index(g, rs.neg(root_idx))]
 
 
 # ---------------------------------------------------------------- validation
@@ -188,7 +188,7 @@ def test_degenerate_with_empty_X_is_half_casimir_plus_positives():
     want = np.zeros((A2.dim, A2.dim), dtype=complex)
     want[: rs.rank, : rs.rank] = 0.5 * np.eye(rs.rank)
     for p in rs.positive_roots:
-        want[A2.root_basis_index(p), A2.root_basis_index(rs.neg(p))] = 1.0
+        want[basis_index(A2, p), basis_index(A2, rs.neg(p))] = 1.0
     assert np.max(np.abs(r.data - want)) < 1e-14
     # no lam dependence when the span is empty
     r2 = eval_rmatrix(spec, CartanVector.of([1.9, 0.4]))
@@ -406,7 +406,7 @@ def test_dlambda_rational_hand_value():
     pos = rs.positive_roots[0]
     # d/dlam of 1/(a, lam) = -a / (a, lam)^2 = -a/4
     a = rs.roots[pos][0]
-    e, f = A1.root_basis_index(pos), A1.root_basis_index(rs.neg(pos))
+    e, f = basis_index(A1, pos), basis_index(A1, rs.neg(pos))
     assert d.data[0, e, f] == pytest.approx(-a / 4.0, abs=1e-14)
     assert d.data[0, f, e] == pytest.approx(a / 4.0, abs=1e-14)
 
@@ -417,7 +417,7 @@ def _loop_assemble2(algebra, m, phi):
     data = np.zeros((algebra.dim, algebra.dim), dtype=complex)
     data[: rs.rank, : rs.rank] = m
     for p in range(rs.n_roots):
-        data[algebra.root_basis_index(p), algebra.root_basis_index(rs.neg(p))] = phi[p]
+        data[basis_index(algebra, p), basis_index(algebra, rs.neg(p))] = phi[p]
     return data
 
 
@@ -436,7 +436,7 @@ def _loop_dlambda(spec, lam, z, mode, fd_step=1e-5):
         dm, dphi = _split(rs.rank, d)
         assert not dm.any()  # M does not depend on lambda
         for p in range(rs.n_roots):
-            bi, bj = algebra.root_basis_index(p), algebra.root_basis_index(rs.neg(p))
+            bi, bj = basis_index(algebra, p), basis_index(algebra, rs.neg(p))
             data[: rs.rank, bi, bj] = dphi[:, p]
         return data
     base = lam.as_array()
@@ -448,7 +448,7 @@ def _loop_dlambda(spec, lam, z, mode, fd_step=1e-5):
         data[i, : rs.rank, : rs.rank] = (up[0] - dn[0]) / (2 * fd_step)
         pdiff = (up[1] - dn[1]) / (2 * fd_step)
         for p in range(rs.n_roots):
-            data[i, algebra.root_basis_index(p), algebra.root_basis_index(rs.neg(p))] = pdiff[p]
+            data[i, basis_index(algebra, p), basis_index(algebra, rs.neg(p))] = pdiff[p]
     return data
 
 
@@ -1022,6 +1022,42 @@ def test_spec_from_json_rejects_unknown_gauge_kind():
     doc["gauge_stack"] = [{"kind": 7, "scale": [[1.0, 0.0], [1.0, 0.0]]}]
     with pytest.raises(SpecInvalid, match="gauge kind must be 1..4, got 7"):
         spec_from_json(doc, A2)
+
+
+_SCALE_ONE = {"scale": [[1.0, 0.0], [1.0, 0.0]]}
+_ZERO_C = {"c_matrix": [[[0.0, 0.0]] * 2] * 2}
+_RATIONAL = {"family": "RationalConstant", "eps": [0.0, 0.0]}
+
+
+@pytest.mark.parametrize(
+    "bad, good, message",
+    [
+        ({"gauge_stack": [{"kind": 4.7, **_SCALE_ONE}]}, {"gauge_stack": [{"kind": 4, **_SCALE_ONE}]},
+         "gauge kind must be 1..4, got 4.7"),
+        ({"gauge_stack": [{"kind": "4", **_SCALE_ONE}]}, {"gauge_stack": [{"kind": 4, **_SCALE_ONE}]},
+         "gauge kind must be 1..4, got '4'"),
+        ({"gauge_stack": [{"kind": True, **_ZERO_C}]}, {"gauge_stack": [{"kind": 1, **_ZERO_C}]},
+         "gauge kind must be 1..4, got True"),
+        ({**_RATIONAL, "X": [0.9, 5.2]}, {**_RATIONAL, "X": [0, 5]}, "X entries must be integers, got 0.9"),
+        ({**_RATIONAL, "X": [False, 5]}, {**_RATIONAL, "X": [0, 5]}, "X entries must be integers, got False"),
+        ({"polarization": [3.1, 4, 5]}, {"polarization": [3, 4, 5]},
+         "polarization entries must be integers, got 3.1"),
+    ],
+    ids=("kind-float", "kind-string", "kind-bool", "X-float", "X-bool", "polarization-float"),
+)
+def test_spec_from_json_reads_only_integer_indices(bad, good, message):
+    """A float, string or bool where the document needs an integer is refused,
+    not truncated; the same document with integers loads."""
+    doc = spec_to_json(RMatrixSpec(algebra=A2, family="TrigCotanh", eps=2.0))
+    spec_from_json({**doc, **good}, A2)
+    with pytest.raises(SpecInvalid, match=re.escape(message)):
+        spec_from_json({**doc, **bad}, A2)
+
+
+@pytest.mark.parametrize("kind", [True, 1.0])
+def test_gauge_kind_must_be_an_integer(kind):
+    with pytest.raises(SpecInvalid, match="gauge kind must be 1..4"):
+        GaugeRecord(kind=kind, c_matrix=np.zeros((2, 2)))
 
 
 def test_serialization_algebra_mismatch():

@@ -7,6 +7,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from _oracle import (
+    _serial_points,
+    act_diag,
+    basis_index,
+    bracket_legs,
+    casimir,
+    sample_lambda,
+    sample_spectral_point,
+    transpose_legs,
+)
 from dynr import (
     CartanVector,
     ConvergenceFailure,
@@ -21,13 +31,10 @@ from dynr import (
     Tensor2,
     Tensor3,
     ThetaParams,
-    act_diag,
     affine_hat_spec,
     affine_series_check,
-    bracket_legs,
     build_root_system,
     build_simple_lie_algebra,
-    casimir,
     cdybe_residual,
     check_axioms,
     check_phi_triangle,
@@ -42,7 +49,7 @@ from dynr import (
     reduce_pair_check,
 )
 from dynr import rmatrix, verifier
-from dynr.verifier import addition_identity_residual, phi_ode_residual, sample_lambda, sample_spectral_point
+from dynr.verifier import addition_identity_residual, phi_ode_residual
 
 A1 = build_simple_lie_algebra(build_root_system("A", 1))
 A2 = build_simple_lie_algebra(build_root_system("A", 2))
@@ -604,32 +611,6 @@ def test_samples_respect_margin():
         assert pole_margin(spec, lam) >= PLAN.pole_margin
 
 
-def _serial_points(specs, plan, rng, n_z, count):
-    """The one-candidate loop the block sampler replaced, kept as its oracle:
-    uniform draws for Re and Im of lambda, then of z, and one scalar
-    pole_margin per spec, candidate and argument, up to max_resamples per
-    point."""
-    rank = specs[0].algebra.rank
-    elliptic = any(s.family == "EllipticSpectral" for s in specs)
-    im_box = tuple(0.5 * b for b in plan.z_box) if elliptic else plan.box
-    lams, zss = [], []
-    for _ in range(count):
-        for _ in range(plan.max_resamples):
-            lam = rng.uniform(*plan.box, rank) + 1j * rng.uniform(*im_box, rank)
-            zs = rng.uniform(*plan.z_box, n_z) + 1j * rng.uniform(*plan.z_box, n_z) if n_z else None
-            w = zs[[0, 0, 1, 1, 2, 2]] - zs[[1, 2, 2, 0, 0, 1]] if n_z == 3 else zs
-            args = [None] if w is None else w
-            if all(rmatrix.pole_margin(s, CartanVector.of(lam), x) >= plan.pole_margin for s in specs for x in args):
-                break
-        else:
-            raise SamplingExhausted(
-                f"no sample point with pole margin {plan.pole_margin} in {plan.max_resamples} draws"
-            )
-        lams.append(lam)
-        zss.append(zs)
-    return np.array(lams), np.array(zss) if n_z else None
-
-
 def _sampler_cases():
     """(specs, n_z) for every family shape the sampler meets, on B3."""
     g = build_simple_lie_algebra(build_root_system("B", 3))
@@ -685,26 +666,6 @@ def test_block_sampler_exhausts_at_the_serial_loop_budget():
     assert outcomes == {True, False}  # both outcomes occur over these budgets
 
 
-def test_caller_generator_ends_where_the_serial_loop_leaves_it():
-    """sample_lambda and sample_spectral_point read no candidate past the
-    accepted one: the caller's next rng.random() is the oracle's."""
-    cases = _sampler_cases()
-    for (spec,), n_z in (cases[0], cases[2], cases[4], cases[8]):
-        for seed in range(20):
-            plan = SamplePlan(pole_margin=0.2 if n_z else 0.6)
-            rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
-            for _ in range(2):
-                if n_z:
-                    lam, zs = sample_spectral_point(spec, plan, rng)
-                    want_lam, want_zs = _serial_points((spec,), plan, oracle, 3, 1)
-                    assert zs == tuple(want_zs[0].tolist())
-                else:
-                    lam = sample_lambda(spec, plan, rng)
-                    want_lam, _ = _serial_points((spec,), plan, oracle, 0, 1)
-                assert lam == CartanVector.of(want_lam[0])
-            assert rng.random() == oracle.random()
-
-
 # ---------------------------------------------------------------- residual kernel
 
 def _dense_cdybe(r12, r13, r23, d23, d31, d12):
@@ -714,8 +675,8 @@ def _dense_cdybe(r12, r13, r23, d23, d31, d12):
     # needs (1,2,0).  The two cycles are NOT interchangeable here.
     alt = (
         d23
-        + d31.transpose_legs((2, 0, 1))
-        + d12.transpose_legs((1, 2, 0))
+        + transpose_legs(d31, (2, 0, 1))
+        + transpose_legs(d12, (1, 2, 0))
     )
     out = alt + bracket_legs(r12, r13, "12-13")
     out = out + bracket_legs(r12, r23, "12-23")
@@ -746,7 +707,7 @@ def _dense_r(g, v):
     data = np.zeros((g.dim,) * 2, dtype=complex)
     data[:rank, :rank] = v[: rank * rank].reshape(rank, rank)
     for p in range(rs.n_roots):
-        data[g.root_basis_index(p), g.root_basis_index(rs.neg(p))] = v[rank * rank + p]
+        data[basis_index(g, p), basis_index(g, rs.neg(p))] = v[rank * rank + p]
     return Tensor2(g, data)
 
 
@@ -839,7 +800,7 @@ def test_record_values_round_trip_through_dense():
     rank, rs = g.rank, g.root_system
     legs = rmatrix._legs(g)
     want = [(i, j) for i in range(rank) for j in range(rank)]
-    want += [(g.root_basis_index(p), g.root_basis_index(rs.neg(p))) for p in range(rs.n_roots)]
+    want += [(basis_index(g, p), basis_index(g, rs.neg(p))) for p in range(rs.n_roots)]
     assert list(zip(*(leg.tolist() for leg in legs))) == want
     lam = CartanVector.of([0.83 - 0.2j, -0.41 + 0.1j])
     for spec in _kernel_zoo(g):
@@ -909,7 +870,7 @@ def test_cartan_weight_norm_matches_act_diag(series, rank):
     t = Tensor3(g, data.reshape((g.dim,) * 3))
     want = max(act_diag(k, t).norm() for k in range(g.rank))
     assert abs(plan.weight_norm(w) - want) <= 1e-14 * want
-    assert plan.skew_norm(w) == (t + t.transpose_legs((1, 0, 2))).norm()
+    assert plan.skew_norm(w) == (t + transpose_legs(t, (1, 0, 2))).norm()
     # on the residual's own support every weight is exactly zero
     assert not verifier._residual_plan(g).weight.any()
 
