@@ -99,10 +99,12 @@ class RMatrixSpec:
     X is a tuple of root indices: a closed subset for RationalConstant and
     RationalSpectral, a subset of the simple roots of the polarization for
     TrigDegenerate and TrigSpectral, and empty otherwise.  polarization is
-    the positive-root index tuple (defaults to the standard one).  The two
-    debug_* fields deliberately corrupt the evaluation and exist only to
-    drive negative controls; validation rejects nothing about them, except
-    that debug_flip_root must be a root index even when validate is False.
+    the positive-root index tuple (defaults to the standard one).  Every X
+    and polarization entry must be an integer, not a bool or a float, even
+    when validate is False.  The two debug_* fields deliberately corrupt the
+    evaluation and exist only to drive negative controls; validation rejects
+    nothing about them, except that debug_flip_root must be a root index
+    even when validate is False.
     """
 
     algebra: SimpleLieAlgebra
@@ -125,7 +127,7 @@ class RMatrixSpec:
         rank = rs.rank
 
         members = self.X.members if isinstance(self.X, RootSubset) else (self.X or ())
-        x = tuple(sorted({int(i) for i in members}))  # X is a set of roots
+        x = tuple(sorted(set(_root_indices(members, "X"))))  # X is a set of roots
         object.__setattr__(self, "X", x)
 
         nu = self.nu if self.nu is not None else CartanVector.zero(rank)
@@ -133,7 +135,7 @@ class RMatrixSpec:
             raise SpecInvalid("nu has wrong dimension")
         object.__setattr__(self, "nu", nu)
 
-        pol = tuple(sorted(int(i) for i in (self.polarization or rs.positive_roots)))
+        pol = tuple(sorted(_root_indices(self.polarization or rs.positive_roots, "polarization")))
         object.__setattr__(self, "polarization", pol)
 
         c = _frozen(self.C if self.C is not None else np.zeros((rank, rank)))
@@ -519,6 +521,16 @@ def _is_integer(i) -> bool:
     return isinstance(i, (int, np.integer)) and not isinstance(i, bool)
 
 
+def _root_indices(values, what: str) -> list:
+    """values as Python ints; SpecInvalid for an entry that is not an integer."""
+    out = []
+    for i in values:
+        if not _is_integer(i):
+            raise SpecInvalid(f"{what} entries must be integers, got {i!r}")
+        out.append(int(i))
+    return out
+
+
 def _require_root(rs, i, what: str) -> int:
     """i as a root index of rs, or SpecInvalid naming it as `what`."""
     if not _is_integer(i) or not 0 <= i < rs.n_roots:
@@ -621,14 +633,6 @@ def _j2mat(rows) -> np.ndarray:
     return np.array([[_j2c(x) for x in row] for row in rows], dtype=complex)
 
 
-def _j2ints(values, what: str) -> tuple:
-    """A JSON list of root indices; SpecInvalid for an entry that is not an integer."""
-    for i in values:
-        if not _is_integer(i):
-            raise SpecInvalid(f"{what} entries must be integers, got {i!r}")
-    return tuple(values)
-
-
 def _gauge_to_json(g: GaugeRecord) -> dict:
     if g.kind == 1:
         return {"kind": 1, "c_matrix": _mat2j(g.c_matrix)}
@@ -694,8 +698,8 @@ def spec_from_json(doc: dict, algebra: SimpleLieAlgebra) -> RMatrixSpec:
             family=doc["family"],
             eps=_j2c(doc["eps"]),
             nu=CartanVector(tuple(_j2c(x) for x in doc["nu"])),
-            X=_j2ints(doc["X"], "X"),
-            polarization=_j2ints(doc["polarization"], "polarization"),
+            X=tuple(doc["X"]),
+            polarization=tuple(doc["polarization"]),
             C=_j2mat(doc["C"]),
             tau=None if doc.get("tau") is None else _j2c(doc["tau"]),
             gauge_stack=tuple(_gauge_from_json(g) for g in doc.get("gauge_stack", ())),

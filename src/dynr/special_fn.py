@@ -21,6 +21,7 @@ from .errors import ConvergenceFailure, PoleProximity, SpecInvalid
 
 _POLE_THRESHOLD = 1e-8
 _HARD_CAP = 512
+_SERIES_TERMS = 1 << 15  # series terms per block (entries of a times indices n)
 
 
 @dataclass(frozen=True)
@@ -178,7 +179,8 @@ def classical_series(kind: str, u: complex, a: complex, p: ThetaParams, n_terms:
     Converges on the annulus 1 < |u| < exp(2 pi Im tau); with
     u = exp(2 pi i z) and k = pi i tau the limits are
     (1/(pi i)) sigma_{-a/(pi i)}(z, tau) and (1/(pi i)) rho(z, tau).
-    Memory grows as (2 n_terms + 1) times the size of a.
+    The terms are summed in blocks of at most _SERIES_TERMS, walked in the
+    (entry, n) order, so memory stays bounded whatever n_terms is.
 
     Raises
     ------
@@ -200,18 +202,28 @@ def classical_series(kind: str, u: complex, a: complex, p: ThetaParams, n_terms:
         )
     k = 1j * math.pi * complex(p.tau)
     log_u = cmath.log(u)
-    n = np.arange(-n_terms, n_terms + 1)
-    if kind == "rho-sum":
-        n, a = n[n != 0], np.zeros_like(a)
-    x = np.add.outer(a, k * n)  # one row of term arguments per entry of a
-    pos = x.real >= 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        e = np.exp(np.where(pos, -2 * x, 2 * x))  # the decaying exponential
-        den = np.where(pos, 1 - e, e - 1)
-        _require_margin(den, lambda i: f"series term argument {complex(x.flat[i])} too close to i*pi*Z")
-        # u^n (1 + coth x) is u^n 2/(1 - e^{-2x}) for Re x >= 0; for Re x < 0 it
-        # is u^n 2 e^{2x}/(e^{2x} - 1) with the exponentials combined, so the
-        # decaying factor applies before anything can overflow
-        terms = np.where(pos, np.exp(n * log_u) * (2 / den), 2 * np.exp(n * log_u + 2 * x) / den)
-    total = terms.sum(axis=-1)
-    return _out(1 + total if kind == "rho-sum" else total)
+    rho = kind == "rho-sum"
+    entries = (np.zeros_like(a) if rho else a).reshape(-1)
+    count = 2 * n_terms + 1 - rho  # terms per entry: |n| <= n_terms, without n = 0 for rho
+    # blocks of whole rows of n when they fit, else runs of one entry's n; in
+    # C order either way, so the pole guard names the first offender of all
+    cols = max(1, min(count, _SERIES_TERMS))
+    rows = max(1, _SERIES_TERMS // cols)
+    total = np.zeros(entries.shape, dtype=complex)
+    for r in range(0, len(entries), rows):
+        for c in range(0, count, cols):
+            nb = np.arange(c, min(c + cols, count)) - n_terms
+            nb += rho & (nb >= 0)  # rho skips n = 0
+            x = np.add.outer(entries[r : r + rows], k * nb)  # one row of term arguments per entry
+            pos = x.real >= 0
+            with np.errstate(over="ignore", invalid="ignore"):
+                e = np.exp(np.where(pos, -2 * x, 2 * x))  # the decaying exponential
+                den = np.where(pos, 1 - e, e - 1)
+                _require_margin(den, lambda i: f"series term argument {complex(x.flat[i])} too close to i*pi*Z")
+                # u^n (1 + coth x) is u^n 2/(1 - e^{-2x}) for Re x >= 0; for Re x < 0 it
+                # is u^n 2 e^{2x}/(e^{2x} - 1) with the exponentials combined, so the
+                # decaying factor applies before anything can overflow
+                terms = np.where(pos, np.exp(nb * log_u) * (2 / den), 2 * np.exp(nb * log_u + 2 * x) / den)
+            total[r : r + rows] += terms.sum(axis=-1)
+    total = total.reshape(a.shape)
+    return _out(1 + total if rho else total)

@@ -14,7 +14,9 @@ the independent dense calculus kept here:
   trig_constant_fixture build reference tensors and scalars;
 - _serial_points is the one-candidate sampling loop the block sampler
   replaced; sample_lambda and sample_spectral_point draw one point from a
-  caller's generator through it.
+  caller's generator through it;
+- jacobi_defect is the Jacobi check as one join over every term, which
+  the library's blocked walk must match bit for bit.
 
 Tests import these as ``from _oracle import ...``.
 """
@@ -28,6 +30,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from dynr import CartanVector, SamplingExhausted, Tensor2, Tensor3, UnsupportedType, rmatrix
+from dynr.lie_core import _join, _max_by_key
 from dynr.special_fn import _require_margin
 
 _PLACEMENTS = ("12-13", "12-23", "13-23")
@@ -235,3 +238,15 @@ def sample_spectral_point(spec, plan, rng):
     """(lambda, (z1, z2, z3)) with every pairwise difference +-z_ij pole-free."""
     lam, zs = _serial_points((spec,), plan, rng, 3, 1)
     return CartanVector.of(lam[0]), tuple(complex(w) for w in zs[0])
+
+
+def jacobi_defect(n: int, i, j, k, v) -> float:
+    """lie_core._jacobi_defect as one join over all its terms at once."""
+    left, right = _join(k, j, n)
+    x, y, z, out = i[left], j[left], i[right], k[right]
+    value = v[left] * v[right]
+    del left, right
+    value[(x == y) & (y == z)] *= 3
+    key = np.minimum(np.minimum((x * n + y) * n + z, (y * n + z) * n + x), (z * n + x) * n + y)
+    del x, y, z
+    return _max_by_key(key * n + out, value)

@@ -4,12 +4,13 @@ import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from _oracle import basis_index, bracket_table, casimir, pairing
+from _oracle import basis_index, bracket_table, casimir, jacobi_defect, pairing
 from dynr import (
     CartanVector,
     ConstructionFailure,
@@ -319,7 +320,9 @@ def _sparse_defects(g):
     "series,rank",
     [("A", 1), ("A", 2), ("B", 2), ("G", 2), ("B", 3), ("C", 3), ("A", 4), ("D", 4), ("F", 4)],
 )
-def test_sparse_algebra_check_matches_dense_oracle(series, rank):
+def test_sparse_algebra_check_matches_dense_oracle(series, rank, monkeypatch):
+    # a few terms per block, so the Jacobi walk crosses many block edges
+    monkeypatch.setattr(lie_core, "_JACOBI_TERMS", 5)
     g = _algebra(series, rank)
     rs = g.root_system
     i, j = _simple_pair(g) if rank > 1 else (basis_index(g, 0), basis_index(g, 1))
@@ -349,6 +352,40 @@ def test_sparse_algebra_check_matches_dense_oracle(series, rank):
             assert max(sparse) <= 1e-13
         else:
             assert max(sparse) > 0.1  # every corruption is seen
+
+
+@pytest.mark.parametrize(
+    "series,rank",
+    [("A", 1), ("A", 3), ("B", 3), ("C", 4), ("D", 5), ("G", 2), ("F", 4), ("E", 6), ("E", 7), ("E", 8)],
+)
+def test_blocked_jacobi_defect_is_bit_equal_to_one_join(series, rank):
+    """Blocks hold whole output indices, so every keyed sum adds the same
+    terms in the same order as one join over all of them."""
+    g = _algebra(series, rank)
+    # on A1 a doubled [e, f] is still a Lie algebra, a doubled [h, e] is not
+    i, j = _simple_pair(g) if rank > 1 else (0, basis_index(g, 0))
+
+    def double(const):
+        const[(i, j)] = _scaled(const[(i, j)], 2)
+        const[(j, i)] = _scaled(const[(j, i)], 2)
+
+    for h in (g, _with_constants(g, double)):
+        args = (h.dim,) + lie_core._coo(h)
+        assert lie_core._jacobi_defect(*args) == jacobi_defect(*args)
+    assert jacobi_defect(*args) > 0.1
+
+
+def test_algebra_check_memory_is_bounded_on_e7():
+    """One join over E7's terms peaked at about 22 MiB; the blocked walk
+    stays near its entry lists."""
+    g = _algebra("E", 7)
+    tracemalloc.start()
+    try:
+        _verify_algebra(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("series,rank", [("A", 1), ("A", 2), ("B", 2), ("G", 2)])

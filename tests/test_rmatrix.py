@@ -14,6 +14,7 @@ from dynr import (
     GaugeRecord,
     PoleProximity,
     RMatrixSpec,
+    RootSubset,
     SpecInvalid,
     ThetaParams,
     build_root_system,
@@ -1015,6 +1016,37 @@ def test_serialization_keeps_debug_fields():
 def test_debug_flip_root_must_be_a_root_index(flip, validate):
     with pytest.raises(SpecInvalid, match="debug_flip_root must be a root index"):
         RMatrixSpec(algebra=A2, family="TrigCotanh", eps=2.0, debug_flip_root=flip, validate=validate)
+
+
+@pytest.mark.parametrize("validate", [True, False])
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"family": "RationalConstant", "X": (0.9, 5.2)}, "X entries must be integers, got 0.9"),
+        ({"family": "RationalConstant", "X": (True, 4)}, "X entries must be integers, got True"),
+        ({"family": "RationalConstant", "X": (0, np.float64(5.0))},
+         f"X entries must be integers, got {np.float64(5.0)!r}"),
+        ({"family": "TrigCotanh", "eps": 2.0, "polarization": (3.7, 4, 5)},
+         "polarization entries must be integers, got 3.7"),
+        ({"family": "TrigCotanh", "eps": 2.0, "polarization": (3, 4, False)},
+         "polarization entries must be integers, got False"),
+    ],
+    ids=("X-float", "X-bool", "X-numpy-float", "polarization-float", "polarization-bool"),
+)
+def test_constructor_refuses_root_index_that_is_not_an_integer(fields, message, validate):
+    """The constructor used to truncate: X = (0.9, 5.2) built (0, 5)."""
+    with pytest.raises(SpecInvalid, match=re.escape(message)):
+        RMatrixSpec(algebra=A2, validate=validate, **fields)
+
+
+def test_constructor_keeps_integer_root_indices():
+    rs = A2.root_system
+    x = RootSubset(rs, (0, 5))
+    for X in (x, (5, 0, 5), [np.int64(0), 5]):
+        spec = RMatrixSpec(algebra=A2, family="RationalConstant", X=X)
+        assert spec.X == (0, 5) and all(type(i) is int for i in spec.X)
+    spec = RMatrixSpec(algebra=A2, family="TrigCotanh", eps=2.0, polarization=(np.int64(5), 4, 3))
+    assert spec.polarization == (3, 4, 5) and all(type(i) is int for i in spec.polarization)
 
 
 def test_spec_from_json_rejects_unknown_gauge_kind():

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -306,6 +307,40 @@ def test_series_over_an_array_of_a_matches_entrywise_calls():
     with pytest.raises(PoleProximity) as batch:
         classical_series("sigma-sum", u, near, P_2I, 3)
     assert str(batch.value) == str(single.value)
+
+
+@pytest.mark.parametrize("terms", [4, 50])
+def test_series_blocks_match_one_block(monkeypatch, terms):
+    """Sums agree with one block to round-off, and the pole guard names the
+    same first offender.  4 terms per block walks each entry in runs of n;
+    50 takes several whole rows of n at once."""
+    u = cmath.exp(2j * cmath.pi * (0.3 - 0.5j))
+    a = np.array([0.8, -0.3 + 0.2j, 1.1j])
+    want = classical_series("sigma-sum", u, a, P_2I, 3), classical_series("rho-sum", u, 0.0, P_2I, 20)
+    # entry 1 meets the pole of its n = 1 term, entry 2 that of its n = 0 term,
+    # which an n-major walk of 4-term blocks would reach first
+    near = np.array([0.8, 2 * math.pi + 1e-12, 1e-13])
+    with pytest.raises(PoleProximity) as one:
+        classical_series("sigma-sum", u, near, P_2I, 3)
+    monkeypatch.setattr(dynr.special_fn, "_SERIES_TERMS", terms)
+    got = classical_series("sigma-sum", u, a, P_2I, 3), classical_series("rho-sum", u, 0.0, P_2I, 20)
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=1e-15, atol=0)
+    with pytest.raises(PoleProximity) as blocked:
+        classical_series("sigma-sum", u, near, P_2I, 3)
+    assert str(blocked.value) == str(one.value)
+
+
+def test_series_memory_does_not_grow_with_the_term_count():
+    """One block over all 400,001 terms of each entry peaked near 100 MiB."""
+    u = cmath.exp(2j * cmath.pi * (0.3 - 0.5j))
+    tracemalloc.start()
+    try:
+        classical_series("sigma-sum", u, np.array([0.8, -0.8]), P_2I, 200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_series_pole_and_spec_gates():
