@@ -184,13 +184,18 @@ def _emit(doc: dict, args, text_lines) -> None:
     """Write doc to --output when given; print it as JSON or as text_lines."""
     if args.output:
         with open(args.output, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            _dump_json(doc, fh)
     if args.format == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        _dump_json(doc, sys.stdout)
     else:
         for line in text_lines:
             print(line)
+
+
+def _dump_json(doc: dict, stream) -> None:
+    """doc as indented, key-sorted JSON and a newline, streamed (not one string)."""
+    json.dump(doc, stream, indent=2, sort_keys=True)
+    stream.write("\n")
 
 
 def _emit_report(report: VerificationReport, args) -> int:

@@ -10,9 +10,9 @@ bilinear form is normalized so long roots have squared length 2.
 The algebra basis is {x_1..x_r} (orthonormal Cartan vectors) followed by one
 root vector per root, scaled so that B(e_a, e_{-a}) = 1 and
 [e_a, e_{-a}] = h_a, the form-dual of the root a.  Structure-constant signs
-follow a fixed extraspecial-pair convention; root-to-root constants are kept
-as exact rationals, Cartan legs are floats (orthonormalization is
-irrational).  Every construction is checked for antisymmetry, the Jacobi
+follow a fixed extraspecial-pair convention; root-to-root constants are
+assembled as exact rationals and stored as floats, like the irrational
+Cartan legs.  Every construction is checked for antisymmetry, the Jacobi
 identity, and invariance of the form before it is returned.
 """
 
@@ -24,16 +24,14 @@ import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from .errors import ConstructionFailure, UnsupportedType
 
-Scalar = Union[Fraction, float]
-
 _CACHE_ENV = "DYNR_FIXTURE_DIR"
-_CACHE_VERSION = 2
+_CACHE_VERSION = 3
 _JACOBI_TERMS = 1 << 13  # Jacobi terms per block of output indices (about 76 B each)
 
 
@@ -395,15 +393,16 @@ class SimpleLieAlgebra:
     """Chevalley-type basis of a finite-dimensional simple Lie algebra.
 
     Basis order: x_0..x_{rank-1} (orthonormal Cartan vectors), then one
-    root vector per root in root-system order.  structure_constants maps a
-    basis index pair (i, j) to a tuple of (k, coefficient) entries of
-    [b_i, b_j]; root-to-root coefficients are exact Fractions, Cartan legs
-    are floats.  bilinear_form is the matrix of the invariant form.
+    root vector per root in root-system order.  structure_constants is four
+    read-only entry arrays (i, j, k, v), int64, int64, int64 and float64,
+    one row per nonzero constant: [b_i, b_j] has v on b_k.  For each
+    assembled bracket [b_i, b_j] come its (i, j) rows, then its (j, i)
+    rows with -v.  bilinear_form is the matrix of the invariant form.
     """
 
     root_system: RootSystemData
     dim: int
-    structure_constants: dict
+    structure_constants: tuple
     bilinear_form: np.ndarray
     _pairs: Optional[tuple] = field(default=None, init=False, repr=False)
     # verifier's sparse CDYBE assembly plan and axiom-check root tables, built on first use
@@ -425,18 +424,18 @@ class SimpleLieAlgebra:
         return self._pairs
 
 
-def _assemble_constants(rs: RootSystemData):
-    """Structure constants in the rescaled (dual root vector) basis."""
+def _assemble_constants(rs: RootSystemData) -> tuple:
+    """Entry arrays in the rescaled (dual root vector) basis; exact until stored."""
     chev = _ChevalleyConstants(rs)
     rank, nr = rs.rank, rs.n_roots
     # e_a -> s_a e_a with s_a s_{-a} = (a,a)/2; carried by the positive member
     scale = [rs.length_sq(i) / 2 if rs.is_positive(i) else Fraction(1) for i in range(nr)]
-    const = {}
+    rows = []
 
     def put(i, j, entries):
-        if entries:
-            const[(i, j)] = tuple(entries)
-            const[(j, i)] = tuple((k, -v) for k, v in entries)
+        entries = [(k, float(v)) for k, v in entries]
+        rows.extend((i, j, k, v) for k, v in entries)
+        rows.extend((j, i, k, -v) for k, v in entries)
 
     for ridx in range(nr):
         bi = rank + ridx
@@ -465,20 +464,15 @@ def _assemble_constants(rs: RootSystemData):
             if v.denominator != 1 and rs.series in ("A", "D", "E"):
                 raise ConstructionFailure("non-integer constant in simply-laced type")
             put(bi, bj, [(rank + s, v)])
-    return const
+    return _entry_arrays(*zip(*rows))
 
 
-def _coo(g: SimpleLieAlgebra):
-    """Structure constants as arrays (i, j, k, v): [b_i, b_j] has v on b_k.
-
-    Raises ConstructionFailure when any constant has a nonzero imaginary part.
-    """
-    entries = [(i, j, k, v) for (i, j), es in g.structure_constants.items() for k, v in es]
-    i, j, k = (np.array([e[n] for e in entries], dtype=np.int64) for n in range(3))
-    v = np.array([complex(e[3]) for e in entries], dtype=complex)
-    if np.any(v.imag):
-        raise ConstructionFailure("structure constants not real")
-    return i, j, k, v.real
+def _entry_arrays(i, j, k, v) -> tuple:
+    """The entry columns as read-only int64, int64, int64 and float64 arrays."""
+    out = tuple(np.array(c, dtype=t) for c, t in zip((i, j, k, v), (np.int64,) * 3 + (np.float64,)))
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def _max_by_key(keys: np.ndarray, values: np.ndarray) -> float:
@@ -552,12 +546,14 @@ def _invariance_defect(b: np.ndarray, i, j, k, v) -> float:
 def _verify_algebra(g: SimpleLieAlgebra, tol: float = 1e-12):
     """Check reality, antisymmetry, Jacobi and form invariance of g.
 
-    Works on the structure-constant entry lists, never on a dense table, so
-    it runs on every algebra.  Raises ConstructionFailure naming the first
-    check that fails.
+    Works on the structure-constant entry arrays, never on a dense table,
+    so it runs on every algebra.  Raises ConstructionFailure naming the
+    first check that fails.
     """
     n = g.dim
-    i, j, k, v = _coo(g)
+    i, j, k, v = g.structure_constants
+    if np.iscomplexobj(v):
+        raise ConstructionFailure("structure constants not real")
     # "not <=" so that a NaN defect fails too
     if not _antisymmetry_defect(n, i, j, k, v) <= tol:
         raise ConstructionFailure("antisymmetry violated")
@@ -575,14 +571,17 @@ def build_simple_lie_algebra(rs: RootSystemData, cache_dir: Optional[str] = None
     rs : root system from build_root_system.
     cache_dir : directory for the structure-constant cache; defaults to the
         DYNR_FIXTURE_DIR environment variable, and no caching when unset.
-        A cache file that is unreadable, ill-shaped, for another type or
-        version, or whose sha256 of its entries does not match is treated
-        as missing: the constants are rebuilt, checked and written anew.
+        structure_<X>_v3.json holds the four entry arrays as JSON lists,
+        with a sha256 over them.  A file that is unreadable, ill-shaped
+        (unequal lengths, an index not an int in range, a value not a
+        finite number), for another type or version, or whose sha256 does
+        not match is treated as missing: the constants are rebuilt,
+        checked and written anew.
 
     Returns
     -------
     SimpleLieAlgebra with B(x_i,x_j) = delta_ij, B(e_a, e_b) = delta_{a,-b},
-    [e_a, e_{-a}] = h_a.
+    [e_a, e_{-a}] = h_a; loaded entry arrays equal fresh ones bit for bit.
 
     Raises
     ------
@@ -597,24 +596,15 @@ def build_simple_lie_algebra(rs: RootSystemData, cache_dir: Optional[str] = None
     """
     cache_dir = cache_dir if cache_dir is not None else os.environ.get(_CACHE_ENV)
     dim = rs.rank + rs.n_roots
-    const = None
-    if cache_dir:
-        const = _load_cache(cache_dir, rs.series, rs.rank, dim)
-    fresh = const is None
-    if fresh:
-        const = _assemble_constants(rs)
+    cached = _load_cache(cache_dir, rs.series, rs.rank, dim) if cache_dir else None
+    const = _assemble_constants(rs) if cached is None else cached
     bform = np.zeros((dim, dim))
     bform[: rs.rank, : rs.rank] = np.eye(rs.rank)
     for i in range(rs.n_roots):
         bform[rs.rank + i, rs.rank + rs.neg(i)] = 1.0
-    g = SimpleLieAlgebra(
-        root_system=rs,
-        dim=dim,
-        structure_constants=const,
-        bilinear_form=bform,
-    )
+    g = SimpleLieAlgebra(root_system=rs, dim=dim, structure_constants=const, bilinear_form=bform)
     _verify_algebra(g)
-    if cache_dir and fresh:
+    if cache_dir and cached is None:
         _save_cache(cache_dir, rs.series, rs.rank, const)
     return g
 
@@ -628,42 +618,11 @@ def _entries_digest(entries: list) -> str:
     return hashlib.sha256(json.dumps(entries, separators=(",", ":")).encode()).hexdigest()
 
 
-def _encode_value(v: Scalar):
-    if isinstance(v, Fraction):
-        return ["q", str(v.numerator), str(v.denominator)]
-    return ["f", float(v)]
-
-
-def _decode_value(obj) -> Scalar:
-    if not isinstance(obj, list) or not obj:
-        raise ValueError(f"bad cached constant {obj!r}")
-    tag, *body = obj
-    if tag == "q" and len(body) == 2:
-        return Fraction(int(body[0]), int(body[1]))
-    if tag == "f" and len(body) == 1 and isinstance(body[0], (int, float)) and math.isfinite(body[0]):
-        return float(body[0])
-    raise ValueError(f"bad cached constant {obj!r}")
-
-
-def _decode_index(x, dim: int) -> int:
-    if type(x) is not int or not 0 <= x < dim:
-        raise ValueError(f"bad cached basis index {x!r}")
-    return x
-
-
-def _save_cache(cache_dir: str, series: str, rank: int, const: dict):
+def _save_cache(cache_dir: str, series: str, rank: int, const: tuple):
     os.makedirs(cache_dir, exist_ok=True)
-    entries = [
-        [int(i), int(j), [[int(k), _encode_value(v)] for k, v in entries]]
-        for (i, j), entries in sorted(const.items())
-    ]
-    doc = {
-        "version": _CACHE_VERSION,
-        "series": series,
-        "rank": rank,
-        "sha256": _entries_digest(entries),
-        "entries": entries,
-    }
+    entries = [c.tolist() for c in const]
+    doc = {"version": _CACHE_VERSION, "series": series, "rank": rank,
+           "sha256": _entries_digest(entries), "entries": entries}
     # write beside the target and rename, so a reader never sees half a file
     path = _cache_path(cache_dir, series, rank)
     tmp = f"{path}.{os.getpid()}.tmp"
@@ -672,8 +631,8 @@ def _save_cache(cache_dir: str, series: str, rank: int, const: dict):
     os.replace(tmp, path)
 
 
-def _load_cache(cache_dir: str, series: str, rank: int, dim: int) -> Optional[dict]:
-    """Cached constants, or None when there is no usable cache file."""
+def _load_cache(cache_dir: str, series: str, rank: int, dim: int) -> Optional[tuple]:
+    """Cached entry arrays, or None when there is no usable cache file."""
     path = _cache_path(cache_dir, series, rank)
     if not os.path.exists(path):
         return None
@@ -685,13 +644,16 @@ def _load_cache(cache_dir: str, series: str, rank: int, dim: int) -> Optional[di
             return None
         if doc["sha256"] != _entries_digest(entries):
             return None
-        const = {}
-        for i, j, pairs in entries:
-            key = (_decode_index(i, dim), _decode_index(j, dim))
-            const[key] = tuple((_decode_index(k, dim), _decode_value(v)) for k, v in pairs)
-    except (OSError, ValueError, TypeError, KeyError, IndexError, ZeroDivisionError):
+        i, j, k, v = entries
+        # four lists of one length: int indices (no bools or floats), int or float values
+        shaped = len({len(i), len(j), len(k), len(v)}) == 1
+        if not shaped or set(map(type, i + j + k)) - {int} or set(map(type, v)) - {int, float}:
+            return None
+        const = _entry_arrays(i, j, k, v)
+    except (OSError, ValueError, TypeError, KeyError, OverflowError):
         return None
-    return const
+    in_range = all(np.all((c >= 0) & (c < dim)) for c in const[:3])
+    return const if in_range and np.all(np.isfinite(const[3])) else None
 
 
 @dataclass(frozen=True)

@@ -99,12 +99,13 @@ class RMatrixSpec:
     X is a tuple of root indices: a closed subset for RationalConstant and
     RationalSpectral, a subset of the simple roots of the polarization for
     TrigDegenerate and TrigSpectral, and empty otherwise.  polarization is
-    the positive-root index tuple (defaults to the standard one).  Every X
-    and polarization entry must be an integer, not a bool or a float, even
-    when validate is False.  The two debug_* fields deliberately corrupt the
-    evaluation and exist only to drive negative controls; validation rejects
-    nothing about them, except that debug_flip_root must be a root index
-    even when validate is False.
+    the positive-root index tuple (the standard one when None or empty).
+    Both may be given as any sequence, a numpy array too; every entry must
+    be an integer, not a bool or a float, even when validate is False.
+    The two debug_* fields deliberately corrupt the evaluation and exist
+    only to drive negative controls; validation rejects nothing about them,
+    except that debug_flip_root must be a root index even when validate is
+    False.
     """
 
     algebra: SimpleLieAlgebra
@@ -126,7 +127,7 @@ class RMatrixSpec:
         rs = self.algebra.root_system
         rank = rs.rank
 
-        members = self.X.members if isinstance(self.X, RootSubset) else (self.X or ())
+        members = self.X.members if isinstance(self.X, RootSubset) else self.X
         x = tuple(sorted(set(_root_indices(members, "X"))))  # X is a set of roots
         object.__setattr__(self, "X", x)
 
@@ -135,7 +136,7 @@ class RMatrixSpec:
             raise SpecInvalid("nu has wrong dimension")
         object.__setattr__(self, "nu", nu)
 
-        pol = tuple(sorted(_root_indices(self.polarization or rs.positive_roots, "polarization")))
+        pol = tuple(sorted(_root_indices(self.polarization, "polarization"))) or rs.positive_roots
         object.__setattr__(self, "polarization", pol)
 
         c = _frozen(self.C if self.C is not None else np.zeros((rank, rank)))
@@ -522,9 +523,9 @@ def _is_integer(i) -> bool:
 
 
 def _root_indices(values, what: str) -> list:
-    """values as Python ints; SpecInvalid for an entry that is not an integer."""
+    """values (None for none) as Python ints; SpecInvalid for a non-integer entry."""
     out = []
-    for i in values:
+    for i in () if values is None else values:
         if not _is_integer(i):
             raise SpecInvalid(f"{what} entries must be integers, got {i!r}")
         out.append(int(i))

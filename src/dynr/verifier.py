@@ -26,7 +26,7 @@ from .errors import (
     SpecInvalid,
     SubalgebraInvalid,
 )
-from .lie_core import CartanVector, SimpleLieAlgebra, _coo, _join
+from .lie_core import CartanVector, SimpleLieAlgebra, _join
 from .rmatrix import (
     SPECTRAL_FAMILIES,
     GaugeRecord,
@@ -254,7 +254,7 @@ def _build_residual_plan(g: SimpleLieAlgebra) -> _ResidualPlan:
     n2 = len(legs[0])
     d_legs = (np.repeat(np.arange(rank), n2), np.tile(legs[0], rank), np.tile(legs[1], rank))
     n3 = len(d_legs[0])
-    fi, fj, fk, fv = _coo(g)
+    fi, fj, fk, fv = g.structure_constants
 
     src_x, src_y, coef, coords = [], [], [], []
     # [x, y] on one shared leg: (x offset, x's bracketed leg, y offset,

@@ -43,9 +43,8 @@ def bracket_table(g) -> np.ndarray:
     f = _TABLES.get(g)
     if f is None:
         f = np.zeros((g.dim, g.dim, g.dim), dtype=complex)
-        for (i, j), entries in g.structure_constants.items():
-            for k, v in entries:
-                f[i, j, k] += float(v)
+        i, j, k, v = g.structure_constants
+        np.add.at(f, (i, j, k), v)
         _TABLES[g] = f
     return f
 

@@ -150,9 +150,10 @@ def test_verify_rejects_spec_json_breaking_family_rules(capsys):
 
 
 def _bad_entry(text):
-    """Drop the value of the first constant and re-sign the entries."""
+    """Drop the value of the last constant, so the four lists have unequal
+    lengths, and re-sign the entries."""
     doc = json.loads(text)
-    doc["entries"][0][2][0].pop()
+    doc["entries"][3].pop()
     canonical = json.dumps(doc["entries"], separators=(",", ":")).encode()
     doc["sha256"] = hashlib.sha256(canonical).hexdigest()
     return json.dumps(doc)
@@ -161,8 +162,8 @@ def _bad_entry(text):
 @pytest.mark.parametrize("damage", [
     lambda text: text[: len(text) // 3],
     lambda text: "\udcff\x00{",
-    lambda text: text.replace("]]]", "]]", 1),
-    lambda text: text.replace('["q", "1", "1"]', '["q", "2", "1"]', 1),  # checksum mismatch
+    lambda text: text.replace("]]}", "]}", 1),
+    lambda text: text.replace("-1.0]]}", "-2.0]]}", 1),  # checksum mismatch
     _bad_entry,
 ])
 def test_verify_rebuilds_unusable_structure_cache(capsys, monkeypatch, tmp_path, damage):
@@ -171,7 +172,7 @@ def test_verify_rebuilds_unusable_structure_cache(capsys, monkeypatch, tmp_path,
             "--samples", "2", "--format", "json", "--no-timing")
     code, clean, _ = _run(capsys, *argv)
     assert code == 0
-    path = tmp_path / "structure_A2_v2.json"
+    path = tmp_path / "structure_A2_v3.json"
     good = path.read_text()
     assert damage(good) != good
     path.write_text(damage(good), errors="surrogateescape")
@@ -264,6 +265,32 @@ def test_subsets_deterministic(capsys):
     _, out2, _ = _run(capsys, "subsets", "--algebra", "G2", "--format", "json")
     assert out1 == out2
     assert json.loads(out1)["count"] == 12
+
+
+class _JsonWithoutDumps:
+    """The json module with dumps refused, for the cli module alone: the
+    verifier's spec digest still uses the real json.dumps."""
+
+    def __getattr__(self, name):
+        return getattr(json, name)
+
+    @staticmethod
+    def dumps(*args, **kwargs):
+        raise AssertionError("a JSON document must be streamed with json.dump")
+
+
+def test_json_output_is_streamed(capsys, monkeypatch, tmp_path):
+    """stdout and --output both get the document through json.dump, never
+    as one json.dumps string, and keep their bytes."""
+    subsets = ("subsets", "--algebra", "G2", "--format", "json")
+    verify = ("verify", "--algebra", "A2", "--family", "trig-cotanh", "--eps", "2",
+              "--samples", "2", "--format", "json", "--no-timing")
+    want_subsets, want_verify = _run(capsys, *subsets), _run(capsys, *verify)
+    monkeypatch.setattr("dynr.cli.json", _JsonWithoutDumps())
+    assert _run(capsys, *subsets) == want_subsets
+    out_file = tmp_path / "report.json"
+    assert _run(capsys, *verify, "--output", str(out_file)) == want_verify
+    assert out_file.read_text() == want_verify[1]
 
 
 def test_subsets_rank_gate(capsys):

@@ -168,8 +168,9 @@ _DIGESTS = {
 def test_structure_constants_and_spec_digests_fixed(series, rank):
     g = build_simple_lie_algebra(build_root_system(series, rank), cache_dir="")
     rs = g.root_system
-    exact = [(i, j, e) for (i, j), e in g.structure_constants.items()
-             if all(isinstance(v, Fraction) for _, v in e)]
+    # the root-to-root constants, exact rationals before they were stored as floats
+    exact = [(int(i), int(j), ((int(k), Fraction(float(v)).limit_denominator(100)),))
+             for i, j, k, v in zip(*g.structure_constants) if min(i, j, k) >= rank]
     docs = [
         spec_to_json(RMatrixSpec(algebra=g, family="TrigCotanh", eps=2.0)),
         spec_to_json(RMatrixSpec(algebra=g, family="TrigDegenerate", eps=2.0, X=(rs.simple_roots[-1],))),
@@ -203,10 +204,8 @@ def test_bracket_antisymmetry_and_jacobi(series, rank):
 
 
 def _with_constants(g, edit):
-    """Copy of g whose structure-constant dict has been changed by edit(dict)."""
-    const = dict(g.structure_constants)
-    edit(const)
-    return dataclasses.replace(g, structure_constants=const)
+    """Copy of g whose entry arrays are edit(i, j, k, v) of writable copies."""
+    return dataclasses.replace(g, structure_constants=edit(*(np.array(c) for c in g.structure_constants)))
 
 
 def _simple_pair(g):
@@ -216,8 +215,18 @@ def _simple_pair(g):
     return basis_index(g, s0), basis_index(g, s1)
 
 
-def _scaled(entries, c):
-    return tuple((k, c * v) for k, v in entries)
+def _scaled(pairs, c):
+    """An edit that scales the rows of each bracket [b_a, b_b], (a, b) in pairs, by c."""
+    def edit(i, j, k, v):
+        for a, b in pairs:
+            v[(i == a) & (j == b)] *= c
+        return i, j, k, v
+    return edit
+
+
+def _appended(row):
+    """An edit that appends one (i, j, k, v) row; a complex v makes v complex."""
+    return lambda *cols: tuple(np.append(c, x) for c, x in zip(cols, row))
 
 
 @pytest.mark.parametrize("series,rank", [("A", 2), ("B", 2), ("E", 7)])
@@ -227,13 +236,10 @@ def test_verify_algebra_rejects_broken_jacobi(series, rank):
     g = _algebra(series, rank)
     _verify_algebra(g)
     i, j = _simple_pair(g)
-    assert g.structure_constants[(i, j)]
-
-    def double(const):
-        # antisymmetry survives, the Jacobi identity does not
-        const[(i, j)] = _scaled(const[(i, j)], 2)
-        const[(j, i)] = _scaled(const[(j, i)], 2)
-
+    fi, fj, _, _ = g.structure_constants
+    assert np.any((fi == i) & (fj == j))
+    # antisymmetry survives, the Jacobi identity does not
+    double = _scaled([(i, j), (j, i)], 2)
     with pytest.raises(ConstructionFailure, match="Jacobi identity violated"):
         _verify_algebra(_with_constants(g, double))
 
@@ -241,22 +247,14 @@ def test_verify_algebra_rejects_broken_jacobi(series, rank):
 def test_verify_algebra_rejects_imaginary_constant():
     g = _algebra("A", 2)
     e0 = basis_index(g, 0)
-
-    def imaginary(const):
-        const[(0, e0)] = const.get((0, e0), ()) + ((e0, 1e-3j),)
-
     with pytest.raises(ConstructionFailure, match="not real"):
-        _verify_algebra(_with_constants(g, imaginary))
+        _verify_algebra(_with_constants(g, _appended((0, e0, e0, 1e-3j))))
 
 
 def test_verify_algebra_rejects_nan_constant():
     g = _algebra("A", 2)
     i, j = _simple_pair(g)
-
-    def nan(const):
-        const[(i, j)] = _scaled(const[(i, j)], float("nan"))
-        const[(j, i)] = _scaled(const[(j, i)], float("nan"))
-
+    nan = _scaled([(i, j), (j, i)], float("nan"))
     with pytest.raises(ConstructionFailure, match="antisymmetry violated"):
         _verify_algebra(_with_constants(g, nan))
 
@@ -264,12 +262,8 @@ def test_verify_algebra_rejects_nan_constant():
 def test_verify_algebra_rejects_broken_antisymmetry():
     g = _algebra("B", 3)
     i, j = _simple_pair(g)
-
-    def one_sided(const):
-        const[(j, i)] = _scaled(const[(j, i)], 2)
-
     with pytest.raises(ConstructionFailure, match="antisymmetry violated"):
-        _verify_algebra(_with_constants(g, one_sided))
+        _verify_algebra(_with_constants(g, _scaled([(j, i)], 2)))
 
 
 def test_verify_algebra_rejects_broken_invariance():
@@ -308,7 +302,7 @@ def _dense_defects(g):
 
 
 def _sparse_defects(g):
-    i, j, k, v = lie_core._coo(g)
+    i, j, k, v = g.structure_constants
     return (
         lie_core._antisymmetry_defect(g.dim, i, j, k, v),
         lie_core._jacobi_defect(g.dim, i, j, k, v),
@@ -329,17 +323,9 @@ def test_sparse_algebra_check_matches_dense_oracle(series, rank, monkeypatch):
     a = rs.simple_roots[0]
     b = g.bilinear_form.copy()
     b[basis_index(g, a), basis_index(g, rs.neg(a))] *= 3.0
-
-    def double(const):
-        const[(i, j)] = _scaled(const[(i, j)], 2)
-        const[(j, i)] = _scaled(const[(j, i)], 2)
-
-    def one_sided(const):
-        const[(j, i)] = _scaled(const[(j, i)], -0.5)
-
-    def diagonal(const):
-        const[(i, i)] = ((j, 1.0),)
-
+    double = _scaled([(i, j), (j, i)], 2)
+    one_sided = _scaled([(j, i)], -0.5)
+    diagonal = _appended((i, i, j, 1.0))
     off = g.bilinear_form.copy()
     off[0, -1] += 0.25
     variants = [g, _with_constants(g, double), _with_constants(g, one_sided), _with_constants(g, diagonal),
@@ -364,13 +350,8 @@ def test_blocked_jacobi_defect_is_bit_equal_to_one_join(series, rank):
     g = _algebra(series, rank)
     # on A1 a doubled [e, f] is still a Lie algebra, a doubled [h, e] is not
     i, j = _simple_pair(g) if rank > 1 else (0, basis_index(g, 0))
-
-    def double(const):
-        const[(i, j)] = _scaled(const[(i, j)], 2)
-        const[(j, i)] = _scaled(const[(j, i)], 2)
-
-    for h in (g, _with_constants(g, double)):
-        args = (h.dim,) + lie_core._coo(h)
+    for h in (g, _with_constants(g, _scaled([(i, j), (j, i)], 2))):
+        args = (h.dim,) + h.structure_constants
         assert lie_core._jacobi_defect(*args) == jacobi_defect(*args)
     assert jacobi_defect(*args) > 0.1
 
@@ -494,27 +475,43 @@ def test_cartan_vector_arithmetic():
     assert np.allclose(CartanVector.zero(3).as_array(), [0, 0, 0])
 
 
+def _assert_same_entries(g1, g2):
+    """The entry arrays of g1 and g2 agree in dtype and bytes, row for row."""
+    for c1, c2 in zip(g1.structure_constants, g2.structure_constants, strict=True):
+        assert c1.dtype == c2.dtype and c1.tobytes() == c2.tobytes()
+
+
 def test_cache_round_trip(tmp_path):
     rs = build_root_system("B", 2)
     g1 = build_simple_lie_algebra(rs, cache_dir=str(tmp_path))
     g2 = build_simple_lie_algebra(rs, cache_dir=str(tmp_path))
     assert g1.dim == g2.dim
     # second build loads the cached constants bit for bit
-    k1 = sorted(g1.structure_constants)
-    k2 = sorted(g2.structure_constants)
-    assert k1 == k2
-    for key in k1:
-        assert g1.structure_constants[key] == g2.structure_constants[key]
+    _assert_same_entries(g1, g2)
     assert np.array_equal(bracket_table(g1), bracket_table(g2))
+
+
+@pytest.mark.parametrize("series,rank", [("A", 1), ("A", 2), ("B", 3), ("G", 2), ("F", 4), ("E", 6)])
+def test_cached_entry_arrays_equal_a_fresh_build_in_order(tmp_path, monkeypatch, series, rank):
+    """A cache-loaded algebra lists the same rows as a fresh build, in the
+    same order, so every check and the residual plan see the same terms."""
+    rs = build_root_system(series, rank)
+    fresh = build_simple_lie_algebra(rs, cache_dir=str(tmp_path))
+    monkeypatch.setattr(lie_core, "_assemble_constants", None)  # the second build must load
+    loaded = build_simple_lie_algebra(rs, cache_dir=str(tmp_path))
+    _assert_same_entries(fresh, loaded)
+    assert [c.dtype for c in loaded.structure_constants] == [np.int64] * 3 + [np.float64]
+    assert not any(c.flags.writeable for c in fresh.structure_constants + loaded.structure_constants)
 
 
 def test_cache_document_carries_entry_checksum(tmp_path):
     rs = build_root_system("A", 2)
-    build_simple_lie_algebra(rs, cache_dir=str(tmp_path))
+    g = build_simple_lie_algebra(rs, cache_dir=str(tmp_path))
     (path,) = tmp_path.iterdir()
-    assert path.name == "structure_A2_v2.json"
+    assert path.name == "structure_A2_v3.json"
     doc = json.loads(path.read_text())
-    assert doc["version"] == 2
+    assert doc["version"] == 3
+    assert doc["entries"] == [c.tolist() for c in g.structure_constants]  # four lists, in row order
     canonical = json.dumps(doc["entries"], separators=(",", ":")).encode()
     assert doc["sha256"] == hashlib.sha256(canonical).hexdigest()
 
@@ -529,10 +526,9 @@ def _rewrite_entries(doc, edit, resign=True):
 
 
 def _double_root_constants(entries):
-    for entry in entries:
-        for pair in entry[2]:
-            if pair[1][0] == "q":
-                pair[1][1] = str(2 * int(pair[1][1]))
+    """Double every root-to-root constant of A2: the rows whose i, j and k are all root vectors."""
+    v = entries[3]
+    v[:] = [2 * x if min(row) >= 2 else x for *row, x in zip(*entries)]
 
 
 @pytest.mark.parametrize("damage", [
@@ -540,20 +536,26 @@ def _double_root_constants(entries):
     lambda text, doc: "",
     lambda text, doc: "[1, 2, 3]",
     lambda text, doc: _rewrite_entries(doc, _double_root_constants, resign=False),
-    lambda text, doc: _rewrite_entries(doc, lambda e: e[0][2][0].pop()),  # entry without a value
+    lambda text, doc: _rewrite_entries(doc, lambda e: e[3].pop()),  # lists of unequal length
+    lambda text, doc: _rewrite_entries(doc, lambda e: e.pop()),  # three lists
     lambda text, doc: _rewrite_entries(doc, lambda e: e[0].__setitem__(0, 999)),  # index out of range
-    lambda text, doc: _rewrite_entries(doc, lambda e: e[0][2][0][1].__setitem__(0, "z")),
-    lambda text, doc: _rewrite_entries(doc, lambda e: e[0][2][0].__setitem__(0, 1.0)),
-    lambda text, doc: _rewrite_entries(doc, lambda e: e[0][2][0].__setitem__(1, ["f", float("nan")])),
+    lambda text, doc: _rewrite_entries(doc, lambda e: e[1].__setitem__(0, -1)),
+    lambda text, doc: _rewrite_entries(doc, lambda e: e[3].__setitem__(0, "z")),  # value not a number
+    lambda text, doc: _rewrite_entries(doc, lambda e: e[3].__setitem__(0, [1.0])),
+    lambda text, doc: _rewrite_entries(doc, lambda e: e[2].__setitem__(0, 1.0)),  # float index
+    lambda text, doc: _rewrite_entries(doc, lambda e: e[1].__setitem__(0, True)),  # bool index
+    lambda text, doc: _rewrite_entries(doc, lambda e: e[0].__setitem__(0, 2**70)),
+    lambda text, doc: _rewrite_entries(doc, lambda e: e[3].__setitem__(0, float("nan"))),
+    lambda text, doc: _rewrite_entries(doc, lambda e: e[3].__setitem__(0, 10**400)),
 ])
 def test_unusable_cache_is_rebuilt(tmp_path, damage):
     rs = build_root_system("A", 2)
     g1 = build_simple_lie_algebra(rs, cache_dir=str(tmp_path))
-    path = tmp_path / "structure_A2_v2.json"
+    path = tmp_path / "structure_A2_v3.json"
     good = path.read_text()
     path.write_text(damage(good, json.loads(good)))
     g2 = build_simple_lie_algebra(rs, cache_dir=str(tmp_path))
-    assert g2.structure_constants == g1.structure_constants
+    _assert_same_entries(g1, g2)
     assert path.read_text() == good
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
@@ -561,7 +563,7 @@ def test_unusable_cache_is_rebuilt(tmp_path, damage):
 def test_cache_with_valid_checksum_is_still_checked(tmp_path):
     rs = build_root_system("A", 2)
     build_simple_lie_algebra(rs, cache_dir=str(tmp_path))
-    path = tmp_path / "structure_A2_v2.json"
+    path = tmp_path / "structure_A2_v3.json"
     doc = json.loads(path.read_text())
     path.write_text(_rewrite_entries(doc, _double_root_constants))
     with pytest.raises(ConstructionFailure, match="Jacobi identity violated"):

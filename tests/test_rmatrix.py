@@ -893,6 +893,42 @@ def test_duplicate_X_entries_count_once():
                 assert (a is None and b is None) or np.array_equal(a, b), family
 
 
+def _index_tuples(field, validate):
+    """(algebra, family, index tuples of length 0, 1 and 2) for an X or
+    polarization case; the validated X cases are simple roots, the others
+    start at root 0."""
+    if field == "X":
+        simple = A2.root_system.simple_roots
+        return A2, "TrigDegenerate", [(), simple[:1], simple] if validate else [(), (0,), (0, 5)]
+    return (A1 if validate else A2), "TrigCotanh", [(), (0,), (0, 1)]
+
+
+@pytest.mark.parametrize("validate", [True, False])
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("field", ["X", "polarization"])
+def test_spec_reads_an_index_array_like_its_tuple(field, n, validate):
+    """X or polarization given as a numpy array builds the spec that the
+    tuple of its entries builds: the same id, or the same SpecInvalid.  An
+    empty array means no X or the standard polarization, as () does."""
+    g, family, tuples = _index_tuples(field, validate)
+
+    def build(value):
+        return RMatrixSpec(algebra=g, family=family, eps=2.0, validate=validate, **{field: value})
+
+    given = np.array(tuples[n], dtype=np.int64)
+    try:
+        want = build(tuple(tuples[n]))
+    except SpecInvalid as exc:
+        with pytest.raises(SpecInvalid, match=re.escape(str(exc))):
+            build(given)
+        return
+    got = build(given)
+    assert getattr(got, field) == getattr(want, field)
+    assert spec_digest(got) == spec_digest(want)
+    if n == 0:
+        assert spec_digest(got) == spec_digest(build(None))
+
+
 def test_spec_arrays_are_read_only_copies():
     """A spec and its gauge records keep read-only copies of the caller's
     arrays: changing the caller's C, c_matrix or psi afterwards changes
