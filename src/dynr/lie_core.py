@@ -13,7 +13,8 @@ root vector per root, scaled so that B(e_a, e_{-a}) = 1 and
 follow a fixed extraspecial-pair convention; root-to-root constants are
 assembled as exact rationals and stored as floats, like the irrational
 Cartan legs.  Every construction is checked for antisymmetry, the Jacobi
-identity, and invariance of the form before it is returned.
+identity, invariance of the form and the Chevalley relations before it is
+returned.
 """
 
 from __future__ import annotations
@@ -543,8 +544,33 @@ def _invariance_defect(b: np.ndarray, i, j, k, v) -> float:
     return _max_by_key(keys, np.concatenate([v[fl] * w[bl], -v[fr] * w[br]]))
 
 
+def _chevalley_defect(g: SimpleLieAlgebra, i, j, k, v) -> float:
+    """max |[x_k, e_a] - a_k e_a| and |[e_a, e_{-a}] - h_a| over every root a,
+    Cartan index k and output index, h_a being sum_k a_k x_k.
+
+    The (i, j) pairs read are every (Cartan, root) pair and every
+    (e_a, e_{-a}) pair; a bracket with no rows, or no rows at all, counts
+    as zero.
+    """
+    n, rank = g.dim, g.rank
+    roots = g.root_system.roots
+    e, e_neg = g.root_pair_index()
+    neg_of = np.full(n, -1)
+    neg_of[e] = e_neg
+    read = (j >= rank) & ((i < rank) | (j == neg_of[i]))
+    # wanted rows: [x_k, e_a] has a_k on e_a; [e_a, e_{-a}] has a_k on x_k
+    a, kk = np.nonzero(roots)
+    want_i = np.concatenate([kk, e[a]])
+    want_j = np.concatenate([e[a], e_neg[a]])
+    want_k = np.concatenate([e[a], kk])
+    want_v = np.tile(roots[a, kk], 2)
+    keys = np.concatenate([(i[read] * n + j[read]) * n + k[read], (want_i * n + want_j) * n + want_k])
+    return _max_by_key(keys, np.concatenate([v[read], -want_v]))
+
+
 def _verify_algebra(g: SimpleLieAlgebra, tol: float = 1e-12):
-    """Check reality, antisymmetry, Jacobi and form invariance of g.
+    """Check reality, antisymmetry, Jacobi, form invariance and the
+    Chevalley relations of g.
 
     Works on the structure-constant entry arrays, never on a dense table,
     so it runs on every algebra.  Raises ConstructionFailure naming the
@@ -561,6 +587,8 @@ def _verify_algebra(g: SimpleLieAlgebra, tol: float = 1e-12):
         raise ConstructionFailure("Jacobi identity violated")
     if not _invariance_defect(g.bilinear_form, i, j, k, v) <= tol:
         raise ConstructionFailure("invariance of the form violated")
+    if not _chevalley_defect(g, i, j, k, v) <= tol:
+        raise ConstructionFailure("Chevalley relations violated")
 
 
 def build_simple_lie_algebra(rs: RootSystemData, cache_dir: Optional[str] = None) -> SimpleLieAlgebra:
@@ -592,7 +620,7 @@ def build_simple_lie_algebra(rs: RootSystemData, cache_dir: Optional[str] = None
         type".  Then on every algebra, built or loaded from the cache, in
         this order: "structure constants not real", "antisymmetry
         violated", "Jacobi identity violated", "invariance of the form
-        violated".
+        violated", "Chevalley relations violated".
     """
     cache_dir = cache_dir if cache_dir is not None else os.environ.get(_CACHE_ENV)
     dim = rs.rank + rs.n_roots

@@ -558,25 +558,30 @@ def _identity_phi(spec: RMatrixSpec, phi):
     return phi
 
 
+def _reduced_periods(p1: complex, p2: complex) -> tuple:
+    """A Lagrange-reduced basis b1, b2 of the lattice spanned by p1 and p2:
+    |b1| <= |b2| and |Re(b2 / b1)| <= 1/2, so b1 is a shortest period."""
+    b1, b2 = sorted((p1, p2), key=abs)
+    while True:
+        b2 = b2 - round((b2 / b1).real) * b1
+        if abs(b2) >= abs(b1):
+            return b1, b2
+        b1, b2 = b2, b1
+
+
 def _lattice_distance(w: np.ndarray, periods) -> np.ndarray:
     """Distance from each entry of w to the lattice spanned by 0, 1 or 2 periods.
 
-    Two periods are first Lagrange-reduced to b1, b2 with |b1| <= |b2| and
-    |Re(b2 / b1)| <= 1/2: the cell they span then splits into two triangles
-    that are not obtuse, so the lattice point nearest w is a corner of the
-    cell that holds w.
+    Two periods are first Lagrange-reduced (_reduced_periods): the cell
+    they span then splits into two triangles that are not obtuse, so the
+    lattice point nearest w is a corner of the cell that holds w.
     """
     if not periods:
         return np.abs(w)
     if len(periods) == 1:
         p = periods[0]
         return np.abs(w - np.round((w / p).real) * p)
-    b1, b2 = sorted(periods, key=abs)
-    while True:
-        b2 = b2 - round((b2 / b1).real) * b1
-        if abs(b2) >= abs(b1):
-            break
-        b1, b2 = b2, b1
+    b1, b2 = _reduced_periods(*periods)
     det = (b1.conjugate() * b2).imag
     x = np.floor((np.conj(w) * b2).imag / det)  # floor of w's coordinates in (b1, b2)
     y = np.floor((b1.conjugate() * w).imag / det)

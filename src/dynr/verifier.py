@@ -9,6 +9,7 @@ reproducible byte for byte (modulo the wall-time field).
 from __future__ import annotations
 
 import cmath
+import functools
 import hashlib
 import json
 import math
@@ -38,6 +39,7 @@ from .rmatrix import (
     _pole_margins,
     _record,
     _Record,
+    _reduced_periods,
     _require_root,
     effective_coupling,
     gauge_apply,
@@ -154,6 +156,70 @@ def spec_digest(spec: RMatrixSpec) -> str:
     return spec._digest
 
 
+_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's default 128-bit LCG multiplier
+
+
+@functools.lru_cache(maxsize=64)
+def _pcg64_seed(seed: int) -> tuple:
+    """(state, increment) of numpy's PCG64 seeded by SeedSequence(seed), pool
+    size 4 (numpy NEP 19): the seed's 32-bit words are hashed into the pool,
+    the pool is mixed, and generate_state(4, uint64) gives the LCG's initial
+    state (words 0-1) and stream (words 2-3)."""
+    words = [(seed >> s) & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _M32
+        value = value * hash_const & _M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    out, hash_const = [], 0x8B51F9DD
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _M32
+        value = value * hash_const & _M32
+        out.append(value ^ value >> 16)
+    s0, s1, i0, i1 = (out[i] | out[i + 1] << 32 for i in range(0, 8, 2))  # little-endian uint64 pairs
+    inc = (i0 << 64 | i1) << 1 & _M128 | 1
+    return ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _M128, inc  # two LCG steps, as pcg64_set_seed
+
+
+class _PCG64:
+    """The doubles of np.random.default_rng(seed).random(), in Python ints:
+    PCG64 (O'Neill, PCG, HMC-CS-2014-0905), a 128-bit LCG with XSL-RR output,
+    each double being the top 53 bits of an output times 2**-53."""
+
+    def __init__(self, seed):
+        self._state, self._inc = _pcg64_seed(int(seed))
+
+    def random(self, shape: tuple) -> np.ndarray:
+        """The next prod(shape) doubles, in C order."""
+        state, inc, out = self._state, self._inc, []
+        mult, m64, m128 = _PCG_MULT, _M64, _M128  # locals: the loop runs once per double
+        for _ in range(math.prod(shape)):
+            state = (state * mult + inc) & m128
+            x, rot = ((state >> 64) ^ state) & m64, state >> 122
+            x = (x >> rot | x << (64 - rot)) & m64
+            out.append((x >> 11) * 2**-53)
+        self._state = state
+        return np.array(out, dtype=float).reshape(shape)
+
+
 def _draw_vector(rng, k: int, box, im_box, z_box, n_z: int, rank: int):
     """k candidates (lambda (k, rank), z (k, n_z)) from one rng.random call, a
     row holding a serial uniform draw's doubles in order: Re, Im lambda in box,
@@ -173,11 +239,11 @@ def _campaign_points(specs: Sequence[RMatrixSpec], plan: SamplePlan, n_z: int):
 
     Candidate blocks are scored at once and walked in stream order, so the
     points are a one-candidate loop's; a point fails after max_resamples
-    rejections in a row.  The generator, seeded with plan.seed, is discarded
-    afterwards, so a block may read past the last point: it starts at count
-    rows and doubles on refill, up to _BLOCK_ROWS.
+    rejections in a row.  The stream (_PCG64), seeded with plan.seed, is
+    discarded afterwards, so a block may read past the last point: it
+    starts at count rows and doubles on refill, up to _BLOCK_ROWS.
     """
-    count, rng = plan.count, np.random.default_rng(plan.seed)
+    count, rng = plan.count, _PCG64(plan.seed)
     block = min(count, _BLOCK_ROWS)
     im_box = tuple(0.5 * b for b in plan.z_box) if any(s.family == "EllipticSpectral" for s in specs) else plan.box
     points, misses = [], 0
@@ -410,6 +476,18 @@ def cdybe_residual(
     return _densify(spec.algebra, _residual(spec, lam.as_array(), zs, mode, fd_step))
 
 
+def _residue_radius(spec: RMatrixSpec) -> float:
+    """Radius of the campaign's residue contour: 0.05, or a tenth of the
+    shortest period of an elliptic spec's pole lattice in z when that is
+    less.  The 16-point average aliases Laurent terms of relative size
+    (radius / shortest period)**16, so they stay at round-off."""
+    if spec.family != "EllipticSpectral":
+        return 0.05
+    b = math.prod(complex(g.scale[1]) for g in spec.gauge_stack if g.kind == 4)  # the family reads b * z
+    shortest, _ = _reduced_periods(1 / b, spec.tau / b)
+    return min(0.05, 0.1 * abs(shortest))
+
+
 def _contour(radius: float, points: int) -> np.ndarray:
     return radius * np.exp(2j * math.pi * np.arange(points) / points)
 
@@ -539,7 +617,7 @@ def _axiom_checks(spec: RMatrixSpec, lam: np.ndarray, zs=None, r: Optional[np.nd
     checks = []
     if spec.is_spectral:
         z12 = (zs[:, 0] - zs[:, 1])[:, None]
-        zj = _contour(0.05, 16)
+        zj = _contour(_residue_radius(spec), 16)
         args = [z12] * (r is None) + [-z12, np.broadcast_to(zj, (n, len(zj)))]
         values = _record(spec, lam[:, None], np.hstack(args)).v
         r = values[:, 0] if r is None else r

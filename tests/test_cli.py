@@ -32,14 +32,35 @@ def _run(capsys, *argv):
     return code, out.out, out.err
 
 
-def _run_process(*argv):
-    """Run `python -m dynr` in a fresh interpreter: (exit code, stderr)."""
+def _python(*args):
+    """Run the interpreter with args in a fresh process that imports this dynr."""
     src = str(Path(dynr.verifier.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "dynr", *argv], capture_output=True, text=True, env=env, timeout=120
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+
+
+def _run_process(*argv):
+    """Run `python -m dynr` in a fresh interpreter: (exit code, stderr)."""
+    proc = _python("-m", "dynr", *argv)
     return proc.returncode, proc.stderr
+
+
+def test_sampling_never_loads_numpy_random():
+    """The campaign draws from its own stream, so neither a library
+    campaign nor a CLI run imports numpy.random."""
+    script = """if True:
+        import sys
+        from dynr import RMatrixSpec, SamplePlan, build_root_system, build_simple_lie_algebra, check_axioms
+        from dynr.cli import main
+        g = build_simple_lie_algebra(build_root_system("A", 2))
+        assert check_axioms(RMatrixSpec(algebra=g, family="EllipticSpectral", tau=2j), SamplePlan(seed=3, count=2)).passed
+        assert "numpy.random" not in sys.modules
+        assert main(["verify", "--algebra", "A2", "--family", "elliptic-spectral", "--tau=2i", "--samples", "2"]) == 0
+        assert "numpy.random" not in sys.modules
+    """
+    proc = _python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().endswith("PASS")
 
 
 # ---------------------------------------------------------------- verify
@@ -183,6 +204,20 @@ def test_verify_rebuilds_unusable_structure_cache(capsys, monkeypatch, tmp_path,
     assert path.read_text() == good
     # a run that loads the rewritten cache prints the same bytes
     assert _run(capsys, *argv)[:2] == (0, clean)
+
+
+def test_verify_refuses_a_signed_cache_with_no_brackets(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("DYNR_FIXTURE_DIR", str(tmp_path))
+    argv = ("verify", "--algebra", "A2", "--family", "trig-cotanh", "--eps", "2", "--samples", "2")
+    assert _run(capsys, *argv)[0] == 0
+    path = tmp_path / "structure_A2_v3.json"
+    doc = json.loads(path.read_text())
+    doc["entries"] = [[], [], [], []]
+    doc["sha256"] = hashlib.sha256(b"[[],[],[],[]]").hexdigest()
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "Chevalley relations violated" in err
 
 
 def test_verify_rejects_unknown_family(capsys):

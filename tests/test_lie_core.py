@@ -277,6 +277,49 @@ def test_verify_algebra_rejects_broken_invariance():
         _verify_algebra(dataclasses.replace(g, bilinear_form=b))
 
 
+def _dropped(rows):
+    """An edit that deletes the rows where rows(i, j, k) is true."""
+    return lambda i, j, k, v: tuple(c[~rows(i, j, k)] for c in (i, j, k, v))
+
+
+def _zeroed(rows):
+    """An edit that sets v to 0 on the rows where rows(i, j, k) is true."""
+    def edit(i, j, k, v):
+        v[rows(i, j, k)] = 0.0
+        return i, j, k, v
+    return edit
+
+
+def test_verify_algebra_rejects_an_empty_table():
+    """No bracket at all passes antisymmetry, Jacobi and invariance."""
+    g = _algebra("A", 2)
+    empty = _with_constants(g, _dropped(lambda i, j, k: np.ones(len(i), bool)))
+    with pytest.raises(ConstructionFailure, match="Chevalley relations violated"):
+        _verify_algebra(empty)
+
+
+@pytest.mark.parametrize("series,rank", [("A", 1), ("A", 2), ("B", 3), ("G", 2), ("E", 6)])
+def test_chevalley_check_reads_every_relation(series, rank):
+    """Dropping the [e_a, e_{-a}] rows of one root pair, or zeroing the
+    [x_k, e_a] rows of one root, both orders so antisymmetry holds, is a
+    Chevalley defect of the size of the lost entry."""
+    g = _algebra(series, rank)
+    assert lie_core._chevalley_defect(g, *g.structure_constants) == 0.0
+    rs = g.root_system
+    a = rs.simple_roots[-1]
+    ea, eb = basis_index(g, a), basis_index(g, rs.neg(a))
+    k = int(np.flatnonzero(rs.roots[a])[0])
+
+    def pair(x, y):
+        return lambda i, j, _: ((i == x) & (j == y)) | ((i == y) & (j == x))
+
+    for edit in (_dropped(pair(ea, eb)), _zeroed(pair(k, ea))):
+        broken = _with_constants(g, edit)
+        assert lie_core._chevalley_defect(broken, *broken.structure_constants) >= abs(rs.roots[a, k])
+        with pytest.raises(ConstructionFailure):
+            _verify_algebra(broken)
+
+
 def _dense_defects(g):
     """(antisymmetry, Jacobi, invariance) maxima from the dense bracket table.
 
@@ -567,6 +610,16 @@ def test_cache_with_valid_checksum_is_still_checked(tmp_path):
     doc = json.loads(path.read_text())
     path.write_text(_rewrite_entries(doc, _double_root_constants))
     with pytest.raises(ConstructionFailure, match="Jacobi identity violated"):
+        build_simple_lie_algebra(rs, cache_dir=str(tmp_path))
+
+
+def test_signed_cache_with_no_entries_is_refused(tmp_path):
+    """Four empty lists, re-signed, describe an algebra with no brackets."""
+    rs = build_root_system("A", 2)
+    build_simple_lie_algebra(rs, cache_dir=str(tmp_path))
+    path = tmp_path / "structure_A2_v3.json"
+    path.write_text(_rewrite_entries(json.loads(path.read_text()), lambda e: [c.clear() for c in e]))
+    with pytest.raises(ConstructionFailure, match="Chevalley relations violated"):
         build_simple_lie_algebra(rs, cache_dir=str(tmp_path))
 
 

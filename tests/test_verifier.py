@@ -1,6 +1,7 @@
 """Axiom checks, residual assembly, limits, reduction, and the series bridge."""
 
 import gc
+import itertools
 import math
 from dataclasses import replace
 
@@ -49,6 +50,7 @@ from dynr import (
     reduce_pair_check,
 )
 from dynr import rmatrix, verifier
+from dynr.combinatorics import additive_closure
 from dynr.verifier import addition_identity_residual, phi_ode_residual
 
 A1 = build_simple_lie_algebra(build_root_system("A", 1))
@@ -1078,3 +1080,79 @@ def test_check_axioms_evaluates_each_sample_argument_once(monkeypatch):
             assert sum(calls) == n * per_point, spec.family
             assert len(calls) == n_calls, spec.family
             assert len(kernels) == 1, spec.family
+
+
+# ---------------------------------------------------------------- sample stream
+
+def _stream_seeds():
+    """Edge seeds (one to seven 32-bit words, a numpy integer) and 200 seeded
+    random seeds of 1 to 160 bits."""
+    import random
+
+    draw = random.Random(2024)
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 + 99, 2**200 + 1, np.int64(2**40 + 7)]
+    return seeds + [draw.getrandbits(draw.randint(1, 160)) for _ in range(200)]
+
+
+def test_sample_stream_is_numpys_default_rng_stream():
+    """The campaign's stream gives np.random.default_rng(seed).random()'s
+    doubles, over successive draws of several sizes and shapes."""
+    for seed in _stream_seeds():
+        ours, numpys = verifier._PCG64(seed), np.random.default_rng(seed)
+        for shape in ((1,), (3, 5), (7,), (0,), (2, 9), (1, 1)):
+            got, want = ours.random(shape), numpys.random(shape)
+            assert got.dtype == want.dtype and got.shape == want.shape, (seed, shape)
+            assert np.array_equal(got, want), (seed, shape)
+
+
+# ---------------------------------------------------------------- residue contour
+
+@pytest.mark.parametrize("tau", [2j, 1j, 4j, 0.3 + 1.1j, 0.2 + 1.4j])
+def test_residue_contour_keeps_its_radius_on_a_wide_lattice(tau):
+    """A shortest period of 0.5 or more keeps the 0.05 circle, so reports there
+    are unchanged; a kind-4 z scale b shrinks the lattice in z by b."""
+    spec = RMatrixSpec(algebra=A2, family="EllipticSpectral", tau=tau)
+    assert verifier._residue_radius(spec) == 0.05
+    scaled = gauge_apply(spec, GaugeRecord(kind=4, scale=(1.0, 8.0)))
+    shortest = min(abs(tau), 1.0) / 8  # (1, tau) is reduced for these tau
+    assert verifier._residue_radius(scaled) == pytest.approx(0.1 * shortest, rel=1e-15)
+    assert verifier._residue_radius(RMatrixSpec(algebra=A2, family="TrigSpectral", X=())) == 0.05
+
+
+@pytest.mark.parametrize("tau", [0.25j, 0.1j])
+def test_residue_stays_at_round_off_at_small_im_tau(tau):
+    """The contour takes a tenth of the shortest period: at tau = 0.1i the
+    fixed 0.05 circle read about 1e-4.  unitarity and cdybe-residual still
+    read FAIL at these tau on some seeds, from the theta sums' precision."""
+    spec = RMatrixSpec(algebra=A2, family="EllipticSpectral", tau=tau)
+    for seed in range(8):
+        checks = {c.name: c for c in check_axioms(spec, SamplePlan(seed=seed, count=3)).checks}
+        assert checks["residue"].max_residual <= 1e-12, seed
+
+
+# ---------------------------------------------------------------- classification
+
+def test_trig_degenerate_passes_exactly_on_a_simple_root_subsystem():
+    """The paper's necessity rule for TrigDegenerate: check_axioms reads PASS
+    if and only if the additive closure of X and -X is the root system of a
+    set of simple roots.  Every X of 1-3 positive roots not all simple, on
+    rank 2 and 3 (331 specs); every FAIL is the CDYBE residual's alone."""
+    plan = SamplePlan(seed=0, count=2)
+    n_specs, outcomes = 0, set()
+    for series, rank in (("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3), ("C", 3)):
+        g = build_simple_lie_algebra(build_root_system(series, rank))
+        rs = g.root_system
+        simple = set(rs.simple_roots)
+        levis = {additive_closure(rs, set(s) | {rs.neg(i) for i in s})
+                 for n in range(rank + 1) for s in itertools.combinations(rs.simple_roots, n)}
+        for n in (1, 2, 3):
+            for xs in itertools.combinations(rs.positive_roots, n):
+                if set(xs) <= simple:
+                    continue
+                spec = RMatrixSpec(algebra=g, family="TrigDegenerate", eps=1.0, X=xs, validate=False)
+                failed = [c.name for c in check_axioms(spec, plan).checks if not c.passed]
+                levi = additive_closure(rs, set(xs) | {rs.neg(i) for i in xs}) in levis
+                assert failed == ([] if levi else ["cdybe-residual"]), (series, rank, xs, failed)
+                outcomes.add(levi)
+                n_specs += 1
+    assert n_specs == 331 and outcomes == {True, False}
