@@ -1,9 +1,8 @@
-"""Root-subset utilities: closed subsets, span closure, polarization search.
+"""Root-subset utilities: closed subsets, additive closure, polarization search.
 
 Closed subsets (symmetric, additively closed sets of roots) parametrize the
-zero-coupling families; span closure turns a choice of simple roots into
-the positive-root span it generates; find_polarization constructively
-produces a regular vector whose positive system contains a prescribed
+zero-coupling families; find_polarization constructively produces a
+regular vector whose positive system contains a prescribed
 additively-closed, asymmetric set Y.
 """
 
@@ -131,26 +130,6 @@ def enumerate_closed_subsets(rs: RootSystemData) -> list:
         if not is_closed_subset(rs, sub.members):
             raise SpecInvalid("enumeration produced a non-closed subset")
     return out
-
-
-def span_closure(rs: RootSystemData, x_simple: Iterable[int]) -> RootSubset:
-    """Positive roots that are nonnegative integer combinations of x_simple.
-
-    x_simple holds root indices of simple positive roots; the result is
-    the set of positive roots supported on those simple coordinates.
-    """
-    simple_set = set(rs.simple_roots)
-    xs = set(int(i) for i in x_simple)
-    for i in xs:
-        if i not in simple_set:
-            raise SpecInvalid(f"root index {i} is not a simple positive root")
-    positions = {list(rs.simple_roots).index(i) for i in xs}
-    members = []
-    for idx in rs.positive_roots:
-        support = {k for k in range(rs.rank) if rs.coeffs[idx][k] != 0}
-        if support <= positions:
-            members.append(idx)
-    return RootSubset(rs, tuple(members))
 
 
 @dataclass(frozen=True)

@@ -38,10 +38,6 @@ class ConvergenceFailure(DynrError):
     """A series cannot reach the requested accuracy within its cutoff."""
 
 
-class RootSumNonzero(DynrError):
-    """Triangle identity requested for roots that do not sum to zero."""
-
-
 class TooLarge(DynrError):
     """Exhaustive enumeration refused for oversized input."""
 

@@ -8,8 +8,7 @@ are stored as an ordered stack on the spec and folded in at evaluation
 time, so a gauged spec evaluates exactly to the transformed function.
 
 Analytic derivatives in the Cartan direction are threaded through the
-gauge stack, so finite differences are only ever needed as an independent
-cross-check.
+gauge stack; the tests cross-check them against finite differences.
 """
 
 from __future__ import annotations
@@ -397,9 +396,9 @@ class _Record(NamedTuple):
 
     v holds the Cartan block M row-major, then the e_a (x) e_{-a}
     coefficient per root, the entries whose basis legs _legs gives.  d[k]
-    is v's derivative along the k-th Cartan coordinate (M block zero in
-    analytic mode), or None when no derivative was asked for.  A record of
-    a batch of arguments carries the batch's shape in front of both fields.
+    is v's derivative along the k-th Cartan coordinate (M block zero), or
+    None when no derivative was asked for.  A record of a batch of
+    arguments carries the batch's shape in front of both fields.
     """
 
     v: np.ndarray
@@ -432,37 +431,22 @@ def _check_point(spec: RMatrixSpec, lam: np.ndarray, z) -> None:
         raise SpecInvalid(f"{spec.family} takes no z")
 
 
-def _record(
-    spec: RMatrixSpec,
-    lam: np.ndarray,
-    z,
-    mode: Optional[str] = None,
-    fd_step: float = 1e-5,
-) -> _Record:
-    """Evaluate spec at (lam, z); mode None skips the derivative.
+def _record(spec: RMatrixSpec, lam: np.ndarray, z, want_d: bool = False) -> _Record:
+    """Evaluate spec at (lam, z), with the analytic derivative when want_d.
 
     lam and z may be batches, as for _evaluate, run in one _evaluate call.
-    Analytic mode differentiates the closed-form coefficients (threaded
-    through the gauge stack), where M is lam-independent; finite-difference
-    mode takes central differences of v at lam +- fd_step e_k, all 2 * rank
-    shifts in one more call.  The spec's debug_flip_root is applied to the
-    result.  Raises SpecInvalid for a point of the wrong shape (see
-    _check_point), NonFiniteValue naming lam and z of the first argument
-    (in C order) whose record has an inf or nan entry.
+    The derivative differentiates the closed-form coefficients (threaded
+    through the gauge stack), where M is lam-independent.  The spec's
+    debug_flip_root is applied to the result.  Raises SpecInvalid for a
+    point of the wrong shape (see _check_point), NonFiniteValue naming lam
+    and z of the first argument (in C order) whose record has an inf or nan
+    entry.
     """
-    if mode not in (None, "analytic", "finite-difference"):
-        raise SpecInvalid(f"unknown mode {mode!r}")
     _check_point(spec, lam, z)
     lam = np.asarray(lam)
     z = None if z is None else np.asarray(z, dtype=complex)
     lead = np.broadcast_shapes(lam.shape[:-1], np.shape(z))
-    rec = _Record(*_evaluate(spec, lam, z, mode == "analytic"))
-    if mode == "finite-difference":
-        rank = lam.shape[-1]
-        # the shifted lambdas as a (rank, 2) batch in front of the record's axes
-        s = fd_step * np.eye(rank, dtype=complex).reshape((rank,) + (1,) * len(lead) + (rank,))
-        vs, _ = _evaluate(spec, np.stack([lam + s, lam - s], axis=1), z, False)
-        rec = _Record(rec.v, np.moveaxis((vs[:, 0] - vs[:, 1]) / (2 * fd_step), 0, -2))
+    rec = _Record(*_evaluate(spec, lam, z, want_d))
     finite = np.logical_and.reduce([np.isfinite(f).reshape(lead + (-1,)).all(axis=-1) for f in rec if f is not None])
     if not np.all(finite):
         i = int(np.argmin(finite))
@@ -472,10 +456,10 @@ def _record(
     return rec if spec.debug_flip_root is None else _flip(rec, spec.algebra.rank**2 + spec.debug_flip_root)
 
 
-def _assemble2(algebra: SimpleLieAlgebra, v: np.ndarray) -> Tensor2:
-    data = np.zeros((algebra.dim, algebra.dim), dtype=complex)
-    data[_legs(algebra)] = v
-    return Tensor2(algebra, data)
+def _flat_legs(g: SimpleLieAlgebra) -> np.ndarray:
+    """The flat (dim, dim) index of each entry of a record's v."""
+    rows, cols = _legs(g)
+    return rows * g.dim + cols
 
 
 def _one_z(z):
@@ -488,33 +472,24 @@ def _one_z(z):
 
 def eval_rmatrix(spec: RMatrixSpec, lam: CartanVector, z: Optional[complex] = None) -> Tensor2:
     """Evaluate spec at lam, and at z for a spectral family."""
-    return _assemble2(spec.algebra, _record(spec, lam.as_array(), _one_z(z)).v)
+    g = spec.algebra
+    return Tensor2._from_support(g, _flat_legs(g), _record(spec, lam.as_array(), _one_z(z)).v)
 
 
-def eval_dlambda(
-    spec: RMatrixSpec,
-    lam: CartanVector,
-    z: Optional[complex] = None,
-    mode: str = "analytic",
-    fd_step: float = 1e-5,
-) -> Tensor3:
+def eval_dlambda(spec: RMatrixSpec, lam: CartanVector, z: Optional[complex] = None) -> Tensor3:
     """Cartan-direction derivative tensor sum_i x_i (x) dr/dx_i.
 
-    The first leg lives in the Cartan span.  Analytic mode differentiates
-    the closed-form coefficients (threaded through the gauge stack);
-    finite-difference mode evaluates the full tensor at lam +- h e_i.
+    The first leg lives in the Cartan span; the closed-form coefficients
+    are differentiated, threaded through the gauge stack.
 
     Raises
     ------
-    SpecInvalid on a bad mode or a missing, extra or non-scalar z;
-    PoleProximity near poles (including within a finite-difference step).
+    SpecInvalid on a missing, extra or non-scalar z;
+    PoleProximity near poles.
     """
-    if mode not in ("analytic", "finite-difference"):
-        raise SpecInvalid(f"unknown mode {mode!r}")
-    algebra = spec.algebra
-    data = np.zeros((algebra.dim,) * 3, dtype=complex)
-    data[(slice(algebra.rank),) + _legs(algebra)] = _record(spec, lam.as_array(), _one_z(z), mode, fd_step).d
-    return Tensor3(algebra, data)
+    g = spec.algebra
+    index = np.arange(g.rank)[:, None] * g.dim**2 + _flat_legs(g)  # (k, first leg, second leg)
+    return Tensor3._from_support(g, index.ravel(), _record(spec, lam.as_array(), _one_z(z), True).d.ravel())
 
 
 def _is_integer(i) -> bool:

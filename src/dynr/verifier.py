@@ -20,19 +20,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .combinatorics import is_closed_subset
-from .errors import (
-    NonFiniteValue,
-    RootSumNonzero,
-    SamplingExhausted,
-    SpecInvalid,
-    SubalgebraInvalid,
-)
+from .errors import NonFiniteValue, SamplingExhausted, SpecInvalid, SubalgebraInvalid
 from .lie_core import CartanVector, SimpleLieAlgebra, _join
 from .rmatrix import (
     SPECTRAL_FAMILIES,
     GaugeRecord,
     RMatrixSpec,
-    _assemble2,
+    _flat_legs,
     _flip,
     _identity_phi,
     _legs,
@@ -40,13 +34,12 @@ from .rmatrix import (
     _record,
     _Record,
     _reduced_periods,
-    _require_root,
     effective_coupling,
     gauge_apply,
     spec_to_json,
 )
-from .special_fn import ThetaParams, classical_series, rho_fn, sigma_w, sigma_w_dw
-from .tensor_alg import Tensor3
+from .special_fn import ThetaParams, classical_series
+from .tensor_alg import Tensor2, Tensor3
 
 _ZERO_WEIGHT_TOL = 1e-12
 _UNITARITY_TOL = 1e-11
@@ -348,6 +341,7 @@ def _build_residual_plan(g: SimpleLieAlgebra) -> _ResidualPlan:
 
     flat = np.concatenate([(c0 * dim + c1) * dim + c2 for c0, c1, c2 in coords])
     w3, slot = np.unique(flat, return_inverse=True)
+    w3.flags.writeable = False  # every cdybe_residual result shares it as its index
     return _ResidualPlan(
         w3,
         np.concatenate(src_x),
@@ -409,7 +403,7 @@ def _cdybe_from(g: SimpleLieAlgebra, rec: _Record, roles: tuple) -> np.ndarray:
     return w.reshape(lead + (size,))
 
 
-def _point_records(spec: RMatrixSpec, lam: np.ndarray, zs=None, mode="analytic", fd_step=1e-5) -> tuple:
+def _point_records(spec: RMatrixSpec, lam: np.ndarray, zs=None) -> tuple:
     """(record, roles) for _cdybe_from at the points lam (..., rank), with the
     spectral triples zs (..., 3) when given, all points in one call.
 
@@ -418,27 +412,19 @@ def _point_records(spec: RMatrixSpec, lam: np.ndarray, zs=None, mode="analytic",
     derivatives at z23, z31, z12, so its arguments are z12, z13, z23, z31.
     """
     if zs is None:
-        return _record(spec, lam[..., None, :], None, mode, fd_step), (0,) * 6
+        return _record(spec, lam[..., None, :], None, True), (0,) * 6
     zs = np.asarray(zs, dtype=complex)
     args = zs[..., [0, 0, 1, 2]] - zs[..., [1, 2, 2, 0]]  # z12, z13, z23, z31 = -z13
-    return _record(spec, lam[..., None, :], args, mode, fd_step), (0, 1, 2, 2, 3, 0)
+    return _record(spec, lam[..., None, :], args, True), (0, 1, 2, 2, 3, 0)
 
 
-def _residual(
-    spec: RMatrixSpec,
-    lam: np.ndarray,
-    zs=None,
-    mode: str = "analytic",
-    fd_step: float = 1e-5,
-) -> np.ndarray:
+def _residual(spec: RMatrixSpec, lam: np.ndarray, zs=None) -> np.ndarray:
     """The CDYBE residual of spec at the points lam (..., rank) (spectral specs:
     at the triples zs (..., 3)), one vector on the plan's w3 per point, from
     _point_records.  Raises NonFiniteValue when an entry overflows."""
     if spec.is_spectral and np.shape(zs)[-1:] != (3,):
         raise SpecInvalid(f"{spec.family} residual needs a (z1, z2, z3) triple")
-    if mode not in ("analytic", "finite-difference"):
-        raise SpecInvalid(f"unknown mode {mode!r}")
-    return _require_finite(_cdybe_from(spec.algebra, *_point_records(spec, lam, zs, mode, fd_step)), lam, zs)
+    return _require_finite(_cdybe_from(spec.algebra, *_point_records(spec, lam, zs)), lam, zs)
 
 
 def _require_finite(w: np.ndarray, lam: np.ndarray, zs=None) -> np.ndarray:
@@ -457,23 +443,13 @@ def _sup(w: np.ndarray) -> float:
     return float(np.max(np.abs(w)))
 
 
-def _densify(g: SimpleLieAlgebra, w: np.ndarray) -> Tensor3:
-    out = np.zeros(g.dim**3, dtype=complex)
-    out[_residual_plan(g).w3] = w
-    return Tensor3(g, out.reshape((g.dim,) * 3))
-
-
-def cdybe_residual(
-    spec: RMatrixSpec,
-    lam: CartanVector,
-    zs=None,
-    mode: str = "analytic",
-    fd_step: float = 1e-5,
-) -> Tensor3:
+def cdybe_residual(spec: RMatrixSpec, lam: CartanVector, zs=None) -> Tensor3:
     """Alt(dr) + [r12,r13] + [r12,r23] + [r13,r23] at lam, and for a spectral
     spec at the triple zs = (z1, z2, z3): the legs pair at the argument
-    differences z12, z13, z23 and the derivatives at z23, z31, z12."""
-    return _densify(spec.algebra, _residual(spec, lam.as_array(), zs, mode, fd_step))
+    differences z12, z13, z23 and the derivatives at z23, z31, z12.  The
+    result holds the entries on the residual plan's weight-zero support."""
+    g = spec.algebra
+    return Tensor3._from_support(g, _residual_plan(g).w3, _residual(spec, lam.as_array(), zs))
 
 
 def _residue_radius(spec: RMatrixSpec) -> float:
@@ -507,95 +483,24 @@ def _residue(g: SimpleLieAlgebra, zj: np.ndarray, v: np.ndarray):
 def extract_residue(
     spec: RMatrixSpec,
     lam: CartanVector,
-    radius: float = 0.05,
+    radius: Optional[float] = None,
     points: int = 16,
 ):
     """Contour average (1/M) sum_j z_j r(lam, z_j) over a circle at 0.
 
     Returns (residue tensor, eps estimate from projection onto the
-    invariant tensor, sup deviation from that multiple).  Aliasing picks
-    up only the z^{M-1} Laurent coefficient, negligible at this radius.
+    invariant tensor, sup deviation from that multiple).  The radius
+    defaults to the campaign's (_residue_radius), a tenth of the shortest
+    period of an elliptic pole lattice at most, so aliasing picks up only
+    Laurent terms of relative size (radius / period)**M, negligible there.
     """
     if spec.family not in SPECTRAL_FAMILIES:
         raise SpecInvalid("residue extraction needs a spectral family")
     if points < 4:
         raise SpecInvalid("need at least 4 contour points")
-    zj = _contour(radius, points)
+    zj = _contour(_residue_radius(spec) if radius is None else radius, points)
     acc, eps_est, deviation = _residue(spec.algebra, zj, _record(spec, lam.as_array(), zj).v)
-    return _assemble2(spec.algebra, acc), complex(eps_est), float(deviation)
-
-
-def check_phi_triangle(
-    spec: RMatrixSpec,
-    alpha: int,
-    beta: int,
-    gamma: int,
-    lam: CartanVector,
-    z_args=None,
-) -> complex:
-    """Left-hand side of the three-phi identity for roots summing to zero.
-
-    Constant families: phi_a phi_b + phi_a phi_c + phi_c phi_b + eps^2/4
-    (the eps = 0 case is the rational product identity).  Spectral
-    families: phi_a(z13) phi_b(z23) + phi_b(z21) phi_c(z31)
-    + phi_a(z12) phi_c(z32).
-    """
-    rs = spec.algebra.root_system
-    triple = [_require_root(rs, i, name) for i, name in zip((alpha, beta, gamma), ("alpha", "beta", "gamma"))]
-    if np.any(np.sum([rs.coeffs[i] for i in triple], axis=0)):
-        raise RootSumNonzero(f"root triple {alpha},{beta},{gamma} does not sum to zero")
-    a, b, c = (spec.algebra.rank**2 + i for i in triple)  # their entries in a record's v
-    if not spec.is_spectral:
-        if z_args is not None:
-            raise SpecInvalid("constant family takes no spectral arguments")
-        pa, pb, pc = _identity_phi(spec, _record(spec, lam.as_array(), None).v[[a, b, c]])
-        eps = effective_coupling(spec)
-        return complex(pa * pb + pa * pc + pc * pb + eps * eps / 4.0)
-    z1, z2, z3 = (complex(w) for w in z_args or (0.23 - 0.31j, -0.17 - 0.29j, 0.41 - 0.11j))
-    phi = _identity_phi(spec, _record(spec, lam.as_array(), np.array([z1 - z3, z2 - z3, z2 - z1, z3 - z1, z1 - z2, z3 - z2])).v)
-    return complex(phi[0, a] * phi[1, b] + phi[2, b] * phi[3, c] + phi[4, a] * phi[5, c])
-
-
-def phi_ode_residual(
-    spec: RMatrixSpec,
-    alpha: int,
-    lam: CartanVector,
-    fd_step: float = 1e-6,
-) -> float:
-    """|phi'(a) + phi(a)^2 - (eps/2)^2| along the (alpha, lam) direction.
-
-    phi' is a central finite difference of the identity-bearing phi with
-    respect to a = (alpha, lam).  Constant ungauged families only.
-    """
-    if spec.family in SPECTRAL_FAMILIES:
-        raise SpecInvalid("the phi ODE identity applies to constant families")
-    if spec.gauge_stack:
-        raise SpecInvalid("phi ODE identity is stated for ungauged specs")
-    alpha = _require_root(spec.algebra.root_system, alpha, "alpha")
-    root = spec.algebra.root_system.roots[alpha]
-    step = fd_step * root / float(root @ root)
-    lam_arr = lam.as_array()
-    v = _record(spec, np.stack([lam_arr + step, lam_arr - step, lam_arr]), None).v
-    up, dn, phi0 = _identity_phi(spec, v[:, spec.algebra.rank**2 + alpha])
-    eps = effective_coupling(spec)
-    return float(abs((up - dn) / (2 * fd_step) + phi0 * phi0 - eps * eps / 4.0))
-
-
-def addition_identity_residual(
-    w: complex, u: complex, v: complex, params: ThetaParams
-) -> complex:
-    """Residual of the weighted addition law the elliptic family relies on.
-
-    With t(z) = -rho(z) and mu(w, z) = -sigma_w(z):
-    d mu/dw (w, u+v) - (t(u) + t(v)) mu(w, u+v) + mu(w, u) mu(w, v).
-    """
-    mu_d = -sigma_w_dw(w, u + v, params)
-    t_sum = -(rho_fn(u, params) + rho_fn(v, params))
-    return (
-        mu_d
-        - t_sum * (-sigma_w(w, u + v, params))
-        + sigma_w(w, u, params) * sigma_w(w, v, params)
-    )
+    return Tensor2._from_support(spec.algebra, _flat_legs(spec.algebra), acc), complex(eps_est), float(deviation)
 
 
 def _axiom_checks(spec: RMatrixSpec, lam: np.ndarray, zs=None, r: Optional[np.ndarray] = None) -> list:

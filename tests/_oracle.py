@@ -1,4 +1,5 @@
-"""Test oracles: the dense leg calculus and the one-candidate sampler.
+"""Test oracles: the dense leg calculus, the one-candidate sampler, finite
+differences and the paper's scalar identities.
 
 The library checks the CDYBE on the residual's weight-zero support and
 never forms a dense structure-constant table.  The tests check it against
@@ -16,7 +17,13 @@ the independent dense calculus kept here:
   replaced; sample_lambda and sample_spectral_point draw one point from a
   caller's generator through it;
 - jacobi_defect is the Jacobi check as one join over every term, which
-  the library's blocked walk must match bit for bit.
+  the library's blocked walk must match bit for bit;
+- fd_record is a record whose derivative is a central finite difference
+  of v, the cross-check of the analytic derivative the library runs;
+- check_phi_triangle, phi_ode_residual and addition_identity_residual are
+  the paper's scalar identities for the coefficients phi (RootSumNonzero
+  refuses a root triple that does not sum to zero), and span_closure the
+  positive roots supported on a set of simple roots.
 
 Tests import these as ``from _oracle import ...``.
 """
@@ -29,9 +36,23 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from dynr import CartanVector, SamplingExhausted, Tensor2, Tensor3, UnsupportedType, rmatrix
+from dynr import (
+    SPECTRAL_FAMILIES,
+    CartanVector,
+    DynrError,
+    RootSubset,
+    SamplingExhausted,
+    SpecInvalid,
+    Tensor2,
+    Tensor3,
+    UnsupportedType,
+    effective_coupling,
+    rho_fn,
+    rmatrix,
+    sigma_w,
+)
 from dynr.lie_core import _join, _max_by_key
-from dynr.special_fn import _require_margin
+from dynr.special_fn import _require_margin, sigma_w_dw
 
 _PLACEMENTS = ("12-13", "12-23", "13-23")
 
@@ -249,3 +270,101 @@ def jacobi_defect(n: int, i, j, k, v) -> float:
     key = np.minimum(np.minimum((x * n + y) * n + z, (y * n + z) * n + x), (z * n + x) * n + y)
     del x, y, z
     return _max_by_key(key * n + out, value)
+
+
+def fd_record(spec, lam, z, fd_step: float = 1e-5) -> rmatrix._Record:
+    """rmatrix._record of spec at (lam, z) with d[k] the central difference
+    of v at lam +- fd_step e_k, its Cartan block included: all 2 * rank
+    shifts in one _evaluate call.  lam and z may be batches, as for _record."""
+    rec = rmatrix._record(spec, lam, z)  # checks the point, raises at a pole, applies the flip
+    lam = np.asarray(lam)
+    z = None if z is None else np.asarray(z, dtype=complex)
+    lead, rank = rec.v.shape[:-1], lam.shape[-1]
+    # the shifted lambdas as a (rank, 2) batch in front of the record's axes
+    s = fd_step * np.eye(rank, dtype=complex).reshape((rank,) + (1,) * len(lead) + (rank,))
+    vs, _ = rmatrix._evaluate(spec, np.stack([lam + s, lam - s], axis=1), z, False)
+    d = np.moveaxis((vs[:, 0] - vs[:, 1]) / (2 * fd_step), 0, -2)
+    if spec.debug_flip_root is not None:
+        k = spec.algebra.rank**2 + spec.debug_flip_root
+        d[..., k] = -d[..., k]
+    return rmatrix._Record(rec.v, d)
+
+
+class RootSumNonzero(DynrError):
+    """Triangle identity requested for roots that do not sum to zero."""
+
+
+def check_phi_triangle(spec, alpha: int, beta: int, gamma: int, lam: CartanVector, z_args=None) -> complex:
+    """Left-hand side of the three-phi identity for roots summing to zero.
+
+    Constant families: phi_a phi_b + phi_a phi_c + phi_c phi_b + eps^2/4
+    (the eps = 0 case is the rational product identity).  Spectral
+    families: phi_a(z13) phi_b(z23) + phi_b(z21) phi_c(z31)
+    + phi_a(z12) phi_c(z32).
+    """
+    rs = spec.algebra.root_system
+    triple = [rmatrix._require_root(rs, i, name) for i, name in zip((alpha, beta, gamma), ("alpha", "beta", "gamma"))]
+    if np.any(np.sum([rs.coeffs[i] for i in triple], axis=0)):
+        raise RootSumNonzero(f"root triple {alpha},{beta},{gamma} does not sum to zero")
+    a, b, c = (spec.algebra.rank**2 + i for i in triple)  # their entries in a record's v
+    if not spec.is_spectral:
+        if z_args is not None:
+            raise SpecInvalid("constant family takes no spectral arguments")
+        pa, pb, pc = rmatrix._identity_phi(spec, rmatrix._record(spec, lam.as_array(), None).v[[a, b, c]])
+        eps = effective_coupling(spec)
+        return complex(pa * pb + pa * pc + pc * pb + eps * eps / 4.0)
+    z1, z2, z3 = (complex(w) for w in z_args or (0.23 - 0.31j, -0.17 - 0.29j, 0.41 - 0.11j))
+    args = np.array([z1 - z3, z2 - z3, z2 - z1, z3 - z1, z1 - z2, z3 - z2])
+    phi = rmatrix._identity_phi(spec, rmatrix._record(spec, lam.as_array(), args).v)
+    return complex(phi[0, a] * phi[1, b] + phi[2, b] * phi[3, c] + phi[4, a] * phi[5, c])
+
+
+def phi_ode_residual(spec, alpha: int, lam: CartanVector, fd_step: float = 1e-6) -> float:
+    """|phi'(a) + phi(a)^2 - (eps/2)^2| along the (alpha, lam) direction.
+
+    phi' is a central finite difference of the identity-bearing phi with
+    respect to a = (alpha, lam).  Constant ungauged families only.
+    """
+    if spec.family in SPECTRAL_FAMILIES:
+        raise SpecInvalid("the phi ODE identity applies to constant families")
+    if spec.gauge_stack:
+        raise SpecInvalid("phi ODE identity is stated for ungauged specs")
+    alpha = rmatrix._require_root(spec.algebra.root_system, alpha, "alpha")
+    root = spec.algebra.root_system.roots[alpha]
+    step = fd_step * root / float(root @ root)
+    lam_arr = lam.as_array()
+    v = rmatrix._record(spec, np.stack([lam_arr + step, lam_arr - step, lam_arr]), None).v
+    up, dn, phi0 = rmatrix._identity_phi(spec, v[:, spec.algebra.rank**2 + alpha])
+    eps = effective_coupling(spec)
+    return float(abs((up - dn) / (2 * fd_step) + phi0 * phi0 - eps * eps / 4.0))
+
+
+def addition_identity_residual(w: complex, u: complex, v: complex, params) -> complex:
+    """Residual of the weighted addition law the elliptic family relies on.
+
+    With t(z) = -rho(z) and mu(w, z) = -sigma_w(z):
+    d mu/dw (w, u+v) - (t(u) + t(v)) mu(w, u+v) + mu(w, u) mu(w, v).
+    """
+    mu_d = -sigma_w_dw(w, u + v, params)
+    t_sum = -(rho_fn(u, params) + rho_fn(v, params))
+    return mu_d - t_sum * (-sigma_w(w, u + v, params)) + sigma_w(w, u, params) * sigma_w(w, v, params)
+
+
+def span_closure(rs, x_simple) -> RootSubset:
+    """Positive roots that are nonnegative integer combinations of x_simple.
+
+    x_simple holds root indices of simple positive roots; the result is
+    the set of positive roots supported on those simple coordinates.
+    """
+    simple_set = set(rs.simple_roots)
+    xs = set(int(i) for i in x_simple)
+    for i in xs:
+        if i not in simple_set:
+            raise SpecInvalid(f"root index {i} is not a simple positive root")
+    positions = {list(rs.simple_roots).index(i) for i in xs}
+    members = []
+    for idx in rs.positive_roots:
+        support = {k for k in range(rs.rank) if rs.coeffs[idx][k] != 0}
+        if support <= positions:
+            members.append(idx)
+    return RootSubset(rs, tuple(members))

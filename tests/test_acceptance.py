@@ -14,7 +14,13 @@ import time
 import numpy as np
 import pytest
 
-from _oracle import sample_lambda, sample_spectral_point
+from _oracle import (
+    addition_identity_residual,
+    check_phi_triangle,
+    phi_ode_residual,
+    sample_lambda,
+    sample_spectral_point,
+)
 from dynr import (
     CartanVector,
     GaugeRecord,
@@ -29,7 +35,6 @@ from dynr import (
     build_simple_lie_algebra,
     cdybe_residual,
     check_axioms,
-    check_phi_triangle,
     classical_series,
     coth_scaled,
     enumerate_closed_subsets,
@@ -43,7 +48,6 @@ from dynr import (
     rho_fn,
     sigma_w,
 )
-from dynr.verifier import addition_identity_residual, phi_ode_residual
 
 A1 = build_simple_lie_algebra(build_root_system("A", 1))
 A2 = build_simple_lie_algebra(build_root_system("A", 2))

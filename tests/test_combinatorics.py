@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracle import span_closure
 from dynr import (
     PropertyViolated,
     TooLarge,
@@ -14,7 +15,6 @@ from dynr import (
     enumerate_closed_subsets,
     find_polarization,
     is_closed_subset,
-    span_closure,
 )
 from dynr.combinatorics import additive_closure
 

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from _oracle import basis_index, casimir, trig_constant_fixture
+from _oracle import basis_index, casimir, fd_record, trig_constant_fixture
 from dynr import (
     CartanVector,
     GaugeRecord,
@@ -49,6 +49,21 @@ def _lam_with_pairing(g, value):
     rs = g.root_system
     a = rs.roots[rs.simple_roots[0]]
     return CartanVector.of(a * (value / (a @ a)))
+
+
+def _by_mode(mode, spec, lam, z):
+    """The record of a derivative mode: None none, "analytic" the library's,
+    "finite-difference" fd_record's."""
+    if mode == "finite-difference":
+        return fd_record(spec, lam, z)
+    return rmatrix._record(spec, lam, z, mode == "analytic")
+
+
+def _dense_d(algebra, d):
+    """The dense sum_k x_k (x) d[k] of a derivative record d."""
+    data = np.zeros((algebra.dim,) * 3, dtype=complex)
+    data[(slice(algebra.rank),) + rmatrix._legs(algebra)] = d
+    return data
 
 
 def _root_entry(g, r, root_idx):
@@ -152,8 +167,6 @@ def test_eval_dispatch_gates():
         eval_dlambda(spectral, lam)  # missing z
     with pytest.raises(SpecInvalid):
         eval_dlambda(const, lam, z=0.3)
-    with pytest.raises(SpecInvalid):
-        eval_dlambda(const, lam, mode="symbolic")
 
 
 # ---------------------------------------------------------------- hand values
@@ -387,10 +400,10 @@ def _spec_zoo(algebra):
 def test_dlambda_analytic_matches_finite_difference(idx):
     spec, z = _spec_zoo(A2)[idx]
     lam = CartanVector.of([0.83, -0.54])
-    an = eval_dlambda(spec, lam, z, mode="analytic")
-    fd = eval_dlambda(spec, lam, z, mode="finite-difference", fd_step=1e-5)
+    an = eval_dlambda(spec, lam, z)
+    fd = _dense_d(A2, fd_record(spec, lam.as_array(), z, fd_step=1e-5).d)
     scale = max(1.0, an.norm())
-    assert np.max(np.abs(an.data - fd.data)) < 1e-6 * scale
+    assert np.max(np.abs(an.data - fd)) < 1e-6 * scale
 
 
 def test_dlambda_constant_in_lam_is_zero():
@@ -428,7 +441,7 @@ def _split(rank, v):
 
 
 def _loop_dlambda(spec, lam, z, mode, fd_step=1e-5):
-    """Per-root loop oracle for both modes of eval_dlambda."""
+    """Per-root loop oracle for eval_dlambda (analytic) and fd_record."""
     algebra = spec.algebra
     rs = algebra.root_system
     data = np.zeros((algebra.dim,) * 3, dtype=complex)
@@ -465,9 +478,9 @@ def test_root_scatter_matches_loop_oracle(algebra):
         r = eval_rmatrix(spec, lam, z)
         m, phi = _split(rank, rmatrix._evaluate(spec, lam.as_array(), z, False)[0])
         assert np.array_equal(r.data, _loop_assemble2(algebra, m, phi))
-        for mode in ("analytic", "finite-difference"):
-            got = eval_dlambda(spec, lam, z, mode=mode).data
-            assert np.array_equal(got, _loop_dlambda(spec, lam, z, mode))
+        assert np.array_equal(eval_dlambda(spec, lam, z).data, _loop_dlambda(spec, lam, z, "analytic"))
+        got = _dense_d(algebra, fd_record(spec, lam.as_array(), z).d)
+        assert np.array_equal(got, _loop_dlambda(spec, lam, z, "finite-difference"))
 
 
 def test_dlambda_threads_kind2_gauge():
@@ -477,9 +490,9 @@ def test_dlambda_threads_kind2_gauge():
     gauged = gauge_apply(base, GaugeRecord(kind=2, psi=(q, v)))
     lam = CartanVector.of([0.67])
     z = 0.3 - 0.33j
-    an = eval_dlambda(gauged, lam, z, mode="analytic")
-    fd = eval_dlambda(gauged, lam, z, mode="finite-difference")
-    assert np.max(np.abs(an.data - fd.data)) < 1e-6 * max(1.0, an.norm())
+    an = eval_dlambda(gauged, lam, z)
+    fd = _dense_d(A1, fd_record(gauged, lam.as_array(), z).d)
+    assert np.max(np.abs(an.data - fd)) < 1e-6 * max(1.0, an.norm())
 
 
 # ---------------------------------------------------------------- poles
@@ -843,7 +856,7 @@ def test_records_match_scalar_oracle(series, rank):
     for spec in _record_zoo(g):
         lam, z = _zoo_point(spec)
         for mode in (None, "analytic", "finite-difference"):
-            got = rmatrix._record(spec, lam, z, mode)
+            got = _by_mode(mode, spec, lam, z)
             want = _o_record(spec, lam, z, mode)
             sup = max(np.max(np.abs(w)) for w in want if w is not None)
             for field, (a, b) in enumerate(zip(got, want)):
@@ -865,16 +878,16 @@ def test_argument_batch_equals_single_calls(algebra):
         lams = lam + np.multiply.outer(shifts, np.ones(algebra.rank))
         for mode in (None, "analytic", "finite-difference"):
             if spec.is_spectral:
-                batch = rmatrix._record(spec, lam, zs, mode)
+                batch = _by_mode(mode, spec, lam, zs)
                 cases = [(i, lam, z) for i, z in enumerate(zs)]
-                grid = rmatrix._record(spec, lams[:3, None], zs, mode)
+                grid = _by_mode(mode, spec, lams[:3, None], zs)
                 cases += [((i, j), lams[i], z) for i in range(3) for j, z in enumerate(zs)]
                 fields = [batch] * len(zs) + [grid] * 15
             else:
-                batch = rmatrix._record(spec, lams, None, mode)
+                batch = _by_mode(mode, spec, lams, None)
                 cases, fields = [(i, x, None) for i, x in enumerate(lams)], [batch] * len(lams)
             for got, (i, x, z) in zip(fields, cases):
-                for a, b in zip(got, rmatrix._record(spec, x, z, mode)):
+                for a, b in zip(got, _by_mode(mode, spec, x, z)):
                     assert (a is None and b is None) or np.array_equal(a[i], b), (spec.family, mode, i)
 
 
@@ -889,7 +902,7 @@ def test_duplicate_X_entries_count_once():
         assert spec_to_json(repeated) == spec_to_json(full)
         assert spec_digest(repeated) == spec_digest(full)
         for mode in (None, "analytic"):
-            for a, b in zip(rmatrix._record(repeated, lam, z, mode), rmatrix._record(full, lam, z, mode)):
+            for a, b in zip(_by_mode(mode, repeated, lam, z), _by_mode(mode, full, lam, z)):
                 assert (a is None and b is None) or np.array_equal(a, b), family
 
 
@@ -981,18 +994,18 @@ def test_pole_adjacent_arguments_raise_the_scalar_error(algebra):
                 with pytest.raises(PoleProximity) as want:
                     _o_record(spec, lam, z, mode)
                 with pytest.raises(PoleProximity) as got:
-                    rmatrix._record(spec, lam, z, mode)
+                    _by_mode(mode, spec, lam, z)
                 assert str(got.value) == str(want.value), (spec.family, lam, z)
                 # in a batch of lambdas the error names the first argument that meets a pole
                 with pytest.raises(PoleProximity) as batch:
-                    rmatrix._record(spec, np.stack([lam_ok, lam]), None if z is None else np.array([z_ok, z]), mode)
+                    _by_mode(mode, spec, np.stack([lam_ok, lam]), None if z is None else np.array([z_ok, z]))
                 assert str(batch.value) == str(got.value), (spec.family, lam, z)
             if z is not None:
                 # in a batch of spectral arguments, the first argument that meets a
                 # pole raises its own error, as a serial loop over them would
                 args = [0.31 - 0.12j, z, 1e-12]  # 1e-12 is a z pole of every spectral family
                 with pytest.raises(PoleProximity) as batch:
-                    rmatrix._record(spec, lam, np.array(args), "analytic")
+                    rmatrix._record(spec, lam, np.array(args), True)
                 assert str(batch.value) == _first_oracle_error(spec, lam, args), (spec.family, lam, z)
 
 

@@ -9,11 +9,16 @@ import numpy as np
 import pytest
 
 from _oracle import (
+    RootSumNonzero,
     _serial_points,
     act_diag,
+    addition_identity_residual,
     basis_index,
     bracket_legs,
     casimir,
+    check_phi_triangle,
+    fd_record,
+    phi_ode_residual,
     sample_lambda,
     sample_spectral_point,
     transpose_legs,
@@ -24,7 +29,6 @@ from dynr import (
     GaugeRecord,
     LimitSchedule,
     RMatrixSpec,
-    RootSumNonzero,
     SamplePlan,
     SamplingExhausted,
     SpecInvalid,
@@ -38,7 +42,6 @@ from dynr import (
     build_simple_lie_algebra,
     cdybe_residual,
     check_axioms,
-    check_phi_triangle,
     effective_coupling,
     enumerate_closed_subsets,
     eval_dlambda,
@@ -50,8 +53,7 @@ from dynr import (
     reduce_pair_check,
 )
 from dynr import rmatrix, verifier
-from dynr.combinatorics import additive_closure
-from dynr.verifier import addition_identity_residual, phi_ode_residual
+from dynr.combinatorics import additive_closure, is_closed_subset
 
 A1 = build_simple_lie_algebra(build_root_system("A", 1))
 A2 = build_simple_lie_algebra(build_root_system("A", 2))
@@ -74,6 +76,18 @@ def _family_zoo(algebra):
         RMatrixSpec(algebra=algebra, family="TrigSpectral", X=rs.simple_roots),
         RMatrixSpec(algebra=algebra, family="RationalSpectral", X=_full_X(algebra)),
     ]
+
+
+def _fd_residual(spec, lam, zs=None):
+    """verifier._residual's vectors on w3 with every derivative taken by
+    fd_record, at the arguments verifier._point_records uses."""
+    lam = np.asarray(lam)
+    if zs is None:
+        rec, roles = fd_record(spec, lam[..., None, :], None), (0,) * 6
+    else:
+        zs = np.asarray(zs, dtype=complex)
+        rec, roles = fd_record(spec, lam[..., None, :], zs[..., [0, 0, 1, 2]] - zs[..., [1, 2, 2, 0]]), (0, 1, 2, 2, 3, 0)
+    return verifier._cdybe_from(spec.algebra, rec, roles)
 
 
 def _lam_with_pairings(g, values):
@@ -112,14 +126,12 @@ def test_residual_finite_difference_agrees():
         rng = np.random.default_rng(5)
         if spec.is_spectral:
             lam, zs = sample_spectral_point(spec, PLAN, rng)
-            an = cdybe_residual(spec, lam, zs, mode="analytic")
-            fd = cdybe_residual(spec, lam, zs, mode="finite-difference")
         else:
-            lam = sample_lambda(spec, PLAN, rng)
-            an = cdybe_residual(spec, lam, mode="analytic")
-            fd = cdybe_residual(spec, lam, mode="finite-difference")
-        assert np.max(np.abs(an.data - fd.data)) < 1e-6
-        assert fd.norm() < 1e-6
+            lam, zs = sample_lambda(spec, PLAN, rng), None
+        an = cdybe_residual(spec, lam, zs).values
+        fd = _fd_residual(spec, lam.as_array(), zs)
+        assert np.max(np.abs(an - fd)) < 1e-6
+        assert verifier._sup(fd) < 1e-6
 
 
 def test_nonsolution_has_loud_residual():
@@ -760,12 +772,12 @@ def test_residual_kernel_matches_dense_oracle(monkeypatch, series, rank):
     def run():
         rng = np.random.default_rng(rank)
         for spec in _kernel_zoo(g):
-            for mode in ("analytic", "finite-difference"):
+            for residual in (verifier._residual, _fd_residual):
                 if spec.is_spectral:
                     lam, zs = sample_spectral_point(spec, plan, rng)
-                    cdybe_residual(spec, lam, zs, mode=mode)
+                    residual(spec, lam.as_array(), zs)
                 else:
-                    cdybe_residual(spec, sample_lambda(spec, plan, rng), mode=mode)
+                    residual(spec, sample_lambda(spec, plan, rng).as_array())
         pair = RMatrixSpec(algebra=g, family="RationalConstant", X=_full_X(g))
         reduce_pair_check(pair, g.root_system.simple_roots[:1], plan)
 
@@ -783,8 +795,10 @@ def test_residual_kernel_matches_dense_oracle(monkeypatch, series, rank):
                 bracket_legs(r12, r23, "12-23").norm(),
                 bracket_legs(r13, r23, "13-23").norm(),
             )
-            want = _dense_cdybe(r12, r13, r23, d23, d31, d12).data
-            assert np.max(np.abs(verifier._densify(g, rows[i]).data - want)) <= 1e-14 * scale
+            want = _dense_cdybe(r12, r13, r23, d23, d31, d12).data.reshape(-1)
+            got = np.zeros(g.dim**3, dtype=complex)
+            got[verifier._residual_plan(g).w3] = rows[i]
+            assert np.max(np.abs(got - want)) <= 1e-14 * scale
 
     # every entry the plan can reach has weight zero
     rs = g.root_system
@@ -796,8 +810,8 @@ def test_residual_kernel_matches_dense_oracle(monkeypatch, series, rank):
 def test_record_values_round_trip_through_dense():
     """A record's v and d are r's and dr's dense tensors read in _legs'
     order, Cartan block row-major then (e_a, e_{-a}) per root, with d's
-    Cartan block zero in analytic mode; and a residual vector densifies
-    onto w3."""
+    Cartan block zero; fd_record keeps v and differences it; and a
+    residual vector densifies onto w3."""
     g = A2
     rank, rs = g.rank, g.root_system
     legs = rmatrix._legs(g)
@@ -808,12 +822,13 @@ def test_record_values_round_trip_through_dense():
     for spec in _kernel_zoo(g):
         z = 0.31 - 0.17j if spec.is_spectral else None
         dense_r = eval_rmatrix(spec, lam, z)
-        for mode in ("analytic", "finite-difference"):
-            rec = rmatrix._record(spec, lam.as_array(), z, mode)
-            assert np.array_equal(_dense_r(g, rec.v).data, dense_r.data)
-            assert np.array_equal(_dense_d(g, rec.d).data, eval_dlambda(spec, lam, z, mode=mode).data)
-            if mode == "analytic":
-                assert not rec.d[:, : rank * rank].any()
+        rec = rmatrix._record(spec, lam.as_array(), z, True)
+        assert np.array_equal(_dense_r(g, rec.v).data, dense_r.data)
+        assert np.array_equal(_dense_d(g, rec.d).data, eval_dlambda(spec, lam, z).data)
+        assert not rec.d[:, : rank * rank].any()
+        fd = fd_record(spec, lam.as_array(), z)
+        assert np.array_equal(fd.v, rec.v)
+        assert np.max(np.abs(fd.d - rec.d)) < 1e-6 * max(1.0, np.max(np.abs(rec.d)))
 
     w = verifier._residual(_kernel_zoo(g)[1], lam.as_array())
     dense = cdybe_residual(_kernel_zoo(g)[1], lam).data.reshape(-1)
@@ -829,10 +844,10 @@ def test_residual_rows_equal_single_point_residuals():
     assert verifier._KERNEL_TERMS // len(verifier._residual_plan(g).slot) < 10
     for spec in (_kernel_zoo(g)[1], _kernel_zoo(g)[5], _kernel_zoo(g)[7]):
         lam, zs = verifier._campaign_points((spec,), SamplePlan(seed=6, count=10), 3 if spec.is_spectral else 0)
-        for mode in ("analytic", "finite-difference"):
-            rows = verifier._residual(spec, lam, zs, mode)
+        for residual in (verifier._residual, _fd_residual):
+            rows = residual(spec, lam, zs)
             for i in range(len(lam)):
-                assert np.array_equal(rows[i], verifier._residual(spec, lam[i], None if zs is None else zs[i], mode))
+                assert np.array_equal(rows[i], residual(spec, lam[i], None if zs is None else zs[i]))
 
 
 def test_residual_plan_cached_per_algebra_instance():
@@ -922,8 +937,12 @@ def test_check_axioms_builds_no_dense_tensor(monkeypatch):
     def refuse(self, *args, **kwargs):
         raise AssertionError(f"{type(self).__name__} built on the verification path")
 
-    monkeypatch.setattr(Tensor2, "__init__", refuse)
-    monkeypatch.setattr(Tensor3, "__init__", refuse)
+    def refuse_support(cls, *args, **kwargs):
+        raise AssertionError(f"{cls.__name__} built on the verification path")
+
+    for tensor in (Tensor2, Tensor3):
+        monkeypatch.setattr(tensor, "__init__", refuse)
+        monkeypatch.setattr(tensor, "_from_support", classmethod(refuse_support))
     plan = SamplePlan(seed=1, count=2)
     for spec in (constant, spectral, gauged):
         assert check_axioms(spec, plan).passed
@@ -970,6 +989,27 @@ def test_rational_constant_control_is_loud_on_every_closed_subset():
             assert report.passed, (series, rank, sub.members, [c.name for c in report.checks if not c.passed])
 
 
+def test_rational_constant_fails_on_every_symmetric_subset_that_is_not_closed():
+    """The necessity half of the RationalConstant class: on every symmetric
+    X = S u -S that is not closed (594 from A2 to B3), check_axioms reads
+    FAIL for cdybe-residual."""
+    plan = SamplePlan(seed=0, count=3)
+    seen = 0
+    for series, rank in (("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3)):
+        g = build_simple_lie_algebra(build_root_system(series, rank))
+        rs = g.root_system
+        for k in range(len(rs.positive_roots) + 1):
+            for s in itertools.combinations(rs.positive_roots, k):
+                x = s + tuple(rs.neg(i) for i in s)
+                if is_closed_subset(rs, x):
+                    continue
+                spec = RMatrixSpec(algebra=g, family="RationalConstant", X=x, validate=False)
+                checks = {c.name: c for c in check_axioms(spec, plan).checks}
+                assert not checks["cdybe-residual"].passed, (series, rank, x)
+                seen += 1
+    assert seen == 594
+
+
 def test_kernel_rows_equal_one_row_kernel_calls(monkeypatch):
     """check_axioms and reduce_pair_check each make one kernel call, and
     every row of it equals a separate one-row call bit for bit: the campaign
@@ -1001,8 +1041,8 @@ def test_kernel_rows_equal_one_row_kernel_calls(monkeypatch):
         assert len(inputs) == 1
         report = reduce_pair_check(tilde, [p], plan)
         lam, _ = verifier._campaign_points((tilde, rho_spec), plan, 0)
-        rho = rmatrix._record(rho_spec, lam[:, None], None, "analytic")
-        r = rmatrix._record(tilde, lam[:, None], None, "analytic")
+        rho = rmatrix._record(rho_spec, lam[:, None], None, True)
+        r = rmatrix._record(tilde, lam[:, None], None, True)
         total = rmatrix._Record(*((t - p) + p for t, p in zip(r, rho)))  # rest = r - rho, then rest + rho
         got = {c.name: c.residuals for c in report.checks}
         for name, rec in (("projector-cdybe", rho), ("pair-sum-cdybe", total)):
@@ -1025,10 +1065,30 @@ def test_residue_of_a_point_equals_its_campaign_row(series, rank):
         acc, est, dev = verifier._residue(g, zj, rmatrix._record(spec, lam[:, None], zj).v)
         for i, x in enumerate(lam):
             tensor, est_i, dev_i = extract_residue(spec, CartanVector.of(x))
-            assert np.array_equal(tensor.data, rmatrix._assemble2(g, acc[i]).data)
+            assert np.array_equal(tensor.data, _dense_r(g, acc[i]).data)
             assert (est_i, dev_i) == (complex(est[i]), float(dev[i]))
         rows = {c.name: c.residuals for c in check_axioms(spec, plan).checks}["residue"]
         assert rows == tuple(np.maximum(dev, np.abs(est - effective_coupling(spec))).tolist())
+
+
+def test_extract_residue_radius_follows_the_pole_lattice():
+    """extract_residue's default contour is the residue check's: at tau = 0.1i
+    a circle of radius 0.05 aliases the lattice poles 0.1 away, the default
+    (a tenth of the shortest period) does not.  Where the shortest period is
+    at least 0.5 the default is the 0.05 circle, bit for bit."""
+    lam = CartanVector.of([0.3 + 0.1j, -0.2 + 0.05j])
+    narrow = RMatrixSpec(algebra=A2, family="EllipticSpectral", tau=0.1j)
+    _, eps, deviation = extract_residue(narrow, lam)
+    assert max(abs(eps - 1), deviation) < 1e-12
+    _, eps, deviation = extract_residue(narrow, lam, radius=0.05)
+    assert max(abs(eps - 1), deviation) > 1e-6  # what the default avoids
+    for spec in (
+        RMatrixSpec(algebra=A2, family="EllipticSpectral", tau=2j),
+        RMatrixSpec(algebra=A2, family="RationalSpectral", X=_full_X(A2)),
+        RMatrixSpec(algebra=A2, family="TrigSpectral", X=A2.root_system.simple_roots),
+    ):
+        got, want = extract_residue(spec, lam), extract_residue(spec, lam, radius=0.05)
+        assert np.array_equal(got[0].data, want[0].data) and got[1:] == want[1:], spec.family
 
 
 def test_spec_digest_is_taken_once_per_spec(monkeypatch):
