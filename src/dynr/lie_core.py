@@ -11,8 +11,8 @@ The algebra basis is {x_1..x_r} (orthonormal Cartan vectors) followed by one
 root vector per root, scaled so that B(e_a, e_{-a}) = 1 and
 [e_a, e_{-a}] = h_a, the form-dual of the root a.  Structure-constant signs
 follow a fixed extraspecial-pair convention; root-to-root constants are
-assembled as exact rationals and stored as floats, like the irrational
-Cartan legs.  Every construction is checked for antisymmetry, the Jacobi
+assembled in integers and stored as floats, like the irrational Cartan
+legs.  Every construction is checked for antisymmetry, the Jacobi
 identity, invariance of the form and the Chevalley relations before it is
 returned.
 """
@@ -21,10 +21,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -37,11 +35,10 @@ _JACOBI_TERMS = 1 << 13  # Jacobi terms per block of output indices (about 76 B 
 
 
 def _cartan_data(series: str, rank: int):
-    """Cartan matrix a[i][j] = 2(a_i,a_j)/(a_j,a_j) and half-lengths d_i."""
+    """Cartan matrix a[i][j] = 2(a_i,a_j)/(a_j,a_j) and integer half-lengths
+    d_i = (a_i,a_i)/2, the shortest simple root at 1."""
     if rank < 1:
         raise UnsupportedType(f"rank must be positive, got {rank}")
-    one = Fraction(1)
-    half = Fraction(1, 2)
     a = [[2 * (i == j) for j in range(rank)] for i in range(rank)]
 
     def chain(i, j):
@@ -49,13 +46,13 @@ def _cartan_data(series: str, rank: int):
         a[j][i] = -1
 
     if series == "A":
-        d = [one] * rank
+        d = [1] * rank
         for i in range(rank - 1):
             chain(i, i + 1)
     elif series == "B":
         if rank < 2:
             raise UnsupportedType("B requires rank >= 2")
-        d = [one] * (rank - 1) + [half]
+        d = [2] * (rank - 1) + [1]
         for i in range(rank - 2):
             chain(i, i + 1)
         a[rank - 2][rank - 1] = -2
@@ -63,7 +60,7 @@ def _cartan_data(series: str, rank: int):
     elif series == "C":
         if rank < 2:
             raise UnsupportedType("C requires rank >= 2")
-        d = [half] * (rank - 1) + [one]
+        d = [1] * (rank - 1) + [2]
         for i in range(rank - 2):
             chain(i, i + 1)
         a[rank - 2][rank - 1] = -1
@@ -71,20 +68,20 @@ def _cartan_data(series: str, rank: int):
     elif series == "D":
         if rank < 3:
             raise UnsupportedType("D requires rank >= 3")
-        d = [one] * rank
+        d = [1] * rank
         for i in range(rank - 2):
             chain(i, i + 1)
         chain(rank - 3, rank - 1)
     elif series == "G":
         if rank != 2:
             raise UnsupportedType("G requires rank == 2")
-        d = [Fraction(1, 3), one]
+        d = [1, 3]
         a[0][1] = -1
         a[1][0] = -3
     elif series == "F":
         if rank != 4:
             raise UnsupportedType("F requires rank == 4")
-        d = [one, one, half, half]
+        d = [2, 2, 1, 1]
         chain(0, 1)
         chain(2, 3)
         a[1][2] = -2
@@ -92,7 +89,7 @@ def _cartan_data(series: str, rank: int):
     elif series == "E":
         if rank not in (6, 7, 8):
             raise UnsupportedType("E requires rank in {6, 7, 8}")
-        d = [one] * rank
+        d = [1] * rank
         edges = [(0, 2), (2, 3), (3, 4), (4, 5), (1, 3)]
         edges += [(5, 6)] if rank >= 7 else []
         edges += [(6, 7)] if rank == 8 else []
@@ -104,9 +101,9 @@ def _cartan_data(series: str, rank: int):
 
 
 def _gram(cartan, d):
-    """(a_i, a_j) = a_ij * d_j, exact and symmetric."""
+    """(a_i, a_j) = a_ij * d_j, in integers and symmetric."""
     rank = len(d)
-    g = [[Fraction(cartan[i][j]) * d[j] for j in range(rank)] for i in range(rank)]
+    g = [[cartan[i][j] * d[j] for j in range(rank)] for i in range(rank)]
     for i in range(rank):
         for j in range(rank):
             if g[i][j] != g[j][i]:
@@ -135,8 +132,9 @@ def _simple_coords(series: str, rank: int, gram) -> np.ndarray:
             m[i, i], m[i, i + 1] = 1.0, -1.0
         m[rank - 1, rank - 2], m[rank - 1, rank - 1] = 1.0, 1.0
         return m
-    g = np.array([[float(x) for x in row] for row in gram])
-    return np.linalg.cholesky(g)
+    g = np.array(gram)
+    # long roots have squared length 2: each entry one division of two exact ints
+    return np.linalg.cholesky(2 * g / np.max(np.diag(g)))
 
 
 def _reflection_closure(cartan, rank):
@@ -187,25 +185,22 @@ class RootSystemData:
     simple_roots: tuple
     positive_roots: tuple
     cartan_matrix: np.ndarray
-    gram: tuple  # exact Gram matrix of the simple roots, Fractions
+    gram: tuple  # Gram matrix of the simple roots in integers, the shortest at 2
     sum_table: np.ndarray = field(init=False, repr=False)
-    _hmax: int = field(init=False, repr=False)
-    _place: tuple = field(init=False, repr=False)  # b**i, Python ints
-    _index: dict = field(init=False, repr=False)  # code -> root index
     _sum_rows: list = field(init=False, repr=False)  # sum_table as lists, for scalar reads
     _neg: tuple = field(init=False, repr=False)
     _pos_set: frozenset = field(init=False, repr=False)
-    _len_sq: tuple = field(init=False, repr=False)
+    _len_sq: tuple = field(init=False, repr=False)  # (a, a) in the units of gram, Python ints
+    _long_sq: int = field(init=False, repr=False)  # the largest of them, a long root's
 
     def __post_init__(self):
         n, rank = self.n_roots, self.rank
-        self._hmax = int(np.max(np.abs(self.coeffs)))
-        base = 4 * self._hmax + 1
-        self._place = tuple(base**i for i in range(rank))
+        hmax = int(np.max(np.abs(self.coeffs)))
+        base = 4 * hmax + 1
+        place = [base**i for i in range(rank)]
         # sums of two codes reach 2h * (b^rank - 1) / (b - 1) < b^rank
         dtype = np.int64 if base**rank < 2**62 else object
-        codes = self.coeffs.astype(dtype) @ np.array(self._place, dtype=dtype)
-        self._index = {int(c): i for i, c in enumerate(codes)}
+        codes = self.coeffs.astype(dtype) @ np.array(place, dtype=dtype)
         order = np.argsort(codes)
         ranked = codes[order]
         sums = (codes[:, None] + codes[None, :]).ravel()
@@ -214,29 +209,16 @@ class RootSystemData:
         table.flags.writeable = False
         self.sum_table = table
         self._sum_rows = table.tolist()
-        self._neg = tuple(self._index[int(-c)] for c in codes)
+        # the code of -a is minus the code of a, so the root of rank t among the codes negates rank n-1-t
+        self._neg = tuple(order[::-1][np.argsort(order)].tolist())
         self._pos_set = frozenset(self.positive_roots)
-        # (c, c) = c^T G c exactly, with G scaled to integers by its denominators
-        den = math.lcm(*(x.denominator for row in self.gram for x in row))
-        g_int = np.array([[int(x * den) for x in row] for row in self.gram], dtype=object)
-        c = self.coeffs.astype(object)
-        self._len_sq = tuple(Fraction(int(v), den) for v in ((c @ g_int) * c).sum(axis=1))
+        g = np.array(self.gram, dtype=np.int64)
+        self._len_sq = tuple(((self.coeffs @ g) * self.coeffs).sum(axis=1).tolist())
+        self._long_sq = max(self._len_sq)
 
     @property
     def n_roots(self) -> int:
         return len(self.coeffs)
-
-    def index_of(self, coeff) -> Optional[int]:
-        """Index of the root with these simple-root coefficients, or None."""
-        if len(coeff) != self.rank:
-            return None
-        code = 0
-        for x, w in zip(coeff, self._place):
-            x = int(x)
-            if abs(x) > self._hmax:
-                return None
-            code += x * w
-        return self._index.get(code)
 
     def neg(self, idx: int) -> int:
         return self._neg[idx]
@@ -252,8 +234,9 @@ class RootSystemData:
     def height(self, idx: int) -> int:
         return int(self.coeffs[idx].sum())
 
-    def length_sq(self, idx: int) -> Fraction:
-        return self._len_sq[idx]
+    def length_sq(self, idx: int) -> float:
+        """(a, a) with long roots at 2, one rounding of an exact ratio."""
+        return 2 * self._len_sq[idx] / self._long_sq
 
 
 def build_root_system(series: str, rank: int) -> RootSystemData:
@@ -316,7 +299,9 @@ class _ChevalleyConstants:
     is declared extraspecial and assigned N = +(p+1), where p is the string
     length; every other constant follows from the Jacobi identity, the
     rotation rule N(y,w) = N(x,y)(x,x)/(w,w) for x+y+w = 0, and the
-    involution N(-a,-b) = -N(a,b).
+    involution N(-a,-b) = -N(a,b).  Every constant is an integer, +-(p+1)
+    (Carter, Simple Groups of Lie Type, ch. 4), so N runs in Python ints
+    and each length-ratio division must come out exact.
     """
 
     def __init__(self, rs: RootSystemData):
@@ -347,25 +332,26 @@ class _ChevalleyConstants:
             cur = rs.add(cur, minus_a)
         return k
 
-    def N(self, a: int, b: int) -> Fraction:
+    def N(self, a: int, b: int) -> int:
         rs = self.rs
         s = rs.add(a, b)
         if s is None:
-            return Fraction(0)
+            return 0
         key = (a, b)
         if key in self._memo:
             return self._memo[key]
         pos_a, pos_b = a in self.order, b in self.order
-        ls = rs.length_sq
+        ls = rs._len_sq
+        den = 1  # a length ratio's denominator, which must divide val
         if pos_a and pos_b:
             if self.order[a] > self.order[b]:
                 val = -self.N(b, a)
             elif (a, b) == self.extraspecial[s]:
-                val = Fraction(self.p(a, b) + 1)
+                val = self.p(a, b) + 1
             else:
                 a0, b0 = self.extraspecial[s]
                 minus_a = rs.neg(a)
-                t = Fraction(0)
+                t = 0
                 b0_a = rs.add(b0, minus_a)
                 if b0_a is not None:
                     t += self.N(b0, minus_a) * self.N(b0_a, a0)
@@ -374,7 +360,7 @@ class _ChevalleyConstants:
                     t += self.N(minus_a, a0) * self.N(a0_a, b0)
                 if t == 0:
                     raise ConstructionFailure("degenerate extraspecial recursion")
-                val = ls(s) / (ls(b) * self.N(a0, b0)) * t
+                val, den = ls[s] * t, ls[b] * self.N(a0, b0)
         elif not pos_a and not pos_b:
             val = -self.N(rs.neg(a), rs.neg(b))
         elif not pos_a:
@@ -382,9 +368,12 @@ class _ChevalleyConstants:
         else:
             c = rs.neg(s)
             if s in self.order:  # a + b positive, c negative
-                val = -self.N(rs.neg(b), rs.neg(c)) * ls(c) / ls(a)
+                val, den = -self.N(rs.neg(b), rs.neg(c)) * ls[c], ls[a]
             else:
-                val = self.N(c, a) * ls(c) / ls(b)
+                val, den = self.N(c, a) * ls[c], ls[b]
+        val, rest = divmod(val, den)
+        if rest:
+            raise ConstructionFailure("inexact division in a structure constant")
         self._memo[key] = val
         return val
 
@@ -429,12 +418,13 @@ def _assemble_constants(rs: RootSystemData) -> tuple:
     """Entry arrays in the rescaled (dual root vector) basis; exact until stored."""
     chev = _ChevalleyConstants(rs)
     rank, nr = rs.rank, rs.n_roots
-    # e_a -> s_a e_a with s_a s_{-a} = (a,a)/2; carried by the positive member
-    scale = [rs.length_sq(i) / 2 if rs.is_positive(i) else Fraction(1) for i in range(nr)]
+    # e_a -> s_a e_a with s_a s_{-a} = (a,a)/2, carried by the positive member:
+    # s_a = w[a] / long in the integer lengths
+    long = rs._long_sq
+    w = [rs._len_sq[a] if rs.is_positive(a) else long for a in range(nr)]
     rows = []
 
     def put(i, j, entries):
-        entries = [(k, float(v)) for k, v in entries]
         rows.extend((i, j, k, v) for k, v in entries)
         rows.extend((j, i, k, -v) for k, v in entries)
 
@@ -446,25 +436,23 @@ def _assemble_constants(rs: RootSystemData) -> tuple:
             c = float(coords[k])
             if c != 0.0:
                 put(k, bi, [(bi, c)])
-    # each unordered root pair once, smaller index first; put() writes both orders
-    for i in range(nr):
-        for j in range(i + 1, nr):
-            bi, bj = rank + i, rank + j
-            if rs.neg(i) == j:
-                # [e_a, e_{-a}] = h_a, the form-dual of a, in x coordinates
-                entries = [(k, float(rs.roots[i][k])) for k in range(rank) if rs.roots[i][k] != 0.0]
-                put(bi, bj, entries)
-                continue
-            s = rs.add(i, j)
-            if s is None:
-                continue
-            n = chev.N(i, j)
-            if n == 0:
-                raise ConstructionFailure("vanishing constant on a root sum")
-            v = n * scale[i] * scale[j] / scale[s]
-            if v.denominator != 1 and rs.series in ("A", "D", "E"):
-                raise ConstructionFailure("non-integer constant in simply-laced type")
-            put(bi, bj, [(rank + s, v)])
+    # each unordered pair i < j with a nonzero bracket once, in row-major
+    # order: j = -i, or i + j a root; put() writes both orders
+    neg = np.array(rs._neg)
+    live = (rs.sum_table >= 0) | (neg[:, None] == np.arange(nr))
+    for i, j in zip(*(x.tolist() for x in np.nonzero(np.triu(live, 1)))):
+        bi, bj = rank + i, rank + j
+        if j == rs.neg(i):
+            # [e_a, e_{-a}] = h_a, the form-dual of a, in x coordinates
+            entries = [(k, float(rs.roots[i][k])) for k in range(rank) if rs.roots[i][k] != 0.0]
+            put(bi, bj, entries)
+            continue
+        s = rs.add(i, j)
+        n = chev.N(i, j)
+        if n == 0:
+            raise ConstructionFailure("vanishing constant on a root sum")
+        # n s_i s_j / s_s, rounded once like the float of the exact ratio
+        put(bi, bj, [(rank + s, n * w[i] * w[j] / (long * w[s]))])
     return _entry_arrays(*zip(*rows))
 
 
@@ -615,9 +603,9 @@ def build_simple_lie_algebra(rs: RootSystemData, cache_dir: Optional[str] = None
     ------
     ConstructionFailure
         While assembling the constants: "positive root with no
-        decomposition", "degenerate extraspecial recursion", "vanishing
-        constant on a root sum", "non-integer constant in simply-laced
-        type".  Then on every algebra, built or loaded from the cache, in
+        decomposition", "degenerate extraspecial recursion", "inexact
+        division in a structure constant", "vanishing constant on a root
+        sum".  Then on every algebra, built or loaded from the cache, in
         this order: "structure constants not real", "antisymmetry
         violated", "Jacobi identity violated", "invariance of the form
         violated", "Chevalley relations violated".
@@ -717,5 +705,6 @@ def fundamental_weights(rs: RootSystemData) -> np.ndarray:
     Defined by 2(w_i, a_j)/(a_j, a_j) = delta_ij over the simple roots.
     """
     simple = rs.roots[list(rs.simple_roots)]
-    d = np.array([float(rs.length_sq(i)) / 2.0 for i in rs.simple_roots])
+    # (a_i, a_i)/2 is the exact ratio of integer lengths below, rounded once
+    d = np.array([rs._len_sq[i] / rs._long_sq for i in rs.simple_roots])
     return np.diag(d) @ np.linalg.inv(simple.T)

@@ -158,11 +158,6 @@ def sigma_w(w: complex, z: complex, p: ThetaParams) -> complex:
     return _sigma(w, z, p, False)[0]
 
 
-def sigma_w_dw(w: complex, z: complex, p: ThetaParams) -> complex:
-    """Analytic partial derivative of sigma_w(z) in w."""
-    return _sigma(w, z, p, True)[1]
-
-
 def rho_fn(z: complex, p: ThetaParams) -> complex:
     """Logarithmic derivative theta1'(z)/theta1(z); odd, residue 1 at 0."""
     tz = theta1(z, p)

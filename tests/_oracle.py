@@ -22,7 +22,8 @@ the independent dense calculus kept here:
   of v, the cross-check of the analytic derivative the library runs;
 - check_phi_triangle, phi_ode_residual and addition_identity_residual are
   the paper's scalar identities for the coefficients phi (RootSumNonzero
-  refuses a root triple that does not sum to zero), and span_closure the
+  refuses a root triple that does not sum to zero), with sigma_w_dw the
+  w-derivative of sigma_w that the addition law reads, and span_closure the
   positive roots supported on a set of simple roots.
 
 Tests import these as ``from _oracle import ...``.
@@ -52,7 +53,7 @@ from dynr import (
     sigma_w,
 )
 from dynr.lie_core import _join, _max_by_key
-from dynr.special_fn import _require_margin, sigma_w_dw
+from dynr.special_fn import _require_margin, _sigma
 
 _PLACEMENTS = ("12-13", "12-23", "13-23")
 
@@ -337,6 +338,12 @@ def phi_ode_residual(spec, alpha: int, lam: CartanVector, fd_step: float = 1e-6)
     up, dn, phi0 = rmatrix._identity_phi(spec, v[:, spec.algebra.rank**2 + alpha])
     eps = effective_coupling(spec)
     return float(abs((up - dn) / (2 * fd_step) + phi0 * phi0 - eps * eps / 4.0))
+
+
+def sigma_w_dw(w: complex, z: complex, p) -> complex:
+    """Analytic partial derivative of sigma_w(z) in w, from the library's
+    one set of theta sums."""
+    return _sigma(w, z, p, True)[1]
 
 
 def addition_identity_residual(w: complex, u: complex, v: complex, params) -> complex:

@@ -45,18 +45,20 @@ def _run_process(*argv):
     return proc.returncode, proc.stderr
 
 
-def test_sampling_never_loads_numpy_random():
-    """The campaign draws from its own stream, so neither a library
-    campaign nor a CLI run imports numpy.random."""
+def test_dynr_never_loads_numpy_random_or_fractions():
+    """The campaign draws from its own stream and the algebra is built in
+    integers, so neither a library campaign nor a CLI run imports
+    numpy.random, fractions or decimal."""
     script = """if True:
         import sys
         from dynr import RMatrixSpec, SamplePlan, build_root_system, build_simple_lie_algebra, check_axioms
         from dynr.cli import main
+        unused = {"numpy.random", "fractions", "decimal"}
         g = build_simple_lie_algebra(build_root_system("A", 2))
         assert check_axioms(RMatrixSpec(algebra=g, family="EllipticSpectral", tau=2j), SamplePlan(seed=3, count=2)).passed
-        assert "numpy.random" not in sys.modules
+        assert not unused & set(sys.modules), unused & set(sys.modules)
         assert main(["verify", "--algebra", "A2", "--family", "elliptic-spectral", "--tau=2i", "--samples", "2"]) == 0
-        assert "numpy.random" not in sys.modules
+        assert not unused & set(sys.modules), unused & set(sys.modules)
     """
     proc = _python("-c", script)
     assert proc.returncode == 0, proc.stderr

@@ -50,6 +50,8 @@ def test_g2_root_count():
     rs = build_root_system("G", 2)
     assert rs.n_roots == 12
     assert len(rs.positive_roots) == 6
+    # (a, a) as a float, long roots at 2: the short ones are a third of that
+    assert sorted({rs.length_sq(i) for i in range(rs.n_roots)}) == [2 / 3, 2.0]
 
 
 def test_cartan_matrix_entries():
@@ -65,7 +67,6 @@ def test_root_index_helpers():
     rs = build_root_system("A", 2)
     for i in range(rs.n_roots):
         assert np.allclose(rs.roots[rs.neg(i)], -rs.roots[i])
-        assert rs.index_of(rs.coeffs[i]) == i
     # alpha1 + alpha2 is a root, alpha1 + alpha1 is not
     s0, s1 = rs.simple_roots
     assert rs.add(s0, s1) is not None
@@ -80,23 +81,28 @@ _ALL_TYPES = [
 ]
 
 
+def _coefficient_lookup(rs):
+    """Index of the root with a coefficient vector, or None, from a dict
+    keyed by coefficient tuples."""
+    by_tuple = {tuple(c): i for i, c in enumerate(rs.coeffs.tolist())}
+    return lambda v: by_tuple.get(tuple(int(x) for x in v))
+
+
 @pytest.mark.parametrize("series,rank", _ALL_TYPES)
 def test_root_codes_match_coefficient_lookup(series, rank):
-    """add and index_of agree with a dict keyed by coefficient tuples."""
+    """add and neg agree with a dict keyed by coefficient tuples."""
     rs = build_root_system(series, rank)
-    by_tuple = {tuple(int(x) for x in c): i for i, c in enumerate(rs.coeffs)}
+    find = _coefficient_lookup(rs)
     c = rs.coeffs
     n = rs.n_roots
     sums = (c[:, None, :] + c[None, :, :]).reshape(n * n, rank)
     diffs = (c[:, None, :] - c[None, :, :]).reshape(n * n, rank)
-    want_sum = [by_tuple.get(tuple(int(x) for x in v)) for v in sums]
-    want_diff = [by_tuple.get(tuple(int(x) for x in v)) for v in diffs]
+    want_sum = [find(v) for v in sums]
     assert [rs.add(i, j) for i in range(n) for j in range(n)] == want_sum
-    assert [rs.index_of(v) for v in sums] == want_sum
-    assert [rs.index_of(v) for v in diffs] == want_diff
+    assert [rs.add(i, rs.neg(j)) for i in range(n) for j in range(n)] == [find(v) for v in diffs]
     table = rs.sum_table.ravel().tolist()
     assert table == [-1 if w is None else w for w in want_sum]
-    assert rs.neg(0) == by_tuple[tuple(int(-x) for x in c[0])]
+    assert [rs.neg(i) for i in range(n)] == [find(-v) for v in c]
     assert rs.is_positive(rs.positive_roots[-1]) and not rs.is_positive(rs.neg(rs.positive_roots[-1]))
 
 
@@ -104,38 +110,41 @@ def test_root_codes_match_coefficient_lookup(series, rank):
 def test_root_codes_past_int64(series, rank):
     """Codes that outgrow 64-bit integers are kept as Python integers."""
     rs = build_root_system(series, rank)
-    by_tuple = {tuple(int(x) for x in c): i for i, c in enumerate(rs.coeffs)}
+    find = _coefficient_lookup(rs)
     rng = np.random.default_rng(0)
     for i, j in rng.integers(0, rs.n_roots, size=(3000, 2)):
-        want = by_tuple.get(tuple(int(x) for x in rs.coeffs[i] + rs.coeffs[j]))
-        assert rs.add(i, j) == want
-        assert rs.index_of(rs.coeffs[i] - rs.coeffs[j]) == by_tuple.get(
-            tuple(int(x) for x in rs.coeffs[i] - rs.coeffs[j]))
+        assert rs.add(i, j) == find(rs.coeffs[i] + rs.coeffs[j])
+        assert rs.add(i, rs.neg(j)) == find(rs.coeffs[i] - rs.coeffs[j])
+    assert [rs.neg(i) for i in range(rs.n_roots)] == [find(-c) for c in rs.coeffs]
     s0, s1 = rs.simple_roots[:2]
     assert rs.add(s0, s1) is not None
-    row = [by_tuple.get(tuple(int(x) for x in rs.coeffs[s0] + c)) for c in rs.coeffs]
+    row = [find(rs.coeffs[s0] + c) for c in rs.coeffs]
     assert rs.sum_table[s0].tolist() == [-1 if w is None else w for w in row]
 
 
-@pytest.mark.parametrize("series,rank", [("A", 2), ("B", 3), ("G", 2), ("F", 4), ("E", 8)])
-def test_index_of_rejects_non_roots(series, rank):
+@pytest.mark.parametrize("series,rank", _ALL_TYPES)
+def test_chevalley_constants_are_integers_of_size_p_plus_one(series, rank):
+    """Carter's magnitude rule: on every root sum a + b, N(a, b) is an
+    integer +-(p + 1), p the largest k with b - k a a root.  Only the sign
+    comes from the extraspecial recursion."""
     rs = build_root_system(series, rank)
-    h = int(np.max(np.abs(rs.coeffs)))
-    base = 4 * h + 1
-    for i in range(rs.n_roots):
-        c = [int(x) for x in rs.coeffs[i]]
-        assert rs.index_of(c) == i
-        assert rs.index_of(c + [0]) is None
-        assert rs.index_of(c[:-1]) is None
-        # same mixed-radix code as root i, but a coefficient above h
-        alias = list(c)
-        alias[0] += base
-        alias[1] -= 1
-        assert rs.index_of(alias) is None
-        assert rs.index_of([h + 1] + c[1:]) is None
-        assert rs.index_of([2 * x for x in c]) is None
-    assert rs.index_of([0] * rank) is None
-    assert rs.index_of([]) is None
+    find = _coefficient_lookup(rs)
+    chev = lie_core._ChevalleyConstants(rs)
+    for a, b in np.argwhere(rs.sum_table >= 0).tolist():
+        p = 0
+        while find(rs.coeffs[b] - (p + 1) * rs.coeffs[a]) is not None:
+            p += 1
+        n = chev.N(a, b)
+        assert type(n) is int and abs(n) == p + 1
+
+
+def test_inexact_length_ratio_is_refused():
+    """A root three times too long leaves a rotation rule N(x,y)(x,x)/(w,w)
+    that is not an integer."""
+    rs = build_root_system("A", 2)
+    rs._len_sq = (3 * rs._len_sq[0],) + rs._len_sq[1:]
+    with pytest.raises(ConstructionFailure, match="inexact division in a structure constant"):
+        build_simple_lie_algebra(rs, cache_dir="")
 
 
 # sha256 prefixes of the exact root-to-root constants (in assembly order) and

@@ -8,6 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from _oracle import sigma_w_dw
 from dynr import (
     ConvergenceFailure,
     PoleProximity,
@@ -20,7 +21,7 @@ from dynr import (
     theta1,
 )
 import dynr.special_fn
-from dynr.special_fn import sigma_w_dw, theta1_dz
+from dynr.special_fn import theta1_dz
 
 P_I = ThetaParams(tau=1j)
 P_2I = ThetaParams(tau=2j)
