@@ -19,7 +19,6 @@ returned.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from dataclasses import dataclass, field
@@ -28,6 +27,14 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConstructionFailure, UnsupportedType
+
+try:  # CPython's builtin sha256 (3.12+, then 3.10-3.11), as random.py takes its sha512:
+    from _sha2 import sha256 as _sha256  # importing hashlib maps OpenSSL's libcrypto, about 3.6 MiB
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 _CACHE_ENV = "DYNR_FIXTURE_DIR"
 _CACHE_VERSION = 3
@@ -629,9 +636,14 @@ def _cache_path(cache_dir: str, series: str, rank: int) -> str:
     return os.path.join(cache_dir, f"structure_{series}{rank}_v{_CACHE_VERSION}.json")
 
 
+def _json_sha256(doc, **dumps) -> str:
+    """Hex sha256 of json.dumps(doc, **dumps): the cache checksum and spec ids."""
+    return _sha256(json.dumps(doc, **dumps).encode()).hexdigest()
+
+
 def _entries_digest(entries: list) -> str:
     """sha256 of the entries list in compact canonical JSON."""
-    return hashlib.sha256(json.dumps(entries, separators=(",", ":")).encode()).hexdigest()
+    return _json_sha256(entries, separators=(",", ":"))
 
 
 def _save_cache(cache_dir: str, series: str, rank: int, const: tuple):

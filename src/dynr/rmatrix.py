@@ -330,8 +330,8 @@ def _base_eval(spec: RMatrixSpec, lam: np.ndarray, z, want_d: bool):
     v[:, : rank * rank] = np.reshape(m, (-1, rank * rank))
     if not want_d:
         return v, None
-    dv = np.zeros((n, rank, rank * rank + nr), dtype=complex)
-    dv[..., rank * rank + poles] = d
+    dv = np.zeros((n, rank, nr), dtype=complex)
+    dv[..., poles] = d
     return v, dv
 
 
@@ -371,7 +371,6 @@ def _evaluate(spec: RMatrixSpec, lam: np.ndarray, z, want_d: bool):
                 _base_eval(spec, *(None if x is None else x[i : i + 1] for x in base), want_d)
             raise
         cartan, phi = v[:, : rs.rank**2], v[:, rs.rank**2 :]  # views, updated in place
-        dphi = None if d is None else d[..., rs.rank**2 :]
         for g, (lam_g, z_g) in zip(spec.gauge_stack, reversed(levels)):
             if g.kind == 1:
                 cartan += g.c_matrix.reshape(-1)
@@ -380,14 +379,14 @@ def _evaluate(spec: RMatrixSpec, lam: np.ndarray, z, want_d: bool):
                 zc = z_g[:, None]
                 factors = np.exp(zc * _pairings(rs.roots, _pairings(q, lam_g) + w))  # e^{z L_a psi}, per root
                 if want_d:
-                    dphi[:] = (dphi + phi[:, None, :] * (zc[:, None] * (rs.roots @ q).T)) * factors[:, None, :]
+                    d[:] = (d + phi[:, None, :] * (zc[:, None] * (rs.roots @ q).T)) * factors[:, None, :]
                 cartan += np.multiply.outer(z_g, q.reshape(-1))
                 phi *= factors
             elif g.kind == 4:
                 a = g.scale[0]
                 np.multiply(a, v, out=v)  # a * v, in the operand order that fixes its rounding
                 if want_d:
-                    np.multiply(a * a, dphi, out=dphi)
+                    np.multiply(a * a, d, out=d)
     return tuple(None if f is None else f.reshape(lead + f.shape[1:]) for f in (v, d))
 
 
@@ -396,8 +395,9 @@ class _Record(NamedTuple):
 
     v holds the Cartan block M row-major, then the e_a (x) e_{-a}
     coefficient per root, the entries whose basis legs _legs gives.  d[k]
-    is v's derivative along the k-th Cartan coordinate (M block zero), or
-    None when no derivative was asked for.  A record of a batch of
+    is the root coefficients' derivative along the k-th Cartan coordinate
+    (M is lam-independent, so v's derivative is zero on its Cartan block),
+    or None when no derivative was asked for.  A record of a batch of
     arguments carries the batch's shape in front of both fields.
     """
 
@@ -413,11 +413,12 @@ def _legs(g: SimpleLieAlgebra) -> tuple:
 
 
 def _flip(rec: _Record, k: int) -> _Record:
-    """rec with entry k of v and of every d row negated.  Every gauge kind is
-    linear in a root's entries and negation is exact, so at a root's entry
-    this gives the values a flip at the family formula gives, and flipping
-    twice restores rec bit for bit."""
-    return _Record(*(None if f is None else np.where(np.arange(f.shape[-1]) == k, -f, f) for f in rec))
+    """rec with entry k of v, a root's entry, and that root's entry of every
+    d row negated.  Every gauge kind is linear in a root's entries and
+    negation is exact, so this gives the values a flip at the family
+    formula gives, and flipping twice restores rec bit for bit."""
+    root = k - rec.v.shape[-1]  # a root's position from the end, the same in v and in d
+    return _Record(*(None if f is None else np.where(np.arange(-f.shape[-1], 0) == root, -f, f) for f in rec))
 
 
 def _check_point(spec: RMatrixSpec, lam: np.ndarray, z) -> None:
@@ -488,7 +489,7 @@ def eval_dlambda(spec: RMatrixSpec, lam: CartanVector, z: Optional[complex] = No
     PoleProximity near poles.
     """
     g = spec.algebra
-    index = np.arange(g.rank)[:, None] * g.dim**2 + _flat_legs(g)  # (k, first leg, second leg)
+    index = np.arange(g.rank)[:, None] * g.dim**2 + _flat_legs(g)[g.rank**2 :]  # (k, e_a, e_-a)
     return Tensor3._from_support(g, index.ravel(), _record(spec, lam.as_array(), _one_z(z), True).d.ravel())
 
 

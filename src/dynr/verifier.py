@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import hashlib
-import json
 import math
 import time
 from dataclasses import dataclass, replace
@@ -21,7 +19,7 @@ import numpy as np
 
 from .combinatorics import is_closed_subset
 from .errors import NonFiniteValue, SamplingExhausted, SpecInvalid, SubalgebraInvalid
-from .lie_core import CartanVector, SimpleLieAlgebra, _join
+from .lie_core import CartanVector, SimpleLieAlgebra, _join, _json_sha256
 from .rmatrix import (
     SPECTRAL_FAMILIES,
     GaugeRecord,
@@ -144,8 +142,8 @@ def spec_digest(spec: RMatrixSpec) -> str:
     """Short stable identifier: family name plus a hash of the spec JSON,
     taken once and kept on the spec, which is immutable."""
     if "_digest" not in vars(spec):
-        doc = json.dumps(spec_to_json(spec), sort_keys=True)
-        object.__setattr__(spec, "_digest", f"{spec.family}:{hashlib.sha256(doc.encode()).hexdigest()[:12]}")
+        digest = _json_sha256(spec_to_json(spec), sort_keys=True)
+        object.__setattr__(spec, "_digest", f"{spec.family}:{digest[:12]}")
     return spec._digest
 
 
@@ -264,8 +262,8 @@ def _campaign_points(specs: Sequence[RMatrixSpec], plan: SamplePlan, n_z: int):
 class _ResidualPlan:
     """Index lists that assemble the CDYBE residual on its weight-zero support.
 
-    An r record enters as its vector v, a derivative record as d, v's
-    layout once per Cartan index k in front.  The six residual inputs r12,
+    An r record enters as its vector v, a derivative record as d, v's root
+    entries once per Cartan index k in front.  The six residual inputs r12,
     r13, r23, d23, d31, d12 are concatenated in that order, followed by a
     1.  Term t adds coef[t] * values[src_x[t]] * values[src_y[t]] to the
     residual entry slot[t]: bracket terms multiply two r entries by a
@@ -311,7 +309,8 @@ def _build_residual_plan(g: SimpleLieAlgebra) -> _ResidualPlan:
     rank, dim = g.rank, g.dim
     legs = _legs(g)  # the basis index of each leg of each entry of a record's v
     n2 = len(legs[0])
-    d_legs = (np.repeat(np.arange(rank), n2), np.tile(legs[0], rank), np.tile(legs[1], rank))
+    root_legs = [leg[rank * rank :] for leg in legs]  # the entries of a d row
+    d_legs = (np.repeat(np.arange(rank), len(root_legs[0])), *(np.tile(leg, rank) for leg in root_legs))
     n3 = len(d_legs[0])
     fi, fj, fk, fv = g.structure_constants
 
@@ -376,11 +375,12 @@ def _cdybe_from(g: SimpleLieAlgebra, rec: _Record, roles: tuple) -> np.ndarray:
     distinct arguments; roles names the argument that gives r12, r13, r23
     and the lambda-derivatives d23, d31, d12.  The symmetrized derivative
     term places the Cartan leg cyclically: x^(1) (dr)^{23} + x^(2)
-    (dr)^{31} + x^(3) (dr)^{12}.  Each point gives one row, from a bincount
-    over per-point offset slots, which adds each row's terms in the order a
-    single point's would; a pass takes as many points as _KERNEL_TERMS
-    allows.  Overflow yields inf or nan entries without a warning; callers
-    test them.
+    (dr)^{31} + x^(3) (dr)^{12}.  Each point gives one row, from one bincount
+    of a pass's terms as (real, imag) float pairs, point p's term t in bins
+    2 (p len(w3) + slot[t]) and the next, which adds each row's terms in the
+    order a single point's would; a pass takes as many points as
+    _KERNEL_TERMS allows.  Overflow yields inf or nan entries without a
+    warning; callers test them.
     """
     plan = _residual_plan(g)
     lead = rec.v.shape[:-2]
@@ -389,7 +389,9 @@ def _cdybe_from(g: SimpleLieAlgebra, rec: _Record, roles: tuple) -> np.ndarray:
     v = rec.v.reshape((n,) + rec.v.shape[-2:])[:, roles[:3]]
     d = rec.d.reshape((n,) + rec.d.shape[-3:])[:, roles[3:]]
     values = np.concatenate((v.reshape(n, -1), d.reshape(n, -1), np.ones((n, 1), dtype=complex)), axis=1)
-    slots = (plan.slot + size * np.arange(rows)[:, None]).ravel()
+    if len(vars(plan).get("_bins", ())) < 2 * rows * len(plan.slot):  # kept on the plan; fewer rows read a prefix
+        real = 2 * (plan.slot + size * np.arange(rows)[:, None])
+        object.__setattr__(plan, "_bins", np.stack((real, real + 1), axis=-1).ravel())
     w = np.empty((n, size), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(0, n, rows):
@@ -398,8 +400,8 @@ def _cdybe_from(g: SimpleLieAlgebra, rec: _Record, roles: tuple) -> np.ndarray:
             terms *= plan.coef
             terms *= x.take(plan.src_y, axis=1)
             k = len(x)
-            w[i : i + k].real = np.bincount(slots[: terms.size], terms.real.ravel(), k * size).reshape(k, size)
-            w[i : i + k].imag = np.bincount(slots[: terms.size], terms.imag.ravel(), k * size).reshape(k, size)
+            sums = np.bincount(plan._bins[: 2 * terms.size], terms.view(float).ravel(), 2 * k * size)
+            w[i : i + k] = sums.view(complex).reshape(k, size)
     return w.reshape(lead + (size,))
 
 

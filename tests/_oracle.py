@@ -275,8 +275,8 @@ def jacobi_defect(n: int, i, j, k, v) -> float:
 
 def fd_record(spec, lam, z, fd_step: float = 1e-5) -> rmatrix._Record:
     """rmatrix._record of spec at (lam, z) with d[k] the central difference
-    of v at lam +- fd_step e_k, its Cartan block included: all 2 * rank
-    shifts in one _evaluate call.  lam and z may be batches, as for _record."""
+    of v's root entries at lam +- fd_step e_k: all 2 * rank shifts in one
+    _evaluate call.  lam and z may be batches, as for _record."""
     rec = rmatrix._record(spec, lam, z)  # checks the point, raises at a pole, applies the flip
     lam = np.asarray(lam)
     z = None if z is None else np.asarray(z, dtype=complex)
@@ -284,9 +284,9 @@ def fd_record(spec, lam, z, fd_step: float = 1e-5) -> rmatrix._Record:
     # the shifted lambdas as a (rank, 2) batch in front of the record's axes
     s = fd_step * np.eye(rank, dtype=complex).reshape((rank,) + (1,) * len(lead) + (rank,))
     vs, _ = rmatrix._evaluate(spec, np.stack([lam + s, lam - s], axis=1), z, False)
-    d = np.moveaxis((vs[:, 0] - vs[:, 1]) / (2 * fd_step), 0, -2)
+    d = np.moveaxis((vs[:, 0] - vs[:, 1])[..., rank * rank :] / (2 * fd_step), 0, -2)
     if spec.debug_flip_root is not None:
-        k = spec.algebra.rank**2 + spec.debug_flip_root
+        k = spec.debug_flip_root
         d[..., k] = -d[..., k]
     return rmatrix._Record(rec.v, d)
 

@@ -45,15 +45,16 @@ def _run_process(*argv):
     return proc.returncode, proc.stderr
 
 
-def test_dynr_never_loads_numpy_random_or_fractions():
-    """The campaign draws from its own stream and the algebra is built in
-    integers, so neither a library campaign nor a CLI run imports
-    numpy.random, fractions or decimal."""
+def test_dynr_never_loads_numpy_random_fractions_or_openssl():
+    """The campaign draws from its own stream, the algebra is built in
+    integers and digests come from CPython's builtin sha256, so neither a
+    library campaign nor a CLI run imports numpy.random, fractions, decimal
+    or _hashlib (OpenSSL's libcrypto)."""
     script = """if True:
         import sys
         from dynr import RMatrixSpec, SamplePlan, build_root_system, build_simple_lie_algebra, check_axioms
         from dynr.cli import main
-        unused = {"numpy.random", "fractions", "decimal"}
+        unused = {"numpy.random", "fractions", "decimal", "_hashlib"}
         g = build_simple_lie_algebra(build_root_system("A", 2))
         assert check_axioms(RMatrixSpec(algebra=g, family="EllipticSpectral", tau=2j), SamplePlan(seed=3, count=2)).passed
         assert not unused & set(sys.modules), unused & set(sys.modules)

@@ -23,6 +23,7 @@ from dynr import (
 )
 from dynr import lie_core
 from dynr.lie_core import _verify_algebra
+from dynr.verifier import spec_digest
 
 
 def _algebra(series, rank):
@@ -566,6 +567,25 @@ def test_cache_document_carries_entry_checksum(tmp_path):
     assert doc["entries"] == [c.tolist() for c in g.structure_constants]  # four lists, in row order
     canonical = json.dumps(doc["entries"], separators=(",", ":")).encode()
     assert doc["sha256"] == hashlib.sha256(canonical).hexdigest()
+
+
+def test_digests_equal_hashlib_sha256(tmp_path):
+    """spec_digest and the cache checksum, taken with CPython's builtin
+    sha256 module, equal hashlib.sha256 of the same bytes."""
+    g = build_simple_lie_algebra(build_root_system("F", 4), cache_dir=str(tmp_path))
+    doc = json.loads((tmp_path / "structure_F4_v3.json").read_text())
+    canonical = json.dumps(doc["entries"], separators=(",", ":")).encode()
+    assert lie_core._entries_digest(doc["entries"]) == doc["sha256"] == hashlib.sha256(canonical).hexdigest()
+    rs = g.root_system
+    specs = [
+        RMatrixSpec(algebra=g, family="TrigCotanh", eps=2.0),
+        RMatrixSpec(algebra=g, family="TrigDegenerate", eps=1.5, X=rs.simple_roots[:2]),
+        RMatrixSpec(algebra=g, family="EllipticSpectral", tau=0.3 + 1.1j),
+        RMatrixSpec(algebra=g, family="RationalConstant", X=tuple(range(rs.n_roots)), debug_flip_root=3),
+    ]
+    for spec in specs:
+        text = json.dumps(spec_to_json(spec), sort_keys=True).encode()
+        assert spec_digest(spec) == f"{spec.family}:{hashlib.sha256(text).hexdigest()[:12]}"
 
 
 def _rewrite_entries(doc, edit, resign=True):

@@ -87,7 +87,7 @@ def _dense_results(spec, lam):
     w3 = np.unravel_index(verifier._residual_plan(g).w3, (g.dim,) * 3)
     out = [
         (eval_rmatrix(spec, lam, z), _scatter(g, 2, legs, rec.v)),
-        (eval_dlambda(spec, lam, z), _scatter(g, 3, (slice(g.rank),) + legs, rec.d)),
+        (eval_dlambda(spec, lam, z), _scatter(g, 3, (slice(g.rank),) + tuple(leg[g.rank**2 :] for leg in legs), rec.d)),
         (cdybe_residual(spec, lam, zs), _scatter(g, 3, w3, verifier._residual(spec, lam.as_array(), zs))),
     ]
     if spec.is_spectral:

@@ -62,7 +62,7 @@ def _by_mode(mode, spec, lam, z):
 def _dense_d(algebra, d):
     """The dense sum_k x_k (x) d[k] of a derivative record d."""
     data = np.zeros((algebra.dim,) * 3, dtype=complex)
-    data[(slice(algebra.rank),) + rmatrix._legs(algebra)] = d
+    data[(slice(algebra.rank),) + tuple(leg[algebra.rank**2 :] for leg in rmatrix._legs(algebra))] = d
     return data
 
 
@@ -446,9 +446,7 @@ def _loop_dlambda(spec, lam, z, mode, fd_step=1e-5):
     rs = algebra.root_system
     data = np.zeros((algebra.dim,) * 3, dtype=complex)
     if mode == "analytic":
-        _, d = rmatrix._evaluate(spec, lam.as_array(), z, True)
-        dm, dphi = _split(rs.rank, d)
-        assert not dm.any()  # M does not depend on lambda
+        _, dphi = rmatrix._evaluate(spec, lam.as_array(), z, True)
         for p in range(rs.n_roots):
             bi, bj = basis_index(algebra, p), basis_index(algebra, rs.neg(p))
             data[: rs.rank, bi, bj] = dphi[:, p]
@@ -459,7 +457,7 @@ def _loop_dlambda(spec, lam, z, mode, fd_step=1e-5):
         step[i] = fd_step
         up = _split(rs.rank, rmatrix._evaluate(spec, base + step, z, False)[0])
         dn = _split(rs.rank, rmatrix._evaluate(spec, base - step, z, False)[0])
-        data[i, : rs.rank, : rs.rank] = (up[0] - dn[0]) / (2 * fd_step)
+        assert np.array_equal(up[0], dn[0])  # M does not depend on lambda
         pdiff = (up[1] - dn[1]) / (2 * fd_step)
         for p in range(rs.n_roots):
             data[i, basis_index(algebra, p), basis_index(algebra, rs.neg(p))] = pdiff[p]
@@ -806,10 +804,8 @@ def _o_evaluate(spec, lam, z, want_d):
 
 def _o_record(spec, lam, z, mode, fd_step=1e-5):
     """(v, d) as rmatrix._record gives them, from the oracle: M row-major,
-    then phi per root, and the same per Cartan coordinate for d, whose M
-    block is zero in analytic mode."""
+    then phi per root, and dphi per Cartan coordinate for d."""
     rank = spec.algebra.rank
-    dm = np.zeros((rank, rank, rank), dtype=complex)
     if mode == "finite-difference":
         m, phi, _ = _o_evaluate(spec, lam, z, False)
         dphi = np.zeros((rank, len(phi)), dtype=complex)
@@ -817,7 +813,7 @@ def _o_record(spec, lam, z, mode, fd_step=1e-5):
             step = np.zeros(rank, dtype=complex)
             step[i] = fd_step
             up, dn = _o_evaluate(spec, lam + step, z, False), _o_evaluate(spec, lam - step, z, False)
-            dm[i] = (up[0] - dn[0]) / (2 * fd_step)
+            assert np.array_equal(up[0], dn[0])  # M does not depend on lambda
             dphi[i] = (up[1] - dn[1]) / (2 * fd_step)
     else:
         m, phi, dphi = _o_evaluate(spec, lam, z, mode == "analytic")
@@ -827,7 +823,7 @@ def _o_record(spec, lam, z, mode, fd_step=1e-5):
         if dphi is not None:
             dphi[:, p] = -dphi[:, p]
     v = np.concatenate((m.reshape(-1), phi))
-    return v, None if dphi is None else np.concatenate((dm.reshape(rank, -1), dphi), axis=1)
+    return v, dphi
 
 
 def _record_zoo(g):

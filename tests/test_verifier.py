@@ -727,7 +727,9 @@ def _dense_r(g, v):
 
 def _dense_d(g, d):
     """The dense sum_k x_k (x) d[k] of a derivative record d."""
-    return Tensor3(g, np.stack([_dense_r(g, dk).data for dk in d] + [np.zeros((g.dim,) * 2)] * (g.dim - g.rank)))
+    cartan = np.zeros(g.rank**2)  # M does not depend on lambda
+    dense = [_dense_r(g, np.concatenate((cartan, dk))).data for dk in d]
+    return Tensor3(g, np.stack(dense + [np.zeros((g.dim,) * 2)] * (g.dim - g.rank)))
 
 
 def _kernel_zoo(g):
@@ -809,9 +811,10 @@ def test_residual_kernel_matches_dense_oracle(monkeypatch, series, rank):
 
 def test_record_values_round_trip_through_dense():
     """A record's v and d are r's and dr's dense tensors read in _legs'
-    order, Cartan block row-major then (e_a, e_{-a}) per root, with d's
-    Cartan block zero; fd_record keeps v and differences it; and a
-    residual vector densifies onto w3."""
+    order, Cartan block row-major then (e_a, e_{-a}) per root, d on the
+    root entries alone, since v's Cartan block does not move with lambda;
+    fd_record keeps v and differences it; and a residual vector densifies
+    onto w3."""
     g = A2
     rank, rs = g.rank, g.root_system
     legs = rmatrix._legs(g)
@@ -825,7 +828,9 @@ def test_record_values_round_trip_through_dense():
         rec = rmatrix._record(spec, lam.as_array(), z, True)
         assert np.array_equal(_dense_r(g, rec.v).data, dense_r.data)
         assert np.array_equal(_dense_d(g, rec.d).data, eval_dlambda(spec, lam, z).data)
-        assert not rec.d[:, : rank * rank].any()
+        moved = rmatrix._record(spec, lam.as_array() + 0.1 - 0.05j, z).v
+        assert np.array_equal(moved[: rank * rank], rec.v[: rank * rank])
+        assert rec.d.shape == (rank, rs.n_roots)
         fd = fd_record(spec, lam.as_array(), z)
         assert np.array_equal(fd.v, rec.v)
         assert np.max(np.abs(fd.d - rec.d)) < 1e-6 * max(1.0, np.max(np.abs(rec.d)))
@@ -867,6 +872,20 @@ def test_residual_plan_cached_per_algebra_instance():
     assert len(plan.slot) != b3_terms
     for name in ("w3", "src_x", "src_y", "coef", "slot", "weight", "swap", "hit"):
         assert np.array_equal(getattr(plan, name), getattr(fresh, name))
+
+
+@pytest.mark.parametrize("series, rank", [("A", 2), ("B", 3), ("A", 4), ("D", 4)])
+def test_residual_plan_reads_dphi_only(series, rank):
+    """A derivative record holds dphi alone (M does not depend on lambda),
+    so the plan has one Alt(dr) term per derivative entry and leg
+    placement, 3 * rank * n_roots, and no residual entry with three Cartan
+    legs, since a bracket of two Cartan legs is zero."""
+    g = build_simple_lie_algebra(build_root_system(series, rank))
+    plan = verifier._residual_plan(g)
+    alt = plan.src_y == plan.src_y.max()  # the terms that multiply by the trailing 1
+    assert np.count_nonzero(alt) == 3 * rank * g.root_system.n_roots
+    legs = np.unravel_index(plan.w3, (g.dim,) * 3)
+    assert not np.any((legs[0] < rank) & (legs[1] < rank) & (legs[2] < rank))
 
 
 @pytest.mark.parametrize("series, rank", [("A", 2), ("B", 3), ("D", 4)])
