@@ -38,7 +38,6 @@ except ImportError:
 
 _CACHE_ENV = "DYNR_FIXTURE_DIR"
 _CACHE_VERSION = 3
-_JACOBI_TERMS = 1 << 13  # Jacobi terms per block of output indices (about 76 B each)
 
 
 def _cartan_data(series: str, rank: int):
@@ -498,32 +497,25 @@ def _join(a: np.ndarray, b: np.ndarray, n: int):
     return left, by_key[first[a[left]] + offset]
 
 
-def _jacobi_defect(n: int, i, j, k, v) -> float:
-    """max over (a, b, c, k) of |[a,[b,c]] + [c,[a,b]] + [b,[c,a]]|_k.
+def _jacobi_defect(g: SimpleLieAlgebra, i, j, k, v) -> float:
+    """max over generators x = e_{+-a_s} and (b, c, k) of |[x,[b,c]] - [[x,b],c] - [b,[x,c]]|_k.
 
-    P(x, y, z, k) = sum_m f[x,y,m] f[z,m,k] = [z,[x,y]]_k comes from joining
-    the entry list on its output index m with the entry list on its middle
-    index m.  The Jacobi sum at (a, b, c) is P summed over the three cyclic
-    rotations of (a, b, c), so every term is filed under the least rotation
-    of its (x, y, z) and one bincount adds the three (a term with
-    x = y = z is its own rotation three times).
-
-    The join walks blocks of whole output indices, about _JACOBI_TERMS terms
-    each, so every keyed sum adds its terms in the order of a single join.
+    The x with ad_x a derivation form a subalgebra (Humphreys 1.3) and the
+    generators generate g (_chevalley_defect), so with antisymmetry a zero
+    defect is the Jacobi identity.  Terms join x's rows with all rows.
     """
-    # terms with output k: each right entry meets every left entry whose k is its j
-    per_out = np.bincount(k, weights=np.bincount(k, minlength=n)[j], minlength=n)
-    block = ((np.cumsum(per_out) - per_out) // _JACOBI_TERMS)[k]  # each right entry's block
-    order = np.argsort(block, kind="stable")
+    n, simple = g.dim, list(g.root_system.simple_roots)
     worst = 0.0
-    for rights in np.split(order, np.flatnonzero(np.diff(block[order])) + 1):
-        left, right = _join(k, j[rights], n)
-        right = rights[right]
-        x, y, z, out = i[left], j[left], i[right], k[right]
-        value = v[left] * v[right]
-        value[(x == y) & (y == z)] *= 3
-        key = np.minimum(np.minimum((x * n + y) * n + z, (y * n + z) * n + x), (z * n + x) * n + y)
-        worst = np.maximum(worst, _max_by_key(key * n + out, value))  # a NaN stays
+    for x in np.concatenate([e[simple] for e in g.root_pair_index()]):
+        mine = i == x
+        xj, xk, xv = j[mine], k[mine], v[mine]
+        r1, q1 = _join(k, xj, n)  # row (b, c, m) with x's row (x, m, out)
+        r2, q2 = _join(i, xk, n)  # x's row (x, b, m) with row (m, c, out)
+        r3, q3 = _join(j, xk, n)  # x's row (x, c, m) with row (b, m, out)
+        keys = np.concatenate([(i[r1] * n + j[r1]) * n + xk[q1], (xj[q2] * n + j[r2]) * n + k[r2],
+                               (i[r3] * n + xj[q3]) * n + k[r3]])
+        values = np.concatenate([v[r1] * xv[q1], -v[r2] * xv[q2], -v[r3] * xv[q3]])
+        worst = np.maximum(worst, _max_by_key(keys, values))  # a NaN stays
     return float(worst)
 
 
@@ -541,14 +533,16 @@ def _invariance_defect(b: np.ndarray, i, j, k, v) -> float:
 
 def _chevalley_defect(g: SimpleLieAlgebra, i, j, k, v) -> float:
     """max |[x_k, e_a] - a_k e_a| and |[e_a, e_{-a}] - h_a| over every root a,
-    Cartan index k and output index, h_a being sum_k a_k x_k.
+    Cartan index k and output index, h_a being sum_k a_k x_k; infinite when
+    a root sum a + b has no nonzero [e_a, e_b] on e_{a+b}, without which the
+    e_{+-a_s} would not generate g.
 
     The (i, j) pairs read are every (Cartan, root) pair and every
     (e_a, e_{-a}) pair; a bracket with no rows, or no rows at all, counts
     as zero.
     """
     n, rank = g.dim, g.rank
-    roots = g.root_system.roots
+    roots, table = g.root_system.roots, g.root_system.sum_table
     e, e_neg = g.root_pair_index()
     neg_of = np.full(n, -1)
     neg_of[e] = e_neg
@@ -560,7 +554,13 @@ def _chevalley_defect(g: SimpleLieAlgebra, i, j, k, v) -> float:
     want_k = np.concatenate([e[a], kk])
     want_v = np.tile(roots[a, kk], 2)
     keys = np.concatenate([(i[read] * n + j[read]) * n + k[read], (want_i * n + want_j) * n + want_k])
-    return _max_by_key(keys, np.concatenate([v[read], -want_v]))
+    defect = _max_by_key(keys, np.concatenate([v[read], -want_v]))
+    a, b = np.nonzero(table >= 0)
+    sums = (e[a] * n + e[b]) * n + e[table[a, b]]
+    # each (i, j, k) key's summed value, read at the key of each root sum
+    _, group = np.unique(np.concatenate([(i * n + j) * n + k, sums]), return_inverse=True)
+    held = np.bincount(group[: len(i)], weights=v, minlength=len(group))
+    return defect if np.all(held[group[len(i) :]]) else float("inf")
 
 
 def _verify_algebra(g: SimpleLieAlgebra, tol: float = 1e-12):
@@ -571,14 +571,13 @@ def _verify_algebra(g: SimpleLieAlgebra, tol: float = 1e-12):
     so it runs on every algebra.  Raises ConstructionFailure naming the
     first check that fails.
     """
-    n = g.dim
     i, j, k, v = g.structure_constants
     if np.iscomplexobj(v):
         raise ConstructionFailure("structure constants not real")
     # "not <=" so that a NaN defect fails too
-    if not _antisymmetry_defect(n, i, j, k, v) <= tol:
+    if not _antisymmetry_defect(g.dim, i, j, k, v) <= tol:
         raise ConstructionFailure("antisymmetry violated")
-    if not _jacobi_defect(n, i, j, k, v) <= tol:
+    if not _jacobi_defect(g, i, j, k, v) <= tol:
         raise ConstructionFailure("Jacobi identity violated")
     if not _invariance_defect(g.bilinear_form, i, j, k, v) <= tol:
         raise ConstructionFailure("invariance of the form violated")

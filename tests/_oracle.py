@@ -16,8 +16,9 @@ the independent dense calculus kept here:
 - _serial_points is the one-candidate sampling loop the block sampler
   replaced; sample_lambda and sample_spectral_point draw one point from a
   caller's generator through it;
-- jacobi_defect is the Jacobi check as one join over every term, which
-  the library's blocked walk must match bit for bit;
+- jacobi_defect is the Jacobi identity over every (a, b, c) as one join of
+  all terms, whose verdict the library's check on the Chevalley generators
+  must share;
 - fd_record is a record whose derivative is a central finite difference
   of v, the cross-check of the analytic derivative the library runs;
 - check_phi_triangle, phi_ode_residual and addition_identity_residual are
@@ -262,7 +263,15 @@ def sample_spectral_point(spec, plan, rng):
 
 
 def jacobi_defect(n: int, i, j, k, v) -> float:
-    """lie_core._jacobi_defect as one join over all its terms at once."""
+    """max over (a, b, c, k) of |[a,[b,c]] + [c,[a,b]] + [b,[c,a]]|_k.
+
+    P(x, y, z, k) = sum_m f[x,y,m] f[z,m,k] = [z,[x,y]]_k comes from joining
+    the entry list on its output index m with the entry list on its middle
+    index m.  The Jacobi sum at (a, b, c) is P summed over the three cyclic
+    rotations of (a, b, c), so every term is filed under the least rotation
+    of its (x, y, z) and one bincount adds the three (a term with
+    x = y = z is its own rotation three times).
+    """
     left, right = _join(k, j, n)
     x, y, z, out = i[left], j[left], i[right], k[right]
     value = v[left] * v[right]

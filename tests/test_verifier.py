@@ -1008,10 +1008,11 @@ def test_rational_constant_control_is_loud_on_every_closed_subset():
             assert report.passed, (series, rank, sub.members, [c.name for c in report.checks if not c.passed])
 
 
-def test_rational_constant_fails_on_every_symmetric_subset_that_is_not_closed():
-    """The necessity half of the RationalConstant class: on every symmetric
-    X = S u -S that is not closed (594 from A2 to B3), check_axioms reads
-    FAIL for cdybe-residual."""
+@pytest.mark.parametrize("family", ["RationalConstant", "RationalSpectral"])
+def test_rational_constant_fails_on_every_symmetric_subset_that_is_not_closed(family):
+    """The necessity half of the RationalConstant and RationalSpectral
+    classes: on every symmetric X = S u -S that is not closed (594 from A2
+    to B3), check_axioms reads FAIL for cdybe-residual."""
     plan = SamplePlan(seed=0, count=3)
     seen = 0
     for series, rank in (("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3)):
@@ -1022,7 +1023,7 @@ def test_rational_constant_fails_on_every_symmetric_subset_that_is_not_closed():
                 x = s + tuple(rs.neg(i) for i in s)
                 if is_closed_subset(rs, x):
                     continue
-                spec = RMatrixSpec(algebra=g, family="RationalConstant", X=x, validate=False)
+                spec = RMatrixSpec(algebra=g, family=family, X=x, validate=False)
                 checks = {c.name: c for c in check_axioms(spec, plan).checks}
                 assert not checks["cdybe-residual"].passed, (series, rank, x)
                 seen += 1
@@ -1211,11 +1212,13 @@ def test_residue_stays_at_round_off_at_small_im_tau(tau):
 
 # ---------------------------------------------------------------- classification
 
-def test_trig_degenerate_passes_exactly_on_a_simple_root_subsystem():
-    """The paper's necessity rule for TrigDegenerate: check_axioms reads PASS
-    if and only if the additive closure of X and -X is the root system of a
-    set of simple roots.  Every X of 1-3 positive roots not all simple, on
-    rank 2 and 3 (331 specs); every FAIL is the CDYBE residual's alone."""
+@pytest.mark.parametrize("family", ["TrigDegenerate", "TrigSpectral"])
+def test_trig_degenerate_passes_exactly_on_a_simple_root_subsystem(family):
+    """The paper's necessity rule for TrigDegenerate and TrigSpectral:
+    check_axioms reads PASS if and only if the additive closure of X and -X
+    is the root system of a set of simple roots.  Every X of 1-3 positive
+    roots not all simple, on rank 2 and 3 (331 specs); every FAIL is the
+    CDYBE residual's alone."""
     plan = SamplePlan(seed=0, count=2)
     n_specs, outcomes = 0, set()
     for series, rank in (("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3), ("C", 3)):
@@ -1228,7 +1231,7 @@ def test_trig_degenerate_passes_exactly_on_a_simple_root_subsystem():
             for xs in itertools.combinations(rs.positive_roots, n):
                 if set(xs) <= simple:
                     continue
-                spec = RMatrixSpec(algebra=g, family="TrigDegenerate", eps=1.0, X=xs, validate=False)
+                spec = RMatrixSpec(algebra=g, family=family, eps=1.0, X=xs, validate=False)
                 failed = [c.name for c in check_axioms(spec, plan).checks if not c.passed]
                 levi = additive_closure(rs, set(xs) | {rs.neg(i) for i in xs}) in levis
                 assert failed == ([] if levi else ["cdybe-residual"]), (series, rank, xs, failed)
