@@ -236,9 +236,9 @@ def cmd_subsets(args) -> int:
         "count": len(subsets),
         "subsets": [
             {
-                "size": len(s.members),
-                "members": [int(i) for i in s.members],
-                "coeffs": [[int(v) for v in rs.coeffs[i]] for i in s.members],
+                "size": len(s),
+                "members": list(s),
+                "coeffs": [[int(v) for v in rs.coeffs[i]] for i in s],
             }
             for s in subsets
         ],

@@ -1,14 +1,14 @@
 """Root-subset utilities: closed subsets, additive closure, polarization search.
 
-Closed subsets (symmetric, additively closed sets of roots) parametrize the
-zero-coupling families; find_polarization constructively produces a
-regular vector whose positive system contains a prescribed
-additively-closed, asymmetric set Y.
+Closed subsets (symmetric, additively closed sets of roots, held as sorted
+root-index tuples) parametrize the zero-coupling families;
+find_polarization constructively produces a regular vector whose positive
+system contains a prescribed additively-closed, asymmetric set Y.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -19,49 +19,24 @@ from .lie_core import RootSystemData, fundamental_weights
 _ENUM_MAX_RANK = 4
 
 
-@dataclass(frozen=True)
-class RootSubset:
-    """A set of root indices over a fixed root system."""
-
-    root_system: RootSystemData
-    members: tuple
-    _set: frozenset = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        n = self.root_system.n_roots
-        mem = tuple(sorted(int(i) for i in set(self.members)))
-        for i in mem:
-            if not 0 <= i < n:
-                raise SpecInvalid(f"root index {i} out of range 0..{n - 1}")
-        object.__setattr__(self, "members", mem)
-        object.__setattr__(self, "_set", frozenset(mem))
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, idx: int) -> bool:
-        return int(idx) in self._set
-
-    def as_set(self) -> frozenset:
-        return self._set
-
-
 def additive_closure(rs: RootSystemData, members: Iterable[int]) -> frozenset:
     """Smallest superset of the index set that is closed under root addition.
 
-    Every newly added root is paired with every member once, so each sum of
-    two members of the result has been looked up.
+    The fixed point of a root mask that takes in every sum_table entry of
+    two of its members; it stops when a pass adds no root.  SpecInvalid
+    for an index outside range(n_roots), which a mask would wrap.
     """
-    out = set(int(i) for i in members)
-    pending = list(out)
-    while pending:
-        i = pending.pop()
-        for j in list(out):
-            s = rs.add(i, j)
-            if s is not None and s not in out:
-                out.add(s)
-                pending.append(s)
-    return frozenset(out)
+    idx = [int(i) for i in members]
+    if not all(0 <= i < rs.n_roots for i in idx):
+        raise SpecInvalid(f"root index out of range 0..{rs.n_roots - 1}: {sorted(idx)}")
+    mask = np.zeros(rs.n_roots, dtype=bool)
+    mask[idx] = True
+    size = 0
+    while (held := np.flatnonzero(mask)).size > size:
+        size = held.size
+        sums = rs.sum_table[np.ix_(held, held)]
+        mask[sums[sums >= 0]] = True
+    return frozenset(held.tolist())
 
 
 def is_closed_subset(rs: RootSystemData, members: Iterable[int]) -> bool:
@@ -71,11 +46,14 @@ def is_closed_subset(rs: RootSystemData, members: Iterable[int]) -> bool:
 
 
 def enumerate_closed_subsets(rs: RootSystemData) -> list:
-    """All closed subsets, for rank <= 4, in deterministic order.
+    """All closed subsets, for rank <= 4, as sorted root-index tuples ordered
+    by size, then lexicographically.
 
     Symmetry pairs (a, -a) are chosen as units; a depth-first search adds
     one positive root at a time, forcing in any root sum of two chosen
     members and abandoning branches whose forced sum was already excluded.
+    Every pair of chosen units has its sums looked up when the later one is
+    added, so each result is closed.
 
     Raises
     ------
@@ -84,11 +62,9 @@ def enumerate_closed_subsets(rs: RootSystemData) -> list:
     if rs.rank > _ENUM_MAX_RANK:
         raise TooLarge(f"closed-subset enumeration limited to rank <= {_ENUM_MAX_RANK}")
     units = list(rs.positive_roots)
-    unit_pos = {u: n for n, u in enumerate(units)}
-
-    def pos_rep(idx: int) -> int:
-        return idx if idx in unit_pos else rs.neg(idx)
-
+    unit_of = {}  # the position in units of each root and of its negative
+    for n, u in enumerate(units):
+        unit_of[u] = unit_of[rs.neg(u)] = n
     results = []
 
     # decisions[n]: None undecided, True in, False out
@@ -105,31 +81,19 @@ def enumerate_closed_subsets(rs: RootSystemData) -> list:
         if forced is not False:
             inc = list(decisions)
             inc[n] = True
-            ok = True
-            chosen = [units[m] for m in range(n + 1) if inc[m]]
-            for v in chosen:
-                # sums of +-u with +-v, reduced to positive representatives
+            for v in [units[m] for m in range(n + 1) if inc[m]]:
+                # the units of the sums of +-u with +-v are forced in
                 for s in (rs.add(u, v), rs.add(u, rs.neg(v))):
                     if s is None:
                         continue
-                    w = pos_rep(s)
-                    m = unit_pos[w]
-                    if inc[m] is False:
-                        ok = False
-                        break
-                    inc[m] = True
-                if not ok:
-                    break
-            if ok:
-                walk(n + 1, inc)
+                    if inc[unit_of[s]] is False:
+                        return  # a forced unit is already out: no closed subset here
+                    inc[unit_of[s]] = True
+            walk(n + 1, inc)
 
     walk(0, [None] * len(units))
     results.sort(key=lambda t: (len(t), t))
-    out = [RootSubset(rs, t) for t in results]
-    for sub in out:
-        if not is_closed_subset(rs, sub.members):
-            raise SpecInvalid("enumeration produced a non-closed subset")
-    return out
+    return results
 
 
 @dataclass(frozen=True)

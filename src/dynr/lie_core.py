@@ -484,17 +484,25 @@ def _antisymmetry_defect(n: int, i, j, k, v) -> float:
     return _max_by_key(keys, np.concatenate([v, v]))
 
 
-def _join(a: np.ndarray, b: np.ndarray, n: int):
-    """Index arrays (left, right) of every pair with a[left] == b[right].
+def _sorted_column(b: np.ndarray, n: int) -> tuple:
+    """(order, first), order a stable argsort of b (keys in range(n)) and
+    order[first[m]:first[m + 1]] the entries with key m: _join's b."""
+    order = np.argsort(b, kind="stable")
+    return order, np.searchsorted(b[order], np.arange(n + 1))
 
-    Keys lie in range(n); pairs come grouped by left index.
+
+def _join(a: np.ndarray, column: tuple):
+    """Index arrays (left, right) of every pair with a[left] == b[right],
+    column being _sorted_column(b, n), so b is sorted once for many joins.
+    Pairs come grouped by left index, each group in index order of b.
     """
-    by_key = np.argsort(b, kind="stable")
-    first = np.searchsorted(b[by_key], np.arange(n))
-    fanout = np.bincount(b, minlength=n)[a]  # partners of each left entry
-    left = np.repeat(np.arange(len(a)), fanout)
-    offset = np.arange(len(left)) - np.repeat(np.cumsum(fanout) - fanout, fanout)
-    return left, by_key[first[a[left]] + offset]
+    order, first = column
+    lo = first[a]
+    count = first[a + 1] - lo
+    left = np.repeat(np.arange(len(a)), count)
+    # pair p is partner p - (first pair of its group) of a[left[p]]
+    start = np.repeat(lo - (np.cumsum(count) - count), count)
+    return left, order[start + np.arange(len(left))]
 
 
 def _jacobi_defect(g: SimpleLieAlgebra, i, j, k, v) -> float:
@@ -502,16 +510,19 @@ def _jacobi_defect(g: SimpleLieAlgebra, i, j, k, v) -> float:
 
     The x with ad_x a derivation form a subalgebra (Humphreys 1.3) and the
     generators generate g (_chevalley_defect), so with antisymmetry a zero
-    defect is the Jacobi identity.  Terms join x's rows with all rows.
+    defect is the Jacobi identity.  Terms join x's rows with all rows,
+    which are sorted by each index once.
     """
     n, simple = g.dim, list(g.root_system.simple_roots)
+    by_i, by_j, by_k = (_sorted_column(c, n) for c in (i, j, k))
+    order, first = by_i
     worst = 0.0
     for x in np.concatenate([e[simple] for e in g.root_pair_index()]):
-        mine = i == x
+        mine = order[first[x] : first[x + 1]]  # x's rows
         xj, xk, xv = j[mine], k[mine], v[mine]
-        r1, q1 = _join(k, xj, n)  # row (b, c, m) with x's row (x, m, out)
-        r2, q2 = _join(i, xk, n)  # x's row (x, b, m) with row (m, c, out)
-        r3, q3 = _join(j, xk, n)  # x's row (x, c, m) with row (b, m, out)
+        q1, r1 = _join(xj, by_k)  # row (b, c, m) with x's row (x, m, out)
+        q2, r2 = _join(xk, by_i)  # x's row (x, b, m) with row (m, c, out)
+        q3, r3 = _join(xk, by_j)  # x's row (x, c, m) with row (b, m, out)
         keys = np.concatenate([(i[r1] * n + j[r1]) * n + xk[q1], (xj[q2] * n + j[r2]) * n + k[r2],
                                (i[r3] * n + xj[q3]) * n + k[r3]])
         values = np.concatenate([v[r1] * xv[q1], -v[r2] * xv[q2], -v[r3] * xv[q3]])
@@ -525,8 +536,8 @@ def _invariance_defect(b: np.ndarray, i, j, k, v) -> float:
     rows, cols = np.nonzero(b)
     w = b[rows, cols]
     # lhs[i, j, c] = sum_m f[i,j,m] B[m,c];  rhs[a, i, j] = sum_m B[a,m] f[i,j,m]
-    fl, bl = _join(k, rows, n)
-    fr, br = _join(k, cols, n)
+    fl, bl = _join(k, _sorted_column(rows, n))
+    fr, br = _join(k, _sorted_column(cols, n))
     keys = np.concatenate([(i[fl] * n + j[fl]) * n + cols[bl], (rows[br] * n + i[fr]) * n + j[fr]])
     return _max_by_key(keys, np.concatenate([v[fl] * w[bl], -v[fr] * w[br]]))
 

@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .combinatorics import RootSubset, additive_closure, is_closed_subset
+from .combinatorics import additive_closure, is_closed_subset
 from .errors import ConvergenceFailure, NonFiniteValue, PoleProximity, SpecInvalid
 from .lie_core import CartanVector, SimpleLieAlgebra
 from .special_fn import ThetaParams, _require_margin, _sigma, coth_scaled, rho_fn
@@ -126,8 +126,7 @@ class RMatrixSpec:
         rs = self.algebra.root_system
         rank = rs.rank
 
-        members = self.X.members if isinstance(self.X, RootSubset) else self.X
-        x = tuple(sorted(set(_root_indices(members, "X"))))  # X is a set of roots
+        x = tuple(sorted(set(_root_indices(self.X, "X"))))  # X is a set of roots
         object.__setattr__(self, "X", x)
 
         nu = self.nu if self.nu is not None else CartanVector.zero(rank)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .combinatorics import is_closed_subset
 from .errors import NonFiniteValue, SamplingExhausted, SpecInvalid, SubalgebraInvalid
-from .lie_core import CartanVector, SimpleLieAlgebra, _join, _json_sha256
+from .lie_core import CartanVector, SimpleLieAlgebra, _join, _json_sha256, _sorted_column
 from .rmatrix import (
     SPECTRAL_FAMILIES,
     GaugeRecord,
@@ -215,10 +215,11 @@ def _draw_vector(rng, k: int, box, im_box, z_box, n_z: int, rank: int):
     """k candidates (lambda (k, rank), z (k, n_z)) from one rng.random call, a
     row holding a serial uniform draw's doubles in order: Re, Im lambda in box,
     im_box; Re, Im z in z_box.  uniform(lo, hi) is lo + (hi - lo) * random()."""
-    lo, hi = np.repeat([box, im_box, z_box, z_box], [rank, rank, n_z, n_z], axis=0).T
-    u = lo + (hi - lo) * rng.random((k, 2 * rank + 2 * n_z))
-    lam_re, lam_im, z_re, z_im = np.split(u, [rank, 2 * rank, 2 * rank + n_z], axis=1)
-    return lam_re + 1j * lam_im, z_re + 1j * z_im
+    u = rng.random((k, 2 * rank + 2 * n_z))
+    (lo, hi), (im_lo, im_hi), (z_lo, z_hi) = box, im_box, z_box
+    lam = lo + (hi - lo) * u[:, :rank] + 1j * (im_lo + (im_hi - im_lo) * u[:, rank : 2 * rank])
+    z = z_lo + (z_hi - z_lo) * u[:, 2 * rank :]  # Re and Im z share z_box
+    return lam, z[:, :n_z] + 1j * z[:, n_z:]
 
 
 def _campaign_points(specs: Sequence[RMatrixSpec], plan: SamplePlan, n_z: int):
@@ -319,8 +320,8 @@ def _build_residual_plan(g: SimpleLieAlgebra) -> _ResidualPlan:
     # y's bracketed leg, output position of the bracket) for the placements
     # 12-13, 12-23 and 13-23; the unbracketed legs keep their order.
     for x_off, lx, y_off, ly, at in ((0, 0, n2, 0, 0), (0, 1, 2 * n2, 0, 1), (n2, 1, 2 * n2, 1, 2)):
-        e, t = _join(fi, legs[lx], dim)
-        keep, u = _join(fj[e], legs[ly], dim)
+        e, t = _join(fi, _sorted_column(legs[lx], dim))
+        keep, u = _join(fj[e], _sorted_column(legs[ly], dim))
         e, t = e[keep], t[keep]
         out = [legs[1 - lx][t], legs[1 - ly][u]]
         out.insert(at, fk[e])

@@ -42,7 +42,6 @@ from dynr import (
     SPECTRAL_FAMILIES,
     CartanVector,
     DynrError,
-    RootSubset,
     SamplingExhausted,
     SpecInvalid,
     Tensor2,
@@ -53,7 +52,7 @@ from dynr import (
     rmatrix,
     sigma_w,
 )
-from dynr.lie_core import _join, _max_by_key
+from dynr.lie_core import _join, _max_by_key, _sorted_column
 from dynr.special_fn import _require_margin, _sigma
 
 _PLACEMENTS = ("12-13", "12-23", "13-23")
@@ -272,7 +271,7 @@ def jacobi_defect(n: int, i, j, k, v) -> float:
     of its (x, y, z) and one bincount adds the three (a term with
     x = y = z is its own rotation three times).
     """
-    left, right = _join(k, j, n)
+    left, right = _join(k, _sorted_column(j, n))
     x, y, z, out = i[left], j[left], i[right], k[right]
     value = v[left] * v[right]
     del left, right
@@ -366,11 +365,11 @@ def addition_identity_residual(w: complex, u: complex, v: complex, params) -> co
     return mu_d - t_sum * (-sigma_w(w, u + v, params)) + sigma_w(w, u, params) * sigma_w(w, v, params)
 
 
-def span_closure(rs, x_simple) -> RootSubset:
+def span_closure(rs, x_simple) -> tuple:
     """Positive roots that are nonnegative integer combinations of x_simple.
 
     x_simple holds root indices of simple positive roots; the result is
-    the set of positive roots supported on those simple coordinates.
+    the sorted tuple of positive roots supported on those simple coordinates.
     """
     simple_set = set(rs.simple_roots)
     xs = set(int(i) for i in x_simple)
@@ -383,4 +382,4 @@ def span_closure(rs, x_simple) -> RootSubset:
         support = {k for k in range(rs.rank) if rs.coeffs[idx][k] != 0}
         if support <= positions:
             members.append(idx)
-    return RootSubset(rs, tuple(members))
+    return tuple(sorted(members))

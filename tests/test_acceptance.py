@@ -113,7 +113,7 @@ def test_a01_constant_families_solve_the_dynamical_equation():
         # the full root set must be among the enumerated closed subsets
         assert any(len(s) == rs.n_roots for s in subsets)
         for sub in subsets:
-            spec = RMatrixSpec(algebra=g, family="RationalConstant", X=sub.members)
+            spec = RMatrixSpec(algebra=g, family="RationalConstant", X=sub)
             worst = max(worst, _max_constant_residual(spec))
             n_specs += 1
         nu = CartanVector.of(rng.normal(size=rs.rank) + 1j * rng.normal(size=rs.rank))
@@ -431,7 +431,7 @@ def test_a08_root_combinatorics_and_polarization():
     long_set = frozenset(
         i for i in range(rs_b2.n_roots) if rs_b2.length_sq(i) == top
     )
-    b2_sets = {s.as_set() for s in enumerate_closed_subsets(rs_b2)}
+    b2_sets = {frozenset(s) for s in enumerate_closed_subsets(rs_b2)}
 
     rng = np.random.default_rng(101)
     n_found, worst_margin = 0, math.inf

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from _oracle import span_closure
 from dynr import (
     PropertyViolated,
+    SpecInvalid,
     TooLarge,
     build_root_system,
     enumerate_closed_subsets,
@@ -37,15 +38,19 @@ def _closed_oracle(rs, members):
     return True
 
 
-def _brute_count(rs):
-    """Count closed subsets by scanning every symmetric subset."""
-    pairs = [(i, rs.neg(i)) for i in rs.positive_roots]
-    count = 0
-    for mask in itertools.product([0, 1], repeat=len(pairs)):
-        members = [x for bit, pr in zip(mask, pairs) if bit for x in pr]
-        if _closed_oracle(rs, members):
-            count += 1
-    return count
+def _brute_closed(rs):
+    """Every closed subset as a sorted index tuple, from a scan of all
+    2^|positive roots| symmetric subsets at once: a subset is closed when no
+    root sum a + b = s has a and b in it and s outside."""
+    pos = np.array(rs.positive_roots)
+    bits = (np.arange(2 ** len(pos))[:, None] >> np.arange(len(pos))) & 1 == 1
+    held = np.zeros((len(bits), rs.n_roots), dtype=bool)
+    held[:, pos] = bits
+    held[:, [rs.neg(i) for i in pos]] = bits
+    broken = np.zeros(len(bits), dtype=bool)
+    for a, b in zip(*np.nonzero(rs.sum_table >= 0)):
+        broken |= held[:, a] & held[:, b] & ~held[:, rs.sum_table[a, b]]
+    return {tuple(np.flatnonzero(row).tolist()) for row in held[~broken]}
 
 
 def _root_index(rs, coords):
@@ -83,14 +88,42 @@ def _sum_fixpoint(rs, members):
         s |= sums
 
 
-@pytest.mark.parametrize("rs", [A2, B2], ids=["A2", "B2"])
+def _closure_inputs(rs):
+    """Every index set on A2 and B2; otherwise the standard polarization,
+    its negative, the simple roots and 40 seeded random sets of 1 to 6
+    roots, half of them positive."""
+    if rs.n_roots <= 8:
+        return [[i for i, bit in enumerate(mask) if bit] for mask in itertools.product([0, 1], repeat=rs.n_roots)]
+    rng = np.random.default_rng(rs.n_roots)
+    pos = list(rs.positive_roots)
+    out = [pos, [rs.neg(i) for i in pos], list(rs.simple_roots)]
+    for n in range(40):
+        pool = pos if n % 2 else range(rs.n_roots)
+        out.append(rng.choice(pool, size=1 + n % 6, replace=False).tolist())
+    return out
+
+
+@pytest.mark.parametrize(
+    "rs",
+    [A2, B2, G2] + [build_root_system(s, r) for s, r in (("B", 3), ("A", 4), ("D", 4), ("F", 4), ("E", 6), ("E", 7), ("E", 8))],
+    ids=["A2", "B2", "G2", "B3", "A4", "D4", "F4", "E6", "E7", "E8"],
+)
 def test_additive_closure_matches_fixpoint_exhaustively(rs):
-    for mask in itertools.product([0, 1], repeat=rs.n_roots):
-        members = [i for i, bit in enumerate(mask) if bit]
+    """The closure equals the oracle's fixed point, exhaustively on A2 and
+    B2 and on _closure_inputs elsewhere."""
+    for members in _closure_inputs(rs):
         closure = additive_closure(rs, members)
         assert closure >= set(members)
         assert _sum_fixpoint(rs, closure) == closure
         assert closure == _sum_fixpoint(rs, members)
+
+
+def test_additive_closure_refuses_an_index_that_is_not_a_root():
+    """An index outside range(n_roots) is refused, -1 too, which a root
+    mask would read as the last root."""
+    for members in ([-1], [0, A2.n_roots]):
+        with pytest.raises(SpecInvalid, match="root index out of range"):
+            additive_closure(A2, members)
 
 
 def test_enumeration_counts():
@@ -100,20 +133,31 @@ def test_enumeration_counts():
     assert len(enumerate_closed_subsets(G2)) == 12
 
 
-@pytest.mark.parametrize("rs", [A1, A2, B2, G2], ids=["A1", "A2", "B2", "G2"])
-def test_enumeration_matches_brute_force(rs):
+_ENUM_TYPES = [("A", 1), ("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3), ("C", 3), ("A", 4), ("B", 4), ("C", 4), ("D", 4)]
+
+
+@pytest.mark.parametrize("series,rank", _ENUM_TYPES, ids=[f"{s}{r}" for s, r in _ENUM_TYPES])
+def test_enumeration_matches_brute_force(series, rank):
+    """The enumeration lists each closed subset once, as a sorted tuple,
+    and nothing else: B4 and C4 scan 2^16 symmetric subsets."""
+    rs = build_root_system(series, rank)
     got = enumerate_closed_subsets(rs)
-    assert len(got) == _brute_count(rs)
-    seen = set()
+    assert all(list(sub) == sorted(set(sub)) for sub in got)
+    assert len(set(got)) == len(got)
+    assert set(got) == _brute_closed(rs)
+
+
+def test_enumeration_on_f4_is_closed():
+    """All 447 F4 results are closed by the oracle's own check."""
+    rs = build_root_system("F", 4)
+    got = enumerate_closed_subsets(rs)
+    assert len(got) == len(set(got)) == 447
     for sub in got:
-        assert is_closed_subset(rs, sub.members)
-        key = frozenset(sub.members)
-        assert key not in seen
-        seen.add(key)
+        assert _closed_oracle(rs, sub), sub
 
 
 def test_enumeration_contains_edge_cases():
-    subs = {frozenset(s.members) for s in enumerate_closed_subsets(B2)}
+    subs = {frozenset(s) for s in enumerate_closed_subsets(B2)}
     assert frozenset() in subs
     assert frozenset(range(B2.n_roots)) in subs
     long_roots = frozenset(
@@ -123,8 +167,8 @@ def test_enumeration_contains_edge_cases():
 
 
 def test_enumeration_deterministic_order():
-    a = [tuple(s.members) for s in enumerate_closed_subsets(B2)]
-    b = [tuple(s.members) for s in enumerate_closed_subsets(B2)]
+    a = enumerate_closed_subsets(B2)
+    b = enumerate_closed_subsets(B2)
     assert a == b
 
 
@@ -134,18 +178,18 @@ def test_enumeration_rank_gate():
 
 
 def test_span_closure_examples():
-    assert span_closure(A2, []).members == ()
+    assert span_closure(A2, []) == ()
     s0, s1 = A2.simple_roots
-    assert set(span_closure(A2, [s0]).members) == {s0}
+    assert span_closure(A2, [s0]) == (s0,)
     full = span_closure(B2, list(B2.simple_roots))
-    assert set(full.members) == set(B2.positive_roots)
+    assert full == tuple(sorted(B2.positive_roots))
 
 
 def test_span_closure_is_additively_closed():
     for rs in (A2, B2, G2):
         for take in range(1, len(rs.simple_roots) + 1):
             for chosen in itertools.combinations(rs.simple_roots, take):
-                z = set(span_closure(rs, chosen).members)
+                z = set(span_closure(rs, chosen))
                 for i in z:
                     assert rs.is_positive(i)
                     for j in z:

@@ -184,7 +184,6 @@ _PUBLIC = [
     "PoleProximity",
     "PropertyViolated",
     "RMatrixSpec",
-    "RootSubset",
     "RootSystemData",
     "SPECTRAL_FAMILIES",
     "SamplePlan",

@@ -14,7 +14,6 @@ from dynr import (
     GaugeRecord,
     PoleProximity,
     RMatrixSpec,
-    RootSubset,
     SpecInvalid,
     ThetaParams,
     build_root_system,
@@ -1085,9 +1084,7 @@ def test_constructor_refuses_root_index_that_is_not_an_integer(fields, message, 
 
 
 def test_constructor_keeps_integer_root_indices():
-    rs = A2.root_system
-    x = RootSubset(rs, (0, 5))
-    for X in (x, (5, 0, 5), [np.int64(0), 5]):
+    for X in (np.array([5, 0]), (5, 0, 5), [np.int64(0), 5]):
         spec = RMatrixSpec(algebra=A2, family="RationalConstant", X=X)
         assert spec.X == (0, 5) and all(type(i) is int for i in spec.X)
     spec = RMatrixSpec(algebra=A2, family="TrigCotanh", eps=2.0, polarization=(np.int64(5), 4, 3))

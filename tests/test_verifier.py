@@ -996,16 +996,36 @@ def test_negative_control_equals_flipped_spec_residual():
             assert margins["negative-control-margin"] == (verifier._CONTROL_THRESHOLD / control,)
 
 
-def test_rational_constant_control_is_loud_on_every_closed_subset():
-    """Every RationalConstant spec over every closed subset passes
-    check_axioms, its negative control included: the control flips a root
-    whose coefficient is live, never one outside X."""
+@pytest.mark.parametrize("family", ["RationalConstant", "RationalSpectral"])
+def test_rational_constant_control_is_loud_on_every_closed_subset(family):
+    """The sufficiency half of the RationalConstant and RationalSpectral
+    classes: every spec over every closed subset (625 from A1 to F4)
+    passes check_axioms, its negative control included: the control flips
+    a root whose coefficient is live, never one outside X."""
     plan = SamplePlan(seed=0, count=3)
     for series, rank in (("A", 1), ("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3), ("C", 3), ("D", 4), ("F", 4)):
         g = build_simple_lie_algebra(build_root_system(series, rank))
         for sub in enumerate_closed_subsets(g.root_system):
-            report = check_axioms(RMatrixSpec(algebra=g, family="RationalConstant", X=sub.members), plan)
-            assert report.passed, (series, rank, sub.members, [c.name for c in report.checks if not c.passed])
+            report = check_axioms(RMatrixSpec(algebra=g, family=family, X=sub), plan)
+            assert report.passed, (series, rank, sub, [c.name for c in report.checks if not c.passed])
+
+
+@pytest.mark.parametrize("series,rank", [("E", 6), ("E", 7), ("E", 8)])
+def test_rational_families_pass_on_random_closed_subsets_of_e_types(series, rank):
+    """Sufficiency past the enumeration's rank limit: X the closure of a
+    seeded random symmetric seed of 1 to 3 positive roots, twelve per type,
+    passes check_axioms for RationalConstant and RationalSpectral."""
+    g = build_simple_lie_algebra(build_root_system(series, rank))
+    rs = g.root_system
+    rng = np.random.default_rng(rank)
+    plan = SamplePlan(seed=0, count=3)
+    for n in range(12):
+        seed = rng.choice(rs.positive_roots, size=1 + n % 3, replace=False).tolist()
+        x = sorted(additive_closure(rs, seed + [rs.neg(i) for i in seed]))
+        assert is_closed_subset(rs, x)
+        for family in ("RationalConstant", "RationalSpectral"):
+            report = check_axioms(RMatrixSpec(algebra=g, family=family, X=x), plan)
+            assert report.passed, (family, x, [c.name for c in report.checks if not c.passed])
 
 
 @pytest.mark.parametrize("family", ["RationalConstant", "RationalSpectral"])
