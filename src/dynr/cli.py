@@ -33,22 +33,9 @@ from .lie_core import (
     build_simple_lie_algebra,
     fundamental_weights,
 )
-from .rmatrix import RMatrixSpec, spec_from_json
-from .verifier import (
-    LimitSchedule,
-    SamplePlan,
-    VerificationReport,
-    affine_hat_spec,
-    affine_series_check,
-    check_axioms,
-    limit_compare,
-    reduce_pair_check,
-    _axiom_checks,
-    _campaign_points,
-    _report,
-    _residual,
-    _sup,
-)
+
+# rmatrix and verifier are imported inside the commands that use them, once
+# the algebra is built: subsets, polarize, catalog and a bad --algebra never load them
 
 _FAMILY_NAMES = {
     "rational-constant": "RationalConstant",
@@ -144,7 +131,9 @@ def _build_algebra(args):
     return build_simple_lie_algebra(build_root_system(series, rank))
 
 
-def _build_spec(args, algebra) -> RMatrixSpec:
+def _build_spec(args, algebra):
+    from .rmatrix import RMatrixSpec, spec_from_json
+
     sources = [s for s in (args.family, args.spec_file, args.spec_json) if s]
     if len(sources) != 1:
         raise _ConfigError("give exactly one spec source: --family, --spec-file, or --spec-json")
@@ -176,7 +165,9 @@ def _build_spec(args, algebra) -> RMatrixSpec:
     return RMatrixSpec(algebra=algebra, family=name, **kw)
 
 
-def _plan(args) -> SamplePlan:
+def _plan(args):
+    from .verifier import SamplePlan
+
     return SamplePlan(seed=args.seed, count=args.samples)
 
 
@@ -198,7 +189,7 @@ def _dump_json(doc: dict, stream) -> None:
     stream.write("\n")
 
 
-def _emit_report(report: VerificationReport, args) -> int:
+def _emit_report(report, args) -> int:
     lines = [f"spec {report.spec_id} on {report.algebra_id} "
              f"(seed {report.seed}, {report.samples_used} samples)"]
     for c in report.checks:
@@ -213,6 +204,8 @@ def _emit_report(report: VerificationReport, args) -> int:
 def cmd_verify(args) -> int:
     algebra = _build_algebra(args)
     spec = _build_spec(args, algebra)
+    from .verifier import check_axioms
+
     report = check_axioms(spec, _plan(args))
     return _emit_report(report, args)
 
@@ -221,6 +214,8 @@ def cmd_axioms(args) -> int:
     """The axiom stage of verify on the same sample points; no residual."""
     algebra = _build_algebra(args)
     spec = _build_spec(args, algebra)
+    from .verifier import _axiom_checks, _campaign_points, _report
+
     plan = _plan(args)
     t0 = time.perf_counter()
     checks = _axiom_checks(spec, *_campaign_points((spec,), plan, 3 if spec.is_spectral else 0))
@@ -295,6 +290,9 @@ def _parse_schedule(tok: str):
 
 def cmd_limits(args) -> int:
     algebra = _build_algebra(args)
+    from .rmatrix import RMatrixSpec
+    from .verifier import LimitSchedule, limit_compare
+
     rs = algebra.root_system
     kind, values = _parse_schedule(args.schedule)
     plan = _plan(args)
@@ -338,6 +336,9 @@ def cmd_limits(args) -> int:
 
 def cmd_pair(args) -> int:
     algebra = _build_algebra(args)
+    from .rmatrix import RMatrixSpec
+    from .verifier import reduce_pair_check
+
     rs = algebra.root_system
     l_roots = _parse_root_set(args.l_roots, rs)
     if args.family or args.spec_file or args.spec_json:
@@ -352,6 +353,8 @@ def cmd_pair(args) -> int:
 
 def cmd_series(args) -> int:
     algebra = _build_algebra(args)
+    from .verifier import _campaign_points, _residual, _sup, affine_hat_spec, affine_series_check
+
     rs = algebra.root_system
     # (1, 2, ..., rank) pairs to nonzero with every root, e_i - e_j too
     lam = CartanVector.of(args.lam if args.lam is not None else [(0.41 + 0.19j) * k for k in range(1, rs.rank + 1)])

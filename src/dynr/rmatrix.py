@@ -186,8 +186,9 @@ class RMatrixSpec:
                 raise SpecInvalid(f"{self.family} requires X closed under negation and addition")
         elif self.family in ("TrigDegenerate", "TrigSpectral"):
             members = sorted(pol)
-            simple_of_pol = pol - set(rs.sum_table[np.ix_(members, members)].ravel().tolist())
-            if not set(self.X) <= simple_of_pol:
+            hit = np.zeros(rs.n_roots + 1, dtype=bool)  # a sum of two members; slot -1 takes the non-root sentinel
+            hit[rs.sum_table[np.ix_(members, members)]] = True
+            if any(i not in pol or hit[i] for i in self.X):
                 raise SpecInvalid(f"{self.family} requires X inside the simple roots of the polarization")
         elif self.X:
             raise SpecInvalid(f"{self.family} takes no X")

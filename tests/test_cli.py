@@ -66,6 +66,66 @@ def test_dynr_never_loads_numpy_random_fractions_or_openssl():
     assert proc.stdout.strip().endswith("PASS")
 
 
+# ---------------------------------------------------------------- import footprint
+
+def _loaded_after(script, *argv):
+    """Run script in a fresh interpreter; the dynr modules it loaded and its last output line."""
+    tail = """
+import json, sys
+print(json.dumps(sorted(m for m in sys.modules if m == "dynr" or m.startswith("dynr."))))
+"""
+    proc = _python("-c", script + tail, *argv)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.strip().splitlines()[-1]))
+
+
+def test_import_and_build_load_only_errors_and_lie_core():
+    """The package loads its other layers on first use, so a bare import
+    and an algebra build compile neither rmatrix nor verifier."""
+    script = 'import dynr\ndynr.build_simple_lie_algebra(dynr.build_root_system("F", 4), cache_dir="")\n'
+    assert _loaded_after(script) == {"dynr", "dynr.errors", "dynr.lie_core"}
+
+
+def test_commands_that_verify_nothing_load_no_spec_or_verifier_layer():
+    """subsets, polarize, catalog and a verify refused at its --algebra
+    import no layer past combinatorics; each exit code is unchanged."""
+    script = """
+import sys
+from dynr.cli import main
+codes = [main(argv.split("|")) for argv in sys.argv[1:]]
+assert codes == [0, 0, 0, 2], codes
+"""
+    loaded = _loaded_after(
+        script,
+        "subsets|--algebra|B4|--format|json",
+        "polarize|--algebra|A2|--Y|a1",
+        "catalog",
+        "verify|--algebra|Q7|--family|trig-cotanh|--eps|2",
+    )
+    assert "dynr.combinatorics" in loaded
+    assert not loaded & {"dynr.rmatrix", "dynr.verifier", "dynr.special_fn", "dynr.tensor_alg"}
+
+
+def test_deferred_layers_resolve_after_a_bare_import():
+    """A layer and its names resolve on first read, and the value is kept in
+    the package namespace; a name the package does not have is an
+    AttributeError."""
+    script = """
+import dynr
+assert "check_axioms" not in vars(dynr)
+assert dynr.check_axioms is dynr.verifier.check_axioms
+assert vars(dynr)["check_axioms"] is dynr.verifier.check_axioms
+assert dynr.special_fn.theta1 is dynr.theta1
+try:
+    dynr.nope
+except AttributeError as exc:
+    assert "nope" in str(exc)
+else:
+    raise AssertionError("dynr.nope resolved")
+"""
+    assert {"dynr.verifier", "dynr.special_fn"} <= _loaded_after(script)
+
+
 # ---------------------------------------------------------------- verify
 
 def test_verify_constant_family_passes(capsys):

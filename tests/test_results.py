@@ -240,3 +240,21 @@ def test_public_surface():
     for fn in (eval_dlambda, cdybe_residual):
         assert not {"mode", "fd_step"} & set(inspect.signature(fn).parameters)
     assert list(inspect.signature(rmatrix._record).parameters) == ["spec", "lam", "z", "want_d"]
+
+
+def test_public_names_are_their_layers_objects():
+    """Every name of __all__, loaded with the package or on first use, is
+    the object of the layer that defines it."""
+    for name in _PUBLIC[:-1]:  # all but __version__
+        value = getattr(dynr, name)
+        home = "dynr.rmatrix" if name in ("FAMILIES", "SPECTRAL_FAMILIES") else value.__module__
+        layer = getattr(dynr, home.removeprefix("dynr."))
+        assert vars(layer)[name] is value, name
+
+
+def test_star_import_and_dir_cover_the_public_surface():
+    namespace = {}
+    exec("from dynr import *", namespace)
+    assert set(_PUBLIC) <= set(namespace)
+    assert all(namespace[name] is getattr(dynr, name) for name in _PUBLIC)
+    assert set(_PUBLIC) <= set(dir(dynr))
