@@ -1,38 +1,27 @@
 """Dynamical r-matrix construction and verification toolkit.
 
-Only ``errors`` and ``lie_core`` load with the package, which is all an
-algebra build needs.  Every other layer loads the first time one of its
-names (or the layer itself, ``dynr.verifier``) is read (PEP 562), and the
-value is then kept in the package namespace.
+_LAYER_NAMES is the package surface: each public name, under the layer
+that defines it.  Only ``errors`` and ``lie_core`` load with the package,
+which is all an algebra build needs.  Every other layer loads the first
+time one of its names (or the layer itself, ``dynr.verifier``) is read
+(PEP 562).  Each name resolves on its first read and is then kept in the
+package namespace.
 """
 
-from .errors import (
-    AlgebraMismatch,
-    ConstructionFailure,
-    ConvergenceFailure,
-    DynrError,
-    NonFiniteValue,
-    PoleProximity,
-    PropertyViolated,
-    SamplingExhausted,
-    SearchExhausted,
-    SpecInvalid,
-    SubalgebraInvalid,
-    TooLarge,
-    UnsupportedType,
-)
-from .lie_core import (
-    CartanVector,
-    RootSystemData,
-    SimpleLieAlgebra,
-    build_root_system,
-    build_simple_lie_algebra,
-    fundamental_weights,
-)
+from . import errors, lie_core
 
 __version__ = "0.1.0"
 
 _LAYER_NAMES = {
+    "errors": (
+        "AlgebraMismatch", "ConstructionFailure", "ConvergenceFailure", "DynrError", "NonFiniteValue",
+        "PoleProximity", "PropertyViolated", "SamplingExhausted", "SearchExhausted", "SpecInvalid",
+        "SubalgebraInvalid", "TooLarge", "UnsupportedType",
+    ),
+    "lie_core": (
+        "CartanVector", "RootSystemData", "SimpleLieAlgebra", "build_root_system",
+        "build_simple_lie_algebra", "fundamental_weights",
+    ),
     "tensor_alg": ("Tensor2", "Tensor3"),
     "special_fn": ("ThetaParams", "classical_series", "coth_scaled", "rho_fn", "sigma_w", "theta1"),
     "combinatorics": (
@@ -49,8 +38,10 @@ _LAYER_NAMES = {
         "limit_compare", "reduce_pair_check",
     ),
 }
-# each deferred name -> the layer that defines it; a layer name maps to itself
+# each public name -> the layer that defines it; a layer name maps to itself
 _LAYER_OF = {name: layer for layer, names in _LAYER_NAMES.items() for name in (layer, *names)}
+
+__all__ = sorted(name for names in _LAYER_NAMES.values() for name in names) + ["__version__"]
 
 
 def __getattr__(name):
@@ -67,62 +58,3 @@ def __getattr__(name):
 
 def __dir__():
     return sorted({*globals(), *__all__})
-
-
-__all__ = [
-    "AlgebraMismatch",
-    "CartanVector",
-    "ConstructionFailure",
-    "ConvergenceFailure",
-    "DynrError",
-    "FAMILIES",
-    "GaugeRecord",
-    "LimitComparison",
-    "LimitSchedule",
-    "NonFiniteValue",
-    "PolarizationResult",
-    "PoleProximity",
-    "PropertyViolated",
-    "RMatrixSpec",
-    "RootSystemData",
-    "SPECTRAL_FAMILIES",
-    "SamplePlan",
-    "SamplingExhausted",
-    "SearchExhausted",
-    "SimpleLieAlgebra",
-    "SpecInvalid",
-    "SubalgebraInvalid",
-    "Tensor2",
-    "Tensor3",
-    "ThetaParams",
-    "TooLarge",
-    "UnsupportedType",
-    "VerificationReport",
-    "affine_hat_spec",
-    "affine_series_check",
-    "build_root_system",
-    "build_simple_lie_algebra",
-    "cdybe_residual",
-    "check_axioms",
-    "classical_series",
-    "coth_scaled",
-    "effective_coupling",
-    "enumerate_closed_subsets",
-    "eval_dlambda",
-    "eval_rmatrix",
-    "extract_residue",
-    "family_phi",
-    "find_polarization",
-    "fundamental_weights",
-    "gauge_apply",
-    "is_closed_subset",
-    "limit_compare",
-    "pole_margin",
-    "reduce_pair_check",
-    "rho_fn",
-    "sigma_w",
-    "spec_from_json",
-    "spec_to_json",
-    "theta1",
-    "__version__",
-]

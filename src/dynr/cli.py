@@ -37,15 +37,6 @@ from .lie_core import (
 # rmatrix and verifier are imported inside the commands that use them, once
 # the algebra is built: subsets, polarize, catalog and a bad --algebra never load them
 
-_FAMILY_NAMES = {
-    "rational-constant": "RationalConstant",
-    "trig-cotanh": "TrigCotanh",
-    "trig-degenerate": "TrigDegenerate",
-    "elliptic-spectral": "EllipticSpectral",
-    "trig-spectral": "TrigSpectral",
-    "rational-spectral": "RationalSpectral",
-}
-
 _CATALOG = [
     ("rational-constant", "constant", "coupling 0",
      "Cartan matrix C plus 1/(alpha, lambda - nu) on a closed root subset X"),
@@ -143,13 +134,11 @@ def _build_spec(args, algebra):
                 return spec_from_json(json.load(fh), algebra)
         if args.spec_json:
             return spec_from_json(json.loads(args.spec_json), algebra)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise _ConfigError(f"spec document is not valid JSON: {exc}")
-    name = _FAMILY_NAMES.get(args.family)
-    if name is None:
-        raise _ConfigError(
-            f"unknown family {args.family!r}; known: {', '.join(sorted(_FAMILY_NAMES))}"
-        )
+    known = [name for name, *_ in _CATALOG]
+    if args.family not in known:
+        raise _ConfigError(f"unknown family {args.family!r}; known: {', '.join(sorted(known))}")
     kw = {}
     rs = algebra.root_system
     if args.X is not None:
@@ -162,7 +151,8 @@ def _build_spec(args, algebra):
         kw["nu"] = CartanVector.of(args.nu)
     if args.tau is not None:
         kw["tau"] = args.tau
-    return RMatrixSpec(algebra=algebra, family=name, **kw)
+    # a catalog name title-cases onto its class name: trig-cotanh -> TrigCotanh
+    return RMatrixSpec(algebra=algebra, family=args.family.title().replace("-", ""), **kw)
 
 
 def _plan(args):

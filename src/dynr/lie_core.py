@@ -688,7 +688,7 @@ def _load_cache(cache_dir: str, series: str, rank: int, dim: int) -> Optional[tu
         if not shaped or set(map(type, i + j + k)) - {int} or set(map(type, v)) - {int, float}:
             return None
         const = _entry_arrays(i, j, k, v)
-    except (OSError, ValueError, TypeError, KeyError, OverflowError):
+    except (OSError, ValueError, TypeError, KeyError, OverflowError, RecursionError):
         return None
     in_range = all(np.all((c >= 0) & (c < dim)) for c in const[:3])
     return const if in_range and np.all(np.isfinite(const[3])) else None

@@ -298,13 +298,6 @@ class _ResidualPlan:
         return np.abs(np.where(self.hit, w + np.take(w, self.swap, axis=-1), w)).max(axis=-1)
 
 
-def _leg_weight(g: SimpleLieAlgebra, *legs) -> np.ndarray:
-    """Per entry, the largest |sum of its legs' Cartan weights| over the
-    Cartan basis, for basis index arrays legs."""
-    leg_weight = np.hstack([np.zeros((g.rank, g.rank)), g.root_system.roots.T])
-    return np.abs(sum(leg_weight[:, leg] for leg in legs)).max(axis=0)
-
-
 def _build_residual_plan(g: SimpleLieAlgebra) -> _ResidualPlan:
     """The residual plan of g, from its structure-constant lists."""
     rank, dim = g.rank, g.dim
@@ -352,14 +345,15 @@ def _build_residual_plan(g: SimpleLieAlgebra) -> _ResidualPlan:
     )
 
 
-def _support_maps(g: SimpleLieAlgebra, support: np.ndarray):
+def _support_maps(g: SimpleLieAlgebra, support: np.ndarray, legs: int = 3):
     """(weight, swap, hit) of _ResidualPlan for a sorted support of flat
-    (dim, dim, dim) indices."""
-    dim = g.dim
-    l0, l1, l2 = np.unravel_index(support, (dim,) * 3)
-    swapped = (l1 * dim + l0) * dim + l2
+    (dim,) * legs indices: swap exchanges legs 1 and 2."""
+    shape = (g.dim,) * legs
+    idx = np.unravel_index(support, shape)
+    swapped = np.ravel_multi_index((idx[1], idx[0], *idx[2:]), shape)
     swap = np.minimum(np.searchsorted(support, swapped), len(support) - 1)
-    return _leg_weight(g, l0, l1, l2), swap, support[swap] == swapped
+    leg_weight = np.hstack([np.zeros((g.rank, g.rank)), g.root_system.roots.T])  # basis index -> Cartan weights
+    return np.abs(sum(leg_weight[:, leg] for leg in idx)).max(axis=0), swap, support[swap] == swapped
 
 
 def _residual_plan(g: SimpleLieAlgebra) -> _ResidualPlan:
@@ -547,9 +541,9 @@ def _axiom_tables(g: SimpleLieAlgebra) -> tuple:
     entry) and the largest Cartan weight of its two legs; kept on g."""
     if g._axiom_tables is None:
         rows, cols = _legs(g)
-        at = np.zeros((g.dim, g.dim), dtype=int)
-        at[rows, cols] = np.arange(len(rows))
-        g._axiom_tables = (at[cols, rows], ((rows == cols) | (rows >= g.rank)).astype(float), _leg_weight(g, rows, cols))
+        # the record support is sorted and holds every swap, so hit is all true
+        weight, swap, _ = _support_maps(g, rows * g.dim + cols, 2)
+        g._axiom_tables = (swap, ((rows == cols) | (rows >= g.rank)).astype(float), weight)
     return g._axiom_tables
 
 

@@ -19,6 +19,9 @@ the independent dense calculus kept here:
 - jacobi_defect is the Jacobi identity over every (a, b, c) as one join of
   all terms, whose verdict the library's check on the Chevalley generators
   must share;
+- record_axiom_tables is the dense (dim, dim) index construction of a
+  record's leg swap and its legs' largest Cartan weight, the reference for
+  the library's search on the sorted record support;
 - fd_record is a record whose derivative is a central finite difference
   of v, the cross-check of the analytic derivative the library runs;
 - check_phi_triangle, phi_ode_residual and addition_identity_residual are
@@ -279,6 +282,18 @@ def jacobi_defect(n: int, i, j, k, v) -> float:
     key = np.minimum(np.minimum((x * n + y) * n + z, (y * n + z) * n + x), (z * n + x) * n + y)
     del x, y, z
     return _max_by_key(key * n + out, value)
+
+
+def record_axiom_tables(g) -> tuple:
+    """(swap, weight) per entry of a record's v: the position of the entry
+    with its legs exchanged, read from a dense (dim, dim) table of entry
+    positions, and the largest |sum of its legs' Cartan weights| over the
+    Cartan basis."""
+    rows, cols = rmatrix._legs(g)
+    at = np.zeros((g.dim, g.dim), dtype=int)
+    at[rows, cols] = np.arange(len(rows))
+    leg_weight = np.hstack([np.zeros((g.rank, g.rank)), g.root_system.roots.T])
+    return at[cols, rows], np.abs(leg_weight[:, rows] + leg_weight[:, cols]).max(axis=0)
 
 
 def fd_record(spec, lam, z, fd_step: float = 1e-5) -> rmatrix._Record:

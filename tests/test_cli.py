@@ -12,6 +12,8 @@ import pytest
 
 import dynr.verifier
 from dynr import (
+    FAMILIES,
+    SPECTRAL_FAMILIES,
     RMatrixSpec,
     SamplePlan,
     affine_hat_spec,
@@ -20,7 +22,7 @@ from dynr import (
     check_axioms,
     spec_to_json,
 )
-from dynr.cli import main
+from dynr.cli import _CATALOG, main
 
 A1 = build_simple_lie_algebra(build_root_system("A", 1))
 A2 = build_simple_lie_algebra(build_root_system("A", 2))
@@ -221,6 +223,25 @@ def test_verify_rejects_malformed_spec_json(capsys, doc):
     assert "Traceback" not in err
 
 
+_DEEP_JSON = "[" * 100_000
+
+
+@pytest.mark.parametrize("source, data", [
+    ("--spec-file", b"\xff\xfe{}"),  # not UTF-8
+    ("--spec-file", _DEEP_JSON.encode()),
+    ("--spec-json", _DEEP_JSON),
+], ids=["file-not-utf8", "file-deep", "inline-deep"])
+def test_verify_rejects_spec_document_that_is_not_utf8_or_nests_too_deeply(capsys, tmp_path, source, data):
+    if isinstance(data, bytes):
+        path = tmp_path / "spec.json"
+        path.write_bytes(data)
+        data = str(path)
+    code, out, err = _run(capsys, "verify", "--algebra", "A2", source, data)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: spec document is not valid JSON: ")
+    assert "Traceback" not in err
+
+
 def test_verify_rejects_spec_json_breaking_family_rules(capsys):
     a2 = build_simple_lie_algebra(build_root_system("A", 2))
     spec = RMatrixSpec(algebra=a2, family="TrigCotanh", eps=2.0, X=(0,), validate=False)
@@ -249,6 +270,7 @@ def _bad_entry(text):
     lambda text: text.replace("]]}", "]}", 1),
     lambda text: text.replace("-1.0]]}", "-2.0]]}", 1),  # checksum mismatch
     _bad_entry,
+    lambda text: _DEEP_JSON,  # the decoder's recursion limit
 ])
 def test_verify_rebuilds_unusable_structure_cache(capsys, monkeypatch, tmp_path, damage):
     monkeypatch.setenv("DYNR_FIXTURE_DIR", str(tmp_path))
@@ -673,3 +695,13 @@ def test_catalog_json(capsys):
     doc = json.loads(out)
     assert len(doc) == 6
     assert {e["kind"] for e in doc} == {"constant", "spectral"}
+
+
+def test_catalog_names_title_case_onto_the_families():
+    """The catalog is the CLI's only list of families: each name title-cases
+    onto one class name of rmatrix.FAMILIES, all six of them, and its kind
+    says whether that family is spectral."""
+    names = {name.title().replace("-", ""): kind for name, kind, *_ in _CATALOG}
+    assert len(names) == len(_CATALOG)
+    assert sorted(names) == sorted(FAMILIES)
+    assert {name for name, kind in names.items() if kind == "spectral"} == set(SPECTRAL_FAMILIES)

@@ -252,6 +252,15 @@ def test_public_names_are_their_layers_objects():
         assert vars(layer)[name] is value, name
 
 
+def test_layer_table_is_the_only_list_of_public_names():
+    """_LAYER_NAMES lists each public name once, and __all__ is its names
+    plus __version__."""
+    names = [name for row in dynr._LAYER_NAMES.values() for name in row]
+    assert len(names) == len(set(names))
+    assert sorted(names) == sorted(set(dynr.__all__) - {"__version__"})
+    assert len(dynr.__all__) == len(set(dynr.__all__))
+
+
 def test_star_import_and_dir_cover_the_public_surface():
     namespace = {}
     exec("from dynr import *", namespace)

@@ -19,6 +19,7 @@ from _oracle import (
     check_phi_triangle,
     fd_record,
     phi_ode_residual,
+    record_axiom_tables,
     sample_lambda,
     sample_spectral_point,
     transpose_legs,
@@ -909,6 +910,24 @@ def test_cartan_weight_norm_matches_act_diag(series, rank):
     assert plan.skew_norm(w) == (t + transpose_legs(t, (1, 0, 2))).norm()
     # on the residual's own support every weight is exactly zero
     assert not verifier._residual_plan(g).weight.any()
+
+
+@pytest.mark.parametrize("series, rank", [
+    ("A", 1), ("A", 3), ("B", 3), ("C", 4), ("D", 5), ("G", 2), ("F", 4), ("E", 6), ("E", 7), ("E", 8),
+])
+def test_record_support_maps_match_dense_index_table(series, rank):
+    """On a record's support, _support_maps with two legs gives the swap and
+    weight of the dense (dim, dim) index construction, every swap inside the
+    support; the axiom tables read them from it."""
+    g = build_simple_lie_algebra(build_root_system(series, rank))
+    rows, cols = rmatrix._legs(g)
+    weight, swap, hit = verifier._support_maps(g, rows * g.dim + cols, 2)
+    want_swap, want_weight = record_axiom_tables(g)
+    assert hit.all()
+    assert np.array_equal(swap, want_swap)
+    assert np.array_equal(weight, want_weight)
+    tables = verifier._axiom_tables(g)
+    assert np.array_equal(tables[0], want_swap) and np.array_equal(tables[2], want_weight)
 
 
 @pytest.mark.parametrize("series, rank", [("A", 2), ("B", 3)])
