@@ -13,7 +13,6 @@ import cmath
 import json
 import math
 import sys
-import time
 
 import numpy as np
 
@@ -204,12 +203,9 @@ def cmd_axioms(args) -> int:
     """The axiom stage of verify on the same sample points; no residual."""
     algebra = _build_algebra(args)
     spec = _build_spec(args, algebra)
-    from .verifier import _axiom_checks, _campaign_points, _report
+    from .verifier import check_axioms
 
-    plan = _plan(args)
-    t0 = time.perf_counter()
-    checks = _axiom_checks(spec, *_campaign_points((spec,), plan, 3 if spec.is_spectral else 0))
-    return _emit_report(_report(spec, plan, checks, t0), args)
+    return _emit_report(check_axioms(spec, _plan(args), residual=False), args)
 
 
 def cmd_subsets(args) -> int:
@@ -343,7 +339,7 @@ def cmd_pair(args) -> int:
 
 def cmd_series(args) -> int:
     algebra = _build_algebra(args)
-    from .verifier import _campaign_points, _residual, _sup, affine_hat_spec, affine_series_check
+    from .verifier import affine_hat_spec, affine_series_check, check_axioms
 
     rs = algebra.root_system
     # (1, 2, ..., rank) pairs to nonzero with every root, e_i - e_j too
@@ -354,8 +350,8 @@ def cmd_series(args) -> int:
     deviation = affine_series_check(
         lam, tau, args.z, args.n_terms, algebra=algebra
     )
-    hat = affine_hat_spec(algebra, tau)
-    max_res = _sup(_residual(hat, *_campaign_points((hat,), _plan(args), 3)))
+    checks = check_axioms(affine_hat_spec(algebra, tau), _plan(args)).checks
+    max_res = next(c.max_residual for c in checks if c.name == "cdybe-residual")
     passed = deviation <= 1e-9 and max_res <= 1e-8
     doc = {
         "algebra": f"{rs.series}{rs.rank}",

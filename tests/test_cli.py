@@ -614,6 +614,13 @@ def test_limits_bad_schedule(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [("tau:4i,4i",), ("tau:6i,6i,6i",), ("nu:20,20", "--X", "a1")])
+def test_limits_rejects_a_repeated_schedule_value(capsys, argv):
+    code, out, err = _run(capsys, "limits", "--algebra", "A2", "--schedule", *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: SpecInvalid: schedule repeats a value; consecutive values must differ\n"
+
+
 @pytest.mark.parametrize("schedule", ["tau:", "tau:4i", "tau:4i,nan"])
 def test_limits_rejects_short_or_non_finite_schedule(schedule):
     code, err = _run_process("limits", "--algebra", "A2", "--schedule", schedule)

@@ -29,6 +29,7 @@ from dynr import (
     ConvergenceFailure,
     GaugeRecord,
     LimitSchedule,
+    NonFiniteValue,
     RMatrixSpec,
     SamplePlan,
     SamplingExhausted,
@@ -49,6 +50,7 @@ from dynr import (
     eval_rmatrix,
     extract_residue,
     family_phi,
+    fundamental_weights,
     gauge_apply,
     limit_compare,
     reduce_pair_check,
@@ -412,6 +414,13 @@ def test_limit_schedule_gates():
         LimitSchedule(parameter="tau", values=(4j,))
     with pytest.raises(SpecInvalid):
         LimitSchedule(parameter="nu-ray", values=(1.0, 2.0))
+    # a value equal to the one before it has a Cauchy gap of exactly 0, which would read as converged
+    for values in ((4j, 4j), (6j, 6j, 6j), (4j, 6j, 6j)):
+        with pytest.raises(SpecInvalid, match="schedule repeats a value"):
+            LimitSchedule(parameter="tau", values=values)
+    with pytest.raises(SpecInvalid, match="schedule repeats a value"):
+        LimitSchedule(parameter="nu-ray", values=(20.0, 20.0), base=CartanVector.zero(2), ray=CartanVector.of([1.0, 0.0]))
+    LimitSchedule(parameter="tau", values=(4j, 6j, 4j))  # only neighbours must differ
 
 
 def test_limit_rejects_mixed_kinds():
@@ -1199,6 +1208,77 @@ def test_check_axioms_evaluates_each_sample_argument_once(monkeypatch):
             assert sum(calls) == n * per_point, spec.family
             assert len(calls) == n_calls, spec.family
             assert len(kernels) == 1, spec.family
+
+
+def test_negative_control_margin_verdict_reads_its_tolerance(monkeypatch):
+    """The control's margin is threshold / control residual and passes at
+    1 or below: at 1.5 times the measured control residual it reads 1.5 and
+    fails, at 0.5 times it reads 0.5 and passes."""
+    spec = RMatrixSpec(algebra=A2, family="TrigCotanh", eps=2.0)
+    plan = SamplePlan(seed=3, count=3)
+
+    def control():
+        return {c.name: c for c in check_axioms(spec, plan).checks}["negative-control-margin"]
+
+    measured = verifier._CONTROL_THRESHOLD / control().max_residual
+    for factor, passed in ((1.5, False), (0.5, True)):
+        monkeypatch.setattr(verifier, "_CONTROL_THRESHOLD", factor * measured)
+        check = control()
+        assert check.max_residual == pytest.approx(factor, rel=1e-12)
+        assert check.passed is passed
+
+
+def _campaign_outcomes():
+    """Report, comparison or error of every campaign on a fixed zoo: B3
+    trig-cotanh, G2 elliptic, F4 rational-constant (its kernel splits into
+    passes), an A2 elliptic campaign that fails at tau = 0.1i and an A2 one
+    that overflows."""
+    B3, G2, F4 = (build_simple_lie_algebra(build_root_system(s, r)) for s, r in (("B", 3), ("G", 2), ("F", 4)))
+    plan = SamplePlan(seed=2, count=10)  # one run of _CHUNK; F4 takes 8 kernel rows a pass
+    calls = []
+    for spec in (
+        RMatrixSpec(algebra=B3, family="TrigCotanh", eps=2.0),
+        RMatrixSpec(algebra=G2, family="EllipticSpectral", tau=2j),
+        RMatrixSpec(algebra=F4, family="RationalConstant", X=_full_X(F4)),
+        RMatrixSpec(algebra=A2, family="EllipticSpectral", tau=0.1j),
+        RMatrixSpec(algebra=A2, family="TrigCotanh", eps=1e300),
+    ):
+        calls += [lambda s=spec: check_axioms(s, plan), lambda s=spec: check_axioms(s, plan, residual=False)]
+        if not spec.is_spectral:
+            calls.append(lambda s=spec: reduce_pair_check(s, [s.algebra.root_system.simple_roots[0]], plan))
+    base = CartanVector.of([0.37 + 0.11j] * 3)
+    ray = CartanVector.of(-fundamental_weights(B3.root_system)[1:].sum(axis=0))
+    calls += [
+        lambda: limit_compare(
+            RMatrixSpec(algebra=B3, family="TrigCotanh", eps=2.0),
+            LimitSchedule("nu-ray", (20.0, 40.0), base=base, ray=ray),
+            RMatrixSpec(algebra=B3, family="TrigDegenerate", eps=2.0, X=B3.root_system.simple_roots[:1], nu=base),
+            plan,
+        ),
+        lambda: limit_compare(
+            RMatrixSpec(algebra=G2, family="EllipticSpectral", tau=4j), LimitSchedule("tau", (4j, 6j, 8j)), None, plan
+        ),
+    ]
+    outcomes = []
+    for call in calls:
+        try:
+            got = call()
+        except NonFiniteValue as exc:
+            outcomes.append(str(exc))
+        else:
+            outcomes.append(repr(got.checks) + repr(got.to_json(include_timing=False)) if hasattr(got, "checks") else repr(got))
+    return outcomes
+
+
+def test_campaigns_do_not_depend_on_the_chunk(monkeypatch):
+    """Every campaign gives the same report, comparison or error message
+    whether _walk hands its 10 points out in runs of 1, of 3 or as one run."""
+    want = _campaign_outcomes()
+    assert sum(o.startswith("r-matrix record is not finite") for o in want) == 2  # check_axioms and the pair check
+    assert sum("'passed': False" in o for o in want) == 2  # tau = 0.1i, with and without the residual
+    for chunk in (1, 3):
+        monkeypatch.setattr(verifier, "_CHUNK", chunk)
+        assert _campaign_outcomes() == want, chunk
 
 
 # ---------------------------------------------------------------- sample stream
