@@ -205,7 +205,7 @@ def cmd_axioms(args) -> int:
     spec = _build_spec(args, algebra)
     from .verifier import check_axioms
 
-    return _emit_report(check_axioms(spec, _plan(args), residual=False), args)
+    return _emit_report(check_axioms(spec, _plan(args), stage="axioms"), args)
 
 
 def cmd_subsets(args) -> int:
@@ -347,11 +347,8 @@ def cmd_series(args) -> int:
     if args.lam is not None and len(args.lam) != rs.rank:
         raise _ConfigError(f"--lambda needs {rs.rank} coordinates")
     tau = args.tau if args.tau is not None else 2j
-    deviation = affine_series_check(
-        lam, tau, args.z, args.n_terms, algebra=algebra
-    )
-    checks = check_axioms(affine_hat_spec(algebra, tau), _plan(args)).checks
-    max_res = next(c.max_residual for c in checks if c.name == "cdybe-residual")
+    deviation = affine_series_check(lam, tau, args.z, args.n_terms, algebra=algebra)
+    max_res = check_axioms(affine_hat_spec(algebra, tau), _plan(args), stage="residual").checks[0].max_residual
     passed = deviation <= 1e-9 and max_res <= 1e-8
     doc = {
         "algebra": f"{rs.series}{rs.rank}",

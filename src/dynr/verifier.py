@@ -50,7 +50,8 @@ _CONTROL_THRESHOLD = 1e-3
 # unbounded passes over 40 points ran 2.5x (E7), 2.7x (E8) slower on a 2-vCPU Xeon
 _KERNEL_TERMS = 2**16
 _BLOCK_ROWS = 1024  # keeps a rarely accepted plan's margin arrays small (E8 elliptic: 1 in 2000)
-_CHUNK = 10  # campaign points evaluated together; the default sample count, so a default campaign is one run
+_CHUNK = 10  # campaign points per run at least: the default sample count, so a default campaign is one run
+_RUN_ENTRIES = 2048  # or, if more, as many as hold this many record entries (rank**2 + roots a point): 20 MiB elliptic
 
 
 @dataclass(frozen=True)
@@ -261,11 +262,12 @@ def _campaign_points(specs: Sequence[RMatrixSpec], plan: SamplePlan, n_z: int):
 
 
 def _walk(specs: Sequence[RMatrixSpec], plan: SamplePlan, n_z: int):
-    """The plan's points (_campaign_points) as (lam, zs) runs of _CHUNK, in
-    order, so a campaign holds one run's records and residuals at a time."""
+    """The plan's points (_campaign_points) as (lam, zs) runs, in order, so
+    a campaign holds one run's records and residuals at a time."""
     lam, zs = _campaign_points(specs, plan, n_z)
-    for i in range(0, len(lam), _CHUNK):
-        yield lam[i : i + _CHUNK], None if zs is None else zs[i : i + _CHUNK]
+    step = max(_CHUNK, _RUN_ENTRIES // (specs[0].algebra.rank**2 + specs[0].algebra.root_system.n_roots))
+    for i in range(0, len(lam), step):
+        yield lam[i : i + step], None if zs is None else zs[i : i + step]
 
 
 @dataclass(frozen=True)
@@ -593,47 +595,48 @@ def _residual_checks(spec: RMatrixSpec, lam: np.ndarray, zs, rec: _Record, roles
     return checks
 
 
-def _report(spec: RMatrixSpec, plan: SamplePlan, chunks: list, t0: float) -> VerificationReport:
+def _report(spec: RMatrixSpec, plan: SamplePlan, runs: list, t0: float) -> VerificationReport:
     """Report for the checks of the plan's runs of points, one list per run,
     timed from t0: per check name, in first-seen order, the runs' residuals
     in point order and their sample counts summed."""
-    runs = {}
-    for c in (c for checks in chunks for c in checks):
-        runs.setdefault(c.name, []).append(c)
+    by_name = {}
+    for c in (c for checks in runs for c in checks):
+        by_name.setdefault(c.name, []).append(c)
     rs = spec.algebra.root_system
     return VerificationReport(
         spec_id=spec_digest(spec),
         algebra_id=f"{rs.series}{rs.rank}",
         seed=plan.seed,
         checks=[
-            CheckResult(name, cs[0].tolerance, tuple(x for c in cs for x in c.residuals), sum(c.n_samples for c in cs))
-            if len(cs) > 1 else cs[0]  # kept: rebuilt, they took 5% of a 3-point B3 campaign on a 2-vCPU host
-            for name, cs in runs.items()
+            CheckResult(name, cs[0].tolerance, sum((c.residuals for c in cs), ()), sum(c.n_samples for c in cs))
+            for name, cs in by_name.items()
         ],
         samples_used=plan.count,
         wall_time=time.perf_counter() - t0,
     )
 
 
-def check_axioms(spec: RMatrixSpec, plan: SamplePlan, residual: bool = True) -> VerificationReport:
-    """Zero-weight, unitarity, residue, CDYBE, and symmetry checks; with
-    residual=False the axiom stage alone, no CDYBE residual evaluated.
+def check_axioms(spec: RMatrixSpec, plan: SamplePlan, stage: Optional[str] = None) -> VerificationReport:
+    """Zero-weight, unitarity and residue (stage "axioms"), then the CDYBE
+    residual, its weight and skew and the negative control (stage "residual"), by default both.
 
-    Each seeded sample argument is evaluated once, a run of _CHUNK points
-    (_walk) per batch: the axiom stage, the residual stage and its negative
-    control (first run only) read the same _point_records, and spectral
-    specs add one value-only batch for the reflections and residue contours.
+    Each seeded sample argument is evaluated once, a run of points (_walk)
+    per batch: the axiom stage, the residual stage and its negative control
+    (first run only) read the same _point_records, and spectral specs add
+    one value-only batch for the reflections and residue contours.
     """
+    if stage not in (None, "axioms", "residual"):
+        raise SpecInvalid(f"unknown check stage {stage!r}")
     t0 = time.perf_counter()
-    chunks = []
+    runs = []
     for lam, zs in _walk((spec,), plan, 3 if spec.is_spectral else 0):
-        if residual:
-            rec, roles = _point_records(spec, lam, zs)
-            checks = _axiom_checks(spec, lam, zs, rec.v[:, roles[0]])
-            chunks.append(checks + _residual_checks(spec, lam, zs, rec, roles, control=not chunks))
-        else:
-            chunks.append(_axiom_checks(spec, lam, zs))
-    return _report(spec, plan, chunks, t0)
+        if stage == "axioms":
+            runs.append(_axiom_checks(spec, lam, zs))
+            continue
+        rec, roles = _point_records(spec, lam, zs)
+        checks = [] if stage == "residual" else _axiom_checks(spec, lam, zs, rec.v[:, roles[0]])
+        runs.append(checks + _residual_checks(spec, lam, zs, rec, roles, control=not runs))
+    return _report(spec, plan, runs, t0)
 
 
 @dataclass(frozen=True)
@@ -740,18 +743,18 @@ def reduce_pair_check(
     rho_spec = RMatrixSpec(algebra=g, family="RationalConstant", X=members)
 
     t0 = time.perf_counter()
-    chunks = []
+    runs = []
     for lam, _ in _walk((spec_tilde, rho_spec), plan, 0):
         rho, roles = _point_records(rho_spec, lam)
         tilde, _ = _point_records(spec_tilde, lam)
         total = _Record(*((t - r) + r for t, r in zip(tilde, rho)))  # rest = r_tilde - rho, then rest + rho
         w = _cdybe_from(g, _Record(*map(np.concatenate, zip(rho, total))), roles)  # rho's rows, then the sum's
         rho_norms, sum_norms = (np.abs(_require_finite(x, lam)).max(axis=-1).tolist() for x in np.split(w, 2))
-        chunks.append([
+        runs.append([
             CheckResult("projector-cdybe", 1e-9, tuple(rho_norms), len(lam)),
             CheckResult("pair-sum-cdybe", _RESIDUAL_TOL_ANALYTIC, tuple(sum_norms), len(lam)),
         ])
-    return _report(spec_tilde, plan, chunks, t0)
+    return _report(spec_tilde, plan, runs, t0)
 
 
 def affine_hat_spec(algebra: SimpleLieAlgebra, tau: complex) -> RMatrixSpec:

@@ -1243,7 +1243,7 @@ def _campaign_outcomes():
         RMatrixSpec(algebra=A2, family="EllipticSpectral", tau=0.1j),
         RMatrixSpec(algebra=A2, family="TrigCotanh", eps=1e300),
     ):
-        calls += [lambda s=spec: check_axioms(s, plan), lambda s=spec: check_axioms(s, plan, residual=False)]
+        calls += [lambda s=spec, stage=stage: check_axioms(s, plan, stage) for stage in (None, "axioms", "residual")]
         if not spec.is_spectral:
             calls.append(lambda s=spec: reduce_pair_check(s, [s.algebra.root_system.simple_roots[0]], plan))
     base = CartanVector.of([0.37 + 0.11j] * 3)
@@ -1274,11 +1274,35 @@ def test_campaigns_do_not_depend_on_the_chunk(monkeypatch):
     """Every campaign gives the same report, comparison or error message
     whether _walk hands its 10 points out in runs of 1, of 3 or as one run."""
     want = _campaign_outcomes()
-    assert sum(o.startswith("r-matrix record is not finite") for o in want) == 2  # check_axioms and the pair check
-    assert sum("'passed': False" in o for o in want) == 2  # tau = 0.1i, with and without the residual
+    assert sum(o.startswith("r-matrix record is not finite") for o in want) == 3  # both residual stages, the pair check
+    assert sum("'passed': False" in o for o in want) == 3  # tau = 0.1i: both stages, each stage alone
+    monkeypatch.setattr(verifier, "_RUN_ENTRIES", 0)
     for chunk in (1, 3):
         monkeypatch.setattr(verifier, "_CHUNK", chunk)
         assert _campaign_outcomes() == want, chunk
+
+
+def test_check_axioms_stages_split_the_full_report():
+    """The axiom stage's checks and then the residual stage's are the full
+    report's, value for value; an unknown stage is SpecInvalid."""
+    G2 = build_simple_lie_algebra(build_root_system("G", 2))
+    plan = SamplePlan(seed=2, count=4)
+    for spec in (RMatrixSpec(algebra=A2, family="TrigCotanh", eps=2.0), RMatrixSpec(algebra=G2, family="EllipticSpectral", tau=2j)):
+        full = check_axioms(spec, plan).checks
+        assert check_axioms(spec, plan, "axioms").checks + check_axioms(spec, plan, "residual").checks == full
+    with pytest.raises(SpecInvalid, match="unknown check stage 'cdybe'"):
+        check_axioms(spec, plan, "cdybe")
+
+
+def test_walk_sizes_runs_by_record_entries():
+    """A run holds _CHUNK points, or as many as _RUN_ENTRIES record entries
+    (rank**2 + roots per point) allow if that is more: 204 on A2 (10
+    entries), 32 on F4 (64), 10 on E8 (304)."""
+    F4, E8 = (build_simple_lie_algebra(build_root_system(s, r)) for s, r in (("F", 4), ("E", 8)))
+    for g, step in ((A2, 204), (F4, 32), (E8, 10)):
+        spec = RMatrixSpec(algebra=g, family="TrigCotanh", eps=2.0)
+        runs = [len(lam) for lam, _ in verifier._walk((spec,), SamplePlan(seed=1, count=250), 0)]
+        assert runs == [step] * (250 // step) + [250 % step] * (250 % step > 0), g
 
 
 # ---------------------------------------------------------------- sample stream
