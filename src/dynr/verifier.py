@@ -9,8 +9,8 @@ reproducible byte for byte (modulo the wall-time field).
 from __future__ import annotations
 
 import cmath
-import functools
 import math
+import random
 import time
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -54,14 +54,24 @@ _CHUNK = 10  # campaign points per run at least: the default sample count, so a 
 _RUN_ENTRIES = 2048  # or, if more, as many as hold this many record entries (rank**2 + roots a point): 20 MiB elliptic
 
 
+def _holds(value, test) -> bool:
+    """test(value) for a plan field; False where value is complex (numpy
+    orders complex numbers) or test raises on a value that is not a real
+    number or a box that is not a (lo, hi) pair."""
+    try:
+        return not np.iscomplexobj(value) and bool(test(value))
+    except (TypeError, ValueError, LookupError):
+        return False
+
+
 @dataclass(frozen=True)
 class SamplePlan:
     """Seeded sampling policy for verification runs.
 
-    box bounds apply to both the real and imaginary part of every lambda
-    coordinate; z_box likewise for each spectral point.  Points whose
-    pole_margin falls below the floor are redrawn, up to max_resamples
-    per requested sample.
+    Candidates come from random.Random(int(seed)).  box bounds apply to
+    both the real and imaginary part of every lambda coordinate; z_box
+    likewise for each spectral point.  Points whose pole_margin falls below
+    the floor are redrawn, up to max_resamples per requested sample.
     """
 
     seed: int = 42
@@ -79,10 +89,10 @@ class SamplePlan:
                 raise SpecInvalid(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise SpecInvalid(f"{name} must be >= 1")
-        if not 0 < self.pole_margin < math.inf:
+        if not _holds(self.pole_margin, lambda m: 0 < m < math.inf):
             raise SpecInvalid("pole_margin must be finite and positive")
         for name, box in (("box", self.box), ("z_box", self.z_box)):
-            if len(box) != 2 or not (box[0] < box[1] and math.isfinite(box[1] - box[0])):
+            if not _holds(box, lambda b: len(b) == 2 and b[0] < b[1] and math.isfinite(b[1] - b[0])):
                 raise SpecInvalid(f"{name} must be a finite increasing (lo, hi) pair")  # drawn as lo + (hi - lo) * u
 
 
@@ -149,75 +159,11 @@ def spec_digest(spec: RMatrixSpec) -> str:
     return spec._digest
 
 
-_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's default 128-bit LCG multiplier
-
-
-@functools.lru_cache(maxsize=64)
-def _pcg64_seed(seed: int) -> tuple:
-    """(state, increment) of numpy's PCG64 seeded by SeedSequence(seed), pool
-    size 4 (numpy NEP 19): the seed's 32-bit words are hashed into the pool,
-    the pool is mixed, and generate_state(4, uint64) gives the LCG's initial
-    state (words 0-1) and stream (words 2-3)."""
-    words = [(seed >> s) & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    hash_const = 0x43B0D7E5
-
-    def hashmix(value):
-        nonlocal hash_const
-        value ^= hash_const
-        hash_const = hash_const * 0x931E8875 & _M32
-        value = value * hash_const & _M32
-        return value ^ value >> 16
-
-    def mix(x, y):
-        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
-        return r ^ r >> 16
-
-    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    out, hash_const = [], 0x8B51F9DD
-    for i in range(8):
-        value = pool[i % 4] ^ hash_const
-        hash_const = hash_const * 0x58F38DED & _M32
-        value = value * hash_const & _M32
-        out.append(value ^ value >> 16)
-    s0, s1, i0, i1 = (out[i] | out[i + 1] << 32 for i in range(0, 8, 2))  # little-endian uint64 pairs
-    inc = (i0 << 64 | i1) << 1 & _M128 | 1
-    return ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _M128, inc  # two LCG steps, as pcg64_set_seed
-
-
-class _PCG64:
-    """The doubles of np.random.default_rng(seed).random(), in Python ints:
-    PCG64 (O'Neill, PCG, HMC-CS-2014-0905), a 128-bit LCG with XSL-RR output,
-    each double being the top 53 bits of an output times 2**-53."""
-
-    def __init__(self, seed):
-        self._state, self._inc = _pcg64_seed(int(seed))
-
-    def random(self, shape: tuple) -> np.ndarray:
-        """The next prod(shape) doubles, in C order."""
-        state, inc, out = self._state, self._inc, []
-        mult, m64, m128 = _PCG_MULT, _M64, _M128  # locals: the loop runs once per double
-        for _ in range(math.prod(shape)):
-            state = (state * mult + inc) & m128
-            x, rot = ((state >> 64) ^ state) & m64, state >> 122
-            x = (x >> rot | x << (64 - rot)) & m64
-            out.append((x >> 11) * 2**-53)
-        self._state = state
-        return np.array(out, dtype=float).reshape(shape)
-
-
-def _draw_vector(rng, k: int, box, im_box, z_box, n_z: int, rank: int):
-    """k candidates (lambda (k, rank), z (k, n_z)) from one rng.random call, a
-    row holding a serial uniform draw's doubles in order: Re, Im lambda in box,
-    im_box; Re, Im z in z_box.  uniform(lo, hi) is lo + (hi - lo) * random()."""
-    u = rng.random((k, 2 * rank + 2 * n_z))
+def _draw_vector(rng: random.Random, k: int, box, im_box, z_box, n_z: int, rank: int):
+    """k candidates (lambda (k, rank), z (k, n_z)) from rng's next k rows of
+    doubles, a row holding a serial uniform draw's in order: Re, Im lambda in
+    box, im_box; Re, Im z in z_box.  uniform(lo, hi) is lo + (hi - lo) * random()."""
+    u = np.fromiter(iter(rng.random, None), float, k * (2 * rank + 2 * n_z)).reshape(k, -1)
     (lo, hi), (im_lo, im_hi), (z_lo, z_hi) = box, im_box, z_box
     lam = lo + (hi - lo) * u[:, :rank] + 1j * (im_lo + (im_hi - im_lo) * u[:, rank : 2 * rank])
     z = z_lo + (z_hi - z_lo) * u[:, 2 * rank :]  # Re and Im z share z_box
@@ -227,23 +173,25 @@ def _draw_vector(rng, k: int, box, im_box, z_box, n_z: int, rank: int):
 def _campaign_points(specs: Sequence[RMatrixSpec], plan: SamplePlan, n_z: int):
     """The plan's points, lambda (count, rank) and z (count, n_z) or None for
     n_z = 0, clear of every spec's poles by the plan's margin: with no z for
-    n_z = 0, at z for n_z = 1, at +-z12, +-z13, +-z23 for n_z = 3 (so unitarity
-    can evaluate the reflections).  Im(lambda) keeps to half the z_box when
-    any spec is elliptic: theta quotients grow double-exponentially in it.
+    n_z = 0, at z for n_z = 1, at z12, z13, z23 for n_z = 3.  Every pole set
+    in z is a lattice, and its distance at -w is the one at w bit for bit,
+    so -z12, -z13, -z23, where unitarity's reflections evaluate, are as
+    clear.  Im(lambda) keeps to half the z_box when any spec is elliptic:
+    theta quotients grow double-exponentially in it.
 
     Candidate blocks are scored at once and walked in stream order, so the
     points are a one-candidate loop's; a point fails after max_resamples
-    rejections in a row.  The stream (_PCG64), seeded with plan.seed, is
+    rejections in a row.  The stream, random.Random(int(plan.seed)), is
     discarded afterwards, so a block may read past the last point: it
     starts at count rows and doubles on refill, up to _BLOCK_ROWS.
     """
-    count, rng = plan.count, _PCG64(plan.seed)
+    count, rng = plan.count, random.Random(int(plan.seed))
     block = min(count, _BLOCK_ROWS)
     im_box = tuple(0.5 * b for b in plan.z_box) if any(s.family == "EllipticSpectral" for s in specs) else plan.box
     points, misses = [], 0
     while len(points) < count:
         lam, zs = _draw_vector(rng, block, plan.box, im_box, plan.z_box, n_z, specs[0].algebra.rank)
-        w = zs[:, [0, 0, 1, 1, 2, 2]] - zs[:, [1, 2, 2, 0, 0, 1]] if n_z == 3 else zs if n_z else None
+        w = zs[:, [0, 0, 1]] - zs[:, [1, 2, 2]] if n_z == 3 else zs if n_z else None
         ok = np.logical_and.reduce([_pole_margins(s, lam, w) >= plan.pole_margin for s in specs])
         for i, hit in enumerate(ok.tolist()):
             misses = 0 if hit else misses + 1

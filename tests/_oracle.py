@@ -14,8 +14,9 @@ the independent dense calculus kept here:
 - casimir, tensor_product, transpose_legs, pairing, basis_index and
   trig_constant_fixture build reference tensors and scalars;
 - _serial_points is the one-candidate sampling loop the block sampler
-  replaced; sample_lambda and sample_spectral_point draw one point from a
-  caller's generator through it;
+  replaced, scoring all six of +-z12, +-z13, +-z23 where the sampler
+  scores three; sample_lambda and sample_spectral_point draw one point
+  from a caller's generator (random.Random or numpy's) through it;
 - jacobi_defect is the Jacobi identity over every (a, b, c) as one join of
   all terms, whose verdict the library's check on the Chevalley generators
   must share;
@@ -36,6 +37,7 @@ Tests import these as ``from _oracle import ...``.
 from __future__ import annotations
 
 import cmath
+import random
 import weakref
 from typing import Optional, Sequence, Union
 
@@ -229,17 +231,17 @@ def trig_constant_fixture(algebra, z: complex, polarization: Optional[Sequence[i
 
 def _serial_points(specs, plan, rng, n_z, count):
     """The one-candidate loop the block sampler replaced, kept as its oracle:
-    uniform draws for Re and Im of lambda, then of z, and one scalar
-    pole_margin per spec, candidate and argument, up to max_resamples per
-    point."""
+    uniform draws for Re and Im of lambda, then of z, from a random.Random
+    or a numpy Generator, and one scalar pole_margin per spec, candidate
+    and argument, up to max_resamples per point."""
     rank = specs[0].algebra.rank
     elliptic = any(s.family == "EllipticSpectral" for s in specs)
     im_box = tuple(0.5 * b for b in plan.z_box) if elliptic else plan.box
     lams, zss = [], []
     for _ in range(count):
         for _ in range(plan.max_resamples):
-            lam = rng.uniform(*plan.box, rank) + 1j * rng.uniform(*im_box, rank)
-            zs = rng.uniform(*plan.z_box, n_z) + 1j * rng.uniform(*plan.z_box, n_z) if n_z else None
+            lam = _uniform(rng, plan.box, rank) + 1j * _uniform(rng, im_box, rank)
+            zs = _uniform(rng, plan.z_box, n_z) + 1j * _uniform(rng, plan.z_box, n_z) if n_z else None
             w = zs[[0, 0, 1, 1, 2, 2]] - zs[[1, 2, 2, 0, 0, 1]] if n_z == 3 else zs
             args = [None] if w is None else w
             if all(rmatrix.pole_margin(s, CartanVector.of(lam), x) >= plan.pole_margin for s in specs for x in args):
@@ -251,6 +253,13 @@ def _serial_points(specs, plan, rng, n_z, count):
         lams.append(lam)
         zss.append(zs)
     return np.array(lams), np.array(zss) if n_z else None
+
+
+def _uniform(rng, box, n: int) -> np.ndarray:
+    """n doubles uniform in box = (lo, hi), each lo + (hi - lo) * u."""
+    if isinstance(rng, random.Random):
+        return np.array([rng.uniform(*box) for _ in range(n)])
+    return rng.uniform(*box, n)
 
 
 def sample_lambda(spec, plan, rng) -> CartanVector:

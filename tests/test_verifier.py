@@ -3,6 +3,7 @@
 import gc
 import itertools
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -601,9 +602,39 @@ def test_sample_plan_rejects_what_the_sampler_cannot_draw(kwargs):
         SamplePlan(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"box": (0, 1j)}, "box must be a finite increasing"),
+        ({"box": ("a", "b")}, "box must be a finite increasing"),
+        ({"z_box": (None, 1)}, "z_box must be a finite increasing"),
+        ({"box": 0}, "box must be a finite increasing"),
+        ({"box": {"lo": -1.0, "hi": 1.0}}, "box must be a finite increasing"),
+        ({"z_box": (np.zeros(2), np.ones(2))}, "z_box must be a finite increasing"),
+        ({"box": (np.complex128(-1), np.complex128(1 + 1j))}, "box must be a finite increasing"),
+        ({"pole_margin": "x"}, "pole_margin must be finite and positive"),
+        ({"pole_margin": 1j}, "pole_margin must be finite and positive"),
+        ({"pole_margin": np.complex128(0.1 + 1j)}, "pole_margin must be finite and positive"),
+    ],
+)
+def test_sample_plan_names_a_value_of_the_wrong_type(kwargs, message):
+    """A box or margin that is not real numbers is SpecInvalid with its check's
+    message: not a TypeError from the comparison, nor accepted where numpy
+    orders complex values."""
+    with pytest.raises(SpecInvalid, match=message):
+        SamplePlan(**kwargs)
+
+
 def test_sample_plan_accepts_numpy_integers():
-    plan = SamplePlan(seed=np.int64(3), count=np.int64(2), max_resamples=np.int32(5))
-    assert check_axioms(RMatrixSpec(algebra=A2, family="TrigCotanh", eps=2.0), plan).samples_used == 2
+    """A plan of numpy integers gives the report of the same ints: the campaign
+    seeds random.Random, which takes no numpy integer on Python 3.11, with
+    int(seed)."""
+    spec = RMatrixSpec(algebra=A2, family="EllipticSpectral", tau=2j)
+    for seed in (3, 2**40 + 7):
+        plan = SamplePlan(seed=np.int64(seed), count=np.int64(2), max_resamples=np.int32(50))
+        report = check_axioms(spec, plan).to_json(include_timing=False)
+        assert report["samples_used"] == 2
+        assert report == check_axioms(spec, SamplePlan(seed=seed, count=2, max_resamples=50)).to_json(include_timing=False)
 
 
 def test_sampling_exhausted():
@@ -657,13 +688,15 @@ def _sampler_cases():
 def test_block_sampler_draws_the_serial_loop_points():
     """The campaign's points equal the one-candidate loop's for seeds 0-19
     over constant, spectral, elliptic (half imaginary box), gauged and
-    multi-spec plans, also when most candidates are rejected."""
+    multi-spec plans, also when most candidates are rejected.  The loop
+    scores all six of +-z12, +-z13, +-z23, the sampler three: the pole
+    lattices are symmetric under w -> -w."""
     for specs, n_z in _sampler_cases():
         for margin in (0.1, 0.2 if n_z else 0.6):  # the larger rejects half or more on most plans
             for seed in range(20):
                 plan = SamplePlan(seed=seed, count=3, pole_margin=margin, max_resamples=10**4)
                 lam, zs = verifier._campaign_points(specs, plan, n_z)
-                want_lam, want_zs = _serial_points(specs, plan, np.random.default_rng(seed), n_z, plan.count)
+                want_lam, want_zs = _serial_points(specs, plan, random.Random(seed), n_z, plan.count)
                 assert np.array_equal(lam, want_lam) and lam.dtype == want_lam.dtype
                 assert (zs is None and want_zs is None) or np.array_equal(zs, want_zs)
 
@@ -684,7 +717,7 @@ def test_block_sampler_exhausts_at_the_serial_loop_budget():
                     return str(exc)
 
             got = run(lambda: verifier._campaign_points(specs, plan, n_z))
-            want = run(lambda: _serial_points(specs, plan, np.random.default_rng(seed), n_z, plan.count))
+            want = run(lambda: _serial_points(specs, plan, random.Random(seed), n_z, plan.count))
             assert got == want, (budget, seed)
             outcomes.add(isinstance(got, str))
     assert outcomes == {True, False}  # both outcomes occur over these budgets
@@ -1310,22 +1343,22 @@ def test_walk_sizes_runs_by_record_entries():
 def _stream_seeds():
     """Edge seeds (one to seven 32-bit words, a numpy integer) and 200 seeded
     random seeds of 1 to 160 bits."""
-    import random
-
     draw = random.Random(2024)
     seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 + 99, 2**200 + 1, np.int64(2**40 + 7)]
     return seeds + [draw.getrandbits(draw.randint(1, 160)) for _ in range(200)]
 
 
-def test_sample_stream_is_numpys_default_rng_stream():
-    """The campaign's stream gives np.random.default_rng(seed).random()'s
-    doubles, over successive draws of several sizes and shapes."""
+def test_sample_stream_is_the_standard_librarys_random_stream():
+    """A campaign's doubles are random.Random(int(seed)).random()'s, in order:
+    Re, Im lambda, then Re, Im z, point by point.  Boxes of (0, 1) draw each
+    double as itself, and a margin no point misses accepts every candidate."""
+    spec = RMatrixSpec(algebra=A2, family="RationalSpectral", X=())
     for seed in _stream_seeds():
-        ours, numpys = verifier._PCG64(seed), np.random.default_rng(seed)
-        for shape in ((1,), (3, 5), (7,), (0,), (2, 9), (1, 1)):
-            got, want = ours.random(shape), numpys.random(shape)
-            assert got.dtype == want.dtype and got.shape == want.shape, (seed, shape)
-            assert np.array_equal(got, want), (seed, shape)
+        plan = SamplePlan(seed=seed, count=3, box=(0.0, 1.0), z_box=(0.0, 1.0), pole_margin=1e-300)
+        lam, zs = verifier._campaign_points((spec,), plan, 3)
+        got = np.hstack((lam.real, lam.imag, zs.real, zs.imag)).ravel().tolist()
+        stream = random.Random(int(seed))
+        assert got == [stream.random() for _ in got], seed
 
 
 # ---------------------------------------------------------------- residue contour
