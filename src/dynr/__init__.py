@@ -15,8 +15,8 @@ __version__ = "0.1.0"
 _LAYER_NAMES = {
     "errors": (
         "AlgebraMismatch", "ConstructionFailure", "ConvergenceFailure", "DynrError", "NonFiniteValue",
-        "PoleProximity", "PropertyViolated", "SamplingExhausted", "SearchExhausted", "SpecInvalid",
-        "SubalgebraInvalid", "TooLarge", "UnsupportedType",
+        "NumericFailure", "PoleProximity", "PropertyViolated", "SamplingExhausted", "SearchExhausted",
+        "SpecInvalid", "SubalgebraInvalid", "TooLarge", "UnsupportedType",
     ),
     "lie_core": (
         "CartanVector", "RootSystemData", "SimpleLieAlgebra", "build_root_system",

@@ -14,18 +14,8 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .combinatorics import enumerate_closed_subsets, find_polarization
-from .errors import (
-    ConvergenceFailure,
-    DynrError,
-    NonFiniteValue,
-    PoleProximity,
-    SamplingExhausted,
-    PropertyViolated,
-    SearchExhausted,
-)
+from .errors import DynrError, NumericFailure, PropertyViolated, SearchExhausted
 from .lie_core import (
     CartanVector,
     build_root_system,
@@ -84,6 +74,13 @@ class _ConfigError(Exception):
     pass
 
 
+def _refuse(args, names, reason: str) -> None:
+    """_ConfigError naming the flags of `names` that were given: the command would ignore them."""
+    given = [f"--{name}" for name in names if getattr(args, name) is not None]
+    if given:
+        raise _ConfigError(f"{', '.join(given)} not allowed {reason}")
+
+
 def _parse_root_set(tok: str, rs):
     """Root-set tokens: 'full', 'empty', or a comma list of aK (simple root
     K, 1-based) and raw 0-based root indices."""
@@ -127,6 +124,8 @@ def _build_spec(args, algebra):
     sources = [s for s in (args.family, args.spec_file, args.spec_json) if s]
     if len(sources) != 1:
         raise _ConfigError("give exactly one spec source: --family, --spec-file, or --spec-json")
+    if not args.family:
+        _refuse(args, ("X", "eps", "nu", "tau"), "with a spec document, which carries its own values")
     try:
         if args.spec_file:
             with open(args.spec_file) as fh:
@@ -191,21 +190,12 @@ def _emit_report(report, args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """verify, or axioms: the check_axioms stage args.stage (None for both)."""
     algebra = _build_algebra(args)
     spec = _build_spec(args, algebra)
     from .verifier import check_axioms
 
-    report = check_axioms(spec, _plan(args))
-    return _emit_report(report, args)
-
-
-def cmd_axioms(args) -> int:
-    """The axiom stage of verify on the same sample points; no residual."""
-    algebra = _build_algebra(args)
-    spec = _build_spec(args, algebra)
-    from .verifier import check_axioms
-
-    return _emit_report(check_axioms(spec, _plan(args), stage="axioms"), args)
+    return _emit_report(check_axioms(spec, _plan(args), stage=args.stage), args)
 
 
 def cmd_subsets(args) -> int:
@@ -243,7 +233,7 @@ def cmd_polarize(args) -> int:
     doc = {
         "algebra": f"{series}{rank}",
         "Y": list(y),
-        "vector": [[v.real, v.imag] for v in np.asarray(result.vector, dtype=complex)],
+        "vector": [[v, 0.0] for v in result.vector],
         "positive": list(result.positive),
         "margin": result.margin if math.isfinite(result.margin) else "inf",
     }
@@ -284,6 +274,7 @@ def cmd_limits(args) -> int:
     plan = _plan(args)
     doc = {"algebra": f"{rs.series}{rs.rank}", "schedule": args.schedule}
     if kind == "tau":
+        _refuse(args, ("X", "eps", "nu"), "with a tau: schedule, which checks EllipticSpectral at each tau")
         tau0 = complex(values[0])
         spec = RMatrixSpec(algebra=algebra, family="EllipticSpectral", tau=tau0)
         cmp_res = limit_compare(spec, LimitSchedule("tau", values), None, plan)
@@ -330,9 +321,9 @@ def cmd_pair(args) -> int:
     if args.family or args.spec_file or args.spec_json:
         spec = _build_spec(args, algebra)
     else:
-        spec = RMatrixSpec(
-            algebra=algebra, family="RationalConstant", X=tuple(range(rs.n_roots))
-        )
+        _refuse(args, ("X", "eps", "nu", "tau"),
+                "without a spec source: pair then checks RationalConstant with X = all roots")
+        spec = RMatrixSpec(algebra=algebra, family="RationalConstant", X=tuple(range(rs.n_roots)))
     report = reduce_pair_check(spec, l_roots, _plan(args))
     return _emit_report(report, args)
 
@@ -382,14 +373,17 @@ def cmd_catalog(args) -> int:
     return 0
 
 
-def _add_common(p):
+def _add_common(p, sampled=True, timed=False):
+    """--algebra, --output, --format; --seed, --samples if sampled; --no-timing if the report is timed."""
     p.add_argument("--algebra", required=True, help="series+rank, e.g. A2")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--samples", type=int, default=10)
+    if sampled:
+        p.add_argument("--seed", type=int, default=42)
+        p.add_argument("--samples", type=int, default=10)
     p.add_argument("--output", help="write the JSON report to this path")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--no-timing", action="store_true",
-                   help="omit the wall-time field from JSON output")
+    if timed:
+        p.add_argument("--no-timing", action="store_true",
+                       help="omit the wall-time field from JSON output")
 
 
 def _add_spec_source(p):
@@ -409,22 +403,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", help="full axiom + residual campaign for one spec")
-    _add_common(p)
-    _add_spec_source(p)
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("axioms", help="zero-weight/unitarity/residue checks only")
-    _add_common(p)
-    _add_spec_source(p)
-    p.set_defaults(fn=cmd_axioms)
+    for name, stage, summary in (("verify", None, "full axiom + residual campaign for one spec"),
+                                 ("axioms", "axioms", "zero-weight/unitarity/residue checks only")):
+        p = sub.add_parser(name, help=summary)
+        _add_common(p, timed=True)
+        _add_spec_source(p)
+        p.set_defaults(fn=cmd_verify, stage=stage)
 
     p = sub.add_parser("subsets", help="enumerate closed root subsets (rank <= 4)")
-    _add_common(p)
+    _add_common(p, sampled=False)
     p.set_defaults(fn=cmd_subsets)
 
     p = sub.add_parser("polarize", help="find a polarization containing the given roots")
-    _add_common(p)
+    _add_common(p, sampled=False)
     p.add_argument("--Y", required=True, help="root set tokens as for --X")
     p.set_defaults(fn=cmd_polarize)
 
@@ -437,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_limits)
 
     p = sub.add_parser("pair", help="pair-reduction consistency run")
-    _add_common(p)
+    _add_common(p, timed=True)
     _add_spec_source(p)
     p.add_argument("--l-roots", required=True, dest="l_roots",
                    help="positive roots of the subalgebra, e.g. a1")
@@ -467,7 +458,7 @@ def main(argv=None) -> int:
     except _ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (PoleProximity, ConvergenceFailure, SamplingExhausted, NonFiniteValue) as exc:
+    except NumericFailure as exc:
         print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except DynrError as exc:

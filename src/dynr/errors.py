@@ -26,15 +26,19 @@ class SpecInvalid(DynrError):
     """An r-matrix description violates its family's constraints."""
 
 
-class PoleProximity(DynrError):
+class NumericFailure(DynrError):
+    """Base of the numeric refusals (CLI exit 3): no trustworthy value at a valid input."""
+
+
+class PoleProximity(NumericFailure):
     """Evaluation point too close to a pole of a meromorphic coefficient."""
 
 
-class NonFiniteValue(DynrError):
+class NonFiniteValue(NumericFailure):
     """A computed result overflowed to inf or nan."""
 
 
-class ConvergenceFailure(DynrError):
+class ConvergenceFailure(NumericFailure):
     """A series cannot reach the requested accuracy within its cutoff."""
 
 
@@ -54,5 +58,5 @@ class SubalgebraInvalid(DynrError):
     """Root subset does not define a reductive subalgebra containing h."""
 
 
-class SamplingExhausted(DynrError):
+class SamplingExhausted(NumericFailure):
     """Could not find pole-free sample points within the resample budget."""

@@ -569,7 +569,8 @@ def pole_margin(spec: RMatrixSpec, lam: CartanVector, z: Optional[complex] = Non
 
     The sampler scores its candidates the same way (_pole_margins) to reject
     points too close to a pole before evaluation; the distance is taken at
-    the argument the gauge stack passes to the family formula.
+    the argument the gauge stack passes to the family formula, divided for
+    the trig families by min(1, |eps|/2): below |eps| = 2, in the pairing.
     """
     z = None if _one_z(z) is None else np.full((1, 1), z, dtype=complex)
     return float(_pole_margins(spec, lam.as_array()[None], z)[0])
@@ -583,7 +584,8 @@ def _pole_margins(spec: RMatrixSpec, lam: np.ndarray, z=None) -> np.ndarray:
     w = _pairings(spec.algebra.root_system.roots, lam_b - spec.nu.as_array())[:, spec._pole_roots]
     fam = spec.family
     if fam in ("TrigCotanh", "TrigDegenerate"):
-        w, periods = complex(spec.eps) / 2 * w, (1j * math.pi,)
+        unit = min(1.0, abs(complex(spec.eps)) / 2)  # below |eps| = 2, the pairing: residue 1 there
+        w, periods = complex(spec.eps) / 2 * w / unit, (1j * math.pi / unit,)
     elif fam == "EllipticSpectral":
         w, periods = -w, (1 + 0j, complex(spec.tau))
     elif fam == "TrigSpectral":

@@ -92,7 +92,7 @@ def _theta_cutoff(z: np.ndarray, p: ThetaParams) -> np.ndarray:
     over = ~(j <= cap)  # compared as floats, so an infinite or nan cutoff fails too
     if np.any(over):
         i = int(np.argmax(over))
-        raise ConvergenceFailure(f"theta truncation {j.flat[i]:.0f} exceeds cap {cap} for z={complex(z.flat[i])}, tau={p.tau}")
+        raise ConvergenceFailure(f"theta truncation {j.flat[i]:.4g} exceeds cap {cap} for z={complex(z.flat[i])}, tau={p.tau}")
     return j.astype(int)
 
 

@@ -26,7 +26,6 @@ from .rmatrix import (
     RMatrixSpec,
     _flat_legs,
     _flip,
-    _identity_phi,
     _legs,
     _pole_margins,
     _record,
@@ -513,7 +512,7 @@ def _residual_checks(spec: RMatrixSpec, lam: np.ndarray, zs, rec: _Record, roles
     campaign's as row n of one kernel call (rows are independent bit for bit).
 
     The control sets the first point's root flip to the first positive root
-    whose identity-bearing coefficient (see family_phi) is nonzero there,
+    whose coefficient, the record entry the flip negates, is nonzero there,
     undoing the spec's own debug_flip_root, and records threshold/residual,
     so its value is <= 1 exactly when the perturbation is loud; it is
     omitted when there is no such root.  Each residual stays a vector on w3.
@@ -522,7 +521,7 @@ def _residual_checks(spec: RMatrixSpec, lam: np.ndarray, zs, rec: _Record, roles
     plan = _residual_plan(g)
     n = len(lam)
     positive = g.rank**2 + np.array(g.root_system.positive_roots)  # their entries in v
-    live = np.flatnonzero(np.abs(_identity_phi(spec, rec.v[0, roles[0], positive])) > 1e-12) if control else []
+    live = np.flatnonzero(np.abs(rec.v[0, roles[0], positive]) > 1e-12) if control else []
     if len(live):
         first = _Record(rec.v[:1], rec.d[:1])
         if spec.debug_flip_root is not None:

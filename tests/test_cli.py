@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, output formats, determinism."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -10,19 +11,26 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dynr.cli
 import dynr.verifier
 from dynr import (
     FAMILIES,
     SPECTRAL_FAMILIES,
+    ConvergenceFailure,
+    DynrError,
+    NonFiniteValue,
+    NumericFailure,
+    PoleProximity,
     RMatrixSpec,
     SamplePlan,
+    SamplingExhausted,
     affine_hat_spec,
     build_root_system,
     build_simple_lie_algebra,
     check_axioms,
     spec_to_json,
 )
-from dynr.cli import _CATALOG, main
+from dynr.cli import _CATALOG, build_parser, main
 
 A1 = build_simple_lie_algebra(build_root_system("A", 1))
 A2 = build_simple_lie_algebra(build_root_system("A", 2))
@@ -313,6 +321,90 @@ def test_verify_rejects_unknown_family(capsys):
     assert "unknown family" in err
 
 
+# ---------------------------------------------------------------- flags
+
+_SAMPLED = {"--seed", "--samples"}
+_SPEC_SOURCE = {"--family", "--spec-file", "--spec-json", "--X", "--eps", "--nu", "--tau"}
+_FLAGS = {
+    "verify": {"--algebra", "--output", "--format", "--no-timing", *_SAMPLED, *_SPEC_SOURCE},
+    "axioms": {"--algebra", "--output", "--format", "--no-timing", *_SAMPLED, *_SPEC_SOURCE},
+    "subsets": {"--algebra", "--output", "--format"},
+    "polarize": {"--algebra", "--output", "--format", "--Y"},
+    "limits": {"--algebra", "--output", "--format", *_SAMPLED, "--schedule", "--X", "--eps", "--nu"},
+    "pair": {"--algebra", "--output", "--format", "--no-timing", *_SAMPLED, *_SPEC_SOURCE, "--l-roots"},
+    "series": {"--algebra", "--output", "--format", *_SAMPLED, "--tau", "--z", "--N", "--lambda"},
+    "catalog": {"--format"},
+}
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    """--seed and --samples only where a command samples, --no-timing only
+    where its report carries wall_time: 66 option flags over 8 commands."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    got = {
+        name: {s for a in p._actions if not isinstance(a, argparse._HelpAction) for s in a.option_strings}
+        for name, p in sub.choices.items()
+    }
+    assert got == _FLAGS
+    assert sum(map(len, got.values())) == 66
+
+
+_SUBSETS, _POLARIZE = ("subsets", "--algebra", "B2"), ("polarize", "--algebra", "A2", "--Y", "a1")
+_NO_TIMING = ("--no-timing",)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    *((argv, flag) for argv in (_SUBSETS, _POLARIZE) for flag in (("--seed", "1"), ("--samples", "3"), _NO_TIMING)),
+    (("limits", "--algebra", "A2", "--schedule", "tau:4i,6i"), _NO_TIMING),
+    (("series", "--algebra", "A1", "--z=0.3-0.5i"), _NO_TIMING),
+])
+def test_a_flag_the_command_does_not_read_exits_2(capsys, argv, flag):
+    """subsets and polarize sample nothing; no limits or series document has a wall_time."""
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *flag])
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out) == (2, "")
+    assert out.err.endswith(f"error: unrecognized arguments: {' '.join(flag)}\n")
+
+
+_TRIG_DOC = json.dumps(spec_to_json(RMatrixSpec(algebra=A2, family="TrigCotanh", eps=2.0)))
+_SPEC_DOC_REASON = "not allowed with a spec document, which carries its own values"
+_PAIR_REASON = "not allowed without a spec source: pair then checks RationalConstant with X = all roots"
+_TAU_REASON = "not allowed with a tau: schedule, which checks EllipticSpectral at each tau"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "--spec-json", _TRIG_DOC, "--eps", "7"), f"--eps {_SPEC_DOC_REASON}"),
+    (("verify", "--spec-json", _TRIG_DOC, "--X", "a1", "--tau=2i"), f"--X, --tau {_SPEC_DOC_REASON}"),
+    (("axioms", "--spec-json", _TRIG_DOC, "--nu", "0.1,0.2"), f"--nu {_SPEC_DOC_REASON}"),
+    (("verify", "--spec-file", "SPEC_FILE", "--eps", "7"), f"--eps {_SPEC_DOC_REASON}"),
+    (("pair", "--l-roots", "a1", "--spec-json", _TRIG_DOC, "--eps", "3"), f"--eps {_SPEC_DOC_REASON}"),
+    (("pair", "--l-roots", "a1", "--eps", "2"), f"--eps {_PAIR_REASON}"),
+    (("pair", "--l-roots", "a1", "--X", "a1", "--nu", "0.1,0.2", "--tau=2i"), f"--X, --nu, --tau {_PAIR_REASON}"),
+    (("limits", "--schedule", "tau:4i,6i,8i", "--X", "a1"), f"--X {_TAU_REASON}"),
+    (("limits", "--schedule", "tau:4i,6i,8i", "--eps", "2", "--nu", "0.1,0.2"), f"--eps, --nu {_TAU_REASON}"),
+])
+def test_a_flag_the_command_would_ignore_exits_2(capsys, tmp_path, argv, message):
+    """A spec document carries its own X, eps, nu and tau; pair without a
+    spec source and a tau: schedule fix their own spec; each flag that
+    would change nothing is named and refused."""
+    (tmp_path / "spec.json").write_text(_TRIG_DOC)
+    argv = [str(tmp_path / "spec.json") if a == "SPEC_FILE" else a for a in argv]
+    code, out, err = _run(capsys, argv[0], "--algebra", "A2", "--samples", "2", *argv[1:])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_a_spec_source_with_its_own_flags_is_not_refused(capsys):
+    """--X, --eps, --nu and --tau go with --family, on pair too, and with a nu: schedule."""
+    for argv in (
+        ("verify", "--family", "trig-cotanh", "--eps", "2", "--nu", "0.1,0.2"),
+        ("pair", "--l-roots", "a1", "--family", "rational-constant", "--X", "full"),
+        ("limits", "--schedule", "nu:20,40", "--X", "a1", "--eps", "2", "--nu", "0.3,0.1"),
+    ):
+        code, _, err = _run(capsys, argv[0], "--algebra", "A2", "--samples", "2", *argv[1:])
+        assert (code, err) == (0, ""), argv
+
+
 # ---------------------------------------------------------------- axioms
 
 def test_axioms_filters_check_list(capsys):
@@ -505,6 +597,49 @@ def test_axioms_reports_non_finite_record_as_numeric_failure():
     assert code == 3
     assert "Traceback" not in err
     assert "NonFiniteValue" in err and "lambda" in err
+
+
+@pytest.mark.parametrize("error", [PoleProximity, ConvergenceFailure, SamplingExhausted, NonFiniteValue])
+def test_numeric_refusals_exit_3_through_one_error_class(capsys, monkeypatch, error):
+    """The four numeric refusals are NumericFailure, the one class the CLI maps to exit 3."""
+    assert issubclass(error, NumericFailure) and issubclass(NumericFailure, DynrError)
+
+    def refuse(args):
+        raise error("no value here")
+
+    monkeypatch.setattr(dynr.cli, "cmd_catalog", refuse)
+    assert _run(capsys, "catalog") == (3, "", f"numeric failure: {error.__name__}: no value here\n")
+
+
+@pytest.mark.parametrize("tau, cutoff", [("1e-300i", "5.284e+299"), ("0.0001i", "5307")])
+def test_a_theta_cutoff_past_its_cap_is_named_in_a_short_line(tau, cutoff):
+    """Four significant digits: a cutoff under 10^4 prints whole."""
+    code, err = _run_process("verify", "--algebra", "A2", "--family", "elliptic-spectral", f"--tau={tau}")
+    assert code == 3
+    assert "Traceback" not in err
+    assert f"ConvergenceFailure: theta truncation {cutoff} exceeds cap 512" in err
+    assert len(err) < 200
+
+
+@pytest.mark.parametrize("algebra", ["A2", "B3", "F4", "E8"])
+def test_trig_cotanh_verifies_at_a_small_coupling(capsys, algebra):
+    """The sampler's pole margin is taken in the pairing below |eps| = 2, so
+    sample points are found where (eps/2)(alpha, lambda) is small."""
+    code, out, err = _run(
+        capsys, "verify", "--algebra", algebra, "--family", "trig-cotanh", "--eps", "0.05",
+        "--seed", "1", "--samples", "4",
+    )
+    assert (code, err) == (0, "")
+    assert out.endswith("\nPASS\n")
+
+
+def test_trig_cotanh_passes_where_coth_saturates():
+    """At eps = 30 a record entry phi reads about 0 where coth is -1; the
+    negative control no longer flips such a root, which changes nothing."""
+    code, err = _run_process(
+        "verify", "--algebra", "A2", "--family", "trig-cotanh", "--eps", "30", "--seed", "4", "--samples", "2",
+    )
+    assert (code, err) == (0, "")
 
 
 def _gauged_doc(family, gauge, **fields):

@@ -180,6 +180,7 @@ _PUBLIC = [
     "LimitComparison",
     "LimitSchedule",
     "NonFiniteValue",
+    "NumericFailure",
     "PolarizationResult",
     "PoleProximity",
     "PropertyViolated",

@@ -589,8 +589,9 @@ def _scalar_pole_margin(spec, lam, z=None):
         vals += [abs(pairings[p]) for p in spec.X]
     elif fam in ("TrigCotanh", "TrigDegenerate"):
         half = complex(spec.eps) / 2
+        unit = min(1.0, abs(half))  # below |eps| = 2, distances in the pairing's own scale
         rel = range(rs.n_roots) if fam == "TrigCotanh" else np.flatnonzero(spec._span)
-        vals += [_scalar_lattice_distance(half * pairings[p], [1j * math.pi]) for p in rel]
+        vals += [_scalar_lattice_distance(half * pairings[p], [1j * math.pi]) / unit for p in rel]
     elif fam == "EllipticSpectral":
         periods = [1 + 0j, complex(spec.tau)]
         vals += [_scalar_lattice_distance(-pairings[p], periods) for p in range(rs.n_roots)]
@@ -643,6 +644,24 @@ def test_pole_margin_matches_scalar_oracle(series, rank):
             z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) if spec.is_spectral else None
             want = _scalar_pole_margin(spec, lam, z)
             assert pole_margin(spec, lam, z) == pytest.approx(want, rel=1e-15, abs=0)
+
+
+def test_trig_pole_margin_is_taken_in_the_pairing_below_eps_two():
+    """From |eps| = 2 up the margin is the coth argument's distance to i pi Z,
+    bit for bit; below it, both are divided by |eps|/2, so at a small eps
+    the margin is the smallest |(alpha, lambda)|, where the coefficient has
+    residue 1."""
+    rs = A2.root_system
+    lam = CartanVector.of([0.37 + 0.11j, -0.52 + 0.08j])
+    pairings = rs.roots @ lam.as_array()
+    for eps in (2.0, 2.5, 2j, 1 + 2j, -3.0):
+        spec = RMatrixSpec(algebra=A2, family="TrigCotanh", eps=eps)
+        w = eps / 2 * pairings
+        want = np.min(np.abs(w - 1j * math.pi * np.round((w / (1j * math.pi)).real)))
+        assert pole_margin(spec, lam) == want
+    for eps in (1e-3, 0.05, 0.5j):
+        spec = RMatrixSpec(algebra=A2, family="TrigCotanh", eps=eps)
+        assert pole_margin(spec, lam) == pytest.approx(np.min(np.abs(pairings)), rel=1e-12)
 
 
 @pytest.mark.parametrize("series, rank", [("A", 2), ("G", 2), ("B", 3)])

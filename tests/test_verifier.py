@@ -1057,6 +1057,30 @@ def test_negative_control_equals_flipped_spec_residual():
             assert margins["negative-control-margin"] == (verifier._CONTROL_THRESHOLD / control,)
 
 
+def test_negative_control_skips_a_root_whose_record_entry_is_zero():
+    """Where coth saturates at -1, a TrigCotanh entry phi = (eps/2)(1 + coth)
+    is about 0 while phi - eps/2 is not, and flipping it changes nothing:
+    the control flips the first positive root whose entry is nonzero, and
+    is omitted when there is none (A2 at eps = 30, seed 4)."""
+    b3, g2 = (build_simple_lie_algebra(build_root_system(*t)) for t in (("B", 3), ("G", 2)))
+    for g, eps, seed in ((b3, 100.0, 2), (b3, 100.0, 3), (b3, 100.0, 4), (g2, 100.0, 0), (g2, 100.0, 2), (A2, 30.0, 4)):
+        report = check_axioms(RMatrixSpec(algebra=g, family="TrigCotanh", eps=eps), SamplePlan(seed=seed, count=2))
+        assert report.passed, (g.root_system.series, eps, seed)
+        names = [c.name for c in report.checks]
+        assert ("negative-control-margin" in names) == (g is not A2)
+
+
+def test_trig_degenerate_finds_sample_points_at_a_small_coupling():
+    """The pole margin is taken in the pairing below |eps| = 2, so B3 with
+    X = {a1} at eps = 0.01 samples without SamplingExhausted and its
+    residual checks pass."""
+    b3 = build_simple_lie_algebra(build_root_system("B", 3))
+    spec = RMatrixSpec(algebra=b3, family="TrigDegenerate", eps=0.01, X=b3.root_system.simple_roots[:1])
+    report = check_axioms(spec, SamplePlan(seed=1, count=10))
+    assert report.samples_used == 10
+    assert all(c.passed for c in report.checks if c.name != "negative-control-margin")
+
+
 @pytest.mark.parametrize("family", ["RationalConstant", "RationalSpectral"])
 def test_rational_constant_control_is_loud_on_every_closed_subset(family):
     """The sufficiency half of the RationalConstant and RationalSpectral
