@@ -17,6 +17,7 @@ from .errors import PropertyViolated, SearchExhausted, SpecInvalid, TooLarge
 from .lie_core import RootSystemData, fundamental_weights
 
 _ENUM_MAX_RANK = 4
+_POLARIZE_MAX_ITER = 20000  # perceptron steps find_polarization takes before SearchExhausted
 
 
 def additive_closure(rs: RootSystemData, members: Iterable[int]) -> frozenset:
@@ -117,7 +118,7 @@ def _check_properties(rs: RootSystemData, y: Sequence[int]):
         )
 
 
-def find_polarization(rs: RootSystemData, y: Iterable[int], max_iter: int = 20000) -> PolarizationResult:
+def find_polarization(rs: RootSystemData, y: Iterable[int]) -> PolarizationResult:
     """Regular vector v with (a, v) > 0 for all a in Y, plus its positive system.
 
     Y must be additively closed within the root system (property A) and
@@ -130,7 +131,7 @@ def find_polarization(rs: RootSystemData, y: Iterable[int], max_iter: int = 2000
     Raises
     ------
     PropertyViolated when Y fails property A or B.
-    SearchExhausted if no vector is found within the iteration budget.
+    SearchExhausted if no vector is found within _POLARIZE_MAX_ITER iterations.
     """
     ys = sorted(set(int(i) for i in y))
     _check_properties(rs, ys)
@@ -158,13 +159,13 @@ def find_polarization(rs: RootSystemData, y: Iterable[int], max_iter: int = 2000
     if not np.any(v):
         v = fundamental_weights(rs).sum(axis=0)
     tol = 1e-9 * scale
-    for _ in range(max_iter):
+    for _ in range(_POLARIZE_MAX_ITER):
         bad = rows[(rows @ v) <= tol]
         if len(bad) == 0:
             break
         v = v + bad.sum(axis=0)
     else:
-        raise SearchExhausted(f"no vector positive on Y within {max_iter} iterations")
+        raise SearchExhausted(f"no vector positive on Y within {_POLARIZE_MAX_ITER} iterations")
 
     # clear accidental orthogonality against the full root set
     if regular_margin(v) > tol:

@@ -38,6 +38,7 @@ except ImportError:
 
 _CACHE_ENV = "DYNR_FIXTURE_DIR"
 _CACHE_VERSION = 3
+_ALGEBRA_TOL = 1e-12  # the largest defect _verify_algebra accepts in each check
 
 
 def _cartan_data(series: str, rank: int):
@@ -55,22 +56,13 @@ def _cartan_data(series: str, rank: int):
         d = [1] * rank
         for i in range(rank - 1):
             chain(i, i + 1)
-    elif series == "B":
+    elif series in ("B", "C"):
         if rank < 2:
-            raise UnsupportedType("B requires rank >= 2")
-        d = [2] * (rank - 1) + [1]
+            raise UnsupportedType(f"{series} requires rank >= 2")
+        d = [2] * (rank - 1) + [1] if series == "B" else [1] * (rank - 1) + [2]
         for i in range(rank - 2):
             chain(i, i + 1)
-        a[rank - 2][rank - 1] = -2
-        a[rank - 1][rank - 2] = -1
-    elif series == "C":
-        if rank < 2:
-            raise UnsupportedType("C requires rank >= 2")
-        d = [1] * (rank - 1) + [2]
-        for i in range(rank - 2):
-            chain(i, i + 1)
-        a[rank - 2][rank - 1] = -1
-        a[rank - 1][rank - 2] = -2
+        a[rank - 2][rank - 1], a[rank - 1][rank - 2] = (-2, -1) if series == "B" else (-1, -2)
     elif series == "D":
         if rank < 3:
             raise UnsupportedType("D requires rank >= 3")
@@ -401,9 +393,6 @@ class SimpleLieAlgebra:
     structure_constants: tuple
     bilinear_form: np.ndarray
     _pairs: Optional[tuple] = field(default=None, init=False, repr=False)
-    # verifier's sparse CDYBE assembly plan and axiom-check root tables, built on first use
-    _residual_plan: Optional[object] = field(default=None, init=False, repr=False)
-    _axiom_tables: Optional[tuple] = field(default=None, init=False, repr=False)
 
     @property
     def rank(self) -> int:
@@ -470,12 +459,16 @@ def _entry_arrays(i, j, k, v) -> tuple:
     return out
 
 
-def _max_by_key(keys: np.ndarray, values: np.ndarray) -> float:
-    """Largest |sum of values| over the groups of equal keys."""
-    if len(keys) == 0:
-        return 0.0
+def _sum_by_key(keys: np.ndarray, values: np.ndarray) -> tuple:
+    """(sums, group): the sum of values over each group of equal keys, and
+    each key's group; values may cover the first keys only."""
     _, group = np.unique(keys, return_inverse=True)
-    return float(np.max(np.abs(np.bincount(group, weights=values))))
+    return np.bincount(group[: len(values)], weights=values, minlength=len(group)), group
+
+
+def _max_by_key(keys: np.ndarray, values: np.ndarray) -> float:
+    """Largest |sum of values| over the groups of equal keys, 0 for no keys."""
+    return float(np.max(np.abs(_sum_by_key(keys, values)[0]), initial=0.0))
 
 
 def _antisymmetry_defect(n: int, i, j, k, v) -> float:
@@ -569,30 +562,29 @@ def _chevalley_defect(g: SimpleLieAlgebra, i, j, k, v) -> float:
     a, b = np.nonzero(table >= 0)
     sums = (e[a] * n + e[b]) * n + e[table[a, b]]
     # each (i, j, k) key's summed value, read at the key of each root sum
-    _, group = np.unique(np.concatenate([(i * n + j) * n + k, sums]), return_inverse=True)
-    held = np.bincount(group[: len(i)], weights=v, minlength=len(group))
+    held, group = _sum_by_key(np.concatenate([(i * n + j) * n + k, sums]), v)
     return defect if np.all(held[group[len(i) :]]) else float("inf")
 
 
-def _verify_algebra(g: SimpleLieAlgebra, tol: float = 1e-12):
+def _verify_algebra(g: SimpleLieAlgebra):
     """Check reality, antisymmetry, Jacobi, form invariance and the
     Chevalley relations of g.
 
     Works on the structure-constant entry arrays, never on a dense table,
     so it runs on every algebra.  Raises ConstructionFailure naming the
-    first check that fails.
+    first check whose defect exceeds _ALGEBRA_TOL.
     """
     i, j, k, v = g.structure_constants
     if np.iscomplexobj(v):
         raise ConstructionFailure("structure constants not real")
     # "not <=" so that a NaN defect fails too
-    if not _antisymmetry_defect(g.dim, i, j, k, v) <= tol:
+    if not _antisymmetry_defect(g.dim, i, j, k, v) <= _ALGEBRA_TOL:
         raise ConstructionFailure("antisymmetry violated")
-    if not _jacobi_defect(g, i, j, k, v) <= tol:
+    if not _jacobi_defect(g, i, j, k, v) <= _ALGEBRA_TOL:
         raise ConstructionFailure("Jacobi identity violated")
-    if not _invariance_defect(g.bilinear_form, i, j, k, v) <= tol:
+    if not _invariance_defect(g.bilinear_form, i, j, k, v) <= _ALGEBRA_TOL:
         raise ConstructionFailure("invariance of the form violated")
-    if not _chevalley_defect(g, i, j, k, v) <= tol:
+    if not _chevalley_defect(g, i, j, k, v) <= _ALGEBRA_TOL:
         raise ConstructionFailure("Chevalley relations violated")
 
 

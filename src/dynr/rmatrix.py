@@ -412,13 +412,14 @@ def _legs(g: SimpleLieAlgebra) -> tuple:
     return np.concatenate((ci, rows)), np.concatenate((cj, cols))
 
 
-def _flip(rec: _Record, k: int) -> _Record:
-    """rec with entry k of v, a root's entry, and that root's entry of every
-    d row negated.  Every gauge kind is linear in a root's entries and
-    negation is exact, so this gives the values a flip at the family
-    formula gives, and flipping twice restores rec bit for bit."""
-    root = k - rec.v.shape[-1]  # a root's position from the end, the same in v and in d
-    return _Record(*(None if f is None else np.where(np.arange(-f.shape[-1], 0) == root, -f, f) for f in rec))
+def _flip(g: SimpleLieAlgebra, rec: _Record, root: int) -> _Record:
+    """rec, a record of g, with root's entry of v and of every d row negated
+    (g gives the root count, which a record without d does not show).  Every
+    gauge kind is linear in a root's entries and negation is exact, so this
+    gives the values a flip at the family formula gives, and flipping twice
+    restores rec bit for bit."""
+    at = root - g.root_system.n_roots  # the root's position from the end, the same in v and in d
+    return _Record(*(None if f is None else np.where(np.arange(-f.shape[-1], 0) == at, -f, f) for f in rec))
 
 
 def _check_point(spec: RMatrixSpec, lam: np.ndarray, z) -> None:
@@ -440,21 +441,33 @@ def _record(spec: RMatrixSpec, lam: np.ndarray, z, want_d: bool = False) -> _Rec
     through the gauge stack), where M is lam-independent.  The spec's
     debug_flip_root is applied to the result.  Raises SpecInvalid for a
     point of the wrong shape (see _check_point), NonFiniteValue naming lam
-    and z of the first argument (in C order) whose record has an inf or nan
-    entry.
+    and z of the first argument whose record has an inf or nan entry
+    (_require_finite).
     """
     _check_point(spec, lam, z)
     lam = np.asarray(lam)
     z = None if z is None else np.asarray(z, dtype=complex)
-    lead = np.broadcast_shapes(lam.shape[:-1], np.shape(z))
     rec = _Record(*_evaluate(spec, lam, z, want_d))
-    finite = np.logical_and.reduce([np.isfinite(f).reshape(lead + (-1,)).all(axis=-1) for f in rec if f is not None])
-    if not np.all(finite):
-        i = int(np.argmin(finite))
-        lam_i = np.broadcast_to(lam, lead + lam.shape[-1:]).reshape(-1, lam.shape[-1])[i]
-        at = "" if z is None else f", z {complex(np.ravel(np.broadcast_to(z, lead))[i])}"
-        raise NonFiniteValue(f"r-matrix record is not finite at lambda {lam_i.tolist()}{at}")
-    return rec if spec.debug_flip_root is None else _flip(rec, spec.algebra.rank**2 + spec.debug_flip_root)
+    _require_finite("r-matrix record", lam, z, *(f for f in rec if f is not None))
+    return rec if spec.debug_flip_root is None else _flip(spec.algebra, rec, spec.debug_flip_root)
+
+
+def _require_finite(what: str, lam: np.ndarray, z, *values: np.ndarray) -> np.ndarray:
+    """values[0], or NonFiniteValue naming `what` at lambda (and z) of the
+    first point, in C order, where a value has an inf or nan entry: values[0]
+    has one axis after the points' and lam (..., rank) broadcasts to them,
+    as does z, with a trailing axis of its own where it has more axes."""
+    lead = values[0].shape[:-1]
+    finite = np.logical_and.reduce([np.isfinite(f).reshape(lead + (-1,)).all(axis=-1) for f in values])
+    if np.all(finite):
+        return values[0]
+    i = int(np.argmin(finite))
+    at = f"lambda {np.broadcast_to(lam, lead + lam.shape[-1:]).reshape(-1, lam.shape[-1])[i].tolist()}"
+    if z is not None:
+        z = np.asarray(z, dtype=complex)
+        tail = z.shape[len(lead) :]  # a point's own arguments (a residual's triple), none for a record
+        at += f", z {np.broadcast_to(z, lead + tail).reshape((-1,) + tail)[i].tolist()}"
+    raise NonFiniteValue(f"{what} is not finite at {at}")
 
 
 def _flat_legs(g: SimpleLieAlgebra) -> np.ndarray:
@@ -561,7 +574,8 @@ def _lattice_distance(w: np.ndarray, periods) -> np.ndarray:
     det = (b1.conjugate() * b2).imag
     x = np.floor((np.conj(w) * b2).imag / det)  # floor of w's coordinates in (b1, b2)
     y = np.floor((b1.conjugate() * w).imag / det)
-    return np.min([np.abs(w - ((x + i) * b1 + (y + j) * b2)) for i in (0, 1) for j in (0, 1)], axis=0)
+    x, y = np.stack((x, x, x + 1, x + 1)), np.stack((y, y + 1, y, y + 1))  # the cell's four corners in front
+    return np.abs(w - (x * b1 + y * b2)).min(axis=0)
 
 
 def pole_margin(spec: RMatrixSpec, lam: CartanVector, z: Optional[complex] = None) -> float:

@@ -12,13 +12,14 @@ import cmath
 import math
 import random
 import time
+import weakref
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .combinatorics import is_closed_subset
-from .errors import NonFiniteValue, SamplingExhausted, SpecInvalid, SubalgebraInvalid
+from .errors import SamplingExhausted, SpecInvalid, SubalgebraInvalid
 from .lie_core import CartanVector, SimpleLieAlgebra, _join, _json_sha256, _sorted_column
 from .rmatrix import (
     SPECTRAL_FAMILIES,
@@ -26,11 +27,13 @@ from .rmatrix import (
     RMatrixSpec,
     _flat_legs,
     _flip,
+    _is_integer,
     _legs,
     _pole_margins,
     _record,
     _Record,
     _reduced_periods,
+    _require_finite,
     effective_coupling,
     gauge_apply,
     spec_to_json,
@@ -45,12 +48,14 @@ _RESIDUAL_TOL_ANALYTIC = 1e-8
 _SKEW_TOL = 1e-10
 _RESIDUAL_WEIGHT_TOL = 1e-11
 _CONTROL_THRESHOLD = 1e-3
+_CONTOUR_POINTS = 16  # residue contour points: Laurent terms alias at relative size (radius / period)**16
 # terms per residual-kernel pass (16 bytes each), so its temporaries stay in cache:
 # unbounded passes over 40 points ran 2.5x (E7), 2.7x (E8) slower on a 2-vCPU Xeon
 _KERNEL_TERMS = 2**16
 _BLOCK_ROWS = 1024  # keeps a rarely accepted plan's margin arrays small (E8 elliptic: 1 in 2000)
 _CHUNK = 10  # campaign points per run at least: the default sample count, so a default campaign is one run
 _RUN_ENTRIES = 2048  # or, if more, as many as hold this many record entries (rank**2 + roots a point): 20 MiB elliptic
+_PLANS, _AXIOM_TABLES = weakref.WeakKeyDictionary(), weakref.WeakKeyDictionary()  # per algebra, while it lives
 
 
 def _holds(value, test) -> bool:
@@ -81,10 +86,10 @@ class SamplePlan:
     max_resamples: int = 500
 
     def __post_init__(self):
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if not _is_integer(self.seed) or self.seed < 0:
             raise SpecInvalid("seed must be a non-negative integer")
         for name, value in (("sample count", self.count), ("max_resamples", self.max_resamples)):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            if not _is_integer(value):
                 raise SpecInvalid(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise SpecInvalid(f"{name} must be >= 1")
@@ -315,10 +320,10 @@ def _support_maps(g: SimpleLieAlgebra, support: np.ndarray, legs: int = 3):
 
 
 def _residual_plan(g: SimpleLieAlgebra) -> _ResidualPlan:
-    """The algebra's residual plan, built on first use and kept on the instance."""
-    if g._residual_plan is None:
-        g._residual_plan = _build_residual_plan(g)
-    return g._residual_plan
+    """The algebra's residual plan, built on first use and kept in _PLANS."""
+    if g not in _PLANS:
+        _PLANS[g] = _build_residual_plan(g)
+    return _PLANS[g]
 
 
 def _cdybe_from(g: SimpleLieAlgebra, rec: _Record, roles: tuple) -> np.ndarray:
@@ -379,19 +384,7 @@ def _residual(spec: RMatrixSpec, lam: np.ndarray, zs=None) -> np.ndarray:
     _point_records.  Raises NonFiniteValue when an entry overflows."""
     if spec.is_spectral and np.shape(zs)[-1:] != (3,):
         raise SpecInvalid(f"{spec.family} residual needs a (z1, z2, z3) triple")
-    return _require_finite(_cdybe_from(spec.algebra, *_point_records(spec, lam, zs)), lam, zs)
-
-
-def _require_finite(w: np.ndarray, lam: np.ndarray, zs=None) -> np.ndarray:
-    """w, or NonFiniteValue naming the first point whose row has an inf or nan."""
-    bad = ~np.isfinite(w).all(axis=-1)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        at = f"lambda {np.reshape(lam, (-1, lam.shape[-1]))[i].tolist()}"
-        if zs is not None:
-            at += f", z {np.reshape(np.asarray(zs, dtype=complex), (-1, 3))[i].tolist()}"
-        raise NonFiniteValue(f"CDYBE residual is not finite at {at}")
-    return w
+    return _require_finite("CDYBE residual", lam, zs, _cdybe_from(spec.algebra, *_point_records(spec, lam, zs)))
 
 
 def _sup(w: np.ndarray) -> float:
@@ -419,8 +412,8 @@ def _residue_radius(spec: RMatrixSpec) -> float:
     return min(0.05, 0.1 * abs(shortest))
 
 
-def _contour(radius: float, points: int) -> np.ndarray:
-    return radius * np.exp(2j * math.pi * np.arange(points) / points)
+def _contour(radius: float) -> np.ndarray:
+    return radius * np.exp(2j * math.pi * np.arange(_CONTOUR_POINTS) / _CONTOUR_POINTS)
 
 
 def _residue(g: SimpleLieAlgebra, zj: np.ndarray, v: np.ndarray):
@@ -435,25 +428,18 @@ def _residue(g: SimpleLieAlgebra, zj: np.ndarray, v: np.ndarray):
     return acc, eps_est, np.abs(acc - eps_est[..., None] * omega).max(axis=-1)
 
 
-def extract_residue(
-    spec: RMatrixSpec,
-    lam: CartanVector,
-    radius: Optional[float] = None,
-    points: int = 16,
-):
-    """Contour average (1/M) sum_j z_j r(lam, z_j) over a circle at 0.
+def extract_residue(spec: RMatrixSpec, lam: CartanVector, radius: Optional[float] = None):
+    """Contour average (1/16) sum_j z_j r(lam, z_j) over the residue check's 16 points on a circle at 0.
 
     Returns (residue tensor, eps estimate from projection onto the
     invariant tensor, sup deviation from that multiple).  The radius
     defaults to the campaign's (_residue_radius), a tenth of the shortest
     period of an elliptic pole lattice at most, so aliasing picks up only
-    Laurent terms of relative size (radius / period)**M, negligible there.
+    Laurent terms of relative size (radius / period)**16, negligible there.
     """
     if spec.family not in SPECTRAL_FAMILIES:
         raise SpecInvalid("residue extraction needs a spectral family")
-    if points < 4:
-        raise SpecInvalid("need at least 4 contour points")
-    zj = _contour(_residue_radius(spec) if radius is None else radius, points)
+    zj = _contour(_residue_radius(spec) if radius is None else radius)
     acc, eps_est, deviation = _residue(spec.algebra, zj, _record(spec, lam.as_array(), zj).v)
     return Tensor2._from_support(spec.algebra, _flat_legs(spec.algebra), acc), complex(eps_est), float(deviation)
 
@@ -477,7 +463,7 @@ def _axiom_checks(spec: RMatrixSpec, lam: np.ndarray, zs=None, r: Optional[np.nd
     checks = []
     if spec.is_spectral:
         z12 = (zs[:, 0] - zs[:, 1])[:, None]
-        zj = _contour(_residue_radius(spec), 16)
+        zj = _contour(_residue_radius(spec))
         args = [z12] * (r is None) + [-z12, np.broadcast_to(zj, (n, len(zj)))]
         values = _record(spec, lam[:, None], np.hstack(args)).v
         r = values[:, 0] if r is None else r
@@ -496,13 +482,13 @@ def _axiom_checks(spec: RMatrixSpec, lam: np.ndarray, zs=None, r: Optional[np.nd
 def _axiom_tables(g: SimpleLieAlgebra) -> tuple:
     """Per entry of a record's v: the entry with its legs exchanged, the
     invariant tensor (1 on the Cartan diagonal and on every (e_a, e_{-a})
-    entry) and the largest Cartan weight of its two legs; kept on g."""
-    if g._axiom_tables is None:
+    entry) and the largest Cartan weight of its two legs; kept in _AXIOM_TABLES."""
+    if g not in _AXIOM_TABLES:
         rows, cols = _legs(g)
         # the record support is sorted and holds every swap, so hit is all true
         weight, swap, _ = _support_maps(g, rows * g.dim + cols, 2)
-        g._axiom_tables = (swap, ((rows == cols) | (rows >= g.rank)).astype(float), weight)
-    return g._axiom_tables
+        _AXIOM_TABLES[g] = (swap, ((rows == cols) | (rows >= g.rank)).astype(float), weight)
+    return _AXIOM_TABLES[g]
 
 
 def _residual_checks(spec: RMatrixSpec, lam: np.ndarray, zs, rec: _Record, roles: tuple, control: bool) -> list:
@@ -511,32 +497,33 @@ def _residual_checks(spec: RMatrixSpec, lam: np.ndarray, zs, rec: _Record, roles
     the negative control at the first point, its records joining the
     campaign's as row n of one kernel call (rows are independent bit for bit).
 
-    The control sets the first point's root flip to the first positive root
-    whose coefficient, the record entry the flip negates, is nonzero there,
-    undoing the spec's own debug_flip_root, and records threshold/residual,
-    so its value is <= 1 exactly when the perturbation is loud; it is
-    omitted when there is no such root.  Each residual stays a vector on w3.
+    The control sets the first point's root flip to the root (of either
+    sign; the lowest index of a tie) whose coefficient, the record entry the
+    flip negates, is largest in magnitude there, undoing the spec's own
+    debug_flip_root, and records threshold/residual, so its value is <= 1
+    exactly when the perturbation is loud; it is omitted when every root's
+    entry is zero.  Each residual stays a vector on w3.
     """
     g = spec.algebra
     plan = _residual_plan(g)
     n = len(lam)
-    positive = g.rank**2 + np.array(g.root_system.positive_roots)  # their entries in v
-    live = np.flatnonzero(np.abs(rec.v[0, roles[0], positive]) > 1e-12) if control else []
-    if len(live):
+    size = np.abs(rec.v[0, roles[0], g.rank**2 :])  # each root's entry at the first point
+    root = int(np.argmax(size)) if control and size.any() else None
+    if root is not None:
         first = _Record(rec.v[:1], rec.d[:1])
         if spec.debug_flip_root is not None:
-            first = _flip(first, g.rank**2 + spec.debug_flip_root)
-        rec = _Record(*map(np.concatenate, zip(rec, _flip(first, positive[live[0]]))))  # the control as row n
+            first = _flip(g, first, spec.debug_flip_root)
+        rec = _Record(*map(np.concatenate, zip(rec, _flip(g, first, root))))  # the control as row n
     w_all = _cdybe_from(g, rec, roles)
-    w = _require_finite(w_all[:n], lam, zs)
+    w = _require_finite("CDYBE residual", lam, zs, w_all[:n])
     checks = [
         CheckResult("cdybe-residual", _RESIDUAL_TOL_ANALYTIC, tuple(np.abs(w).max(axis=-1).tolist()), n),
         CheckResult("residual-weight-zero", _RESIDUAL_WEIGHT_TOL, tuple(plan.weight_norm(w).tolist()), n),
     ]
     if not spec.is_spectral:
         checks.append(CheckResult("residual-skew", _SKEW_TOL, tuple(plan.skew_norm(w).tolist()), n))
-    if len(live):
-        sup = _sup(_require_finite(w_all[n:], lam[0], None if zs is None else zs[0]))
+    if root is not None:
+        sup = _sup(_require_finite("CDYBE residual", lam[:1], None if zs is None else zs[:1], w_all[n:]))
         margin = _CONTROL_THRESHOLD / sup if sup > 0 else math.inf
         checks.append(CheckResult("negative-control-margin", 1.0, (margin,), 1))
     return checks
@@ -696,7 +683,8 @@ def reduce_pair_check(
         tilde, _ = _point_records(spec_tilde, lam)
         total = _Record(*((t - r) + r for t, r in zip(tilde, rho)))  # rest = r_tilde - rho, then rest + rho
         w = _cdybe_from(g, _Record(*map(np.concatenate, zip(rho, total))), roles)  # rho's rows, then the sum's
-        rho_norms, sum_norms = (np.abs(_require_finite(x, lam)).max(axis=-1).tolist() for x in np.split(w, 2))
+        rho_norms, sum_norms = (np.abs(_require_finite("CDYBE residual", lam, None, x)).max(axis=-1).tolist()
+                                for x in np.split(w, 2))
         runs.append([
             CheckResult("projector-cdybe", 1e-9, tuple(rho_norms), len(lam)),
             CheckResult("pair-sum-cdybe", _RESIDUAL_TOL_ANALYTIC, tuple(sum_norms), len(lam)),

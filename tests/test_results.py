@@ -91,7 +91,7 @@ def _dense_results(spec, lam):
         (cdybe_residual(spec, lam, zs), _scatter(g, 3, w3, verifier._residual(spec, lam.as_array(), zs))),
     ]
     if spec.is_spectral:
-        zj = verifier._contour(verifier._residue_radius(spec), 16)
+        zj = verifier._contour(verifier._residue_radius(spec))
         acc = verifier._residue(g, zj, rmatrix._record(spec, lam.as_array(), zj).v)[0]
         out.append((extract_residue(spec, lam)[0], _scatter(g, 2, legs, acc)))
     return out

@@ -899,17 +899,21 @@ def test_residual_rows_equal_single_point_residuals():
 
 
 def test_residual_plan_cached_per_algebra_instance():
+    """The verifier keeps one plan per live algebra, built on the first
+    residual only, and lets it go with the algebra."""
     first = build_simple_lie_algebra(build_root_system("B", 3))
-    assert first._residual_plan is None  # built on the first residual only
+    assert first not in verifier._PLANS
     plan = verifier._residual_plan(first)
-    assert first._residual_plan is plan
+    assert verifier._PLANS[first] is plan
     assert verifier._residual_plan(first) is plan
     b3_terms = len(plan.slot)
+    held = len(verifier._PLANS)
     del first, plan
     gc.collect()
+    assert len(verifier._PLANS) == held - 1
     # a new algebra (which may reuse the dropped one's id) gets its own plan
     second = build_simple_lie_algebra(build_root_system("D", 4))
-    assert second._residual_plan is None
+    assert second not in verifier._PLANS
     plan = verifier._residual_plan(second)
     fresh = verifier._build_residual_plan(second)
     assert len(plan.slot) != b3_terms
@@ -1030,12 +1034,22 @@ def test_check_axioms_builds_no_dense_tensor(monkeypatch):
         assert reduce_pair_check(spec, g.root_system.simple_roots[:1], plan).passed
 
 
+def _largest_entry_root(spec, lam, zs):
+    """The root, of either sign, whose e_a (x) e_{-a} coefficient of the
+    dense r at the first point (at z12 for a spectral triple) is largest in
+    magnitude, the lowest index of a tie; None when every one is zero."""
+    z = None if zs is None else zs[0, 0] - zs[0, 1]
+    e, e_neg = spec.algebra.root_pair_index()
+    size = np.abs(eval_rmatrix(replace(spec, debug_flip_root=None, validate=False), CartanVector.of(lam[0]), z).data)
+    return int(np.argmax(size[e, e_neg])) if size[e, e_neg].any() else None
+
+
 def test_negative_control_equals_flipped_spec_residual():
-    """The control flips the first positive root with a live coefficient in
-    the first point's records; it equals the residual of the spec
+    """The control flips the root, of either sign, with the largest record
+    entry at the first point; it equals the residual of the spec
     re-evaluated with its flip set to that root, bit for bit, whatever flip
-    the spec already carries.  A RationalConstant spec whose first positive
-    root lies outside X flips the first positive root inside X."""
+    the spec already carries.  A RationalConstant spec whose coefficients
+    vanish off X flips a root of X."""
     g = A2
     rs = g.root_system
     p0, other = int(rs.positive_roots[0]), int(rs.positive_roots[-1])
@@ -1047,11 +1061,13 @@ def test_negative_control_equals_flipped_spec_residual():
     x = (other, rs.neg(other))  # closed, without the first positive root
     rational = RMatrixSpec(algebra=g, family="RationalConstant", X=x)
     plan = SamplePlan(seed=2, count=2)
-    for base, root in ((_family_zoo(g)[1], p0), (_family_zoo(g)[5], p0), (gauged, p0), (rational, other)):
+    for base in (_family_zoo(g)[1], _family_zoo(g)[5], gauged, rational):
         for flip in (None, p0, other):
             spec = replace(base, debug_flip_root=flip, validate=False)
             margins = {c.name: c.residuals for c in check_axioms(spec, plan).checks}
             lam, zs = verifier._campaign_points((spec,), plan, 3 if spec.is_spectral else 0)
+            root = _largest_entry_root(spec, lam, zs)
+            assert root in x if base is rational else root is not None
             flipped = replace(spec, debug_flip_root=root, validate=False)
             control = verifier._sup(verifier._residual(flipped, lam[0], None if zs is None else zs[0]))
             assert margins["negative-control-margin"] == (verifier._CONTROL_THRESHOLD / control,)
@@ -1059,26 +1075,94 @@ def test_negative_control_equals_flipped_spec_residual():
 
 def test_negative_control_skips_a_root_whose_record_entry_is_zero():
     """Where coth saturates at -1, a TrigCotanh entry phi = (eps/2)(1 + coth)
-    is about 0 while phi - eps/2 is not, and flipping it changes nothing:
-    the control flips the first positive root whose entry is nonzero, and
-    is omitted when there is none (A2 at eps = 30, seed 4)."""
-    b3, g2 = (build_simple_lie_algebra(build_root_system(*t)) for t in (("B", 3), ("G", 2)))
-    for g, eps, seed in ((b3, 100.0, 2), (b3, 100.0, 3), (b3, 100.0, 4), (g2, 100.0, 0), (g2, 100.0, 2), (A2, 30.0, 4)):
-        report = check_axioms(RMatrixSpec(algebra=g, family="TrigCotanh", eps=eps), SamplePlan(seed=seed, count=2))
-        assert report.passed, (g.root_system.series, eps, seed)
-        names = [c.name for c in report.checks]
-        assert ("negative-control-margin" in names) == (g is not A2)
+    is about 0 and flipping it changes almost nothing, while the opposite
+    root's entry is about eps.  The control flips the largest entry, so it
+    is present and loud at large eps, also where every positive root's
+    entry saturates (A2 at eps = 30, seed 4), and at a step-constant
+    TrigDegenerate root at small eps; it is omitted only where every entry
+    is zero (RationalConstant with X empty)."""
+    b3, g2, f4, e6 = (build_simple_lie_algebra(build_root_system(*t)) for t in (("B", 3), ("G", 2), ("F", 4), ("E", 6)))
+    cases = [(b3, 100.0, 2), (b3, 100.0, 3), (b3, 100.0, 4), (g2, 100.0, 0), (g2, 100.0, 2), (A2, 30.0, 4)]
+    cases += [(b3, 10.0, 2), (b3, 30.0, 3), (f4, 10.0, 1), (e6, 10.0, 3)]  # the first positive root near-saturated
+    specs = [(RMatrixSpec(algebra=g, family="TrigCotanh", eps=eps), seed) for g, eps, seed in cases]
+    specs.append((RMatrixSpec(algebra=b3, family="TrigDegenerate", eps=0.01, X=b3.root_system.simple_roots[:1]), 1))
+    for spec, seed in specs:
+        report = check_axioms(spec, SamplePlan(seed=seed, count=2))
+        assert report.passed, (spec.family, spec.algebra.root_system.series, spec.eps, seed)
+        assert "negative-control-margin" in [c.name for c in report.checks]
+    report = check_axioms(RMatrixSpec(algebra=A2, family="RationalConstant"), SamplePlan(seed=1, count=2))
+    assert report.passed and "negative-control-margin" not in [c.name for c in report.checks]
 
 
 def test_trig_degenerate_finds_sample_points_at_a_small_coupling():
     """The pole margin is taken in the pairing below |eps| = 2, so B3 with
-    X = {a1} at eps = 0.01 samples without SamplingExhausted and its
-    residual checks pass."""
+    X = {a1} at eps = 0.01 samples without SamplingExhausted, and every
+    check passes, the negative control included: it flips a root of the
+    span of X, whose coefficient has a pole, not a step constant eps."""
     b3 = build_simple_lie_algebra(build_root_system("B", 3))
     spec = RMatrixSpec(algebra=b3, family="TrigDegenerate", eps=0.01, X=b3.root_system.simple_roots[:1])
     report = check_axioms(spec, SamplePlan(seed=1, count=10))
     assert report.samples_used == 10
-    assert all(c.passed for c in report.checks if c.name != "negative-control-margin")
+    assert report.passed
+
+
+_A2_NOT_CLOSED = RMatrixSpec(  # X = {+-a1, +-a2}, which misses a1 + a2
+    algebra=A2, family="RationalConstant", validate=False,
+    X=tuple(sorted({i for s in A2.root_system.simple_roots for i in (s, A2.root_system.neg(s))})),
+)
+
+
+def _quiet_kernel(monkeypatch):
+    """A residual kernel whose every row vanishes, as a vacuous evaluation would."""
+    kernel = verifier._cdybe_from
+    monkeypatch.setattr(verifier, "_cdybe_from", lambda *args: 0 * kernel(*args))
+
+
+def _non_closed_projector(monkeypatch):
+    """reduce_pair_check's projector over the X of _A2_NOT_CLOSED."""
+    monkeypatch.setattr(verifier, "_closure_of_pair_roots", lambda rs, roots: _A2_NOT_CLOSED.X)
+    monkeypatch.setattr(verifier, "RMatrixSpec", lambda **fields: RMatrixSpec(**fields, validate=False))
+
+
+# check name -> (patch or None, spec, None for check_axioms or the l roots of reduce_pair_check)
+_LOUDNESS = {
+    "unitarity": (None, RMatrixSpec(algebra=A2, family="TrigCotanh", eps=2.0, debug_scale_omega=2.0, validate=False),
+                  None),
+    "residue": (None, RMatrixSpec(algebra=A2, family="RationalSpectral", X=_full_X(A2), debug_scale_omega=2.0,
+                                  validate=False), None),
+    "cdybe-residual": (None, _A2_NOT_CLOSED, None),
+    "residual-skew": (None, RMatrixSpec(algebra=A2, family="TrigCotanh", eps=2.0, C=np.array([[0, 0.3], [0.3, 0]]),
+                                        validate=False), None),
+    "negative-control-margin": (_quiet_kernel, RMatrixSpec(algebra=A2, family="TrigCotanh", eps=2.0), None),
+    "projector-cdybe": (_non_closed_projector, RMatrixSpec(algebra=A2, family="TrigCotanh", eps=2.0),
+                        A2.root_system.simple_roots[:1]),
+    "pair-sum-cdybe": (None, _A2_NOT_CLOSED, A2.root_system.simple_roots[:1]),
+}
+_LOUDNESS_OPEN = ("zero-weight", "residual-weight-zero")
+
+
+@pytest.mark.parametrize("name", list(_LOUDNESS))
+def test_loudness_matrix(monkeypatch, name):
+    """Every check of check_axioms and reduce_pair_check FAILs under a
+    corruption: a wrong coupling (unitarity, and the residue of a spectral
+    spec), X not closed (cdybe-residual and pair-sum-cdybe), a symmetric C
+    (residual-skew), a kernel that returns zeros (negative-control-margin)
+    and a projector over a non-closed X (projector-cdybe).  Every report
+    holds only names with a row or open ones, so a new check without a row
+    fails here.
+
+    Open: zero-weight and residual-weight-zero.  A record holds only
+    weight-zero entries and the residual plan only weight-zero slots, so no
+    finite spec reaches either; each still needs an independent input, such
+    as the densified eval_rmatrix or eval_dlambda read through act_diag."""
+    patch, spec, pair = _LOUDNESS[name]
+    if patch is not None:
+        patch(monkeypatch)
+    plan = SamplePlan(seed=1, count=3)
+    report = check_axioms(spec, plan) if pair is None else reduce_pair_check(spec, pair, plan)
+    checks = {c.name: c for c in report.checks}
+    assert set(checks) <= set(_LOUDNESS) | set(_LOUDNESS_OPEN)
+    assert not checks[name].passed, checks[name]
 
 
 @pytest.mark.parametrize("family", ["RationalConstant", "RationalSpectral"])
@@ -1180,7 +1264,7 @@ def test_residue_of_a_point_equals_its_campaign_row(series, rank):
     contour batch bit for bit, and check_axioms' residue reads those rows:
     the contour sum runs in a fixed order, whatever the batch."""
     g = build_simple_lie_algebra(build_root_system(series, rank))
-    zj = verifier._contour(0.05, 16)
+    zj = verifier._contour(0.05)
     plan = SamplePlan(seed=rank, count=4)
     for spec in (
         RMatrixSpec(algebra=g, family="EllipticSpectral", tau=2j),
