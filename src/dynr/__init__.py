@@ -1,14 +1,12 @@
 """Dynamical r-matrix construction and verification toolkit.
 
 _LAYER_NAMES is the package surface: each public name, under the layer
-that defines it.  Only ``errors`` and ``lie_core`` load with the package,
-which is all an algebra build needs.  Every other layer loads the first
-time one of its names (or the layer itself, ``dynr.verifier``) is read
-(PEP 562).  Each name resolves on its first read and is then kept in the
-package namespace.
+that defines it.  No layer loads with the package, so ``import dynr``
+loads no numpy.  Each layer loads the first time one of its names (or the
+layer itself, ``dynr.verifier``) is read (PEP 562); an algebra build loads
+``lie_core`` and ``errors`` and nothing else.  Each name resolves on its
+first read and is then kept in the package namespace.
 """
-
-from . import errors, lie_core
 
 __version__ = "0.1.0"
 

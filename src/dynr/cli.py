@@ -4,6 +4,10 @@ Commands: verify, axioms, subsets, polarize, limits, pair, series,
 catalog.  Exit codes: 0 all checks passed, 1 a check failed, 2 bad
 configuration, 3 numeric failure (pole proximity, divergent series,
 sampling exhausted, a residual that overflows).
+
+Each command first runs every check that needs no algebra (flags, the
+spec source and its JSON, the family name, the schedule), then imports
+the layers it runs, so input refused there loads no numpy.
 """
 
 from __future__ import annotations
@@ -14,17 +18,7 @@ import json
 import math
 import sys
 
-from .combinatorics import enumerate_closed_subsets, find_polarization
 from .errors import DynrError, NumericFailure, PropertyViolated, SearchExhausted
-from .lie_core import (
-    CartanVector,
-    build_root_system,
-    build_simple_lie_algebra,
-    fundamental_weights,
-)
-
-# rmatrix and verifier are imported inside the commands that use them, once
-# the algebra is built: subsets, polarize, catalog and a bad --algebra never load them
 
 _CATALOG = [
     ("rational-constant", "constant", "coupling 0",
@@ -115,28 +109,40 @@ def _parse_root_set(tok: str, rs):
 
 def _build_algebra(args):
     series, rank = _parse_algebra(args.algebra)
+    from .lie_core import build_root_system, build_simple_lie_algebra
+
     return build_simple_lie_algebra(build_root_system(series, rank))
 
 
-def _build_spec(args, algebra):
-    from .rmatrix import RMatrixSpec, spec_from_json
-
+def _spec_document(args):
+    """The spec source's checks that need no algebra: exactly one source, no
+    parameter flag next to a document, the document parsed as JSON, a known
+    family name.  Returns the parsed document (None for --family)."""
     sources = [s for s in (args.family, args.spec_file, args.spec_json) if s]
     if len(sources) != 1:
         raise _ConfigError("give exactly one spec source: --family, --spec-file, or --spec-json")
-    if not args.family:
-        _refuse(args, ("X", "eps", "nu", "tau"), "with a spec document, which carries its own values")
+    if args.family:
+        known = [name for name, *_ in _CATALOG]
+        if args.family not in known:
+            raise _ConfigError(f"unknown family {args.family!r}; known: {', '.join(sorted(known))}")
+        return None
+    _refuse(args, ("X", "eps", "nu", "tau"), "with a spec document, which carries its own values")
     try:
         if args.spec_file:
             with open(args.spec_file) as fh:
-                return spec_from_json(json.load(fh), algebra)
-        if args.spec_json:
-            return spec_from_json(json.loads(args.spec_json), algebra)
+                return json.load(fh)
+        return json.loads(args.spec_json)
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise _ConfigError(f"spec document is not valid JSON: {exc}")
-    known = [name for name, *_ in _CATALOG]
-    if args.family not in known:
-        raise _ConfigError(f"unknown family {args.family!r}; known: {', '.join(sorted(known))}")
+
+
+def _build_spec(args, algebra, doc):
+    """The spec of the source that _spec_document checked and read as doc."""
+    from .lie_core import CartanVector
+    from .rmatrix import RMatrixSpec, spec_from_json
+
+    if not args.family:
+        return spec_from_json(doc, algebra)
     kw = {}
     rs = algebra.root_system
     if args.X is not None:
@@ -191,8 +197,9 @@ def _emit_report(report, args) -> int:
 
 def cmd_verify(args) -> int:
     """verify, or axioms: the check_axioms stage args.stage (None for both)."""
+    doc = _spec_document(args)
     algebra = _build_algebra(args)
-    spec = _build_spec(args, algebra)
+    spec = _build_spec(args, algebra, doc)
     from .verifier import check_axioms
 
     return _emit_report(check_axioms(spec, _plan(args), stage=args.stage), args)
@@ -200,19 +207,16 @@ def cmd_verify(args) -> int:
 
 def cmd_subsets(args) -> int:
     series, rank = _parse_algebra(args.algebra)
+    from .combinatorics import enumerate_closed_subsets
+    from .lie_core import build_root_system
+
     rs = build_root_system(series, rank)
     subsets = enumerate_closed_subsets(rs)
+    coeffs = rs.coeffs.tolist()
     listing = {
         "algebra": f"{series}{rank}",
         "count": len(subsets),
-        "subsets": [
-            {
-                "size": len(s),
-                "members": list(s),
-                "coeffs": [[int(v) for v in rs.coeffs[i]] for i in s],
-            }
-            for s in subsets
-        ],
+        "subsets": [{"size": len(s), "members": list(s), "coeffs": [coeffs[i] for i in s]} for s in subsets],
     }
     lines = [f"{listing['algebra']}: {listing['count']} closed subsets"]
     lines += [f"  size {entry['size']}: {entry['coeffs']}" for entry in listing["subsets"]]
@@ -222,6 +226,9 @@ def cmd_subsets(args) -> int:
 
 def cmd_polarize(args) -> int:
     series, rank = _parse_algebra(args.algebra)
+    from .combinatorics import find_polarization
+    from .lie_core import build_root_system
+
     rs = build_root_system(series, rank)
     y = _parse_root_set(args.Y, rs)
     try:
@@ -265,16 +272,18 @@ def _parse_schedule(tok: str):
 
 
 def cmd_limits(args) -> int:
+    kind, values = _parse_schedule(args.schedule)
+    if kind == "tau":
+        _refuse(args, ("X", "eps", "nu"), "with a tau: schedule, which checks EllipticSpectral at each tau")
     algebra = _build_algebra(args)
+    from .lie_core import CartanVector, fundamental_weights
     from .rmatrix import RMatrixSpec
     from .verifier import LimitSchedule, limit_compare
 
     rs = algebra.root_system
-    kind, values = _parse_schedule(args.schedule)
     plan = _plan(args)
     doc = {"algebra": f"{rs.series}{rs.rank}", "schedule": args.schedule}
     if kind == "tau":
-        _refuse(args, ("X", "eps", "nu"), "with a tau: schedule, which checks EllipticSpectral at each tau")
         tau0 = complex(values[0])
         spec = RMatrixSpec(algebra=algebra, family="EllipticSpectral", tau=tau0)
         cmp_res = limit_compare(spec, LimitSchedule("tau", values), None, plan)
@@ -312,17 +321,21 @@ def cmd_limits(args) -> int:
 
 
 def cmd_pair(args) -> int:
+    sourced = bool(args.family or args.spec_file or args.spec_json)
+    if sourced:
+        doc = _spec_document(args)
+    else:
+        _refuse(args, ("X", "eps", "nu", "tau"),
+                "without a spec source: pair then checks RationalConstant with X = all roots")
     algebra = _build_algebra(args)
     from .rmatrix import RMatrixSpec
     from .verifier import reduce_pair_check
 
     rs = algebra.root_system
     l_roots = _parse_root_set(args.l_roots, rs)
-    if args.family or args.spec_file or args.spec_json:
-        spec = _build_spec(args, algebra)
+    if sourced:
+        spec = _build_spec(args, algebra, doc)
     else:
-        _refuse(args, ("X", "eps", "nu", "tau"),
-                "without a spec source: pair then checks RationalConstant with X = all roots")
         spec = RMatrixSpec(algebra=algebra, family="RationalConstant", X=tuple(range(rs.n_roots)))
     report = reduce_pair_check(spec, l_roots, _plan(args))
     return _emit_report(report, args)
@@ -330,6 +343,7 @@ def cmd_pair(args) -> int:
 
 def cmd_series(args) -> int:
     algebra = _build_algebra(args)
+    from .lie_core import CartanVector
     from .verifier import affine_hat_spec, affine_series_check, check_axioms
 
     rs = algebra.root_system

@@ -563,7 +563,9 @@ def _lattice_distance(w: np.ndarray, periods) -> np.ndarray:
 
     Two periods are first Lagrange-reduced (_reduced_periods): the cell
     they span then splits into two triangles that are not obtuse, so the
-    lattice point nearest w is a corner of the cell that holds w.
+    lattice point nearest w is a corner of the cell that holds w.  The
+    corners are visited one at a time into a running minimum, so the
+    temporaries stay the size of w.
     """
     if not periods:
         return np.abs(w)
@@ -574,8 +576,10 @@ def _lattice_distance(w: np.ndarray, periods) -> np.ndarray:
     det = (b1.conjugate() * b2).imag
     x = np.floor((np.conj(w) * b2).imag / det)  # floor of w's coordinates in (b1, b2)
     y = np.floor((b1.conjugate() * w).imag / det)
-    x, y = np.stack((x, x, x + 1, x + 1)), np.stack((y, y + 1, y, y + 1))  # the cell's four corners in front
-    return np.abs(w - (x * b1 + y * b2)).min(axis=0)
+    near = np.abs(w - (x * b1 + y * b2))
+    for cx, cy in ((x, y + 1), (x + 1, y), (x + 1, y + 1)):  # the cell's other three corners
+        np.minimum(near, np.abs(w - (cx * b1 + cy * b2)), out=near)
+    return near
 
 
 def pole_margin(spec: RMatrixSpec, lam: CartanVector, z: Optional[complex] = None) -> float:
@@ -679,8 +683,10 @@ def spec_from_json(doc: dict, algebra: SimpleLieAlgebra) -> RMatrixSpec:
     Raises
     ------
     SpecInvalid for a document that is not a JSON object, is for another
-    algebra, misses a required key, holds a value of the wrong type, or
-    describes a spec that its family's rules reject.
+    algebra, misses a required key, holds a value of the wrong type,
+    describes a spec that its family's rules reject, or holds a key that
+    spec_to_json does not write for that spec, at any depth (a misspelled
+    optional key would otherwise describe another spec).
     """
     if not isinstance(doc, dict):
         raise SpecInvalid(f"spec document must be a JSON object, got {type(doc).__name__}")
@@ -691,7 +697,7 @@ def spec_from_json(doc: dict, algebra: SimpleLieAlgebra) -> RMatrixSpec:
             raise SpecInvalid(
                 f"document is for {want.get('series')}{want.get('rank')}, got {rs.series}{rs.rank}"
             )
-        return RMatrixSpec(
+        spec = RMatrixSpec(
             algebra=algebra,
             family=doc["family"],
             eps=_j2c(doc["eps"]),
@@ -708,3 +714,24 @@ def spec_from_json(doc: dict, algebra: SimpleLieAlgebra) -> RMatrixSpec:
         raise SpecInvalid(f"spec document is missing key {exc}") from None
     except (AttributeError, IndexError, TypeError, ValueError) as exc:
         raise SpecInvalid(f"malformed spec document: {exc}") from None
+    unknown = _unknown_keys(doc, spec_to_json(spec))
+    if unknown:
+        raise SpecInvalid(f"spec document has unknown key{'s' if len(unknown) > 1 else ''} {', '.join(unknown)}")
+    return spec
+
+
+def _unknown_keys(doc, written, where: str = "") -> list:
+    """Each key of doc that written does not have, named with its place in
+    the document: 'shfit' (in gauge_stack[0]).  Dicts are compared key by
+    key and lists entry by entry, so gauge records and psi are read too."""
+    if isinstance(doc, dict) and isinstance(written, dict):
+        found = []
+        for key, value in doc.items():
+            if key not in written:
+                found.append(f"{key!r} (in {where})" if where else repr(key))
+            else:
+                found += _unknown_keys(value, written[key], f"{where}.{key}" if where else f"{key}")
+        return found
+    if isinstance(doc, (list, tuple)) and isinstance(written, list):
+        return [key for i, pair in enumerate(zip(doc, written)) for key in _unknown_keys(*pair, f"{where}[{i}]")]
+    return []

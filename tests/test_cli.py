@@ -116,6 +116,54 @@ assert codes == [0, 0, 0, 2], codes
     assert not loaded & {"dynr.rmatrix", "dynr.verifier", "dynr.special_fn", "dynr.tensor_alg"}
 
 
+def test_import_dynr_loads_no_layer_and_no_numpy():
+    proc = _python("-c", "import sys, dynr\nprint(sorted(m for m in sys.modules if m.startswith(('dynr', 'numpy'))))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['dynr']"
+
+
+def _refused_before_numpy(*argv):
+    """Run cli.main(argv) in a fresh interpreter: (exit code, stderr, whether numpy loaded)."""
+    script = "import sys\nfrom dynr.cli import main\ncode = main(sys.argv[1:])\nprint('numpy' in sys.modules)\nsys.exit(code)\n"
+    proc = _python("-c", script, *argv)
+    return proc.returncode, proc.stderr, proc.stdout.strip().splitlines()[-1] == "True"
+
+
+def _json_error(text):
+    try:
+        json.loads(text)
+    except json.JSONDecodeError as exc:
+        return f"error: spec document is not valid JSON: {exc}\n"
+    raise AssertionError(f"{text!r} parses")
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (("verify", "--algebra", "A2", "--spec-json", '{"family": "TrigCotanh",'),
+         _json_error('{"family": "TrigCotanh",')),
+        (("verify", "--algebra", "A2", "--family", "trig-cotanh", "--spec-json", "{}"),
+         "error: give exactly one spec source: --family, --spec-file, or --spec-json\n"),
+        (("axioms", "--algebra", "A2", "--spec-json", "{}", "--eps", "2"),
+         "error: --eps not allowed with a spec document, which carries its own values\n"),
+        (("verify", "--algebra", "A2", "--family", "trig-cotanh-x"),
+         "error: unknown family 'trig-cotanh-x'; known: elliptic-spectral, rational-constant, "
+         "rational-spectral, trig-cotanh, trig-degenerate, trig-spectral\n"),
+        (("limits", "--algebra", "A2", "--schedule", "tau:4i"), "error: schedule needs at least two values\n"),
+        (("limits", "--algebra", "A2", "--schedule", "tau:4i,6i", "--eps", "2"),
+         "error: --eps not allowed with a tau: schedule, which checks EllipticSpectral at each tau\n"),
+        (("pair", "--algebra", "A2", "--l-roots", "a1", "--X", "full"),
+         "error: --X not allowed without a spec source: pair then checks RationalConstant with X = all roots\n"),
+    ],
+    ids=("malformed-json", "two-sources", "flag-next-to-document", "family", "schedule", "tau-schedule-flag",
+         "pair-flag"),
+)
+def test_refusals_that_need_no_algebra_load_no_numpy(argv, err):
+    """Each check that needs no algebra runs before the build, so it
+    refuses before numpy loads, with the message it always printed."""
+    assert _refused_before_numpy(*argv) == (2, err, False)
+
+
 def test_deferred_layers_resolve_after_a_bare_import():
     """A layer and its names resolve on first read, and the value is kept in
     the package namespace; a name the package does not have is an
@@ -698,6 +746,31 @@ def test_verify_rejects_spec_json_index_that_is_not_an_integer(capsys, fields, m
     assert code == 2
     assert message in err
     assert out == ""
+
+
+_SHIFT = {"kind": 3, "shift": [[0.5, 0.0], [0.0, 0.0]]}
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"gauge_stak": [_SHIFT], "epsilon": [7.0, 0.0]}, "unknown keys 'gauge_stak', 'epsilon'"),
+        ({"gauge_stack": [{**_SHIFT, "shfit": [[0.5, 0.0], [0.0, 0.0]]}]},
+         "unknown key 'shfit' (in gauge_stack[0])"),
+        ({"family": "EllipticSpectral", "eps": [1.0, 0.0], "tau": [0.0, 2.0],
+          "gauge_stack": [{"kind": 2, "psi": {"Q": [[[0.0, 0.0]] * 2] * 2, "v": [[0.0, 0.0]] * 2, "W": 1}}]},
+         "unknown key 'W' (in gauge_stack[0].psi)"),
+    ],
+    ids=("top-level", "gauge-record", "psi"),
+)
+def test_verify_refuses_spec_json_with_unknown_key(capsys, fields, message):
+    """A misspelled key used to be ignored: the top-level case verified the
+    ungauged eps = 2 spec and exited 0."""
+    doc = spec_to_json(RMatrixSpec(algebra=A2, family="TrigCotanh", eps=2.0))
+    code, out, err = _run(
+        capsys, "verify", "--algebra", "A2", "--samples", "2", "--spec-json", json.dumps({**doc, **fields}),
+    )
+    assert (code, out, err) == (2, "", f"error: SpecInvalid: spec document has {message}\n")
 
 
 def test_verify_rejects_unknown_gauge_kind():

@@ -2,7 +2,9 @@
 
 import cmath
 import math
+import random
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -32,7 +34,7 @@ from dynr import (
 )
 from dynr import rmatrix
 from dynr.combinatorics import additive_closure
-from dynr.verifier import SamplePlan, _campaign_points, spec_digest
+from dynr.verifier import _BLOCK_ROWS, SamplePlan, _campaign_points, _draw_vector, spec_digest
 
 A1 = build_simple_lie_algebra(build_root_system("A", 1))
 A2 = build_simple_lie_algebra(build_root_system("A", 2))
@@ -550,6 +552,29 @@ def test_pole_margin_is_the_distance_on_a_sheared_lattice():
     want = np.min(_brute_lattice_distance(w, periods, (40, 40)))
     assert pole_margin(spec, lam, z) == pytest.approx(want, rel=1e-13)
     assert want == pytest.approx(0.2113, abs=1e-4)
+
+
+def test_pole_margins_of_a_candidate_block_stay_near_its_size():
+    """Scoring one full E7 EllipticSpectral candidate block, as the sampler
+    does, peaks under 8 times the bytes of the block's pairings: rows x
+    (pole roots + 3 z differences) complex entries.  _lattice_distance
+    with the cell's four corners stacked on a leading axis took 13 times,
+    and a 200-sample E7 campaign grew 12 MiB over a 10-sample one."""
+    g = build_simple_lie_algebra(build_root_system("E", 7))
+    spec = RMatrixSpec(algebra=g, family="EllipticSpectral", tau=2j)
+    plan = SamplePlan(seed=1, count=200)
+    im_box = tuple(0.5 * b for b in plan.z_box)  # the sampler's box when a spec is elliptic
+    lam, zs = _draw_vector(random.Random(1), _BLOCK_ROWS, plan.box, im_box, plan.z_box, 3, g.rank)
+    w = zs[:, [0, 0, 1]] - zs[:, [1, 2, 2]]
+    block_bytes = _BLOCK_ROWS * (len(spec._pole_roots) + 3) * 16
+    rmatrix._pole_margins(spec, lam, w)
+    tracemalloc.start()
+    try:
+        rmatrix._pole_margins(spec, lam, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * block_bytes, peak / block_bytes
 
 
 def _scalar_lattice_distance(w, periods):
@@ -1151,6 +1176,60 @@ def test_spec_from_json_reads_only_integer_indices(bad, good, message):
 def test_gauge_kind_must_be_an_integer(kind):
     with pytest.raises(SpecInvalid, match="gauge kind must be 1..4"):
         GaugeRecord(kind=kind, c_matrix=np.zeros((2, 2)))
+
+
+_ZERO_PSI = {"Q": [[[0.0, 0.0]] * 2] * 2, "v": [[0.0, 0.0]] * 2}
+_ELLIPTIC = {"family": "EllipticSpectral", "eps": [1.0, 0.0], "tau": [0.0, 2.0]}
+_SHIFT = {"kind": 3, "shift": [[0.5, 0.0], [0.0, 0.0]]}
+
+
+@pytest.mark.parametrize(
+    "bad, good, message",
+    [
+        ({"gauge_stak": [_SHIFT], "epsilon": [7.0, 0.0]}, {"gauge_stack": [_SHIFT], "eps": [7.0, 0.0]},
+         "spec document has unknown keys 'gauge_stak', 'epsilon'"),
+        ({"algebra": {"series": "A", "rank": 2, "type": "A2"}}, {"algebra": {"series": "A", "rank": 2}},
+         "spec document has unknown key 'type' (in algebra)"),
+        ({"gauge_stack": [{"kind": 4, **_SCALE_ONE}, {**_SHIFT, "shfit": 1}]},
+         {"gauge_stack": [{"kind": 4, **_SCALE_ONE}, _SHIFT]},
+         "spec document has unknown key 'shfit' (in gauge_stack[1])"),
+        ({"gauge_stack": [{"kind": 1, **_ZERO_C, **_SCALE_ONE}]}, {"gauge_stack": [{"kind": 1, **_ZERO_C}]},
+         "spec document has unknown key 'scale' (in gauge_stack[0])"),
+        ({**_ELLIPTIC, "gauge_stack": [{"kind": 2, "psi": {**_ZERO_PSI, "W": [0.0, 0.0]}}]},
+         {**_ELLIPTIC, "gauge_stack": [{"kind": 2, "psi": _ZERO_PSI}]},
+         "spec document has unknown key 'W' (in gauge_stack[0].psi)"),
+    ],
+    ids=("top-level", "algebra", "gauge-record", "other-kind-payload", "psi"),
+)
+def test_spec_from_json_refuses_unknown_keys(bad, good, message):
+    """A key that spec_to_json does not write is refused and named, at any
+    depth: a misspelled optional key would otherwise load another spec.
+    The document with the key spelled right loads."""
+    doc = spec_to_json(RMatrixSpec(algebra=A2, family="TrigCotanh", eps=2.0))
+    spec_from_json({**doc, **good}, A2)
+    with pytest.raises(SpecInvalid, match=re.escape(message) + "$"):
+        spec_from_json({**doc, **bad}, A2)
+
+
+def test_spec_documents_round_trip_and_optional_keys_may_be_left_out():
+    """spec_to_json documents of every family, gauged or not, load back to
+    themselves; a document without its optional keys (version, tau,
+    gauge_stack and the debug fields) loads the same spec."""
+    specs = [
+        RMatrixSpec(algebra=A2, family="RationalConstant", X=_full_X(A2)),
+        RMatrixSpec(algebra=A2, family="TrigCotanh", eps=2.0, nu=CartanVector.of([0.1, 0.2j])),
+        RMatrixSpec(algebra=A2, family="TrigDegenerate", eps=1.5, X=(A2.root_system.simple_roots[0],)),
+        RMatrixSpec(algebra=A2, family="TrigSpectral", X=(A2.root_system.simple_roots[1],)),
+        RMatrixSpec(algebra=A2, family="RationalSpectral", X=_full_X(A2)),
+        _fancy_spec(),
+    ]
+    for spec in specs:
+        doc = spec_to_json(spec)
+        assert spec_to_json(spec_from_json(doc, A2)) == doc
+        if not spec.gauge_stack and spec.tau is None:
+            bare = {k: v for k, v in doc.items()
+                    if k not in ("version", "tau", "gauge_stack", "debug_flip_root", "debug_scale_omega")}
+            assert spec_to_json(spec_from_json(bare, A2)) == doc
 
 
 def test_serialization_algebra_mismatch():
